@@ -15,9 +15,6 @@ points, and annihilates any function whose coefficients vanish.
 
 from __future__ import annotations
 
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,24 +22,11 @@ import numpy as np
 from .coeffs import PeriodicFunction
 from .distributions import regulated_delta_on_grid
 from .quadrature import (
-    circle_nodes,
     compensated_csum,
-    compensated_sum,
     phase_powers,
     theta_grid,
     trapezoid_periodic,
 )
-
-TWO_PI = 2.0 * math.pi
-
-
-def _worker_count() -> int:
-    """Worker cap from INNER_FOURIER_THREADS; 1 (sequential) by default."""
-    raw = os.environ.get("INNER_FOURIER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,14 +82,6 @@ def residue_identity_check(p: int, rho: float, M: int | None = None) -> complex:
     return (rho**p) * s / M
 
 
-def _basis_row(i: int, K: int, grid: np.ndarray) -> np.ndarray:
-    if i == 0:
-        return np.ones_like(grid)
-    if i <= K:
-        return np.cos(i * grid)
-    return np.sin((i - K) * grid)
-
-
 def fourier_gram(K: int, M: int | None = None) -> GramReport:
     """Gram matrix of {1, cos(1..K), sin(1..K)} under (f|g)/pi.
 
@@ -119,33 +95,13 @@ def fourier_gram(K: int, M: int | None = None) -> GramReport:
         M = 4 * K + 2
     if M < 4 * K + 2:
         raise ValueError(f"need M >= 4K + 2 = {4 * K + 2}, got {M}")
-    grid = theta_grid(M)
-    n = 2 * K + 1
-    w = TWO_PI / (M * math.pi)
-    rows = [_basis_row(i, K, grid) for i in range(n)]
-
-    def fill_row(i: int) -> np.ndarray:
-        out = np.empty(n - i)
-        for j in range(i, n):
-            out[j - i] = w * compensated_sum(rows[i] * rows[j])
-        return out
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            uppers = list(ex.map(fill_row, range(n)))
-    else:
-        uppers = [fill_row(i) for i in range(n)]
-
-    g = np.empty((n, n))
-    for i, row in enumerate(uppers):
-        g[i, i:] = row
-        g[i:, i] = row
-    expected = np.ones(n)
-    expected[0] = 2.0
+    kt = np.multiply.outer(np.arange(1, K + 1), theta_grid(M))
+    b = np.vstack([np.ones(M), np.cos(kt), np.sin(kt)])
+    g = (2.0 / M) * (b @ b.T)
+    expected = np.r_[2.0, np.ones(2 * K)]
     diag_err = float(np.max(np.abs(np.diag(g) - expected)))
     off = g - np.diag(np.diag(g))
-    return GramReport(n, float(np.max(np.abs(off))), diag_err, g)
+    return GramReport(g.shape[0], float(np.max(np.abs(off))), diag_err, g)
 
 
 def completeness_probe(

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .coeffs import FourierCoefficients, PeriodicFunction
+from .coeffs import FourierCoefficients, PeriodicFunction, to_taylor
 from .distributions import DeltaSpec, delta_coefficients, delta_derivative_coefficients, poisson_kernel
+from .quadrature import disk_points, power_series
 
 _COS_SIN = re.compile(r"^(cos|sin)_(\d+)$")
 
@@ -160,11 +161,7 @@ def trig_poly_entry(alpha0: float, alpha, beta) -> CatalogEntry:
     fc = FourierCoefficients(alpha0, np.asarray(alpha, float), np.asarray(beta, float))
 
     def fn(theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.full(theta.shape, 0.5 * fc.alpha0)
-        for k in range(1, fc.K + 1):
-            out = out + fc.alpha[k - 1] * np.cos(k * theta) + fc.beta[k - 1] * np.sin(k * theta)
-        return out
+        return power_series(to_taylor(fc).c, disk_points(theta, 1.0)).real
 
     def gen(K):
         if K < fc.K:

@@ -32,13 +32,8 @@ _MIN_FIT_POINTS = 8
 
 @dataclass(frozen=True)
 class GrowthModel:
-    """Fit configuration: index window and the boundedness rate tolerance.
+    """Fit configuration: index window and the boundedness rate tolerance."""
 
-    ``family`` is a descriptive tag ("polynomial", "poly_exponential" or
-    "explicit") carried through to reports; it does not change the fit.
-    """
-
-    family: str = "explicit"
     window: tuple[int, int] | None = None
     rate_tol: float = 1e-3
 
@@ -110,20 +105,28 @@ def _default_window(K: int) -> tuple[int, int]:
     return (max(1, K // 4), K)
 
 
-def _fit_window(mags: np.ndarray, window: tuple[int, int], rate_tol: float) -> ClassificationReport:
+def _roundoff_floor(*mags: np.ndarray) -> float:
+    # 64 eps times the largest finite magnitude; an overflowed one must not lift it to inf
+    m = np.concatenate(mags)
+    return 64.0 * np.finfo(float).eps * float(np.max(m, where=np.isfinite(m), initial=0.0))
+
+
+def _fit_window(
+    mags: np.ndarray, window: tuple[int, int], rate_tol: float, floor: float
+) -> ClassificationReport:
     lo, hi = window
     if hi > mags.size - 1:
         raise ValueError(f"window end {hi} exceeds last index {mags.size - 1}")
     k = np.arange(lo, hi + 1)
     m = mags[lo : hi + 1]
-    nz = m > 0.0
+    nz = m > floor
     n_nonzero = int(np.count_nonzero(nz))
-    if n_nonzero == 0:
+    if n_nonzero < _MIN_FIT_POINTS and not nz[-1]:
         return ClassificationReport(True, 0.0, 0.0, window, False, True)
     sparsity = n_nonzero < 0.5 * k.size
     if n_nonzero < _MIN_FIT_POINTS:
         raise ValueError(
-            f"only {n_nonzero} nonzero magnitudes in window {window}; need {_MIN_FIT_POINTS}"
+            f"only {n_nonzero} magnitudes above roundoff in window {window}; need {_MIN_FIT_POINTS}"
         )
     k, m = k[nz], m[nz]
     design = np.column_stack([np.log(k.astype(float)), k.astype(float), np.ones(k.size)])
@@ -137,14 +140,20 @@ def classify_sequence(seq, model: GrowthModel | None = None) -> ClassificationRe
 
     Accepts TaylorCoefficients (magnitudes |c_k|), FourierCoefficients
     (both real sequences must pass; the reported fit is the worse of the
-    two) or a plain magnitude array. Zero magnitudes are excluded from the
-    fit; an all-zero window classifies as bounded and degenerate.
+    two) or a plain magnitude array. Magnitudes at or below 64 eps times
+    the largest magnitude of the whole sequence (alpha and beta together)
+    are roundoff and count as zeros, which are excluded from the fit. A
+    window that is all zeros, or ends in zeros with fewer than 8 nonzero
+    magnitudes, classifies as bounded and degenerate.
     """
     model = model or GrowthModel()
     if isinstance(seq, FourierCoefficients):
         window = model.window or _default_window(seq.K)
-        ra = _fit_window(np.abs(np.concatenate([[seq.alpha0], seq.alpha])), window, model.rate_tol)
-        rb = _fit_window(np.abs(np.concatenate([[0.0], seq.beta])), window, model.rate_tol)
+        ma = np.abs(np.concatenate([[seq.alpha0], seq.alpha]))
+        mb = np.abs(np.concatenate([[0.0], seq.beta]))
+        floor = _roundoff_floor(ma, mb)
+        ra = _fit_window(ma, window, model.rate_tol, floor)
+        rb = _fit_window(mb, window, model.rate_tol, floor)
         worse = max((ra, rb), key=lambda r: r.fitted_rate if not r.degenerate else -math.inf)
         if ra.degenerate and rb.degenerate:
             worse = ra
@@ -161,7 +170,7 @@ def classify_sequence(seq, model: GrowthModel | None = None) -> ClassificationRe
     else:
         mags = np.abs(np.asarray(seq, dtype=complex))
     window = model.window or _default_window(mags.size - 1)
-    return _fit_window(mags, window, model.rate_tol)
+    return _fit_window(mags, window, model.rate_tol, _roundoff_floor(mags))
 
 
 def equivalence_check(fc: FourierCoefficients, model: GrowthModel | None = None) -> EquivalenceReport:

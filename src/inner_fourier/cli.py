@@ -31,13 +31,15 @@ from .distributions import delta_inner
 from .errors import EvaluationError
 from .fileio import (
     coefficients_payload,
+    dumps_csv,
     dumps_json,
     read_coefficients_json,
     read_samples_csv,
     write_curve_csv,
     write_json,
 )
-from .series import PolarPoint, RhoSchedule, TaylorSeries, conjugate_sum, regulated_sum, rho_limit
+from .quadrature import disk_points, power_series
+from .series import ClosedForm, PolarPoint, RhoSchedule, TaylorSeries
 
 _USAGE, _IO = 2, 3
 
@@ -102,32 +104,27 @@ def cmd_reconstruct(args) -> int:
     if fc is None:
         fc = from_taylor(tc)
     thetas = _parse_theta_grid(args.thetas)
-    rows = []
     if args.rho is not None:
         if not 0.0 <= args.rho < 1.0:
             print(f"reconstruct: need 0 <= rho < 1, got {args.rho}", file=sys.stderr)
             return _USAGE
-        for t in thetas:
-            rows.append(
-                (float(t), args.rho, regulated_sum(fc, t, args.rho), conjugate_sum(fc, t, args.rho), "")
-            )
+        rhos = np.array([args.rho])
     else:
         sched = _parse_schedule(args.schedule, args.tol)
-        for t in thetas:
-            res = rho_limit(fc, t, sched)
-            for j, r in enumerate(sched.rhos):
-                flag = ("true" if res.converged else "false") if j == len(sched.rhos) - 1 else ""
-                rows.append((float(t), r, res.history[j], conjugate_sum(fc, t, r), flag))
+        sched.truncation_suspect(fc.K)
+        rhos = np.array(sched.rhos)
+    # one row per (theta, rho), theta major; value and conjugate are Re and Im
+    values = power_series(to_taylor(fc).c, disk_points(thetas, rhos))
+    flags = np.full(values.shape, "", dtype=object)
+    if args.rho is None:
+        flags[:, -1] = np.where(sched.converged(values.real), "true", "false")
+    cols = [*np.meshgrid(thetas, rhos, indexing="ij"), values.real, values.imag, flags]
+    rows = zip(*(col.ravel() for col in cols))
     header = ["theta", "rho", "value", "conjugate", "converged"]
     if args.out:
         write_curve_csv(args.out, header, rows)
     else:
-        from .fileio import format_float
-
-        sys.stdout.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [format_float(v) if isinstance(v, float) else str(v) for v in row]
-            sys.stdout.write(",".join(cells) + "\n")
+        sys.stdout.write(dumps_csv(header, rows))
     return 0
 
 
@@ -167,8 +164,6 @@ def _suite_ortho(args) -> int:
 
 
 def _suite_complete(args) -> int:
-    from .catalog import resolve as _resolve
-
     suite = _Suite()
     theta1 = 0.7
     worst = 0.0
@@ -178,12 +173,12 @@ def _suite_complete(args) -> int:
     rho, K, M = 0.9, args.K or 512, 4096
     worst = 0.0
     for k in range(1, 9):
-        probe = basis.completeness_probe(_resolve(f"cos_{k}").function, theta1, rho, K, M)
+        probe = basis.completeness_probe(resolve(f"cos_{k}").function, theta1, rho, K, M)
         worst = max(worst, abs(probe - rho**k * math.cos(k * theta1)))
     suite.check("poisson_eigenrelation", worst, 1e-10)
     worst = 0.0
     for name in ("cos_12", "sin_12"):
-        probe = basis.completeness_probe(_resolve(name).function, theta1, rho, 8, M)
+        probe = basis.completeness_probe(resolve(name).function, theta1, rho, 8, M)
         worst = max(worst, abs(probe))
     suite.check("zero_coefficient_probe", worst, 1e-10)
     return suite.finish()
@@ -219,8 +214,6 @@ def _suite_kernels(args) -> int:
 
 
 def _geometric_form(K: int):
-    from .series import ClosedForm
-
     def gen(k):
         return TaylorCoefficients(np.ones(k + 1, dtype=complex))
 

@@ -24,21 +24,20 @@ avoid those points exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import EvaluationError
 from .quadrature import (
+    TWO_PI,
     circle_nodes,
     compensated_csum,
-    compensated_sum,
+    grid_coefficients,
     phase_powers,
     theta_grid,
 )
-
-TWO_PI = 2.0 * math.pi
 
 _SINGULAR_HIT_TOL = 1e-12
 
@@ -186,17 +185,8 @@ def fourier_coefficients(
         M = f.samples.size if f.is_sampled else default_quadrature_points(K)
     if M < 2 * K + 2:
         raise ValueError(f"need M >= 2K + 2 = {2 * K + 2} grid points, got {M}")
-    vals = f.on_grid(M)
-    grid = theta_grid(M)
-    w = TWO_PI / M
-    alpha0 = (w / math.pi) * compensated_sum(vals)
-    alpha = np.empty(K)
-    beta = np.empty(K)
-    for k in range(1, K + 1):
-        kt = k * grid
-        alpha[k - 1] = (w / math.pi) * compensated_sum(vals * np.cos(kt))
-        beta[k - 1] = (w / math.pi) * compensated_sum(vals * np.sin(kt))
-    return FourierCoefficients(alpha0, alpha, beta)
+    c = grid_coefficients(f.on_grid(M), K)
+    return FourierCoefficients(2.0 * c[0].real, c[1:].real, -c[1:].imag)
 
 
 def to_taylor(fc: FourierCoefficients) -> TaylorCoefficients:

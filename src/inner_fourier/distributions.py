@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import FourierCoefficients, from_taylor, to_taylor
+from .quadrature import TWO_PI, disk_points, power_series
 from .series import ClosedForm, TaylorCoefficients, angular_derivative
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -72,18 +71,12 @@ class DeltaClosedForm(ClosedForm):
         self.theta1 = float(theta1)
 
     def taylor(self, K: int) -> TaylorCoefficients:
-        c = np.empty(K + 1, dtype=complex)
-        c[0] = 1.0 / TWO_PI
-        k = np.arange(1, K + 1)
-        c[1:] = np.exp(-1j * k * self.theta1) / math.pi
-        return TaylorCoefficients(c)
+        return to_taylor(delta_coefficients(DeltaSpec(self.theta1), K))
 
 
 def delta_inner(theta1: float) -> DeltaClosedForm:
     """The inner analytic representation of the point mass at theta1."""
-    if not -math.pi <= theta1 < math.pi:
-        raise ValueError(f"theta1 must lie in [-pi, pi), got {theta1}")
-    return DeltaClosedForm(theta1)
+    return DeltaClosedForm(DeltaSpec(theta1).theta1)
 
 
 def delta_coefficients(spec: DeltaSpec, K: int) -> FourierCoefficients:
@@ -119,17 +112,13 @@ def regulated_delta_on_grid(theta, theta1: float, rho: float, K: int) -> np.ndar
     """The K-term damped delta expansion evaluated on an array of angles.
 
     1/(2*pi) + (1/pi) * sum_{k=1..K} rho**k cos(k*(theta - theta1)),
-    accumulated in ascending k blocks of fixed size.
+    the real part of the power series with c = (1/(2*pi), 1/pi, ..., 1/pi)
+    at rho*exp(i*(theta - theta1)), evaluated by Horner's rule within the
+    bound stated in ``quadrature``. Non-finite angles raise ValueError.
     """
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"need 0 <= rho < 1, got {rho}")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    d = np.asarray(theta, dtype=float) - theta1
-    out = np.full(d.shape, 1.0 / TWO_PI)
-    # block size keeps each outer product under a few megabytes
-    block = max(32, min(1024, (1 << 20) // max(1, d.size)))
-    for lo in range(1, K + 1, block):
-        ks = np.arange(lo, min(lo + block, K + 1), dtype=float)
-        out = out + (rho**ks / math.pi) @ np.cos(np.outer(ks, d))
-    return out
+    c = np.r_[1.0 / TWO_PI, np.full(K, 1.0 / math.pi)]
+    return power_series(c, disk_points(np.asarray(theta, dtype=float) - theta1, rho)).real

@@ -94,18 +94,26 @@ def coefficients_payload(
     return payload
 
 
+def _numbers(doc: dict, *keys: str) -> list[np.ndarray]:
+    for k in keys:
+        if k not in doc:
+            raise ValueError(f"coefficient JSON has {keys[0]!r} but lacks {k!r}")
+    try:
+        return [np.asarray(doc[k], dtype=float) for k in keys]
+    except TypeError:
+        raise ValueError(f"coefficient JSON keys {', '.join(keys)} must hold numbers") from None
+
+
 def parse_coefficients(doc: dict) -> tuple[FourierCoefficients | None, TaylorCoefficients | None]:
+    if not isinstance(doc, dict):
+        raise ValueError("coefficient JSON must be an object")
     fc = tc = None
     if "alpha" in doc:
-        fc = FourierCoefficients(
-            float(doc["alpha0"]),
-            np.asarray(doc["alpha"], dtype=float),
-            np.asarray(doc["beta"], dtype=float),
-        )
+        alpha, alpha0, beta = _numbers(doc, "alpha", "alpha0", "beta")
+        fc = FourierCoefficients(alpha0.item(), alpha, beta)
     if "c_re" in doc:
-        tc = TaylorCoefficients(
-            np.asarray(doc["c_re"], dtype=float) + 1j * np.asarray(doc["c_im"], dtype=float)
-        )
+        c_re, c_im = _numbers(doc, "c_re", "c_im")
+        tc = TaylorCoefficients(c_re + 1j * c_im)
     if fc is None and tc is None:
         raise ValueError("no coefficient keys found (expected alpha/beta or c_re/c_im)")
     return fc, tc
@@ -127,6 +135,8 @@ def read_samples_csv(path) -> PeriodicFunction:
     body = [r for r in rows[1:] if r]
     if len(body) < 2:
         raise ValueError(f"{path}: need at least 2 sample rows")
+    if any(len(r) < 2 for r in body):
+        raise ValueError(f"{path}: every sample row needs two columns, theta and value")
     theta = np.array([float(r[0]) for r in body])
     vals = np.array([float(r[1]) for r in body])
     m = theta.size
@@ -136,8 +146,8 @@ def read_samples_csv(path) -> PeriodicFunction:
     return PeriodicFunction.from_samples(vals, name=str(path))
 
 
-def write_curve_csv(path, header: list[str], rows) -> None:
-    """Write rows of floats/strings with fixed float formatting."""
+def dumps_csv(header: list[str], rows) -> str:
+    """Serialize rows of floats/strings with fixed float formatting."""
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
     for row in rows:
@@ -145,5 +155,10 @@ def write_curve_csv(path, header: list[str], rows) -> None:
             format_float(v) if isinstance(v, (float, np.floating)) else str(v) for v in row
         ]
         buf.write(",".join(cells) + "\n")
+    return buf.getvalue()
+
+
+def write_curve_csv(path, header: list[str], rows) -> None:
+    """Write ``dumps_csv(header, rows)`` to path."""
     with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        fp.write(buf.getvalue())
+        fp.write(dumps_csv(header, rows))

@@ -26,7 +26,7 @@ from .basis import GramReport
 from .classify import GrowthModel, classify_sequence
 from .coeffs import TaylorCoefficients, _require_poles_off_circle
 from .errors import DivergenceWarning
-from .quadrature import circle_nodes, compensated_csum, phase_powers
+from .quadrature import circle_nodes, compensated_csum, phase_powers, power_series
 from .series import InnerAnalytic
 
 
@@ -104,16 +104,16 @@ def inner_product_series(
 ) -> SeriesProductResult:
     """Coefficient form of the disk product: sum rho0**(2k) * conj(c1_k) * c2_k.
 
-    For rho0 < 1 this matches the contour value up to the attached tail
-    bound. At rho0 = 1 with non decaying coefficient products the partial
-    value is returned with the divergent flag set and a warning emitted.
+    The sum is a power series in rho0**2, evaluated by Horner's rule within
+    the bound stated in ``quadrature``. For rho0 < 1 this matches the
+    contour value up to the attached tail bound. At rho0 = 1 with non
+    decaying coefficient products the partial value is returned with the
+    divergent flag set and a warning emitted.
     """
     if not 0.0 < rho0 <= 1.0:
         raise ValueError(f"need 0 < rho0 <= 1, got {rho0}")
     n = min(tc1.K, tc2.K) + 1
-    r2 = (rho0 * rho0) ** np.arange(n, dtype=float)
-    terms = r2 * np.conj(tc1.c[:n]) * tc2.c[:n]
-    value = compensated_csum(terms)
+    value = complex(power_series(np.conj(tc1.c[:n]) * tc2.c[:n], rho0 * rho0))
     divergent = False
     if rho0 >= 1.0:
         products = np.abs(tc1.c[:n]) * np.abs(tc2.c[:n])
@@ -137,25 +137,21 @@ def taylor_gram(Kmax: int, cfg: DiskProductConfig) -> GramReport:
     """Gram matrix of the monomials z**0..z**Kmax under the disk product.
 
     Expected: diagonal rho0**(2k), all off-diagonal entries zero, within
-    1e-12 for M >= 4*Kmax + 2. Monomials on the circle are evaluated from
-    the exact phase table, entry (k1, k2) reducing to the mean of
-    exp(i*(k2 - k1)*theta) times rho0**(k1+k2).
+    1e-12 for M >= 4*Kmax + 2. Monomials on the circle are rho0**k times
+    the exact phase table, and the matrix is their grid Gram V^H V / M;
+    its imaginary part is folded into both error figures.
     """
     if Kmax < 1:
         raise ValueError(f"Kmax must be >= 1, got {Kmax}")
     if cfg.M < 4 * Kmax + 2:
         raise ValueError(f"need M >= 4*Kmax + 2 = {4 * Kmax + 2}, got {cfg.M}")
-    n = Kmax + 1
-    g = np.empty((n, n))
-    imag_leak = 0.0
-    for k1 in range(n):
-        for k2 in range(k1, n):
-            s = compensated_csum(phase_powers(cfg.M, k2 - k1)) / cfg.M
-            entry = cfg.rho0 ** (k1 + k2) * s
-            g[k1, k2] = g[k2, k1] = entry.real
-            imag_leak = max(imag_leak, abs(entry.imag))
-    expected = cfg.rho0 ** (2.0 * np.arange(n))
+    k = np.arange(Kmax + 1)
+    v = cfg.rho0 ** k.astype(float)[:, None] * phase_powers(cfg.M, k)
+    prod = (v.conj() @ v.T) / cfg.M
+    g = prod.real
+    imag_leak = float(np.max(np.abs(prod.imag)))
+    expected = cfg.rho0 ** (2.0 * k)
     diag_err = max(float(np.max(np.abs(np.diag(g) - expected))), imag_leak)
     off = g - np.diag(np.diag(g))
     off_err = max(float(np.max(np.abs(off))), imag_leak)
-    return GramReport(n, off_err, diag_err, g)
+    return GramReport(k.size, off_err, diag_err, g)

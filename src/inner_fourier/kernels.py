@@ -17,16 +17,13 @@ the unit circle as an angular integral against w on the circle rho1 < 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coeffs import TaylorCoefficients, _require_poles_off_circle
-from .quadrature import circle_nodes, compensated_csum, theta_grid, unit_phasors
+from .quadrature import TWO_PI, circle_nodes, compensated_csum, phase_powers, power_series, theta_grid
 from .series import InnerAnalytic, PolarPoint
-
-TWO_PI = 2.0 * math.pi
 
 _RADIUS_CLASH_TOL = 1e-12
 _NODE_CLASH_TOL = 1e-9
@@ -56,24 +53,20 @@ def partial_sum(tc: TaylorCoefficients, z: PolarPoint, N: int) -> complex:
     """Horner evaluation of the first N terms at any finite point."""
     if not 1 <= N <= tc.K + 1:
         raise ValueError(f"need 1 <= N <= K + 1 = {tc.K + 1}, got N={N}")
-    zz = z.z
-    out = 0.0 + 0.0j
-    for ck in tc.c[N - 1 :: -1]:
-        out = out * zz + ck
-    return out
+    return complex(power_series(tc.c[:N], z.z))
 
 
 def _contour_terms(w: InnerAnalytic, z: complex, N: int, rho1: float, M: int):
     """The two quadrature terms of the contour identity at radius rho1."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    _require_poles_off_circle(w, rho1)
     nodes = circle_nodes(rho1, M)
     vals = np.asarray(w(nodes), dtype=complex)
     first = compensated_csum(vals * nodes / (nodes - z)) / M
     # z1^{-(N-1)} through the exact phase table keeps the strong rho1
     # scaling out of the cancellation.
-    tab = unit_phasors(M)
-    idx = (-(N - 1) * np.arange(M)) % M
-    sign = -1.0 if (N - 1) % 2 else 1.0
-    inv_pow = sign * tab[idx] / rho1 ** (N - 1)
+    inv_pow = phase_powers(M, -(N - 1)) / rho1 ** (N - 1)
     second = (z**N / M) * compensated_csum(vals * inv_pow / (nodes - z))
     return first, second
 
@@ -92,9 +85,6 @@ def contour_partial_sum(
         raise ValueError(f"need 0 < rho1 <= 1, got {rho1}")
     if abs(rho1 - z.rho) < _RADIUS_CLASH_TOL:
         raise ValueError(f"ill posed: |z| = rho1 = {rho1}; the identity needs |z| != rho1")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    _require_poles_off_circle(w, rho1)
     first, second = _contour_terms(w, z.z, N, rho1, M)
     contour = first - second
     direct = partial_sum(w.taylor(N - 1), z, N)
@@ -112,9 +102,6 @@ def remainder(w: InnerAnalytic, z: PolarPoint, N: int, rho1: float, M: int = 409
         raise ValueError(f"need 0 < rho1 <= 1, got {rho1}")
     if z.rho >= rho1 - _RADIUS_CLASH_TOL:
         raise ValueError(f"remainder integral needs |z| < rho1, got |z|={z.rho}, rho1={rho1}")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    _require_poles_off_circle(w, rho1)
     _, second = _contour_terms(w, z.z, N, rho1, M)
     return second
 
@@ -138,8 +125,7 @@ def boundary_partial_sum(
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     _require_poles_off_circle(w, rho1)
-    grid = theta_grid(M)
-    d = grid - theta
+    d = theta_grid(M) - theta
     vals = np.asarray(w(circle_nodes(rho1, M)), dtype=complex)
     integrand = np.exp(-1j * N * d) * vals / (rho1 - np.exp(-1j * d))
     return -compensated_csum(integrand) / (M * rho1 ** (N - 1))

@@ -1,13 +1,21 @@
-"""Uniform grids and trapezoidal quadrature on the periodic interval.
+"""Uniform grids, trapezoidal quadrature and the spectral core.
 
 All integrals in this package are taken over [-pi, pi) on uniform grids.
 On a periodic domain the trapezoidal rule collapses to the plain average
-of the node values times the period, and it is spectrally accurate for
-integrands that are analytic in a strip around the real axis.
+of the node values times the period; it is spectrally accurate for
+integrands analytic in a strip around the real axis, and it is exactly a
+discrete Fourier transform. Analysis (samples to coefficients) is
+therefore one real FFT, ``grid_coefficients``, with error a small multiple
+of eps * log2(M) times the largest sample. Synthesis (coefficients to
+values of sum c_k z**k) is Horner's rule, ``power_series``, with error at
+most 2(K+1) * eps * sum |c_k| |z|**k for the floating-point z given.
 
-Accumulation contract: node values are summed in ascending node order
-with compensated (exactly rounded) summation, so results are bitwise
-reproducible for identical inputs.
+Results are bitwise reproducible for identical inputs. Compensated
+(exactly rounded) sums are kept only where cancellation needs them: single
+integrals in ``trapezoid_periodic``, and the contour sums of the Cauchy
+coefficients, the residue identity, the disk product and the kernels
+(``compensated_csum``), often over the exact phase tables of
+``phase_powers``.
 """
 
 from __future__ import annotations
@@ -32,11 +40,6 @@ def theta_grid(m: int, *, half_offset: bool = False) -> np.ndarray:
     return -math.pi + (TWO_PI / m) * (np.arange(m) + off)
 
 
-def compensated_sum(values) -> float:
-    """Exactly rounded sum of a real sequence, ascending index order."""
-    return math.fsum(np.asarray(values, dtype=float))
-
-
 def compensated_csum(values) -> complex:
     """Compensated sum of a complex sequence (real and imaginary parts)."""
     a = np.asarray(values, dtype=complex)
@@ -44,16 +47,39 @@ def compensated_csum(values) -> complex:
 
 
 def trapezoid_periodic(values) -> float:
-    """(2*pi/M) times the compensated sum of real samples on the grid."""
+    """(2*pi/M) times the exactly rounded sum of real samples on the grid."""
     values = np.asarray(values, dtype=float)
-    return (TWO_PI / values.size) * compensated_sum(values)
+    return (TWO_PI / values.size) * math.fsum(values)
 
 
-def ctrapezoid_periodic(values) -> complex:
-    """(2*pi/M) times the compensated sum of complex samples on the grid."""
-    values = np.asarray(values, dtype=complex)
-    s = compensated_csum(values)
-    return (TWO_PI / values.size) * s
+def grid_coefficients(values, K: int) -> np.ndarray:
+    """Trapezoidal c_0..c_K of real samples on the standard grid, K < M/2.
+
+    c_0 = (1/M) sum f_j and c_k = (2/M) sum f_j exp(-i*k*theta_j), which is
+    (2/M) * (-1)**k times the k-th DFT term because the grid starts at -pi.
+    """
+    c = np.fft.rfft(values)[: K + 1] * (2.0 / len(values))
+    c[1::2] *= -1.0
+    c[0] *= 0.5
+    return c
+
+
+def power_series(c, z) -> np.ndarray:
+    """sum_k c[k] * z**k at every point of the array z, by Horner's rule."""
+    c = np.asarray(c, dtype=complex)
+    out = np.full(np.shape(z), c[-1])
+    for ck in c[-2::-1]:
+        out *= z
+        out += ck
+    return out
+
+
+def disk_points(theta, rho) -> np.ndarray:
+    """rho*exp(i*theta) on the theta x rho grid; non-finite angles raise ValueError."""
+    theta = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("angles must be finite")
+    return np.multiply.outer(np.exp(1j * theta), np.asarray(rho, dtype=float))
 
 
 def unit_phasors(m: int) -> np.ndarray:
@@ -71,26 +97,20 @@ def unit_phasors(m: int) -> np.ndarray:
     return np.exp(2j * math.pi * np.arange(m) / m)
 
 
-def circle_phasors(m: int) -> np.ndarray:
-    """exp(i*theta_j) on the standard grid, i.e. -unit_phasors(m)."""
-    return -unit_phasors(m)
-
-
 def circle_nodes(rho: float, m: int) -> np.ndarray:
     """Quadrature nodes rho*exp(i*theta_j) on the circle of radius rho."""
     if rho <= 0.0:
         raise ValueError(f"circle radius must be positive, got {rho}")
-    return rho * circle_phasors(m)
+    return -rho * unit_phasors(m)
 
 
-def phase_powers(m: int, p: int) -> np.ndarray:
-    """exp(i*p*theta_j) on the standard grid, by exact table lookup.
+def phase_powers(m: int, p) -> np.ndarray:
+    """exp(i*p*theta_j) on the standard grid, shape p.shape + (m,), by exact table lookup.
 
     Evaluating the power through the root-of-unity table avoids the noise
     of complex exponentiation and preserves the cancellation structure of
     the table.
     """
+    p = np.asarray(p)[..., None]
     tab = unit_phasors(m)
-    idx = (p * np.arange(m)) % m
-    sign = -1.0 if p % 2 else 1.0
-    return sign * tab[idx]
+    return np.where(p % 2, -1.0, 1.0) * tab[(p * np.arange(m)) % m]

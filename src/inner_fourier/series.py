@@ -23,11 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import FourierCoefficients, TaylorCoefficients
+from .coeffs import FourierCoefficients, TaylorCoefficients, to_taylor
 from .errors import EvaluationError, TruncationWarning
-from .quadrature import compensated_sum
-
-TWO_PI = 2.0 * math.pi
+from .quadrature import TWO_PI, disk_points, power_series
 
 _POLE_TOL = 1e-12
 
@@ -48,6 +46,8 @@ class PolarPoint:
     def __post_init__(self):
         if not (math.isfinite(self.rho) and self.rho >= 0.0):
             raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         object.__setattr__(self, "theta", _wrap_angle(self.theta))
 
     @property
@@ -82,11 +82,8 @@ class TaylorSeries(InnerAnalytic):
         self.label = f"taylor series (K={tc.K})"
 
     def __call__(self, z):
-        zz = np.asarray(z, dtype=complex)
-        out = np.zeros_like(zz)
-        for ck in self.tc.c[::-1]:
-            out = out * zz + ck
-        return complex(out) if zz.ndim == 0 else out
+        out = power_series(self.tc.c, z)
+        return complex(out) if out.ndim == 0 else out
 
     def taylor(self, K: int) -> TaylorCoefficients:
         c = np.zeros(K + 1, dtype=complex)
@@ -137,6 +134,18 @@ class RhoSchedule:
             raise ValueError("tol must be positive")
         object.__setattr__(self, "rhos", r)
 
+    def converged(self, values):
+        """Whether the last two values along the last (radius) axis differ by less than tol."""
+        return np.abs(np.diff(values)[..., -1]) < self.tol
+
+    def truncation_suspect(self, K: int) -> bool:
+        """Whether the K-term cutoff may dominate tol at the last radius; warns when it does."""
+        bound = truncation_bound(self.rhos[-1], K)
+        if bound > self.tol:
+            msg = f"K={K} truncation bound {bound:.3g} exceeds schedule tol {self.tol:.3g}"
+            warnings.warn(f"{msg} at rho={self.rhos[-1]}", TruncationWarning, stacklevel=3)
+        return bound > self.tol
+
     @classmethod
     def geometric(cls, j_start: int = 1, j_stop: int = 14, tol: float = 1e-6) -> "RhoSchedule":
         """rho_j = 1 - 2**(-j) for j = j_start..j_stop."""
@@ -173,24 +182,20 @@ def eval_inner(w: InnerAnalytic, p: PolarPoint) -> complex:
     return complex(w(z))
 
 
-def _damped_terms(fc: FourierCoefficients, theta: float, rho: float, conjugate: bool):
-    k = np.arange(1, fc.K + 1)
-    r = rho ** k.astype(float)
-    ck, sk = np.cos(k * theta), np.sin(k * theta)
-    if conjugate:
-        return r * (fc.alpha * sk - fc.beta * ck)
-    return r * (fc.alpha * ck + fc.beta * sk)
+def _series_at(fc: FourierCoefficients, theta: float, rho: float) -> complex:
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"need 0 <= rho < 1, got {rho}")
+    return complex(power_series(to_taylor(fc).c, disk_points(theta, rho)))
 
 
 def regulated_sum(fc: FourierCoefficients, theta: float, rho: float) -> float:
     """alpha_0/2 + sum rho**k [alpha_k cos(k theta) + beta_k sin(k theta)], rho < 1.
 
-    Equals the real part of the power series at (rho, theta). Terms are
-    accumulated in ascending k with compensated summation.
+    Equals the real part of the power series at (rho, theta), evaluated by
+    Horner's rule within the bound stated in ``quadrature``. A non-finite
+    theta raises ValueError.
     """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"need 0 <= rho < 1, got {rho}")
-    return 0.5 * fc.alpha0 + compensated_sum(_damped_terms(fc, theta, rho, False))
+    return _series_at(fc, theta, rho).real
 
 
 def conjugate_sum(fc: FourierCoefficients, theta: float, rho: float) -> float:
@@ -199,9 +204,7 @@ def conjugate_sum(fc: FourierCoefficients, theta: float, rho: float) -> float:
     Equals the imaginary part of the power series at (rho, theta); its
     rho -> 1 limit is the Fourier conjugate of the function behind fc.
     """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"need 0 <= rho < 1, got {rho}")
-    return compensated_sum(_damped_terms(fc, theta, rho, True))
+    return _series_at(fc, theta, rho).imag
 
 
 def truncation_bound(rho: float, K: int) -> float:
@@ -219,25 +222,19 @@ def rho_limit(
     """Evaluate the regulated sum along a radius schedule.
 
     The returned value is the evaluation at the last radius; the full
-    history is kept for diagnostics. With ``extrapolate`` a first order
-    Richardson step (valid for schedules that halve 1 - rho) is applied
-    and returned alongside, leaving the plain values untouched.
+    history is kept for diagnostics. All radii are evaluated in one
+    Horner pass; a non-finite theta raises ValueError. With
+    ``extrapolate`` a first order Richardson step (valid for schedules
+    that halve 1 - rho) is applied and returned alongside, leaving the
+    plain values untouched.
     """
-    history = tuple(regulated_sum(fc, theta, r) for r in sched.rhos)
-    converged = abs(history[-1] - history[-2]) < sched.tol
-    suspect = truncation_bound(sched.rhos[-1], fc.K) > sched.tol
-    if suspect:
-        warnings.warn(
-            f"K={fc.K} truncation bound {truncation_bound(sched.rhos[-1], fc.K):.3g} "
-            f"exceeds schedule tol {sched.tol:.3g} at rho={sched.rhos[-1]}",
-            TruncationWarning,
-            stacklevel=2,
-        )
+    values = power_series(to_taylor(fc).c, disk_points(theta, sched.rhos)).real
+    history = tuple(values.tolist())
+    converged = bool(sched.converged(values))
+    suspect = sched.truncation_suspect(fc.K)
     extrapolated = None
     if extrapolate:
-        extrapolated = tuple(
-            2.0 * b - a for a, b in zip(history, history[1:])
-        )
+        extrapolated = tuple((2.0 * values[1:] - values[:-1]).tolist())
     return RhoLimitResult(history[-1], converged, history, suspect, extrapolated)
 
 

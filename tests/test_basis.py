@@ -79,12 +79,6 @@ class TestFourierGram:
         g = fourier_gram(16)
         assert np.max(np.abs(g.matrix - g.matrix.T)) <= 1e-12
 
-    def test_threaded_rows_match_sequential(self, monkeypatch):
-        seq = fourier_gram(12)
-        monkeypatch.setenv("INNER_FOURIER_THREADS", "4")
-        par = fourier_gram(12)
-        assert np.array_equal(seq.matrix, par.matrix)
-
     def test_report_serialization(self):
         g = fourier_gram(2)
         d = g.to_json_dict()

@@ -12,6 +12,9 @@ from inner_fourier import (
     delta_derivative_coefficients,
     equivalence_check,
     family_magnitudes,
+    fourier_coefficients,
+    resolve,
+    to_taylor,
 )
 from inner_fourier.distributions import DeltaSpec
 
@@ -65,6 +68,10 @@ class TestClassifySequence:
         rep = classify_sequence(np.zeros(128))
         assert rep.bounded and rep.degenerate
 
+    def test_decay_into_roundoff_is_degenerate(self):
+        rep = classify_sequence(0.3 ** np.arange(101.0))
+        assert rep.bounded and rep.degenerate
+
     def test_sparse_window_is_flagged(self):
         mags = np.zeros(129)
         mags[::4] = 1.0
@@ -102,6 +109,15 @@ class TestEquivalence:
         fc = delta_derivative_coefficients(DeltaSpec(0.4, 3), 512)
         rep = equivalence_check(fc)
         assert rep.c_bounded and rep.ab_bounded and rep.agree
+
+    def test_roundoff_halves_do_not_decide(self):
+        # the triangle's beta_k and even alpha_k are pure roundoff
+        fc = fourier_coefficients(resolve("triangle").function, 64, 65536)
+        c_view, ab_view = classify_sequence(to_taylor(fc)), classify_sequence(fc)
+        assert c_view.bounded and ab_view.bounded
+        assert equivalence_check(fc).agree
+        assert ab_view.fitted_power == pytest.approx(-2.0, abs=1e-3)
+        assert c_view.fitted_power == pytest.approx(-2.0, abs=1e-3)
 
     def test_exponential_sequences_agree(self):
         K = 256

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import inner_fourier
 from inner_fourier.cli import main
 from inner_fourier.quadrature import theta_grid
 
@@ -134,6 +138,50 @@ class TestReconstructCommand:
             capsys, "reconstruct", "--coeffs", str(path), "--thetas", "0:1:4", "--rho", "1.0"
         )
         assert code == 2
+
+
+class TestInputErrors:
+    """Malformed input exits 2 with one line on stderr, never a traceback."""
+
+    def _one_line_usage_error(self, capsys, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"K": 2, "alpha": [1, 0], "beta": [0, 1]},
+            {"K": 2, "alpha0": 0.5, "alpha": [1, 0]},
+            {"K": 2, "c_re": [0, 1, 0]},
+        ],
+    )
+    def test_coefficient_json_missing_keys(self, capsys, tmp_path, doc):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        self._one_line_usage_error(capsys, "reconstruct", "--coeffs", str(path), "--rho", "0.5")
+
+    def test_sample_csv_one_column_row(self, capsys, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("theta,value\n-3.141592653589793,1.0\n0.0\n")
+        self._one_line_usage_error(capsys, "coeffs", "--csv", str(path), "--K", "1")
+
+
+def test_outputs_are_byte_identical_across_processes(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(inner_fourier.__file__)))
+    csv_path, coeffs_path = tmp_path / "s.csv", tmp_path / "c.json"
+    rows = "".join(f"{t!r},{math.exp(math.cos(t)) + t * t!r}\n" for t in theta_grid(256).tolist())
+    csv_path.write_text("theta,value\n" + rows)
+
+    def cli(*argv):
+        cmd = [sys.executable, "-W", "ignore", "-m", "inner_fourier", *argv]
+        return subprocess.run(cmd, env=env, capture_output=True, check=True).stdout
+
+    coeffs = cli("coeffs", "--csv", str(csv_path), "--K", "100")
+    assert coeffs == cli("coeffs", "--csv", str(csv_path), "--K", "100")
+    coeffs_path.write_bytes(coeffs)
+    sweep = ["reconstruct", "--coeffs", str(coeffs_path), "--thetas=-pi:pi:64", "--schedule", "1..14"]
+    assert cli(*sweep) == cli(*sweep)
 
 
 class TestVerifyCommand:

@@ -158,6 +158,10 @@ class TestRegulatedDeltaKernel:
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             regulated_delta_on_grid(theta_grid(16), 0.0, 1.0, 10)
+        with pytest.raises(ValueError, match="finite"):
+            regulated_delta_on_grid(np.array([0.0, math.nan]), 0.0, 0.5, 10)
+        with pytest.raises(ValueError, match="finite"):
+            regulated_delta_on_grid(theta_grid(16), math.inf, 0.5, 10)
         with pytest.raises(ValueError):
             poisson_kernel(0.0, 0.0, 1.0)
 

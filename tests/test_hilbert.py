@@ -93,6 +93,12 @@ class TestSeriesProduct:
         res = inner_product_series(tc, tc, 1.0)
         assert not res.divergent
 
+    def test_products_decaying_into_roundoff_not_flagged(self):
+        # 0.01**k drops below the classifier's roundoff floor after k = 7
+        tc = TaylorCoefficients(0.1 ** np.arange(65.0) + 0j)
+        res = inner_product_series(tc, tc, 1.0)
+        assert not res.divergent
+
     def test_terminated_products_not_flagged(self):
         tc = TaylorCoefficients(np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0], dtype=complex))
         res = inner_product_series(tc, tc, 1.0)

@@ -70,6 +70,18 @@ class TestRegulatedSum:
         with pytest.raises(ValueError):
             regulated_sum(_fc(alpha=(1.0,)), 0.0, 1.0)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, theta):
+        fc = _fc(alpha=(1.0,))
+        with pytest.raises(ValueError, match="finite"):
+            regulated_sum(fc, theta, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            conjugate_sum(fc, theta, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            rho_limit(fc, theta, RhoSchedule.geometric(1, 4))
+        with pytest.raises(ValueError, match="finite"):
+            PolarPoint(0.5, theta)
+
 
 class TestConjugateSum:
     def test_cosine_conjugates_to_sine(self):
