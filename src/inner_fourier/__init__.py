@@ -60,7 +60,6 @@ from .kernels import (
     PartialSumReport,
     boundary_partial_sum,
     contour_partial_sum,
-    dirichlet_form,
     partial_sum,
     remainder,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "delta_derivative_coefficients",
     "delta_inner",
     "delta_unit_mass",
-    "dirichlet_form",
     "equivalence_check",
     "eval_inner",
     "family_magnitudes",

@@ -94,10 +94,14 @@ class ConvergenceReport:
 
 
 def family_magnitudes(p: float, b: float, K: int) -> np.ndarray:
-    """|a_k| = k**p * b**k for k = 0..K, with the k = 0 entry set to 1."""
+    """|a_k| = k**p * b**k for k = 0..K, with the k = 0 entry set to 1.
+
+    Entries past the float range are inf or nan, without a warning.
+    """
     k = np.arange(K + 1, dtype=float)
     k[0] = 1.0
-    return k**p * b ** np.arange(K + 1, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return k**p * b ** np.arange(K + 1, dtype=float)
 
 
 def _default_window(K: int) -> tuple[int, int]:
@@ -119,6 +123,8 @@ def _fit_window(
         raise ValueError(f"window end {hi} exceeds last index {mags.size - 1}")
     k = np.arange(lo, hi + 1)
     m = mags[lo : hi + 1]
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"non-finite magnitude in fit window {window}")
     nz = m > floor
     n_nonzero = int(np.count_nonzero(nz))
     if n_nonzero < _MIN_FIT_POINTS and not nz[-1]:
@@ -144,7 +150,8 @@ def classify_sequence(seq, model: GrowthModel | None = None) -> ClassificationRe
     the largest magnitude of the whole sequence (alpha and beta together)
     are roundoff and count as zeros, which are excluded from the fit. A
     window that is all zeros, or ends in zeros with fewer than 8 nonzero
-    magnitudes, classifies as bounded and degenerate.
+    magnitudes, classifies as bounded and degenerate. A window that holds
+    a non-finite magnitude raises ValueError.
     """
     model = model or GrowthModel()
     if isinstance(seq, FourierCoefficients):

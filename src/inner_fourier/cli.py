@@ -355,8 +355,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _glue_thetas(argv: list[str]) -> list[str]:
+    # argparse reads a separate "-pi:pi:256" as an option; "--thetas=-pi:pi:256" it takes
+    out, it = [], iter(argv)
+    for tok in it:
+        out.append(f"--thetas={next(it, '')}" if tok == "--thetas" else tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_glue_thetas(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except UnknownCatalogId as exc:

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import EvaluationError
 from .quadrature import (
     TWO_PI,
-    circle_nodes,
+    circle_samples,
     compensated_csum,
     grid_coefficients,
     phase_powers,
@@ -215,7 +215,9 @@ def coefficients_by_cauchy(w, k: int, rho: float, M: int = 4096) -> complex:
 
     The contour is the circle of radius rho, 0 < rho <= 1, discretized at
     M uniform angles. The value is independent of rho up to quadrature
-    error as long as w has no pole on or inside the contour radius.
+    error as long as w has no pole on or inside the contour radius; a
+    circle on a declared pole, or one whose aliasing scale (rho/R)**M
+    exceeds eps, is refused (see ``quadrature.circle_samples``).
     """
     if k < 0:
         raise ValueError(f"coefficient index must be >= 0, got {k}")
@@ -223,16 +225,7 @@ def coefficients_by_cauchy(w, k: int, rho: float, M: int = 4096) -> complex:
         raise ValueError(f"need 0 < rho <= 1, got {rho}")
     if M < 2 * k + 2:
         raise ValueError(f"need M >= 2k + 2 = {2 * k + 2} nodes, got {M}")
-    _require_poles_off_circle(w, rho)
-    vals = np.asarray(w(circle_nodes(rho, M)), dtype=complex)
+    _, vals = circle_samples(w, rho, M)
     # (1/2*pi*i) loop w/z^{k+1} dz = (1/M) sum w(z_j) * exp(-i*k*theta_j) / rho^k
     s = compensated_csum(vals * phase_powers(M, -k))
     return s / (M * rho**k)
-
-
-def _require_poles_off_circle(w, rho: float, tol: float = 1e-9) -> None:
-    for p in getattr(w, "pole_set", ()):
-        if abs(abs(p) - rho) < tol:
-            raise EvaluationError(
-                f"pole at {p!r} lies on the integration circle of radius {rho}"
-            )

@@ -24,9 +24,9 @@ import numpy as np
 
 from .basis import GramReport
 from .classify import GrowthModel, classify_sequence
-from .coeffs import TaylorCoefficients, _require_poles_off_circle
+from .coeffs import TaylorCoefficients
 from .errors import DivergenceWarning
-from .quadrature import circle_nodes, compensated_csum, phase_powers, power_series
+from .quadrature import circle_samples, compensated_csum, phase_powers, power_series
 from .series import InnerAnalytic
 
 
@@ -56,13 +56,12 @@ class SeriesProductResult:
 def inner_product_disk(w1: InnerAnalytic, w2: InnerAnalytic, cfg: DiskProductConfig) -> complex:
     """Trapezoidal value of (1/(2*pi)) * integral conj(w1) * w2 on the circle rho0.
 
-    rho0 = 1 is allowed only when neither function has a pole there.
+    rho0 = 1 is allowed only when neither function has a pole there, and
+    each function must pass the aliasing rule of ``quadrature.circle_samples``.
     """
-    _require_poles_off_circle(w1, cfg.rho0)
-    _require_poles_off_circle(w2, cfg.rho0)
-    nodes = circle_nodes(cfg.rho0, cfg.M)
-    vals = np.conj(np.asarray(w1(nodes), dtype=complex)) * np.asarray(w2(nodes), dtype=complex)
-    return compensated_csum(vals) / cfg.M
+    _, v1 = circle_samples(w1, cfg.rho0, cfg.M)
+    _, v2 = circle_samples(w2, cfg.rho0, cfg.M)
+    return compensated_csum(np.conj(v1) * v2) / cfg.M
 
 
 def series_tail_bound(tc1: TaylorCoefficients, tc2: TaylorCoefficients, rho0: float) -> float:

@@ -10,6 +10,15 @@ of eps * log2(M) times the largest sample. Synthesis (coefficients to
 values of sum c_k z**k) is Horner's rule, ``power_series``, with error at
 most 2(K+1) * eps * sum |c_k| |z|**k for the floating-point z given.
 
+Contour integrals over a circle |z| = rho <= 1 sample w through
+``circle_samples``, the one place circle nodes are built and checked. The
+M-node trapezoid rule there aliases with error of order (rho/R)**M when w
+is analytic out to radius R (Trefethen & Weideman, SIAM Review 2014).
+With R the nearest declared pole outside the circle, the helper refuses a
+circle where that scale exceeds eps, naming the smallest M that passes,
+and a circle within 1e-9 of a declared pole. ``check_aliasing`` applies
+the same rule to a pole of the integrand itself.
+
 Results are bitwise reproducible for identical inputs. Compensated
 (exactly rounded) sums are kept only where cancellation needs them: single
 integrals in ``trapezoid_periodic``, and the contour sums of the Cauchy
@@ -24,7 +33,11 @@ import math
 
 import numpy as np
 
+from .errors import EvaluationError
+
 TWO_PI = 2.0 * math.pi
+_EPS = float(np.finfo(float).eps)
+_POLE_CLASH_TOL = 1e-9
 
 
 def theta_grid(m: int, *, half_offset: bool = False) -> np.ndarray:
@@ -97,11 +110,31 @@ def unit_phasors(m: int) -> np.ndarray:
     return np.exp(2j * math.pi * np.arange(m) / m)
 
 
-def circle_nodes(rho: float, m: int) -> np.ndarray:
-    """Quadrature nodes rho*exp(i*theta_j) on the circle of radius rho."""
+def check_aliasing(ratio: float, m: int) -> None:
+    """Refuse an m-node rule whose aliasing scale ratio**m exceeds eps; 0 <= ratio < 1."""
+    if ratio**m > _EPS:
+        need = math.ceil(math.log(_EPS) / math.log(ratio))
+        raise ValueError(f"aliasing scale {ratio:.6g}**M = {ratio**m:.3g} exceeds eps at M={m}; need M >= {need}")
+
+
+def circle_samples(w, rho: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes rho*exp(i*theta_j) on the standard grid and w at them, after the checks.
+
+    A declared pole of w within 1e-9 of the circle raises EvaluationError;
+    a circle whose aliasing scale (rho/R)**m, R the nearest declared pole
+    outside it, exceeds eps raises ValueError.
+    """
     if rho <= 0.0:
         raise ValueError(f"circle radius must be positive, got {rho}")
-    return -rho * unit_phasors(m)
+    poles = getattr(w, "pole_set", ())
+    for p in poles:
+        if abs(abs(p) - rho) < _POLE_CLASH_TOL:
+            raise EvaluationError(f"pole at {p!r} lies on the integration circle of radius {rho}")
+    outside = [abs(p) for p in poles if abs(p) > rho]
+    if outside:
+        check_aliasing(rho / min(outside), m)
+    nodes = -rho * unit_phasors(m)
+    return nodes, np.asarray(w(nodes), dtype=complex)
 
 
 def phase_powers(m: int, p) -> np.ndarray:

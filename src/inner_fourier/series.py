@@ -161,14 +161,15 @@ class RhoLimitResult:
     ``converged`` holds when the last two schedule values differ by less
     than the schedule tolerance; non convergence is reported, never
     raised. ``truncation_suspect`` flags radii where the K-term cutoff may
-    dominate the tolerance.
+    dominate the tolerance. ``extrapolated`` holds the Richardson steps
+    of consecutive history values, one fewer than the history.
     """
 
     value: float
     converged: bool
     history: tuple[float, ...]
-    truncation_suspect: bool = False
-    extrapolated: tuple[float, ...] | None = None
+    truncation_suspect: bool
+    extrapolated: tuple[float, ...]
 
 
 def eval_inner(w: InnerAnalytic, p: PolarPoint) -> complex:
@@ -212,29 +213,21 @@ def truncation_bound(rho: float, K: int) -> float:
     return rho ** (K + 1) / (1.0 - rho)
 
 
-def rho_limit(
-    fc: FourierCoefficients,
-    theta: float,
-    sched: RhoSchedule,
-    *,
-    extrapolate: bool = False,
-) -> RhoLimitResult:
+def rho_limit(fc: FourierCoefficients, theta: float, sched: RhoSchedule) -> RhoLimitResult:
     """Evaluate the regulated sum along a radius schedule.
 
     The returned value is the evaluation at the last radius; the full
     history is kept for diagnostics. All radii are evaluated in one
-    Horner pass; a non-finite theta raises ValueError. With
-    ``extrapolate`` a first order Richardson step (valid for schedules
-    that halve 1 - rho) is applied and returned alongside, leaving the
-    plain values untouched.
+    Horner pass; a non-finite theta raises ValueError. A first order
+    Richardson step 2*v[j+1] - v[j] (valid for schedules that halve
+    1 - rho) is returned alongside as ``extrapolated``, leaving the plain
+    values untouched.
     """
     values = power_series(to_taylor(fc).c, disk_points(theta, sched.rhos)).real
     history = tuple(values.tolist())
     converged = bool(sched.converged(values))
     suspect = sched.truncation_suspect(fc.K)
-    extrapolated = None
-    if extrapolate:
-        extrapolated = tuple((2.0 * values[1:] - values[:-1]).tolist())
+    extrapolated = tuple((2.0 * values[1:] - values[:-1]).tolist())
     return RhoLimitResult(history[-1], converged, history, suspect, extrapolated)
 
 

@@ -84,6 +84,13 @@ class TestClassifySequence:
         with pytest.raises(ValueError):
             GrowthModel(window=(1, 4))
 
+    def test_non_finite_window_rejected(self):
+        mags = family_magnitudes(0.0, 2.0, 4096)  # 2**k overflows past k = 1023
+        assert np.isinf(mags[-1])
+        for seq in (mags, np.r_[np.ones(32), np.nan]):
+            with pytest.raises(ValueError, match="non-finite"):
+                classify_sequence(seq)
+
     def test_report_serialization(self):
         d = classify_sequence(family_magnitudes(1.0, 1.0, 256)).to_json_dict()
         assert set(d) == {"bounded", "fitted_rate", "fitted_power", "window", "sparsity_flag", "degenerate"}

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,13 @@ class TestReconstructCommand:
         for line in out.splitlines()[1:]:
             assert float(line.split(",")[2]) == 0.0
 
+    def test_thetas_value_as_separate_argument(self, capsys, tmp_path):
+        path = self._coeff_file(capsys, tmp_path, "square", 16)
+        forms = ([], ["--thetas", "-pi:pi:256"], ["--thetas=-pi:pi:256"])
+        outs = [run(capsys, "reconstruct", "--coeffs", str(path), *form, "--rho", "0.5") for form in forms]
+        assert outs[0][0] == 0 and outs[0][1]
+        assert outs[0] == outs[1] == outs[2]
+
     def test_radius_domain_error(self, capsys, tmp_path):
         path = self._coeff_file(capsys, tmp_path, "zero", 8)
         code, _, err = run(
@@ -202,6 +210,14 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "classify", "--family", "poly", "--p", "5")
         assert code == 0
         assert "bounded=true" in out
+
+    def test_classify_overflow_is_a_usage_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", "--suite", "classify", "--family", "exp", "--b", "2")
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "PASS" not in out
 
     def test_exit_one_on_violation(self, capsys, monkeypatch):
         import inner_fourier.basis as basis_mod

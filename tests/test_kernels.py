@@ -5,21 +5,22 @@ import pytest
 
 from inner_fourier import (
     ClosedForm,
+    DiskProductConfig,
     EvaluationError,
     PolarPoint,
     TaylorCoefficients,
     TaylorSeries,
     boundary_partial_sum,
+    coefficients_by_cauchy,
     contour_partial_sum,
     delta_inner,
-    dirichlet_form,
+    inner_product_disk,
     partial_sum,
     remainder,
     resolve,
     to_taylor,
 )
 from inner_fourier.kernels import _contour_terms
-from inner_fourier.quadrature import theta_grid
 
 
 def geometric_series(K: int = 512) -> ClosedForm:
@@ -153,12 +154,12 @@ class TestBoundaryPartialSum:
         assert abs(got - want) < 1e-3
 
     def test_quadrature_error_tracks_radius(self):
-        # at fixed M the aliasing error scales like rho1**M, so it grows
-        # toward the circle; radii must be paired with adequate M
+        # a polynomial of degree below M has no aliasing, so on M nodes the
+        # contour identity reproduces its partial sum at every radius
         fc = resolve("square").coefficients(2000)
         w = TaylorSeries(to_taylor(fc))
         want = partial_sum(w.tc, PolarPoint(1.0, 0.6), 16)
-        for rho1, bound in ((0.9, 1e-10), (0.99, 1e-10), (0.999, 2e-3)):
+        for rho1, bound in ((0.9, 1e-10), (0.99, 1e-10), (0.999, 1e-12)):
             got = boundary_partial_sum(w, 0.6, 16, rho1, 8192)
             assert abs(got - want) < bound
 
@@ -166,32 +167,36 @@ class TestBoundaryPartialSum:
         with pytest.raises(ValueError, match="strict"):
             boundary_partial_sum(monomial(1), 0.0, 2, 1.0)
 
+    def test_nan_angle_rejected(self):
+        with pytest.raises(ValueError, match="theta"):
+            boundary_partial_sum(delta_inner(0.5), float("nan"), 4, 0.8, 256)
 
-class TestDirichletForm:
-    def test_zero_input(self):
-        z = np.zeros(256)
-        assert dirichlet_form(z, z, 0.1, 4) == 0.0
+    def test_needed_m_restores_the_partial_sum(self):
+        # the benchmark's known fault, rerun at the M its refusal names
+        w = delta_inner(math.pi / 2)
+        want = partial_sum(w.taylor(7), PolarPoint(1.0, 0.3), 8)
+        assert abs(boundary_partial_sum(w, 0.3, 8, 0.9999, 360419) - want) < 1e-12
 
-    def test_finite_and_tracks_partial_sum(self):
-        m = 8192
-        grid = theta_grid(m, half_offset=True)
-        f, g = np.cos(grid), np.sin(grid)
-        val = dirichlet_form(f, g, 0.0, 4)
-        assert np.isfinite(val.real) and np.isfinite(val.imag)
-        # oracle: boundary integral value of S_4 at radii approaching 1
-        w = monomial(1)
-        s4 = boundary_partial_sum(w, 0.0, 4, 0.99, m)
-        assert abs(val.real - 2.0 * math.pi * s4.real) < 1e-2
 
-    def test_node_collision_rejected(self):
-        m = 64
-        grid = theta_grid(m, half_offset=True)
-        with pytest.raises(ValueError, match="node"):
-            dirichlet_form(np.cos(grid), np.sin(grid), float(grid[3]), 2)
+def _needed_m(ratio: float) -> int:
+    return math.ceil(math.log(np.finfo(float).eps) / math.log(ratio))
 
-    def test_parity_cancellation_for_even_input(self):
-        m = 4096
-        grid = theta_grid(m, half_offset=True)
-        f = np.cos(grid)  # even about theta = 0
-        val = dirichlet_form(f, np.zeros(m), 0.0, 1)
-        assert abs(val.imag) < 1e-9 * max(1.0, abs(val.real))
+
+@pytest.mark.parametrize(
+    "call, ratio",
+    [
+        (lambda: coefficients_by_cauchy(delta_inner(math.pi / 2), 3, 0.99, 64), 0.99),
+        (lambda: contour_partial_sum(delta_inner(math.pi / 2), PolarPoint(0.5, 0.0), 4, 0.99, 64), 0.99),
+        (lambda: remainder(delta_inner(math.pi / 2), PolarPoint(0.5, 0.0), 4, 0.99, 64), 0.99),
+        (lambda: remainder(delta_inner(math.pi / 2), PolarPoint(0.49, 0.0), 4, 0.5, 256), 0.98),
+        (lambda: boundary_partial_sum(delta_inner(math.pi / 2), 0.3, 8, 0.9999, 256), 0.9999),
+        (
+            lambda: inner_product_disk(delta_inner(0.0), delta_inner(1.0), DiskProductConfig(0.99, 64)),
+            0.99,
+        ),
+    ],
+    ids=["cauchy", "contour", "remainder", "remainder-z", "boundary-known-fault", "disk"],
+)
+def test_aliased_circle_refused_naming_needed_m(call, ratio):
+    with pytest.raises(ValueError, match=f"need M >= {_needed_m(ratio)}$"):
+        call()

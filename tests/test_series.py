@@ -162,7 +162,7 @@ class TestRhoLimit:
     def test_extrapolation_diagnostics(self):
         fc = resolve("triangle").coefficients(4000)
         sched = RhoSchedule.geometric(1, 8, tol=1e-3)
-        res = rho_limit(fc, 0.5, sched, extrapolate=True)
+        res = rho_limit(fc, 0.5, sched)
         assert len(res.extrapolated) == len(res.history) - 1
         # first order error in (1 - rho) cancels, so the extrapolant is closer
         assert abs(res.extrapolated[-1] - 0.5) < abs(res.history[-1] - 0.5)
