@@ -43,19 +43,17 @@ class GramReport:
     max_diag_error: float
     matrix: np.ndarray
 
+    @classmethod
+    def of(cls, g: np.ndarray, expected: np.ndarray, leak: float = 0.0) -> "GramReport":
+        """Report on the real Gram matrix g against the expected diagonal, leak folded in."""
+        diag = np.diag(g)
+        diag_err = max(float(np.max(np.abs(diag - expected))), leak)
+        off_err = max(float(np.max(np.abs(g - np.diag(diag)))), leak)
+        return cls(g.shape[0], off_err, diag_err, g)
+
     @property
     def passed(self) -> bool:
         return self.max_offdiag_error <= 1e-12 and self.max_diag_error <= 1e-12
-
-    def to_json_dict(self, include_matrix: bool = False) -> dict:
-        out = {
-            "size": self.size,
-            "max_offdiag_error": float(self.max_offdiag_error),
-            "max_diag_error": float(self.max_diag_error),
-        }
-        if include_matrix:
-            out["matrix"] = [[float(v) for v in row] for row in self.matrix]
-        return out
 
 
 def scalar_product(f: PeriodicFunction, g: PeriodicFunction, M: int = 1024) -> float:
@@ -63,20 +61,18 @@ def scalar_product(f: PeriodicFunction, g: PeriodicFunction, M: int = 1024) -> f
     return trapezoid_periodic(f.on_grid(M) * g.on_grid(M))
 
 
-def residue_identity_check(p: int, rho: float, M: int | None = None) -> complex:
+def residue_identity_check(p: int, rho: float) -> complex:
     """Contour quadrature of (1/(2*pi*i)) * loop of z**(p-1) dz at radius rho.
 
     Returns a value close to the indicator of p == 0, independent of the
-    radius. The integrand power is evaluated through the exact root of
-    unity table, so the cancellation survives the rho**p scaling even for
+    radius. The M = max(64, 4|p| + 8) nodes keep the table divisible by 4
+    and the integrand power is evaluated through the exact root of unity
+    table, so the cancellation survives the rho**p scaling even for
     strongly negative p.
     """
     if rho <= 0.0:
         raise ValueError(f"need rho > 0, got {rho}")
-    if M is None:
-        M = max(64, 4 * ((4 * abs(p) + 8 + 3) // 4))
-    if M < 4 * abs(p) + 8:
-        raise ValueError(f"need M >= 4|p| + 8 = {4 * abs(p) + 8}, got {M}")
+    M = max(64, 4 * abs(p) + 8)
     # z^p on the circle: rho^p times the exact phase table
     s = compensated_csum(phase_powers(M, p))
     return (rho**p) * s / M
@@ -97,11 +93,7 @@ def fourier_gram(K: int, M: int | None = None) -> GramReport:
         raise ValueError(f"need M >= 4K + 2 = {4 * K + 2}, got {M}")
     kt = np.multiply.outer(np.arange(1, K + 1), theta_grid(M))
     b = np.vstack([np.ones(M), np.cos(kt), np.sin(kt)])
-    g = (2.0 / M) * (b @ b.T)
-    expected = np.r_[2.0, np.ones(2 * K)]
-    diag_err = float(np.max(np.abs(np.diag(g) - expected)))
-    off = g - np.diag(np.diag(g))
-    return GramReport(g.shape[0], float(np.max(np.abs(off))), diag_err, g)
+    return GramReport.of((2.0 / M) * (b @ b.T), np.r_[2.0, np.ones(2 * K)])
 
 
 def completeness_probe(

@@ -32,10 +32,8 @@ _COS_SIN = re.compile(r"^(cos|sin)_(\d+)$")
 @dataclass(frozen=True, eq=False)
 class CatalogEntry:
     id: str
-    parameters: dict
     function: PeriodicFunction | None
     known_coefficients: Callable[[int], FourierCoefficients] | None
-    singular_points: tuple[float, ...] = ()
     self_test_M: int | None = None
 
     def coefficients(self, K: int) -> FourierCoefficients:
@@ -52,18 +50,14 @@ def _entry_zero(**_):
     def gen(K):
         return FourierCoefficients.zeros(K)
 
-    return CatalogEntry(
-        "zero", {}, PeriodicFunction.from_callable("zero", np.zeros_like), gen, (), 1024
-    )
+    return CatalogEntry("zero", PeriodicFunction.from_callable("zero", np.zeros_like), gen, 1024)
 
 
 def _entry_const(**_):
     def gen(K):
         return FourierCoefficients(2.0, np.zeros(K), np.zeros(K))
 
-    return CatalogEntry(
-        "const", {}, PeriodicFunction.from_callable("const", np.ones_like), gen, (), 1024
-    )
+    return CatalogEntry("const", PeriodicFunction.from_callable("const", np.ones_like), gen, 1024)
 
 
 def _entry_harmonic(kind: str, k: int):
@@ -80,7 +74,7 @@ def _entry_harmonic(kind: str, k: int):
         (alpha if kind == "cos" else beta)[k - 1] = 1.0
         return FourierCoefficients(0.0, alpha, beta)
 
-    return CatalogEntry(f"{kind}_{k}", {"k": k}, PeriodicFunction.from_callable(f"{kind}_{k}", fn), gen, (), max(4 * k + 256, 512))
+    return CatalogEntry(f"{kind}_{k}", PeriodicFunction.from_callable(f"{kind}_{k}", fn), gen, max(4 * k + 256, 512))
 
 
 def _entry_square(**_):
@@ -93,7 +87,7 @@ def _entry_square(**_):
         beta = 2.0 * (1.0 - (-1.0) ** k) / (math.pi * k)
         return FourierCoefficients(0.0, np.zeros(K), beta)
 
-    return CatalogEntry("square", {}, PeriodicFunction.from_callable("square", fn), gen, (), 262144)
+    return CatalogEntry("square", PeriodicFunction.from_callable("square", fn), gen, 262144)
 
 
 def _entry_sawtooth(**_):
@@ -105,7 +99,7 @@ def _entry_sawtooth(**_):
         beta = 2.0 * (-1.0) ** (k + 1) / k
         return FourierCoefficients(0.0, np.zeros(K), beta)
 
-    return CatalogEntry("sawtooth", {}, PeriodicFunction.from_callable("sawtooth", fn), gen, (), 262144)
+    return CatalogEntry("sawtooth", PeriodicFunction.from_callable("sawtooth", fn), gen, 262144)
 
 
 def _entry_triangle(**_):
@@ -114,7 +108,7 @@ def _entry_triangle(**_):
         alpha = (2.0 / (math.pi * k * k)) * ((-1.0) ** k - 1.0)
         return FourierCoefficients(math.pi, alpha, np.zeros(K))
 
-    return CatalogEntry("triangle", {}, PeriodicFunction.from_callable("triangle", np.abs), gen, (), 65536)
+    return CatalogEntry("triangle", PeriodicFunction.from_callable("triangle", np.abs), gen, 65536)
 
 
 def _entry_delta(theta1: float = 0.0, **_):
@@ -123,7 +117,7 @@ def _entry_delta(theta1: float = 0.0, **_):
     def gen(K):
         return delta_coefficients(spec, K)
 
-    return CatalogEntry("delta", {"theta1": theta1}, None, gen, (theta1,), None)
+    return CatalogEntry("delta", None, gen)
 
 
 def _entry_delta_derivative(theta1: float = 0.0, order: int = 1, **_):
@@ -132,9 +126,7 @@ def _entry_delta_derivative(theta1: float = 0.0, order: int = 1, **_):
     def gen(K):
         return delta_derivative_coefficients(spec, K)
 
-    return CatalogEntry(
-        "delta_derivative", {"theta1": theta1, "order": order}, None, gen, (theta1,), None
-    )
+    return CatalogEntry("delta_derivative", None, gen)
 
 
 def _entry_poisson(r: float = 0.5, theta1: float = 0.0, **_):
@@ -153,7 +145,7 @@ def _entry_poisson(r: float = 0.5, theta1: float = 0.0, **_):
             damp * np.sin(k * theta1) / math.pi,
         )
 
-    return CatalogEntry("poisson", {"r": r, "theta1": theta1}, PeriodicFunction.from_callable("poisson", fn), gen, (), 2048)
+    return CatalogEntry("poisson", PeriodicFunction.from_callable("poisson", fn), gen, 2048)
 
 
 def trig_poly_entry(alpha0: float, alpha, beta) -> CatalogEntry:
@@ -171,7 +163,7 @@ def trig_poly_entry(alpha0: float, alpha, beta) -> CatalogEntry:
         b[: fc.K] = fc.beta
         return FourierCoefficients(fc.alpha0, a, b)
 
-    return CatalogEntry("trig_poly", {"degree": fc.K}, PeriodicFunction.from_callable("trig_poly", fn), gen, (), 4 * fc.K + 256)
+    return CatalogEntry("trig_poly", PeriodicFunction.from_callable("trig_poly", fn), gen, 4 * fc.K + 256)
 
 
 _BUILDERS = {

@@ -28,22 +28,20 @@ import numpy as np
 from .coeffs import FourierCoefficients, TaylorCoefficients, to_taylor
 
 _MIN_FIT_POINTS = 8
+_RATE_TOL = 1e-3
 
 
 @dataclass(frozen=True)
 class GrowthModel:
-    """Fit configuration: index window and the boundedness rate tolerance."""
+    """Fit configuration: the index window; the fitted rate is bounded at or below 1e-3."""
 
     window: tuple[int, int] | None = None
-    rate_tol: float = 1e-3
 
     def __post_init__(self):
         if self.window is not None:
             lo, hi = self.window
             if lo < 1 or hi - lo + 1 < _MIN_FIT_POINTS:
                 raise ValueError(f"window must start at k >= 1 and span >= {_MIN_FIT_POINTS}")
-        if not self.rate_tol > 0.0:
-            raise ValueError("rate_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -54,16 +52,6 @@ class ClassificationReport:
     window: tuple[int, int]
     sparsity_flag: bool = False
     degenerate: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bounded": self.bounded,
-            "fitted_rate": self.fitted_rate,
-            "fitted_power": self.fitted_power,
-            "window": list(self.window),
-            "sparsity_flag": self.sparsity_flag,
-            "degenerate": self.degenerate,
-        }
 
 
 @dataclass(frozen=True)
@@ -115,9 +103,7 @@ def _roundoff_floor(*mags: np.ndarray) -> float:
     return 64.0 * np.finfo(float).eps * float(np.max(m, where=np.isfinite(m), initial=0.0))
 
 
-def _fit_window(
-    mags: np.ndarray, window: tuple[int, int], rate_tol: float, floor: float
-) -> ClassificationReport:
+def _fit_window(mags: np.ndarray, window: tuple[int, int], floor: float) -> ClassificationReport:
     lo, hi = window
     if hi > mags.size - 1:
         raise ValueError(f"window end {hi} exceeds last index {mags.size - 1}")
@@ -138,7 +124,7 @@ def _fit_window(
     design = np.column_stack([np.log(k.astype(float)), k.astype(float), np.ones(k.size)])
     sol, *_ = np.linalg.lstsq(design, np.log(m), rcond=None)
     power, rate = float(sol[0]), float(sol[1])
-    return ClassificationReport(rate <= rate_tol, rate, power, window, sparsity, False)
+    return ClassificationReport(rate <= _RATE_TOL, rate, power, window, sparsity, False)
 
 
 def classify_sequence(seq, model: GrowthModel | None = None) -> ClassificationReport:
@@ -159,8 +145,8 @@ def classify_sequence(seq, model: GrowthModel | None = None) -> ClassificationRe
         ma = np.abs(np.concatenate([[seq.alpha0], seq.alpha]))
         mb = np.abs(np.concatenate([[0.0], seq.beta]))
         floor = _roundoff_floor(ma, mb)
-        ra = _fit_window(ma, window, model.rate_tol, floor)
-        rb = _fit_window(mb, window, model.rate_tol, floor)
+        ra = _fit_window(ma, window, floor)
+        rb = _fit_window(mb, window, floor)
         worse = max((ra, rb), key=lambda r: r.fitted_rate if not r.degenerate else -math.inf)
         if ra.degenerate and rb.degenerate:
             worse = ra
@@ -177,7 +163,7 @@ def classify_sequence(seq, model: GrowthModel | None = None) -> ClassificationRe
     else:
         mags = np.abs(np.asarray(seq, dtype=complex))
     window = model.window or _default_window(mags.size - 1)
-    return _fit_window(mags, window, model.rate_tol, _roundoff_floor(mags))
+    return _fit_window(mags, window, _roundoff_floor(mags))
 
 
 def equivalence_check(fc: FourierCoefficients, model: GrowthModel | None = None) -> EquivalenceReport:

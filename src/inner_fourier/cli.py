@@ -152,8 +152,8 @@ def _suite_ortho(args) -> int:
     K = args.K or 32
     suite = _Suite()
     g = basis.fourier_gram(K, args.M)
-    suite.check("gram_offdiag", g.max_offdiag_error, args.tol or 1e-12)
-    suite.check("gram_diag", g.max_diag_error, args.tol or 1e-12)
+    suite.check("gram_offdiag", g.max_offdiag_error, 1e-12)
+    suite.check("gram_diag", g.max_diag_error, 1e-12)
     worst = 0.0
     for p in range(-8, 9):
         for rho in (0.25, 0.5, 1.0):
@@ -346,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--K", type=int, default=None)
     pv.add_argument("--M", type=int, default=None)
     pv.add_argument("--rho0", type=float, default=None, help="circle radius for the hilbert suite")
-    pv.add_argument("--tol", type=float, default=None)
     pv.add_argument("--family", choices=["poly", "exp", "polyexp"], default=None, help="classify one generated family")
     pv.add_argument("--p", type=float, default=None, help="polynomial power of the family")
     pv.add_argument("--b", type=float, default=None, help="exponential base of the family")

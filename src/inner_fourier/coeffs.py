@@ -16,30 +16,21 @@ open unit disk whose real part recovers f on the circle.
 Integrals are approximated by the uniform trapezoidal rule, which is exact
 (to roundoff) for trigonometric polynomials of degree at most M - 1 - K on
 an M point grid. Callers are responsible for the usual integrability
-assumptions; sampled input is accepted only on the uniform grid, and
-functions with declared singular points must be integrated on grids that
-avoid those points exactly.
+assumptions; sampled input is accepted only on the uniform grid, and a
+callable that is not finite at some grid angle is refused.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import EvaluationError
-from .quadrature import (
-    TWO_PI,
-    circle_samples,
-    compensated_csum,
-    grid_coefficients,
-    phase_powers,
-    theta_grid,
-)
+from .quadrature import circle_samples, compensated_csum, grid_coefficients, phase_powers, theta_grid
 
-_SINGULAR_HIT_TOL = 1e-12
+_IMAG_TOL = 1e-12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -50,16 +41,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PeriodicFunction:
-    """A real function on [-pi, pi): a callable or a uniform sample grid.
-
-    ``singular_points`` lists angles where the function is not defined;
-    evaluation on a grid that hits one of them raises EvaluationError.
-    """
+    """A real function on [-pi, pi): a callable or a uniform sample grid."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray] | None = None
     samples: np.ndarray | None = None
-    singular_points: tuple[float, ...] = ()
 
     def __post_init__(self):
         if (self.fn is None) == (self.samples is None):
@@ -73,8 +59,8 @@ class PeriodicFunction:
             object.__setattr__(self, "samples", _readonly(s))
 
     @classmethod
-    def from_callable(cls, name, fn, singular_points=()) -> "PeriodicFunction":
-        return cls(name=name, fn=fn, singular_points=tuple(singular_points))
+    def from_callable(cls, name, fn) -> "PeriodicFunction":
+        return cls(name=name, fn=fn)
 
     @classmethod
     def from_samples(cls, values, name="samples") -> "PeriodicFunction":
@@ -84,27 +70,19 @@ class PeriodicFunction:
     def is_sampled(self) -> bool:
         return self.samples is not None
 
-    def on_grid(self, m: int, *, half_offset: bool = False) -> np.ndarray:
-        """Values at the m uniform grid angles.
+    def on_grid(self, m: int) -> np.ndarray:
+        """Values at the m uniform grid angles; non-finite values raise EvaluationError.
 
         Sampled functions are bound to their own grid: m must equal the
-        sample count and no offset is available.
+        sample count.
         """
         if self.samples is not None:
-            if half_offset:
-                raise ValueError("sampled functions live on the standard grid")
             if m != self.samples.size:
                 raise ValueError(
                     f"sampled function has {self.samples.size} points, requested {m}"
                 )
             return self.samples
-        grid = theta_grid(m, half_offset=half_offset)
-        for s in self.singular_points:
-            d = np.abs(np.remainder(grid - s + math.pi, TWO_PI) - math.pi)
-            if np.any(d < _SINGULAR_HIT_TOL):
-                raise EvaluationError(
-                    f"grid point hits declared singular point theta={s!r} of {self.name}"
-                )
+        grid = theta_grid(m)
         vals = np.asarray(self.fn(grid), dtype=float)
         if vals.shape != grid.shape:
             raise ValueError(f"{self.name} did not return one value per grid point")
@@ -197,16 +175,14 @@ def to_taylor(fc: FourierCoefficients) -> TaylorCoefficients:
     return TaylorCoefficients(c)
 
 
-def from_taylor(tc: TaylorCoefficients, *, imag_tol: float = 1e-12) -> FourierCoefficients:
+def from_taylor(tc: TaylorCoefficients) -> FourierCoefficients:
     """Inverse of the coefficient map: alpha_0 = 2*Re c_0, alpha_k = Re c_k, beta_k = -Im c_k.
 
-    A nonzero imaginary part of c_0 has no real function counterpart and
-    is rejected.
+    A nonzero imaginary part of c_0 (above 1e-12) has no real function
+    counterpart and is rejected.
     """
-    if abs(tc.c[0].imag) > imag_tol:
-        raise ValueError(
-            f"Im(c_0) = {tc.c[0].imag!r} exceeds {imag_tol}; no real mean term"
-        )
+    if abs(tc.c[0].imag) > _IMAG_TOL:
+        raise ValueError(f"Im(c_0) = {tc.c[0].imag!r} exceeds {_IMAG_TOL}; no real mean term")
     return FourierCoefficients(2.0 * tc.c[0].real, tc.c[1:].real, -tc.c[1:].imag)
 
 

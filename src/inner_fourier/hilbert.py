@@ -147,10 +147,4 @@ def taylor_gram(Kmax: int, cfg: DiskProductConfig) -> GramReport:
     k = np.arange(Kmax + 1)
     v = cfg.rho0 ** k.astype(float)[:, None] * phase_powers(cfg.M, k)
     prod = (v.conj() @ v.T) / cfg.M
-    g = prod.real
-    imag_leak = float(np.max(np.abs(prod.imag)))
-    expected = cfg.rho0 ** (2.0 * k)
-    diag_err = max(float(np.max(np.abs(np.diag(g) - expected))), imag_leak)
-    off = g - np.diag(np.diag(g))
-    off_err = max(float(np.max(np.abs(off))), imag_leak)
-    return GramReport(k.size, off_err, diag_err, g)
+    return GramReport.of(prod.real, cfg.rho0 ** (2.0 * k), float(np.max(np.abs(prod.imag))))

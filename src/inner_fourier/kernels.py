@@ -76,7 +76,7 @@ def contour_partial_sum(
         raise ValueError(f"ill posed: |z| = rho1 = {rho1}; the identity needs |z| != rho1")
     first, second = _contour_terms(w, z.z, N, rho1, M)
     contour = first - second
-    direct = partial_sum(w.taylor(N - 1), z, N)
+    direct = partial_sum(w.taylor(N), z, N)
     return PartialSumReport(N, direct, contour, abs(direct - contour))
 
 

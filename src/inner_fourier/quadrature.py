@@ -17,7 +17,9 @@ is analytic out to radius R (Trefethen & Weideman, SIAM Review 2014).
 With R the nearest declared pole outside the circle, the helper refuses a
 circle where that scale exceeds eps, naming the smallest M that passes,
 and a circle within 1e-9 of a declared pole. ``check_aliasing`` applies
-the same rule to a pole of the integrand itself.
+the same rule to a pole of the integrand itself. The rule is exact for a
+polynomial of degree below M, which has nothing to alias; a w with a
+declared degree at or above M is refused, naming M = degree + 1.
 
 Results are bitwise reproducible for identical inputs. Compensated
 (exactly rounded) sums are kept only where cancellation needs them: single
@@ -40,17 +42,11 @@ _EPS = float(np.finfo(float).eps)
 _POLE_CLASH_TOL = 1e-9
 
 
-def theta_grid(m: int, *, half_offset: bool = False) -> np.ndarray:
-    """Uniform angles on [-pi, pi): theta_j = -pi + 2*pi*(j + off)/m.
-
-    With ``half_offset`` the grid is shifted by half a step, which keeps
-    every node strictly between the standard nodes. Used by integrands
-    with a singularity pinned on a standard node.
-    """
+def theta_grid(m: int) -> np.ndarray:
+    """Uniform angles on [-pi, pi): theta_j = -pi + 2*pi*j/m."""
     if m < 2:
         raise ValueError(f"need at least 2 grid points, got {m}")
-    off = 0.5 if half_offset else 0.0
-    return -math.pi + (TWO_PI / m) * (np.arange(m) + off)
+    return -math.pi + (TWO_PI / m) * np.arange(m)
 
 
 def compensated_csum(values) -> complex:
@@ -122,10 +118,14 @@ def circle_samples(w, rho: float, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     A declared pole of w within 1e-9 of the circle raises EvaluationError;
     a circle whose aliasing scale (rho/R)**m, R the nearest declared pole
-    outside it, exceeds eps raises ValueError.
+    outside it, exceeds eps raises ValueError, and so does a declared
+    polynomial degree of w at or above m.
     """
     if rho <= 0.0:
         raise ValueError(f"circle radius must be positive, got {rho}")
+    degree = getattr(w, "degree", None)
+    if degree is not None and degree >= m:
+        raise ValueError(f"polynomial of degree {degree} aliases on {m} nodes; need M >= {degree + 1}")
     poles = getattr(w, "pole_set", ())
     for p in poles:
         if abs(abs(p) - rho) < _POLE_CLASH_TOL:

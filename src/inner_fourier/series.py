@@ -25,7 +25,7 @@ import numpy as np
 
 from .coeffs import FourierCoefficients, TaylorCoefficients, to_taylor
 from .errors import EvaluationError, TruncationWarning
-from .quadrature import TWO_PI, disk_points, power_series
+from .quadrature import _POLE_CLASH_TOL, TWO_PI, disk_points, power_series
 
 _POLE_TOL = 1e-12
 
@@ -59,13 +59,16 @@ class InnerAnalytic:
     """A complex function analytic on the open unit disk.
 
     Instances are callables on complex points (scalars or arrays). The
-    ``pole_set`` lists known poles on the closed disk so that contour
-    routines can refuse circles through them. ``taylor(K)`` returns the
-    coefficients c_0..c_K when the representation knows them.
+    ``pole_set`` lists known poles, all on or outside the unit circle, so
+    that contour routines can refuse circles through them and size their
+    aliasing; ``degree`` is the polynomial degree when w is a polynomial,
+    else None. ``taylor(K)`` returns the coefficients c_0..c_K when the
+    representation knows them.
     """
 
     label: str = "inner analytic function"
     pole_set: tuple[complex, ...] = ()
+    degree: int | None = None
 
     def __call__(self, z):
         raise NotImplementedError
@@ -79,6 +82,7 @@ class TaylorSeries(InnerAnalytic):
 
     def __init__(self, tc: TaylorCoefficients):
         self.tc = tc
+        self.degree = tc.K
         self.label = f"taylor series (K={tc.K})"
 
     def __call__(self, z):
@@ -93,12 +97,20 @@ class TaylorSeries(InnerAnalytic):
 
 
 class ClosedForm(InnerAnalytic):
-    """A closed-form inner analytic function with a declared pole set."""
+    """A closed-form inner analytic function with a declared pole set.
+
+    A pole inside the unit disk, |p| < 1 - 1e-9, raises ValueError; the
+    tolerance admits poles on the circle that carry roundoff, such as
+    exp(i*theta1) computed from theta1.
+    """
 
     def __init__(self, fn, *, pole_set=(), taylor_fn=None, label="closed form"):
         self._fn = fn
         self._taylor_fn = taylor_fn
         self.pole_set = tuple(complex(p) for p in pole_set)
+        inside = [p for p in self.pole_set if abs(p) < 1.0 - _POLE_CLASH_TOL]
+        if inside:
+            raise ValueError(f"{label} declares pole {inside[0]!r} inside the unit disk")
         self.label = label
 
     def __call__(self, z):

@@ -5,6 +5,7 @@ import pytest
 from conftest import oracle_poisson_integral
 
 from inner_fourier import (
+    GramReport,
     PeriodicFunction,
     completeness_probe,
     fourier_gram,
@@ -47,10 +48,6 @@ class TestResidueIdentity:
             for rho in (0.25, 0.5, 1.0):
                 assert abs(residue_identity_check(p, rho) - want) <= 1e-13
 
-    def test_point_count_precondition(self):
-        with pytest.raises(ValueError, match="M"):
-            residue_identity_check(8, 0.5, 16)
-
 
 class TestFourierGram:
     def test_constant_entry(self):
@@ -79,11 +76,14 @@ class TestFourierGram:
         g = fourier_gram(16)
         assert np.max(np.abs(g.matrix - g.matrix.T)) <= 1e-12
 
-    def test_report_serialization(self):
-        g = fourier_gram(2)
-        d = g.to_json_dict()
-        assert set(d) == {"size", "max_offdiag_error", "max_diag_error"}
-        assert "matrix" in g.to_json_dict(include_matrix=True)
+    def test_leak_folds_into_both_errors(self):
+        g = np.array([[2.0, 1e-13], [1e-13, 1.0 + 2e-13]])
+        plain = GramReport.of(g, np.array([2.0, 1.0]))
+        assert plain.max_offdiag_error == 1e-13
+        assert plain.max_diag_error == pytest.approx(2e-13, rel=1e-3)
+        leaky = GramReport.of(g, np.array([2.0, 1.0]), leak=3e-13)
+        assert (leaky.max_offdiag_error, leaky.max_diag_error) == (3e-13, 3e-13)
+        assert leaky.size == 2 and not GramReport.of(g, np.array([2.0, 1.0]), leak=1e-9).passed
 
 
 class TestCompletenessProbe:

@@ -55,7 +55,7 @@ def test_distribution_entries_have_no_sampler():
 def test_entry_without_generator_reports_it():
     from inner_fourier.catalog import CatalogEntry
 
-    bare = CatalogEntry("bare", {}, resolve("const").function, None)
+    bare = CatalogEntry("bare", resolve("const").function, None)
     with pytest.raises(ValueError, match="generator"):
         bare.coefficients(4)
 

@@ -91,10 +91,6 @@ class TestClassifySequence:
             with pytest.raises(ValueError, match="non-finite"):
                 classify_sequence(seq)
 
-    def test_report_serialization(self):
-        d = classify_sequence(family_magnitudes(1.0, 1.0, 256)).to_json_dict()
-        assert set(d) == {"bounded", "fitted_rate", "fitted_power", "window", "sparsity_flag", "degenerate"}
-
 
 class TestPropertyOneEcho:
     def test_damped_polynomial_peak_is_interior(self):

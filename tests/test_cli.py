@@ -193,6 +193,11 @@ def test_outputs_are_byte_identical_across_processes(tmp_path):
 
 
 class TestVerifyCommand:
+    def test_no_tolerance_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "ortho", "--tol", "1"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -224,7 +229,7 @@ class TestVerifyCommand:
 
         real = basis_mod.residue_identity_check
         monkeypatch.setattr(
-            basis_mod, "residue_identity_check", lambda p, rho, M=None: real(p, rho, M) + 1e-9
+            basis_mod, "residue_identity_check", lambda p, rho: real(p, rho) + 1e-9
         )
         code, out, _ = run(capsys, "verify", "--suite", "ortho", "--K", "4")
         assert code == 1

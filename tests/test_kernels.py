@@ -32,6 +32,17 @@ def geometric_series(K: int = 512) -> ClosedForm:
     )
 
 
+def test_pole_inside_disk_refused():
+    with pytest.raises(ValueError, match="inside the unit disk"):
+        ClosedForm(lambda z: 1.0 / (1.0 - 2.0 * z), pole_set=(0.5,))
+
+
+def test_poles_on_circle_with_roundoff_accepted():
+    # exp(i*theta1) computed from theta1 = -0.36 has modulus 1 - 1.1e-16
+    assert abs(delta_inner(-0.36).pole_set[0]) < 1.0
+    assert geometric_series().pole_set == (1.0 + 0.0j,)
+
+
 def monomial(k: int) -> TaylorSeries:
     c = np.zeros(k + 1, dtype=complex)
     c[k] = 1.0
@@ -200,3 +211,27 @@ def _needed_m(ratio: float) -> int:
 def test_aliased_circle_refused_naming_needed_m(call, ratio):
     with pytest.raises(ValueError, match=f"need M >= {_needed_m(ratio)}$"):
         call()
+
+
+def _c0_and_ck(k: int) -> TaylorSeries:
+    # c_0 = c_k = 1: on M nodes, c_M folds onto c_0
+    c = np.zeros(k + 1, dtype=complex)
+    c[0] = c[k] = 1.0
+    return TaylorSeries(TaylorCoefficients(c))
+
+
+@pytest.mark.parametrize(
+    "c0",
+    [
+        lambda w, m: coefficients_by_cauchy(w, 0, 1.0, m),
+        lambda w, m: contour_partial_sum(w, PolarPoint(0.5, 0.0), 1, 1.0, m).contour,
+        lambda w, m: inner_product_disk(_c0_and_ck(1), w, DiskProductConfig(1.0, m)),  # c_0 + c_1
+    ],
+    ids=["cauchy", "contour", "disk"],
+)
+def test_polynomial_of_degree_m_refused(c0):
+    m = 256
+    w = TaylorSeries(TaylorCoefficients(np.r_[_c0_and_ck(m).tc.c, np.zeros(44)]))
+    with pytest.raises(ValueError, match="need M >= 301$"):
+        c0(w, m)
+    assert abs(c0(_c0_and_ck(m - 1), m) - 1.0) <= 1e-12
