@@ -151,7 +151,7 @@ class _Suite:
 def _suite_ortho(args) -> int:
     K = args.K or 32
     suite = _Suite()
-    g = basis.fourier_gram(K, args.M)
+    g = basis.fourier_gram(K)
     suite.check("gram_offdiag", g.max_offdiag_error, 1e-12)
     suite.check("gram_diag", g.max_diag_error, 1e-12)
     worst = 0.0
@@ -186,7 +186,7 @@ def _suite_complete(args) -> int:
 
 def _suite_kernels(args) -> int:
     suite = _Suite()
-    M = args.M or 4096
+    M = 4096
     poly = TaylorSeries(TaylorCoefficients(np.array([0.0, 0.0, 1.0], dtype=complex)))
     inside = kernels.contour_partial_sum(poly, PolarPoint(0.3, 0.0), 3, 0.8, M)
     outside = kernels.contour_partial_sum(poly, PolarPoint(0.9, 0.0), 3, 0.4, M)
@@ -197,19 +197,11 @@ def _suite_kernels(args) -> int:
     suite.check("contour_delta", max(din.discrepancy, dout.discrepancy), 1e-10)
     geom = _geometric_form(256)
     z = PolarPoint(0.5, 0.0)
-    sweep = []
-    worst = 0.0
-    for N in range(2, 25):
-        r = kernels.remainder(geom, z, N, 0.9, M)
-        exact = z.z**N / (1.0 - z.z)
-        worst = max(worst, abs(r - exact))
-        sweep.append((N, abs(r)))
-    suite.check("remainder_closed_form", worst, 1e-10)
-    ns = np.array([n for n, _ in sweep], dtype=float)
-    slope = np.polyfit(ns, np.log([v for _, v in sweep]), 1)[0]
+    ns = np.arange(2, 25)
+    r = np.array([kernels.remainder(geom, z, int(N), 0.9, M) for N in ns])
+    suite.check("remainder_closed_form", float(np.max(np.abs(r - z.z**ns / (1.0 - z.z)))), 1e-10)
+    slope = np.polyfit(ns, np.log(np.abs(r)), 1)[0]
     suite.check("remainder_slope", abs(slope - math.log(0.5)) / abs(math.log(0.5)), 0.02)
-    if args.out:
-        write_curve_csv(args.out, ["N", "discrepancy"], [(n, v) for n, v in sweep])
     return suite.finish()
 
 
@@ -315,6 +307,10 @@ def cmd_verify(args) -> int:
     if runner is None:
         print(f"verify: unknown suite {args.suite!r}", file=sys.stderr)
         return _USAGE
+    # K = None selects each suite's default; an explicit K < 1 is refused here
+    if args.K is not None and args.K < 1:
+        print(f"verify: K must be >= 1, got {args.K}", file=sys.stderr)
+        return _USAGE
     return runner(args)
 
 
@@ -344,12 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", required=True, choices=sorted(_SUITES), help="suite name")
     pv.add_argument("--K", type=int, default=None)
-    pv.add_argument("--M", type=int, default=None)
     pv.add_argument("--rho0", type=float, default=None, help="circle radius for the hilbert suite")
     pv.add_argument("--family", choices=["poly", "exp", "polyexp"], default=None, help="classify one generated family")
     pv.add_argument("--p", type=float, default=None, help="polynomial power of the family")
     pv.add_argument("--b", type=float, default=None, help="exponential base of the family")
-    pv.add_argument("--out", help="optional sweep CSV path (kernels suite)")
     pv.set_defaults(func=cmd_verify)
     return ap
 

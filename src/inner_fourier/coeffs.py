@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvaluationError
-from .quadrature import circle_samples, compensated_csum, grid_coefficients, phase_powers, theta_grid
+from .quadrature import circle_coefficients, grid_coefficients, theta_grid
 
 _IMAG_TOL = 1e-12
 
@@ -189,19 +189,13 @@ def from_taylor(tc: TaylorCoefficients) -> FourierCoefficients:
 def coefficients_by_cauchy(w, k: int, rho: float, M: int = 4096) -> complex:
     """Contour-integral value of c_k: (1/(2*pi*i)) * loop of w(z)/z**(k+1) dz.
 
-    The contour is the circle of radius rho, 0 < rho <= 1, discretized at
-    M uniform angles. The value is independent of rho up to quadrature
-    error as long as w has no pole on or inside the contour radius; a
-    circle on a declared pole, or one whose aliasing scale (rho/R)**M
-    exceeds eps, is refused (see ``quadrature.circle_samples``).
+    Entry k of ``quadrature.circle_coefficients`` on the circle of radius
+    rho, 0 < rho <= 1, at M uniform angles: independent of rho up to an
+    error of order eps * max|w(z_j)| * rho**-k. A circle on a declared
+    pole, an aliasing scale (rho/R)**M above eps and an amplification
+    rho**-k above 1/sqrt(eps) are refused, naming the radii or the M that
+    pass.
     """
-    if k < 0:
-        raise ValueError(f"coefficient index must be >= 0, got {k}")
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"need 0 < rho <= 1, got {rho}")
-    if M < 2 * k + 2:
-        raise ValueError(f"need M >= 2k + 2 = {2 * k + 2} nodes, got {M}")
-    _, vals = circle_samples(w, rho, M)
-    # (1/2*pi*i) loop w/z^{k+1} dz = (1/M) sum w(z_j) * exp(-i*k*theta_j) / rho^k
-    s = compensated_csum(vals * phase_powers(M, -k))
-    return s / (M * rho**k)
+    return complex(circle_coefficients(w, k, rho, M)[k])

@@ -26,7 +26,7 @@ from .basis import GramReport
 from .classify import GrowthModel, classify_sequence
 from .coeffs import TaylorCoefficients
 from .errors import DivergenceWarning
-from .quadrature import circle_samples, compensated_csum, phase_powers, power_series
+from .quadrature import circle_samples, phase_powers, power_series
 from .series import InnerAnalytic
 
 
@@ -61,7 +61,7 @@ def inner_product_disk(w1: InnerAnalytic, w2: InnerAnalytic, cfg: DiskProductCon
     """
     _, v1 = circle_samples(w1, cfg.rho0, cfg.M)
     _, v2 = circle_samples(w2, cfg.rho0, cfg.M)
-    return compensated_csum(np.conj(v1) * v2) / cfg.M
+    return complex(np.vdot(v1, v2)) / cfg.M
 
 
 def series_tail_bound(tc1: TaylorCoefficients, tc2: TaylorCoefficients, rho0: float) -> float:

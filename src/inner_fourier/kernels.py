@@ -11,20 +11,28 @@ summing the finite geometric progression yields the two-term identity
 on any circle |z1| = rho1 with rho1 != |z|. For |z| < rho1 the first term
 is the Cauchy value w(z) and the second is the remainder R_N(z) = w(z) -
 S_N(z); for |z| > rho1 the first term vanishes and the second alone
-carries -S_N(z); the boundary partial sum on |z| = 1 is that exterior case.
-On M nodes first - second is exactly sum_{k<N} c^_k z**k with c^_k the
-trapezoid Cauchy coefficients, so only the aliasing of w is left, and the
-routines refuse (``quadrature.circle_samples``) rather than degrade when
-it exceeds eps; ``remainder`` also refuses when its pole at z aliases, at
-scale (|z|/rho1)**M.
+carries -S_N(z). On M nodes first - second is exactly sum_{k<N} c^_k z**k
+with c^_k the trapezoid Cauchy coefficients, so only the aliasing of w is
+left, and the routines refuse (``quadrature.circle_samples``) rather than
+degrade when it exceeds eps; ``remainder`` also refuses when its pole at
+z aliases, at scale (|z|/rho1)**M. The second term amplifies the rounding
+of the samples by A = (|z|/rho1)**N / rho1, and the routines refuse when
+A exceeds 1/sqrt(eps) (``quadrature.check_amplification``). The boundary
+partial sum on |z| = 1 is the exterior case; it is computed as Horner's
+rule over ``quadrature.circle_coefficients``, the same sum without the
+two contour terms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .coeffs import TaylorCoefficients
-from .quadrature import check_aliasing, circle_samples, compensated_csum, phase_powers, power_series
+from .quadrature import _EPS, check_aliasing, check_amplification, circle_coefficients, circle_samples
+from .quadrature import compensated_csum, phase_powers, power_series
 from .series import InnerAnalytic, PolarPoint
 
 _RADIUS_CLASH_TOL = 1e-12
@@ -32,12 +40,18 @@ _RADIUS_CLASH_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PartialSumReport:
-    """Direct and contour values of one partial sum, with their distance."""
+    """Direct and contour values of one partial sum, with their distance.
+
+    ``roundoff_bound`` is eps * max|w_j| * max(1, A): the rounding of the
+    samples w_j, amplified by A = (|z|/rho1)**N / rho1 in the second
+    contour term. It is the scale to read ``discrepancy`` against.
+    """
 
     N: int
     direct: complex
     contour: complex
     discrepancy: float
+    roundoff_bound: float
 
 
 def partial_sum(tc: TaylorCoefficients, z: PolarPoint, N: int) -> complex:
@@ -48,16 +62,18 @@ def partial_sum(tc: TaylorCoefficients, z: PolarPoint, N: int) -> complex:
 
 
 def _contour_terms(w: InnerAnalytic, z: complex, N: int, rho1: float, M: int):
-    """The two quadrature terms of the contour identity at radius rho1."""
+    """The two quadrature terms of the contour identity at radius rho1, and their roundoff bound."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     nodes, vals = circle_samples(w, rho1, M)
+    log_zn = N * math.log(abs(z)) if z else -math.inf
+    amp = check_amplification(log_zn, N + 1, rho1, M, getattr(w, "pole_set", ()))
     first = compensated_csum(vals * nodes / (nodes - z)) / M
     # z1^{-(N-1)} through the exact phase table keeps the strong rho1
     # scaling out of the cancellation.
     inv_pow = phase_powers(M, -(N - 1)) / rho1 ** (N - 1)
     second = (z**N / M) * compensated_csum(vals * inv_pow / (nodes - z))
-    return first, second
+    return first, second, _EPS * float(np.max(np.abs(vals))) * max(1.0, amp)
 
 
 def contour_partial_sum(
@@ -74,10 +90,10 @@ def contour_partial_sum(
         raise ValueError(f"need 0 < rho1 <= 1, got {rho1}")
     if abs(rho1 - z.rho) < _RADIUS_CLASH_TOL:
         raise ValueError(f"ill posed: |z| = rho1 = {rho1}; the identity needs |z| != rho1")
-    first, second = _contour_terms(w, z.z, N, rho1, M)
+    first, second, bound = _contour_terms(w, z.z, N, rho1, M)
     contour = first - second
     direct = partial_sum(w.taylor(N), z, N)
-    return PartialSumReport(N, direct, contour, abs(direct - contour))
+    return PartialSumReport(N, direct, contour, abs(direct - contour), bound)
 
 
 def remainder(w: InnerAnalytic, z: PolarPoint, N: int, rho1: float, M: int = 4096) -> complex:
@@ -92,8 +108,7 @@ def remainder(w: InnerAnalytic, z: PolarPoint, N: int, rho1: float, M: int = 409
     if z.rho >= rho1 - _RADIUS_CLASH_TOL:
         raise ValueError(f"remainder integral needs |z| < rho1, got |z|={z.rho}, rho1={rho1}")
     check_aliasing(z.rho / rho1, M)
-    _, second = _contour_terms(w, z.z, N, rho1, M)
-    return second
+    return _contour_terms(w, z.z, N, rho1, M)[1]
 
 
 def boundary_partial_sum(
@@ -101,14 +116,16 @@ def boundary_partial_sum(
 ) -> complex:
     """S_N at the boundary point exp(i*theta) from an integral over radius rho1 < 1.
 
-    The exterior case of the contour identity: first - second of the two
-    contour terms at z = exp(i*theta), which on M nodes equals the partial
-    sum of the trapezoid Cauchy coefficients exactly. A circle whose
-    aliasing scale (rho1/R)**M exceeds eps is refused with ValueError
-    naming the M needed; the value is never returned degraded. A
-    non-finite theta raises ValueError.
+    The exterior case of the contour identity: Horner's rule over the
+    first N trapezoid Cauchy coefficients (``quadrature.circle_coefficients``)
+    at z = exp(i*theta). A circle whose aliasing scale (rho1/R)**M exceeds
+    eps, or whose amplification rho1**-(N-1) exceeds 1/sqrt(eps), is
+    refused with ValueError naming the M or the radii that pass; the value
+    is never returned degraded. A non-finite theta raises ValueError.
     """
     if not 0.0 < rho1 < 1.0:
         raise ValueError(f"need 0 < rho1 < 1 strictly, got {rho1}")
-    first, second = _contour_terms(w, PolarPoint(1.0, theta).z, N, rho1, M)
-    return first - second
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    z = PolarPoint(1.0, theta).z
+    return complex(power_series(circle_coefficients(w, N - 1, rho1, M), z))

@@ -21,12 +21,21 @@ the same rule to a pole of the integrand itself. The rule is exact for a
 polynomial of degree below M, which has nothing to alias; a w with a
 declared degree at or above M is refused, naming M = degree + 1.
 
+The trapezoid Cauchy coefficients c_0..c_K of w on such a circle all come
+from one complex FFT of the samples, ``circle_coefficients``;
+``grid_coefficients`` is its real rho = 1 case and shares its (-1)**k
+shift. Their error is of order eps * max|w_j| * rho**-k: the rounding of
+the samples, amplified by the division by rho**k. A second rule,
+``check_amplification``, refuses a contour value whose amplification A
+exceeds 1/sqrt(eps), where more than half the digits of max|w_j| are
+lost, and names the window of radii that passes both rules, or the M
+that opens it. ``circle_coefficients`` applies it with A = rho**-K.
+
 Results are bitwise reproducible for identical inputs. Compensated
-(exactly rounded) sums are kept only where cancellation needs them: single
-integrals in ``trapezoid_periodic``, and the contour sums of the Cauchy
-coefficients, the residue identity, the disk product and the kernels
-(``compensated_csum``), often over the exact phase tables of
-``phase_powers``.
+(exactly rounded) sums, ``compensated_csum``, are kept only where
+cancellation needs them: the residue identity and the two contour terms
+of the kernels, both over the exact phase tables of ``phase_powers``.
+Every other sum is a plain numpy sum, dot product or FFT.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from .errors import EvaluationError
 TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
 _POLE_CLASH_TOL = 1e-9
+_LOG_AMP_MAX = -0.5 * math.log(_EPS)
 
 
 def theta_grid(m: int) -> np.ndarray:
@@ -56,9 +66,16 @@ def compensated_csum(values) -> complex:
 
 
 def trapezoid_periodic(values) -> float:
-    """(2*pi/M) times the exactly rounded sum of real samples on the grid."""
+    """(2*pi/M) times the sum of real samples on the grid."""
     values = np.asarray(values, dtype=float)
-    return (TWO_PI / values.size) * math.fsum(values)
+    return (TWO_PI / values.size) * float(np.sum(values))
+
+
+def _from_minus_pi(dft: np.ndarray, K: int) -> np.ndarray:
+    """DFT terms 0..K times (-1)**k, in place: sums against exp(-i*k*theta_j) on the grid that starts at -pi."""
+    c = dft[: K + 1]
+    c[1::2] *= -1.0
+    return c
 
 
 def grid_coefficients(values, K: int) -> np.ndarray:
@@ -67,8 +84,7 @@ def grid_coefficients(values, K: int) -> np.ndarray:
     c_0 = (1/M) sum f_j and c_k = (2/M) sum f_j exp(-i*k*theta_j), which is
     (2/M) * (-1)**k times the k-th DFT term because the grid starts at -pi.
     """
-    c = np.fft.rfft(values)[: K + 1] * (2.0 / len(values))
-    c[1::2] *= -1.0
+    c = _from_minus_pi(np.fft.rfft(values), K) * (2.0 / len(values))
     c[0] *= 0.5
     return c
 
@@ -113,6 +129,29 @@ def check_aliasing(ratio: float, m: int) -> None:
         raise ValueError(f"aliasing scale {ratio:.6g}**M = {ratio**m:.3g} exceeds eps at M={m}; need M >= {need}")
 
 
+def check_amplification(log_scale: float, power: int, rho: float, m: int, poles) -> float:
+    """Refuse a roundoff amplification A = exp(log_scale) * rho**-power above 1/sqrt(eps); return A.
+
+    The ValueError names the radii that pass both this rule and the
+    aliasing rule for the given poles at m nodes, or, when no radius does,
+    the smallest M that opens that window.
+    """
+    log_amp = log_scale - power * math.log(rho)
+    if log_amp <= _LOG_AMP_MAX:
+        return math.exp(log_amp)
+    msg = f"roundoff amplification 10**{log_amp / math.log(10.0):.1f} exceeds 1/sqrt(eps) at radius {rho:.6g}"
+    lo = math.exp((log_scale - _LOG_AMP_MAX) / power)
+    nearest = min((abs(p) for p in poles if abs(p) > rho), default=math.inf)
+    hi = min(1.0, nearest * _EPS ** (1.0 / m))
+    if lo <= hi:
+        # rounded inward, so that both printed ends pass
+        raise ValueError(f"{msg}; use a radius in [{math.ceil(lo * 1e6) / 1e6:.6f}, {math.floor(hi * 1e6) / 1e6:.6f}]")
+    if lo >= min(1.0, nearest):
+        raise ValueError(f"{msg}; no radius up to {min(1.0, nearest):.6g} passes")
+    need = math.ceil(math.log(_EPS) / math.log(lo / nearest))
+    raise ValueError(f"{msg}; no radius passes at M={m}; need M >= {need}")
+
+
 def circle_samples(w, rho: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes rho*exp(i*theta_j) on the standard grid and w at them, after the checks.
 
@@ -135,6 +174,22 @@ def circle_samples(w, rho: float, m: int) -> tuple[np.ndarray, np.ndarray]:
         check_aliasing(rho / min(outside), m)
     nodes = -rho * unit_phasors(m)
     return nodes, np.asarray(w(nodes), dtype=complex)
+
+
+def circle_coefficients(w, K: int, rho: float, m: int) -> np.ndarray:
+    """Trapezoid Cauchy coefficients c_0..c_K of w on the circle of radius rho, from one FFT.
+
+    c_k = (1/m) sum_j w(z_j) z_j**-k at the nodes z_j = rho*exp(i*theta_j)
+    of the standard grid, that is (-1)**k times the k-th DFT term over
+    m * rho**k. The circle is checked by ``circle_samples``, and the
+    amplification rho**-K by ``check_amplification``; error of order
+    eps * max|w_j| * rho**-k.
+    """
+    if not 0 <= K <= m // 2 - 1:
+        raise ValueError(f"need 0 <= K and M >= 2K + 2, got K={K}, M={m}")
+    _, vals = circle_samples(w, rho, m)
+    check_amplification(0.0, K, rho, m, getattr(w, "pole_set", ()))
+    return _from_minus_pi(np.fft.fft(vals), K) / (m * rho ** np.arange(K + 1.0))
 
 
 def phase_powers(m: int, p) -> np.ndarray:

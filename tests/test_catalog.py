@@ -9,7 +9,8 @@ from conftest import (
     triangle_expr,
 )
 
-from inner_fourier import UnknownCatalogId, catalog_ids, fourier_coefficients, resolve
+from inner_fourier import ClosedForm, UnknownCatalogId, catalog_ids, delta_inner, fourier_coefficients, resolve, to_taylor
+from inner_fourier.quadrature import circle_coefficients, theta_grid
 
 SELF_TESTABLE = ("zero", "const", "cos_3", "sin_5", "square", "sawtooth", "triangle", "poisson")
 
@@ -23,6 +24,26 @@ def test_generator_agrees_with_quadrature(name):
     assert abs(got.alpha0 - want.alpha0) <= 1e-8
     assert np.max(np.abs(got.alpha - want.alpha)) <= 1e-8
     assert np.max(np.abs(got.beta - want.beta)) <= 1e-8
+
+
+def _delta_derivative_inner(theta1: float) -> ClosedForm:
+    # i*z*d/dz of the point mass's inner function
+    z1 = complex(math.cos(theta1), math.sin(theta1))
+    return ClosedForm(lambda z: 1j * z * z1 / (math.pi * (z - z1) ** 2), pole_set=(z1,))
+
+
+@pytest.mark.parametrize(
+    "name, inner",
+    [("delta", delta_inner), ("delta_derivative", _delta_derivative_inner)],
+)
+def test_distribution_generator_agrees_with_cauchy_coefficients(name, inner):
+    # the paper defines these coefficients as Taylor coefficients of w, read on a circle rho < 1
+    theta1, K, rho, M = 0.7, 64, 0.9, 4096
+    w = inner(theta1)
+    want = to_taylor(resolve(name, theta1=theta1).coefficients(K)).c
+    got = circle_coefficients(w, K, rho, M)
+    bound = np.finfo(float).eps * float(np.max(np.abs(w(rho * np.exp(1j * theta_grid(M)))))) * rho**-K
+    assert np.max(np.abs(got - want)) <= bound
 
 
 def test_square_generator_matches_symbolic_integrals():

@@ -198,6 +198,20 @@ class TestVerifyCommand:
             main(["verify", "--suite", "ortho", "--tol", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("option", [("--M", "64"), ("--out", "sweep.csv")])
+    def test_removed_options_refused(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "kernels", *option])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("suite", ["ortho", "complete", "hilbert", "classify"])
+    @pytest.mark.parametrize("K", ["0", "-3"])
+    def test_nonpositive_K_is_a_usage_error(self, capsys, suite, K):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--K", K)
+        assert code == 2
+        assert err == f"verify: K must be >= 1, got {K}\n"
+        assert out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inner_fourier import (
     DiskProductConfig,
@@ -145,6 +147,20 @@ class TestTaylorGram:
     def test_point_count_precondition(self):
         with pytest.raises(ValueError):
             taylor_gram(64, DiskProductConfig(0.5, 64))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    c=st.lists(st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=2, max_size=60),
+    rho0=st.floats(0.2, 1.0),
+)
+def test_parseval_at_radius(c, rho0):
+    # norm_disk**2 = sum rho0**(2k) |c_k|**2, within the Horner error of the samples
+    w = TaylorSeries(TaylorCoefficients(np.array(c)))
+    got = norm_disk(w, DiskProductConfig(rho0, 64)) ** 2
+    want = math.fsum(rho0 ** (2 * k) * abs(ck) ** 2 for k, ck in enumerate(c))
+    scale = math.fsum(abs(ck) * rho0**k for k, ck in enumerate(c))
+    assert abs(got - want) <= 8 * len(c) * np.finfo(float).eps * scale**2
 
 
 def test_boundary_product_reduces_to_circle_scalar_products(rng):

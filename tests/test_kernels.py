@@ -1,5 +1,7 @@
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from inner_fourier import (
     to_taylor,
 )
 from inner_fourier.kernels import _contour_terms
+from inner_fourier.quadrature import theta_grid
 
 
 def geometric_series(K: int = 512) -> ClosedForm:
@@ -94,13 +97,13 @@ class TestContourPartialSum:
     def test_cauchy_value_inside(self):
         w = monomial(3)
         z = PolarPoint(0.4, 0.7)
-        first, second = _contour_terms(w, z.z, 5, 0.9, 4096)
+        first, second, _ = _contour_terms(w, z.z, 5, 0.9, 4096)
         assert abs(first - w(z.z)) < 1e-11
         assert abs(second) < 1e-11  # polynomial exhausted at N > degree
 
     def test_first_term_vanishes_outside(self):
         w = monomial(2)
-        first, _ = _contour_terms(w, PolarPoint(0.9, 0.3).z, 3, 0.4, 4096)
+        first, _, _ = _contour_terms(w, PolarPoint(0.9, 0.3).z, 3, 0.4, 4096)
         assert abs(first) < 1e-10
 
     def test_radius_clash_rejected(self):
@@ -235,3 +238,75 @@ def test_polynomial_of_degree_m_refused(c0):
     with pytest.raises(ValueError, match="need M >= 301$"):
         c0(w, m)
     assert abs(c0(_c0_and_ck(m - 1), m) - 1.0) <= 1e-12
+
+
+# Roundoff amplification: a contour value carries the rounding of its
+# samples, about eps * max|w_j|, times rho**-k (Cauchy, boundary) or
+# (|z|/rho1)**N / rho1 (contour). Past 1/sqrt(eps) the value is refused,
+# and the message names the radii that pass both rules.
+EPS = np.finfo(float).eps
+THETA1 = 0.7
+
+
+def _refusal(call) -> str:
+    with pytest.raises(ValueError, match="exceeds 1/sqrt") as exc:
+        call()
+    return str(exc.value)
+
+
+def _window(msg: str) -> tuple[float, float]:
+    lo, hi = re.search(r"use a radius in \[([\d.]+), ([\d.]+)\]$", msg).groups()
+    return float(lo), float(hi)
+
+
+def _delta_scale(rho: float) -> float:
+    w = delta_inner(THETA1)
+    return EPS * float(np.max(np.abs(w(rho * np.exp(1j * theta_grid(4096))))))
+
+
+def _delta_coefficient(k: int) -> complex:
+    # c_k = z1**-k / pi of 1/(2*pi) - (1/pi) z/(z - z1), z1 as rounded in delta_inner, to 40 digits
+    z1 = delta_inner(THETA1).pole_set[0]
+    with mpmath.workdps(40):
+        return complex(mpmath.mpc(z1.real, z1.imag) ** -k / mpmath.pi)
+
+
+def _delta_partial_sum(z: complex, N: int) -> complex:
+    # 1/(2*pi) + (1/pi) * sum_{k=1}^{N-1} (z/z1)**k, to 40 digits
+    z1 = delta_inner(THETA1).pole_set[0]
+    with mpmath.workdps(40):
+        u = mpmath.mpc(z.real, z.imag) / mpmath.mpc(z1.real, z1.imag)
+        return complex(1 / (2 * mpmath.pi) + u * (1 - u ** (N - 1)) / (1 - u) / mpmath.pi)
+
+
+@pytest.mark.parametrize("k", [200, 300, 400])
+def test_amplified_cauchy_coefficient_refused(k):
+    w = delta_inner(THETA1)
+    lo, hi = _window(_refusal(lambda: coefficients_by_cauchy(w, k, 0.9)))
+    for rho in (lo, hi):
+        err = abs(coefficients_by_cauchy(w, k, rho) - _delta_coefficient(k))
+        assert err <= _delta_scale(rho) * rho**-k
+
+
+def test_amplified_boundary_partial_sum_refused():
+    w, theta, N = delta_inner(THETA1), 0.3, 100
+    lo, hi = _window(_refusal(lambda: boundary_partial_sum(w, theta, N, 0.5)))
+    exact = _delta_partial_sum(PolarPoint(1.0, theta).z, N)
+    for rho1 in (lo, hi):
+        err = abs(boundary_partial_sum(w, theta, N, rho1) - exact)
+        assert err <= _delta_scale(rho1) * rho1 ** -(N - 1)
+
+
+@pytest.mark.parametrize("z, N, M", [(PolarPoint(0.95, 0.3), 300, 4096), (PolarPoint(1.0, 0.3), 3000, None)])
+def test_amplified_contour_partial_sum_refused(z, N, M):
+    w = delta_inner(THETA1)
+    if M is None:
+        # on |z| = 1 no radius below the aliasing limit eps**(1/M) keeps (1/rho1)**(N+1) small
+        msg = _refusal(lambda: contour_partial_sum(w, z, N, 0.5, 4096))
+        M = int(re.search(r"no radius passes at M=4096; need M >= (\d+)$", msg).group(1))
+    lo, hi = _window(_refusal(lambda: contour_partial_sum(w, z, N, 0.5, M)))
+    exact = _delta_partial_sum(z.z, N)
+    for rho1 in (lo, hi):
+        rep = contour_partial_sum(w, z, N, rho1, M)
+        assert abs(rep.contour - exact) <= rep.roundoff_bound
+        assert rep.discrepancy <= rep.roundoff_bound

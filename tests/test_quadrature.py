@@ -13,8 +13,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inner_fourier import PeriodicFunction, fourier_coefficients
-from inner_fourier.quadrature import disk_points, power_series
+from inner_fourier import PeriodicFunction, TaylorCoefficients, TaylorSeries, fourier_coefficients
+from inner_fourier.quadrature import circle_coefficients, disk_points, phase_powers, power_series
 
 EPS = np.finfo(float).eps
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -80,6 +80,25 @@ def test_synthesis_matches_mpmath_within_stated_bound(c, thetas, rho):
         )
         bound = 2 * (K + 1) * EPS * math.fsum(abs(ck) * abs(zi) ** k for k, ck in enumerate(c))
         assert abs(complex(exact) - vi) <= bound
+
+
+@_SETTINGS
+@given(
+    c=_complex_lists(2, 40),
+    rho=st.floats(0.7, 1.0),  # 0.7**-39 keeps the amplification below 1/sqrt(eps)
+    m=st.sampled_from([64, 96, 128, 256]),
+)
+def test_circle_transform_matches_direct_cauchy_sums(c, rho, m):
+    # (1/m) * sum_j w(z_j) * exp(-i*k*theta_j) / rho**k, summed exactly for each k
+    w = TaylorSeries(TaylorCoefficients(np.array(c)))
+    K = len(c) - 1
+    got = circle_coefficients(w, K, rho, m)
+    vals = w(rho * phase_powers(m, 1))
+    for k in range(K + 1):
+        terms = vals * phase_powers(m, -k)
+        want = complex(math.fsum(terms.real), math.fsum(terms.imag)) / (m * rho**k)
+        bound = 4.0 * EPS * math.log2(m) * float(np.max(np.abs(vals))) * rho**-k
+        assert abs(got[k] - want) <= bound
 
 
 def test_synthesis_shapes_follow_the_theta_by_rho_grid():
