@@ -15,9 +15,11 @@ grid size.
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -46,38 +48,7 @@ class UnknownCatalogId(KeyError):
     pass
 
 
-def _entry_zero(**_):
-    def gen(K):
-        return FourierCoefficients.zeros(K)
-
-    return CatalogEntry("zero", PeriodicFunction.from_callable("zero", np.zeros_like), gen, 1024)
-
-
-def _entry_const(**_):
-    def gen(K):
-        return FourierCoefficients(2.0, np.zeros(K), np.zeros(K))
-
-    return CatalogEntry("const", PeriodicFunction.from_callable("const", np.ones_like), gen, 1024)
-
-
-def _entry_harmonic(kind: str, k: int):
-    trig = np.cos if kind == "cos" else np.sin
-
-    def fn(theta):
-        return trig(k * theta)
-
-    def gen(K):
-        if K < k:
-            raise ValueError(f"{kind}_{k} needs K >= {k}")
-        fc = FourierCoefficients.zeros(K)
-        alpha, beta = fc.alpha.copy(), fc.beta.copy()
-        (alpha if kind == "cos" else beta)[k - 1] = 1.0
-        return FourierCoefficients(0.0, alpha, beta)
-
-    return CatalogEntry(f"{kind}_{k}", PeriodicFunction.from_callable(f"{kind}_{k}", fn), gen, max(4 * k + 256, 512))
-
-
-def _entry_square(**_):
+def _entry_square():
     def fn(theta):
         # midpoint value 0 at the jumps (0 and the +-pi seam)
         return np.where(np.abs(np.abs(theta) - math.pi) < 1e-12, 0.0, np.sign(theta))
@@ -90,7 +61,7 @@ def _entry_square(**_):
     return CatalogEntry("square", PeriodicFunction.from_callable("square", fn), gen, 262144)
 
 
-def _entry_sawtooth(**_):
+def _entry_sawtooth():
     def fn(theta):
         return np.where(np.abs(np.abs(theta) - math.pi) < 1e-12, 0.0, theta)
 
@@ -102,7 +73,7 @@ def _entry_sawtooth(**_):
     return CatalogEntry("sawtooth", PeriodicFunction.from_callable("sawtooth", fn), gen, 262144)
 
 
-def _entry_triangle(**_):
+def _entry_triangle():
     def gen(K):
         k = np.arange(1, K + 1)
         alpha = (2.0 / (math.pi * k * k)) * ((-1.0) ** k - 1.0)
@@ -111,25 +82,16 @@ def _entry_triangle(**_):
     return CatalogEntry("triangle", PeriodicFunction.from_callable("triangle", np.abs), gen, 65536)
 
 
-def _entry_delta(theta1: float = 0.0, **_):
-    spec = DeltaSpec(theta1, 0)
-
-    def gen(K):
-        return delta_coefficients(spec, K)
-
-    return CatalogEntry("delta", None, gen)
+def _entry_delta(theta1: float = 0.0):
+    return CatalogEntry("delta", None, partial(delta_coefficients, DeltaSpec(theta1, 0)))
 
 
-def _entry_delta_derivative(theta1: float = 0.0, order: int = 1, **_):
+def _entry_delta_derivative(theta1: float = 0.0, order: int = 1):
     spec = DeltaSpec(theta1, order)
-
-    def gen(K):
-        return delta_derivative_coefficients(spec, K)
-
-    return CatalogEntry("delta_derivative", None, gen)
+    return CatalogEntry("delta_derivative", None, partial(delta_derivative_coefficients, spec))
 
 
-def _entry_poisson(r: float = 0.5, theta1: float = 0.0, **_):
+def _entry_poisson(r: float = 0.5, theta1: float = 0.0):
     if not 0.0 <= r < 1.0:
         raise ValueError(f"poisson entry needs 0 <= r < 1, got {r}")
 
@@ -148,27 +110,39 @@ def _entry_poisson(r: float = 0.5, theta1: float = 0.0, **_):
     return CatalogEntry("poisson", PeriodicFunction.from_callable("poisson", fn), gen, 2048)
 
 
-def trig_poly_entry(alpha0: float, alpha, beta) -> CatalogEntry:
-    """A trigonometric polynomial from explicit coefficient arrays."""
-    fc = FourierCoefficients(alpha0, np.asarray(alpha, float), np.asarray(beta, float))
+def _trig_poly(id: str, fc: FourierCoefficients) -> CatalogEntry:
+    c = to_taylor(fc).c
 
     def fn(theta):
-        return power_series(to_taylor(fc).c, disk_points(theta, 1.0)).real
+        return power_series(c, disk_points(theta, 1.0)).real
 
     def gen(K):
         if K < fc.K:
-            raise ValueError(f"trig_poly has degree {fc.K}; need K >= {fc.K}")
+            raise ValueError(f"{id} has degree {fc.K}; need K >= {fc.K}")
         a, b = np.zeros(K), np.zeros(K)
         a[: fc.K] = fc.alpha
         b[: fc.K] = fc.beta
         return FourierCoefficients(fc.alpha0, a, b)
 
-    return CatalogEntry("trig_poly", PeriodicFunction.from_callable("trig_poly", fn), gen, 4 * fc.K + 256)
+    return CatalogEntry(id, PeriodicFunction.from_callable(id, fn), gen, 4 * fc.K + 256)
+
+
+def trig_poly_entry(alpha0: float, alpha, beta) -> CatalogEntry:
+    """A trigonometric polynomial from explicit coefficient arrays."""
+    fc = FourierCoefficients(alpha0, np.asarray(alpha, float), np.asarray(beta, float))
+    return _trig_poly("trig_poly", fc)
+
+
+def _entry_harmonic(kind: str, k: int) -> CatalogEntry:
+    unit = np.zeros(k)
+    unit[k - 1] = 1.0
+    alpha, beta = (unit, np.zeros(k)) if kind == "cos" else (np.zeros(k), unit)
+    return _trig_poly(f"{kind}_{k}", FourierCoefficients(0.0, alpha, beta))
 
 
 _BUILDERS = {
-    "zero": _entry_zero,
-    "const": _entry_const,
+    "zero": partial(_trig_poly, "zero", FourierCoefficients.zeros(1)),
+    "const": partial(_trig_poly, "const", FourierCoefficients(2.0, np.zeros(1), np.zeros(1))),
     "square": _entry_square,
     "sawtooth": _entry_sawtooth,
     "triangle": _entry_triangle,
@@ -183,14 +157,19 @@ def catalog_ids() -> tuple[str, ...]:
 
 
 def resolve(name: str, **params) -> CatalogEntry:
-    """Look up a catalog entry by id, e.g. "square", "delta" or "cos_3"."""
+    """Look up a catalog entry by id, e.g. "square", "delta" or "cos_3".
+
+    A parameter the entry does not take, such as theta1 for "square",
+    raises ValueError.
+    """
     m = _COS_SIN.match(name)
-    if m:
-        k = int(m.group(2))
-        if k < 1:
-            raise UnknownCatalogId(name)
-        return _entry_harmonic(m.group(1), k)
-    builder = _BUILDERS.get(name)
+    if m and int(m.group(2)) >= 1:
+        builder = partial(_entry_harmonic, m.group(1), int(m.group(2)))
+    else:
+        builder = _BUILDERS.get(name)
     if builder is None:
         raise UnknownCatalogId(name)
+    unknown = sorted(params.keys() - inspect.signature(builder).parameters.keys())
+    if unknown:
+        raise ValueError(f"catalog entry {name!r} takes no parameter {', '.join(unknown)}")
     return builder(**params)

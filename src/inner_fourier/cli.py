@@ -1,9 +1,19 @@
 """Command line frontend.
 
-Three subcommands: ``coeffs`` turns a catalog function or a sample CSV
-into coefficient JSON, ``reconstruct`` sweeps the damped sums over a
-theta grid and writes curve CSV, and ``verify`` runs the named numerical
-verification suite and exits nonzero on any tolerance violation.
+Three subcommands, each reading every option it accepts:
+
+- ``coeffs (--fn ID [--theta1 A] [--order N] | --csv PATH) --K K [--out PATH]``
+  writes coefficient JSON. A catalog entry that does not take --theta1
+  (delta, delta_derivative and poisson do) or --order (delta_derivative)
+  refuses it.
+- ``reconstruct --coeffs PATH [--thetas lo:hi:n] (--rho R | --schedule
+  j1..j2) [--tol T] [--out PATH]`` sweeps the damped sums over a theta
+  grid and writes curve CSV.
+- ``verify --suite NAME [--K K] [--rho0 R] [--p P] [--b B]`` runs one
+  verification suite and exits 1 on any tolerance violation. Each suite
+  reads the options its function takes: ortho and complete --K, hilbert
+  --K and --rho0, kernels and classify none; --p or --b makes classify
+  check one family, which reads --p, --b and --K. It refuses the rest.
 
 All output is deterministic: fixed evaluation order, fixed seeds, floats
 printed with 17 significant digits. Exit codes: 0 success, 1 verification
@@ -13,6 +23,7 @@ failure, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 
@@ -69,25 +80,22 @@ def _parse_theta_grid(spec: str) -> np.ndarray:
 
 
 def _parse_schedule(spec: str, tol: float) -> RhoSchedule:
-    j1, j2 = spec.split("..")
-    return RhoSchedule.geometric(int(j1), int(j2), tol)
+    try:
+        j1, j2 = (int(j) for j in spec.split(".."))
+    except ValueError:
+        raise ValueError(f"schedule must be j1..j2 with integers 1 <= j1 < j2, got {spec!r}") from None
+    return RhoSchedule.geometric(j1, j2, tol)
 
 
 def cmd_coeffs(args) -> int:
-    if (args.fn is None) == (args.csv is None):
-        print("coeffs: provide exactly one of --fn or --csv", file=sys.stderr)
+    params = {k: getattr(args, k) for k in ("theta1", "order") if getattr(args, k) is not None}
+    if (args.fn is None) == (args.csv is None) or (args.csv is not None and params):
+        print("coeffs: provide exactly one of --fn or --csv; --theta1 and --order need --fn", file=sys.stderr)
         return _USAGE
-    K = args.K
     if args.fn is not None:
-        entry = resolve(args.fn, theta1=args.theta1, order=args.order)
-        # closed-form generators are exact; quadrature covers the rest
-        if entry.known_coefficients is not None:
-            fc = entry.coefficients(K)
-        else:
-            fc = fourier_coefficients(entry.function, K, args.M)
+        fc = resolve(args.fn, **params).coefficients(args.K)
     else:
-        f = read_samples_csv(args.csv)
-        fc = fourier_coefficients(f, K, args.M)
+        fc = fourier_coefficients(read_samples_csv(args.csv), args.K)
     payload = coefficients_payload(fc, to_taylor(fc))
     if args.out:
         write_json(args.out, payload)
@@ -128,100 +136,63 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-class _Suite:
-    """Collects named checks and prints one pass/fail line each."""
-
-    def __init__(self):
-        self.failed: list[str] = []
-
-    def check(self, name: str, err: float, tol: float) -> None:
-        ok = err <= tol
-        print(f"{name}: {'PASS' if ok else 'FAIL'} (max_error={err:.3g}, tol={tol:g})")
-        if not ok:
-            self.failed.append(name)
-
-    def finish(self) -> int:
-        if self.failed:
-            print(f"FAILED: {', '.join(self.failed)}")
-            return 1
-        print("all checks passed")
-        return 0
-
-
-def _suite_ortho(args) -> int:
-    K = args.K or 32
-    suite = _Suite()
+def _suite_ortho(K=32):
     g = basis.fourier_gram(K)
-    suite.check("gram_offdiag", g.max_offdiag_error, 1e-12)
-    suite.check("gram_diag", g.max_diag_error, 1e-12)
+    yield "gram_offdiag", g.max_offdiag_error, 1e-12
+    yield "gram_diag", g.max_diag_error, 1e-12
     worst = 0.0
     for p in range(-8, 9):
         for rho in (0.25, 0.5, 1.0):
             val = basis.residue_identity_check(p, rho)
             worst = max(worst, abs(val - (1.0 if p == 0 else 0.0)))
-    suite.check("residue_identity", worst, 1e-13)
-    return suite.finish()
+    yield "residue_identity", worst, 1e-13
 
 
-def _suite_complete(args) -> int:
-    suite = _Suite()
+def _suite_complete(K=512):
     theta1 = 0.7
     worst = 0.0
     for rho in (0.3, 0.9, 0.99):
         worst = max(worst, abs(basis.delta_unit_mass(theta1, rho, 2000, 4096) - 1.0))
-    suite.check("unit_mass", worst, 1e-12)
-    rho, K, M = 0.9, args.K or 512, 4096
+    yield "unit_mass", worst, 1e-12
+    rho, M = 0.9, 4096
     worst = 0.0
     for k in range(1, 9):
         probe = basis.completeness_probe(resolve(f"cos_{k}").function, theta1, rho, K, M)
         worst = max(worst, abs(probe - rho**k * math.cos(k * theta1)))
-    suite.check("poisson_eigenrelation", worst, 1e-10)
+    yield "poisson_eigenrelation", worst, 1e-10
     worst = 0.0
     for name in ("cos_12", "sin_12"):
         probe = basis.completeness_probe(resolve(name).function, theta1, rho, 8, M)
         worst = max(worst, abs(probe))
-    suite.check("zero_coefficient_probe", worst, 1e-10)
-    return suite.finish()
+    yield "zero_coefficient_probe", worst, 1e-10
 
 
-def _suite_kernels(args) -> int:
-    suite = _Suite()
+def _suite_kernels():
     M = 4096
     poly = TaylorSeries(TaylorCoefficients(np.array([0.0, 0.0, 1.0], dtype=complex)))
     inside = kernels.contour_partial_sum(poly, PolarPoint(0.3, 0.0), 3, 0.8, M)
     outside = kernels.contour_partial_sum(poly, PolarPoint(0.9, 0.0), 3, 0.4, M)
-    suite.check("contour_polynomial", max(inside.discrepancy, outside.discrepancy), 1e-10)
+    yield "contour_polynomial", max(inside.discrepancy, outside.discrepancy), 1e-10
     w = delta_inner(math.pi / 2)
     din = kernels.contour_partial_sum(w, PolarPoint(0.5, 0.3), 8, 0.9, M)
     dout = kernels.contour_partial_sum(w, PolarPoint(0.8, 0.3), 8, 0.4, M)
-    suite.check("contour_delta", max(din.discrepancy, dout.discrepancy), 1e-10)
-    geom = _geometric_form(256)
+    yield "contour_delta", max(din.discrepancy, dout.discrepancy), 1e-10
+    geom = ClosedForm(lambda z: 1.0 / (1.0 - z), pole_set=(1.0,), label="geometric")
     z = PolarPoint(0.5, 0.0)
     ns = np.arange(2, 25)
     r = np.array([kernels.remainder(geom, z, int(N), 0.9, M) for N in ns])
-    suite.check("remainder_closed_form", float(np.max(np.abs(r - z.z**ns / (1.0 - z.z)))), 1e-10)
+    yield "remainder_closed_form", float(np.max(np.abs(r - z.z**ns / (1.0 - z.z)))), 1e-10
     slope = np.polyfit(ns, np.log(np.abs(r)), 1)[0]
-    suite.check("remainder_slope", abs(slope - math.log(0.5)) / abs(math.log(0.5)), 0.02)
-    return suite.finish()
+    yield "remainder_slope", abs(slope - math.log(0.5)) / abs(math.log(0.5)), 0.02
 
 
-def _geometric_form(K: int):
-    def gen(k):
-        return TaylorCoefficients(np.ones(k + 1, dtype=complex))
-
-    return ClosedForm(lambda z: 1.0 / (1.0 - z), pole_set=(1.0 + 0.0j,), taylor_fn=gen, label="geometric")
-
-
-def _suite_hilbert(args) -> int:
-    suite = _Suite()
-    K = args.K or 16
-    rho0 = args.rho0 if args.rho0 is not None else 0.5
+def _suite_hilbert(K=16, rho0=0.5):
     cfg = hilbert.DiskProductConfig(rho0, max(4 * K + 2, 256))
     g = hilbert.taylor_gram(K, cfg)
-    suite.check("taylor_gram_offdiag", g.max_offdiag_error, 1e-12)
-    suite.check("taylor_gram_diag", g.max_diag_error, 1e-12)
+    yield "taylor_gram_offdiag", g.max_offdiag_error, 1e-12
+    yield "taylor_gram_diag", g.max_diag_error, 1e-12
     g1 = hilbert.taylor_gram(K, hilbert.DiskProductConfig(1.0, cfg.M))
-    suite.check("taylor_gram_identity", float(np.max(np.abs(g1.matrix - np.eye(K + 1)))), 1e-12)
+    yield "taylor_gram_identity", float(np.max(np.abs(g1.matrix - np.eye(K + 1)))), 1e-12
     rng = np.random.default_rng(20260810)
     worst = herm = 0.0
     min_norm = math.inf
@@ -237,27 +208,12 @@ def _suite_hilbert(args) -> int:
         worst = max(worst, abs(a - b.value) - b.tail_bound)
         herm = max(herm, abs(a - hilbert.inner_product_disk(w2, w1, cfg_r).conjugate()))
         min_norm = min(min_norm, hilbert.norm_disk(w1, cfg_r))
-    suite.check("contour_vs_series", worst, 1e-11)
-    suite.check("hermitian_symmetry", herm, 1e-13)
-    suite.check("positivity_margin", max(0.0, 1e-6 - min_norm), 0.0)
-    return suite.finish()
+    yield "contour_vs_series", worst, 1e-11
+    yield "hermitian_symmetry", herm, 1e-13
+    yield "positivity_margin", max(0.0, 1e-6 - min_norm), 0.0
 
 
-def _suite_classify(args) -> int:
-    suite = _Suite()
-    if args.family:
-        p = args.p or 0.0
-        b = args.b if args.b is not None else 1.0
-        if args.family == "poly":
-            b = 1.0
-        mags = classify.family_magnitudes(p, b, args.K or 4096)
-        rep = classify.classify_sequence(mags)
-        print(
-            f"family={args.family} p={p:g} b={b:g}: bounded={'true' if rep.bounded else 'false'} "
-            f"rate={rep.fitted_rate:.6g} power={rep.fitted_power:.6g}"
-        )
-        suite.check("family_matches_ground_truth", 0.0 if rep.bounded == (b <= 1.0) else 1.0, 0.5)
-        return suite.finish()
+def _suite_classify():
     errors = 0
     model = classify.GrowthModel(window=(64, 4096))
     for p in (0.0, 1.0, 2.0, 5.0):
@@ -265,19 +221,28 @@ def _suite_classify(args) -> int:
             rep = classify.classify_sequence(classify.family_magnitudes(p, b, 4096), model)
             if rep.bounded != (b <= 1.0):
                 errors += 1
-    suite.check("family_grid", float(errors), 0.0)
+    yield "family_grid", float(errors), 0.0
     rng = np.random.default_rng(20260810)
     disagree = 0
     for _ in range(200):
         fc = _random_family_fc(rng, 512)
         if not classify.equivalence_check(fc).agree:
             disagree += 1
-    suite.check("equivalence_agreement", float(disagree), 0.0)
+    yield "equivalence_agreement", float(disagree), 0.0
     k = np.arange(1025, dtype=float)
     tc = TaylorCoefficients((k**2).astype(complex))
     rep = classify.convergence_radius_check(tc, [0.9]).for_rho(0.9)
-    suite.check("tail_ratio", abs(rep.rate - 0.9), 0.05)
-    return suite.finish()
+    yield "tail_ratio", abs(rep.rate - 0.9), 0.05
+
+
+def _suite_family(p=0.0, b=1.0, K=4096):
+    """``verify --suite classify`` given --p or --b: the one family |a_k| = k**p * b**k."""
+    rep = classify.classify_sequence(classify.family_magnitudes(p, b, K))
+    print(
+        f"family p={p:g} b={b:g}: bounded={'true' if rep.bounded else 'false'} "
+        f"rate={rep.fitted_rate:.6g} power={rep.fitted_power:.6g}"
+    )
+    yield "family_matches_ground_truth", 0.0 if rep.bounded == (b <= 1.0) else 1.0, 0.5
 
 
 def _random_family_fc(rng, K: int) -> FourierCoefficients:
@@ -293,6 +258,7 @@ def _random_family_fc(rng, K: int) -> FourierCoefficients:
     )
 
 
+# each suite yields (name, max_error, tol) records; its keyword parameters are the options it reads
 _SUITES = {
     "ortho": _suite_ortho,
     "complete": _suite_complete,
@@ -303,15 +269,25 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    runner = _SUITES.get(args.suite)
-    if runner is None:
-        print(f"verify: unknown suite {args.suite!r}", file=sys.stderr)
-        return _USAGE
-    # K = None selects each suite's default; an explicit K < 1 is refused here
-    if args.K is not None and args.K < 1:
+    given = {k: getattr(args, k) for k in ("K", "rho0", "p", "b") if getattr(args, k) is not None}
+    if given.get("K", 1) < 1:
         print(f"verify: K must be >= 1, got {args.K}", file=sys.stderr)
         return _USAGE
-    return runner(args)
+    suite = _SUITES[args.suite]
+    if suite is _suite_classify and given.keys() & {"p", "b"}:
+        suite = _suite_family
+    unread = [f"--{k}" for k in given if k not in inspect.signature(suite).parameters]
+    if unread:
+        print(f"verify: --suite {args.suite} does not read {', '.join(unread)}", file=sys.stderr)
+        return _USAGE
+    failed = []
+    for name, err, tol in suite(**given):
+        ok = err <= tol
+        print(f"{name}: {'PASS' if ok else 'FAIL'} (max_error={err:.3g}, tol={tol:g})")
+        if not ok:
+            failed.append(name)
+    print(f"FAILED: {', '.join(failed)}" if failed else "all checks passed")
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,9 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--fn", help="catalog id (zero, const, square, sawtooth, triangle, delta, delta_derivative, poisson, cos_<k>, sin_<k>)")
     pc.add_argument("--csv", help="sample CSV path (header theta,value)")
     pc.add_argument("--K", type=int, required=True, help="number of harmonics")
-    pc.add_argument("--M", type=int, default=None, help="quadrature points (default max(4K, 256))")
-    pc.add_argument("--theta1", type=float, default=0.0, help="angle parameter for delta/poisson")
-    pc.add_argument("--order", type=int, default=1, help="derivative order for delta_derivative")
+    pc.add_argument("--theta1", type=float, default=None, help="angle of delta, delta_derivative and poisson (default 0)")
+    pc.add_argument("--order", type=int, default=None, help="derivative order of delta_derivative (default 1)")
     pc.add_argument("--out", help="output JSON path (default stdout)")
     pc.set_defaults(func=cmd_coeffs)
 
@@ -339,11 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", required=True, choices=sorted(_SUITES), help="suite name")
-    pv.add_argument("--K", type=int, default=None)
+    pv.add_argument("--K", type=int, default=None, help="size for ortho, complete, hilbert and a classify family")
     pv.add_argument("--rho0", type=float, default=None, help="circle radius for the hilbert suite")
-    pv.add_argument("--family", choices=["poly", "exp", "polyexp"], default=None, help="classify one generated family")
-    pv.add_argument("--p", type=float, default=None, help="polynomial power of the family")
-    pv.add_argument("--b", type=float, default=None, help="exponential base of the family")
+    pv.add_argument("--p", type=float, default=None, help="classify the one family k**p * b**k (default p = 0)")
+    pv.add_argument("--b", type=float, default=None, help="classify the one family k**p * b**k (default b = 1)")
     pv.set_defaults(func=cmd_verify)
     return ap
 

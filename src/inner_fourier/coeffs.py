@@ -163,8 +163,7 @@ def fourier_coefficients(
         M = f.samples.size if f.is_sampled else default_quadrature_points(K)
     if M < 2 * K + 2:
         raise ValueError(f"need M >= 2K + 2 = {2 * K + 2} grid points, got {M}")
-    c = grid_coefficients(f.on_grid(M), K)
-    return FourierCoefficients(2.0 * c[0].real, c[1:].real, -c[1:].imag)
+    return from_taylor(TaylorCoefficients(grid_coefficients(f.on_grid(M), K)))
 
 
 def to_taylor(fc: FourierCoefficients) -> TaylorCoefficients:

@@ -6,8 +6,10 @@ byte-identical files.
 
 Coefficient JSON carries the real triple as {"K", "alpha0", "alpha",
 "beta"} and the complex sequence as {"K", "c_re", "c_im"}; one file may
-hold both key groups. Sample CSV is two columns "theta,value" with a
-required header, on the uniform grid starting at -pi.
+hold both key groups if c is exactly ``to_taylor`` of the triple, and a
+"K" key must equal the harmonic count of the arrays. Sample CSV is two
+columns "theta,value" with a required header, on the uniform grid
+starting at -pi.
 """
 
 from __future__ import annotations
@@ -18,14 +20,15 @@ import math
 
 import numpy as np
 
-from .coeffs import FourierCoefficients, PeriodicFunction, TaylorCoefficients
+from .coeffs import FourierCoefficients, PeriodicFunction, TaylorCoefficients, to_taylor
+from .quadrature import theta_grid
 
 
 def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non finite value {x!r}")
     s = f"{x:.17g}"
-    if "e" not in s and "." not in s and "inf" not in s and "nan" not in s:
+    if "e" not in s and "." not in s:
         s += ".0"
     return s
 
@@ -116,6 +119,11 @@ def parse_coefficients(doc: dict) -> tuple[FourierCoefficients | None, TaylorCoe
         tc = TaylorCoefficients(c_re + 1j * c_im)
     if fc is None and tc is None:
         raise ValueError("no coefficient keys found (expected alpha/beta or c_re/c_im)")
+    if fc is not None and tc is not None and not np.array_equal(tc.c, to_taylor(fc).c):
+        raise ValueError("coefficient JSON c_re/c_im is not the Taylor form of its alpha0/alpha/beta")
+    K = fc.K if fc is not None else tc.K
+    if "K" in doc and doc["K"] != K:
+        raise ValueError(f"coefficient JSON says K = {doc['K']!r} but holds {K} harmonics")
     return fc, tc
 
 
@@ -139,9 +147,7 @@ def read_samples_csv(path) -> PeriodicFunction:
         raise ValueError(f"{path}: every sample row needs two columns, theta and value")
     theta = np.array([float(r[0]) for r in body])
     vals = np.array([float(r[1]) for r in body])
-    m = theta.size
-    expected = -math.pi + 2.0 * math.pi * np.arange(m) / m
-    if np.max(np.abs(theta - expected)) > 1e-9:
+    if np.max(np.abs(theta - theta_grid(theta.size))) > 1e-9:
         raise ValueError(f"{path}: samples are not on the uniform grid starting at -pi")
     return PeriodicFunction.from_samples(vals, name=str(path))
 

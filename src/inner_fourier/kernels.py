@@ -101,7 +101,10 @@ def remainder(w: InnerAnalytic, z: PolarPoint, N: int, rho1: float, M: int = 409
 
     The magnitude decays like |z|**N for large N, which is what makes the
     convergence of the power series inside the disk easy to control; no
-    analogous closed form survives on the circle itself.
+    analogous closed form survives on the circle itself. Accuracy
+    contract: the error is within eps * max|w_j| * max(1, A), A =
+    (|z|/rho1)**N / rho1, over the M samples w_j on the circle; this is
+    ``PartialSumReport.roundoff_bound``, which the bare value does not carry.
     """
     if not 0.0 < rho1 <= 1.0:
         raise ValueError(f"need 0 < rho1 <= 1, got {rho1}")

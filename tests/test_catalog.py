@@ -81,6 +81,12 @@ def test_entry_without_generator_reports_it():
         bare.coefficients(4)
 
 
+@pytest.mark.parametrize("name, params", [("square", {"theta1": 1.0}), ("cos_3", {"order": 2}), ("delta", {"r": 0.5})])
+def test_parameter_the_entry_does_not_take_is_refused(name, params):
+    with pytest.raises(ValueError, match=f"takes no parameter {next(iter(params))}"):
+        resolve(name, **params)
+
+
 def test_unknown_id():
     with pytest.raises(UnknownCatalogId):
         resolve("parabola")

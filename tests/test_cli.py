@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import inner_fourier
+from inner_fourier import resolve
 from inner_fourier.cli import main
 from inner_fourier.quadrature import theta_grid
 
@@ -63,6 +65,35 @@ class TestCoeffsCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["alpha"][1] == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--fn", "square", "--theta1", "1"),
+            ("--fn", "cos_3", "--order", "2"),
+            ("--csv", "samples.csv", "--theta1", "1"),
+        ],
+    )
+    def test_parameter_the_entry_does_not_take_is_refused(self, capsys, argv):
+        code, out, err = run(capsys, "coeffs", *argv, "--K", "8")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and ("theta1" in err or "order" in err)
+
+    def test_no_quadrature_size_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["coeffs", "--fn", "square", "--K", "8", "--M", "8"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "name, option, params",
+        [("delta", ("--theta1", "0.5"), {"theta1": 0.5}), ("delta_derivative", ("--order", "2"), {"order": 2})],
+    )
+    def test_parameters_reach_the_entry(self, capsys, name, option, params):
+        code, out, _ = run(capsys, "coeffs", "--fn", name, *option, "--K", "8")
+        assert code == 0
+        alpha = json.loads(out)["alpha"]
+        assert alpha == resolve(name, **params).coefficients(8).alpha.tolist()
+        assert alpha != resolve(name).coefficients(8).alpha.tolist()
 
     def test_output_file_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -169,6 +200,21 @@ class TestInputErrors:
         path.write_text(json.dumps(doc))
         self._one_line_usage_error(capsys, "reconstruct", "--coeffs", str(path), "--rho", "0.5")
 
+    @pytest.mark.parametrize("edit", [{"c_re": [5.0] * 9}, {"K": 99}])
+    def test_coefficient_file_that_disagrees_with_itself(self, capsys, tmp_path, edit):
+        path = tmp_path / "c.json"
+        assert main(["coeffs", "--fn", "square", "--K", "8", "--out", str(path)]) == 0
+        assert run(capsys, "reconstruct", "--coeffs", str(path), "--rho", "0.5")[0] == 0
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        self._one_line_usage_error(capsys, "reconstruct", "--coeffs", str(path), "--rho", "0.5")
+
+    @pytest.mark.parametrize("spec", ["3", "1..x", "1..2..3"])
+    def test_schedule_spec_names_its_form(self, capsys, tmp_path, spec):
+        path = tmp_path / "c.json"
+        assert main(["coeffs", "--fn", "square", "--K", "8", "--out", str(path)]) == 0
+        self._one_line_usage_error(capsys, "reconstruct", "--coeffs", str(path), "--schedule", spec)
+        assert "j1..j2" in run(capsys, "reconstruct", "--coeffs", str(path), "--schedule", spec)[2]
+
     def test_sample_csv_one_column_row(self, capsys, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("theta,value\n-3.141592653589793,1.0\n0.0\n")
@@ -226,14 +272,60 @@ class TestVerifyCommand:
         assert "PASS" in out and "FAIL" not in out
 
     def test_classify_family_flag(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "classify", "--family", "poly", "--p", "5")
+        code, out, _ = run(capsys, "verify", "--suite", "classify", "--p", "5")
         assert code == 0
         assert "bounded=true" in out
+
+    def test_classify_family_reads_K(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "classify", "--b", "0.9", "--K", "512")
+        assert code == 0
+        assert out.splitlines()[0].startswith("family p=0 b=0.9: bounded=true")
+
+    @pytest.mark.parametrize(
+        "suite, option",
+        [
+            ("kernels", ("--K", "5")),
+            ("ortho", ("--rho0", "0.3")),
+            ("complete", ("--p", "1")),
+            ("hilbert", ("--b", "2")),
+            ("classify", ("--K", "64")),
+            ("classify", ("--p", "1", "--rho0", "0.3")),
+        ],
+    )
+    def test_option_the_suite_does_not_read_is_refused(self, capsys, suite, option):
+        code, out, err = run(capsys, "verify", "--suite", suite, *option)
+        assert code == 2
+        assert out == ""
+        assert err == f"verify: --suite {suite} does not read {option[-2]}\n"
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["ortho"], ["gram_offdiag", "gram_diag", "residue_identity"]),
+            (["complete"], ["unit_mass", "poisson_eigenrelation", "zero_coefficient_probe"]),
+            (["kernels"], ["contour_polynomial", "contour_delta", "remainder_closed_form", "remainder_slope"]),
+            (["classify"], ["family_grid", "equivalence_agreement", "tail_ratio"]),
+            (
+                ["hilbert", "--rho0", "0.37", "--K", "8"],
+                ["taylor_gram_offdiag", "taylor_gram_diag", "taylor_gram_identity",
+                 "contour_vs_series", "hermitian_symmetry", "positivity_margin"],
+            ),
+        ],
+    )
+    def test_report_lines_keep_their_format(self, capsys, argv, names):
+        # the line format scripts parse, one line per check, then the summary
+        line = re.compile(r"^(\w+): (PASS|FAIL) \(max_error=([^,]+), tol=([^)]+)\)$")
+        code, out, _ = run(capsys, "verify", "--suite", *argv)
+        *checks, summary = out.splitlines()
+        assert code == 0 and summary == "all checks passed"
+        assert [line.match(c).group(1) for c in checks] == names
+        for c in checks:
+            assert float(line.match(c).group(3)) <= float(line.match(c).group(4))
 
     def test_classify_overflow_is_a_usage_error(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(capsys, "verify", "--suite", "classify", "--family", "exp", "--b", "2")
+            code, out, err = run(capsys, "verify", "--suite", "classify", "--b", "2")
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "PASS" not in out

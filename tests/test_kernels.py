@@ -23,7 +23,7 @@ from inner_fourier import (
     to_taylor,
 )
 from inner_fourier.kernels import _contour_terms
-from inner_fourier.quadrature import theta_grid
+from inner_fourier.quadrature import circle_samples, theta_grid
 
 
 def geometric_series(K: int = 512) -> ClosedForm:
@@ -147,6 +147,18 @@ class TestRemainder:
     def test_domain_check(self):
         with pytest.raises(ValueError, match="rho1"):
             remainder(monomial(1), PolarPoint(0.9, 0.0), 2, 0.5)
+
+    @pytest.mark.parametrize("rho1", [0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("N", [1, 5, 20, 80])
+    def test_error_within_roundoff_contract(self, rho1, N):
+        # the docstring bound eps * max|w_j| * max(1, A), A = (|z|/rho1)**N / rho1
+        w, z, M = geometric_series(), PolarPoint(0.4 * rho1, 1.0), 4096
+        with mpmath.workdps(40):
+            zz = mpmath.mpc(z.z.real, z.z.imag)
+            want = complex(zz**N / (1 - zz))
+        _, samples = circle_samples(w, rho1, M)
+        bound = np.finfo(float).eps * float(np.max(np.abs(samples))) * max(1.0, 0.4**N / rho1)
+        assert abs(remainder(w, z, N, rho1, M) - want) <= bound
 
 
 class TestBoundaryPartialSum:
