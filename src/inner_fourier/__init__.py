@@ -22,7 +22,6 @@ from .basis import (
 from .catalog import CatalogEntry, UnknownCatalogId, catalog_ids, resolve, trig_poly_entry
 from .classify import (
     ClassificationReport,
-    ConvergenceReport,
     EquivalenceReport,
     GrowthModel,
     classify_sequence,
@@ -85,7 +84,6 @@ __all__ = [
     "CatalogEntry",
     "ClassificationReport",
     "ClosedForm",
-    "ConvergenceReport",
     "DeltaSpec",
     "DiskProductConfig",
     "DivergenceWarning",

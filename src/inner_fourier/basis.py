@@ -78,19 +78,17 @@ def residue_identity_check(p: int, rho: float) -> complex:
     return (rho**p) * s / M
 
 
-def fourier_gram(K: int, M: int | None = None) -> GramReport:
-    """Gram matrix of {1, cos(1..K), sin(1..K)} under (f|g)/pi.
+def fourier_gram(K: int) -> GramReport:
+    """Gram matrix of {1, cos(1..K), sin(1..K)} under (f|g)/pi on M = 4K + 2 nodes.
 
     Expected: diagonal (2, 1, ..., 1) and vanishing off-diagonal entries,
-    both within 1e-12 for M >= 4K + 2. Basis ordering is constant first,
-    then cosines by k, then sines by k.
+    both within 1e-12; M = 4K + 2 resolves every product of two basis
+    elements. Basis ordering is constant first, then cosines by k, then
+    sines by k.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    if M is None:
-        M = 4 * K + 2
-    if M < 4 * K + 2:
-        raise ValueError(f"need M >= 4K + 2 = {4 * K + 2}, got {M}")
+    M = 4 * K + 2
     kt = np.multiply.outer(np.arange(1, K + 1), theta_grid(M))
     b = np.vstack([np.ones(M), np.cos(kt), np.sin(kt)])
     return GramReport.of((2.0 / M) * (b @ b.T), np.r_[2.0, np.ones(2 * K)])

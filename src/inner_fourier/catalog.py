@@ -44,8 +44,11 @@ class CatalogEntry:
         return self.known_coefficients(K)
 
 
-class UnknownCatalogId(KeyError):
-    pass
+class UnknownCatalogId(ValueError):
+    """A catalog id that names no entry; the message lists the known ids."""
+
+    def __init__(self, name: str):
+        super().__init__(f"unknown catalog id {name!r}; known: {', '.join(catalog_ids())}")
 
 
 def _entry_square():

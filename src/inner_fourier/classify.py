@@ -70,17 +70,6 @@ class TailEstimate:
     rate: float | None
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    tails: tuple[TailEstimate, ...]
-
-    def for_rho(self, rho: float) -> TailEstimate:
-        for t in self.tails:
-            if t.rho == rho:
-                return t
-        raise KeyError(f"no tail estimate for rho={rho}")
-
-
 def family_magnitudes(p: float, b: float, K: int) -> np.ndarray:
     """|a_k| = k**p * b**k for k = 0..K, with the k = 0 entry set to 1.
 
@@ -115,6 +104,8 @@ def _fit_window(mags: np.ndarray, window: tuple[int, int], floor: float) -> Clas
     n_nonzero = int(np.count_nonzero(nz))
     if n_nonzero < _MIN_FIT_POINTS and not nz[-1]:
         return ClassificationReport(True, 0.0, 0.0, window, False, True)
+    if k.size < _MIN_FIT_POINTS:
+        raise ValueError(f"fit window {window} spans {k.size} indices; need {_MIN_FIT_POINTS}")
     sparsity = n_nonzero < 0.5 * k.size
     if n_nonzero < _MIN_FIT_POINTS:
         raise ValueError(
@@ -136,8 +127,9 @@ def classify_sequence(seq, model: GrowthModel | None = None) -> ClassificationRe
     the largest magnitude of the whole sequence (alpha and beta together)
     are roundoff and count as zeros, which are excluded from the fit. A
     window that is all zeros, or ends in zeros with fewer than 8 nonzero
-    magnitudes, classifies as bounded and degenerate. A window that holds
-    a non-finite magnitude raises ValueError.
+    magnitudes, classifies as bounded and degenerate. Any other window
+    that spans fewer than 8 indices, and a window that holds a non-finite
+    magnitude, raise ValueError.
     """
     model = model or GrowthModel()
     if isinstance(seq, FourierCoefficients):
@@ -179,29 +171,26 @@ def equivalence_check(fc: FourierCoefficients, model: GrowthModel | None = None)
     return EquivalenceReport(c_view.bounded, ab_view.bounded, c_view.bounded == ab_view.bounded)
 
 
-def convergence_radius_check(tc: TaylorCoefficients, rhos) -> ConvergenceReport:
+def convergence_radius_check(tc: TaylorCoefficients, rho: float) -> TailEstimate:
     """Numerical Cauchy-property check of the partial sums inside the disk.
 
-    Expects a bounded-classified sequence. For each rho < 1 the dyadic
-    gaps |S_2N - S_N| at z = rho shrink geometrically; the reported rate
-    (gap ratio to the power 1/N) approaches rho itself, the polynomial
-    factor washing out in the exponent.
+    Expects a bounded-classified sequence. At rho < 1 the dyadic gaps
+    |S_2N - S_N| at z = rho shrink geometrically; the reported rate (gap
+    ratio to the power 1/N) approaches rho itself, the polynomial factor
+    washing out in the exponent.
     """
-    tails = []
-    for rho in rhos:
-        if not 0.0 <= rho < 1.0:
-            raise ValueError(f"need 0 <= rho < 1, got {rho}")
-        terms = tc.c * rho ** np.arange(tc.K + 1, dtype=float)
-        gaps: list[tuple[int, float]] = []
-        n = 1
-        while 2 * n <= tc.K + 1:
-            # S_2N - S_N summed directly over its block; a difference of
-            # the two partial sums would cancel below their own ulp
-            gaps.append((n, float(abs(np.sum(terms[n : 2 * n])))))
-            n *= 2
-        rate = None
-        for prev, cur in zip(gaps, gaps[1:]):
-            if prev[1] > 0.0 and cur[1] > 0.0:
-                rate = (cur[1] / prev[1]) ** (1.0 / prev[0])
-        tails.append(TailEstimate(float(rho), tuple(gaps), rate))
-    return ConvergenceReport(tuple(tails))
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"need 0 <= rho < 1, got {rho}")
+    terms = tc.c * rho ** np.arange(tc.K + 1, dtype=float)
+    gaps: list[tuple[int, float]] = []
+    n = 1
+    while 2 * n <= tc.K + 1:
+        # S_2N - S_N summed directly over its block; a difference of
+        # the two partial sums would cancel below their own ulp
+        gaps.append((n, float(abs(np.sum(terms[n : 2 * n])))))
+        n *= 2
+    rate = None
+    for prev, cur in zip(gaps, gaps[1:]):
+        if prev[1] > 0.0 and cur[1] > 0.0:
+            rate = (cur[1] / prev[1]) ** (1.0 / prev[0])
+    return TailEstimate(float(rho), tuple(gaps), rate)

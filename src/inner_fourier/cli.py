@@ -7,8 +7,8 @@ Three subcommands, each reading every option it accepts:
   (delta, delta_derivative and poisson do) or --order (delta_derivative)
   refuses it.
 - ``reconstruct --coeffs PATH [--thetas lo:hi:n] (--rho R | --schedule
-  j1..j2) [--tol T] [--out PATH]`` sweeps the damped sums over a theta
-  grid and writes curve CSV.
+  j1..j2 [--tol T]) [--out PATH]`` sweeps the damped sums over a theta
+  grid and writes curve CSV; --tol with --rho is refused.
 - ``verify --suite NAME [--K K] [--rho0 R] [--p P] [--b B]`` runs one
   verification suite and exits 1 on any tolerance violation. Each suite
   reads the options its function takes: ortho and complete --K, hilbert
@@ -30,14 +30,8 @@ import sys
 import numpy as np
 
 from . import basis, classify, hilbert, kernels
-from .catalog import UnknownCatalogId, resolve
-from .coeffs import (
-    FourierCoefficients,
-    TaylorCoefficients,
-    fourier_coefficients,
-    from_taylor,
-    to_taylor,
-)
+from .catalog import catalog_ids, resolve
+from .coeffs import FourierCoefficients, TaylorCoefficients, fourier_coefficients, to_taylor
 from .distributions import delta_inner
 from .errors import EvaluationError
 from .fileio import (
@@ -79,12 +73,13 @@ def _parse_theta_grid(spec: str) -> np.ndarray:
     return lo + (hi - lo) * np.arange(n) / n
 
 
-def _parse_schedule(spec: str, tol: float) -> RhoSchedule:
+def _parse_schedule(spec: str, tol: float | None) -> RhoSchedule:
     try:
         j1, j2 = (int(j) for j in spec.split(".."))
     except ValueError:
         raise ValueError(f"schedule must be j1..j2 with integers 1 <= j1 < j2, got {spec!r}") from None
-    return RhoSchedule.geometric(j1, j2, tol)
+    # an absent --tol leaves the schedule's own default in force
+    return RhoSchedule.geometric(j1, j2) if tol is None else RhoSchedule.geometric(j1, j2, tol)
 
 
 def cmd_coeffs(args) -> int:
@@ -96,7 +91,7 @@ def cmd_coeffs(args) -> int:
         fc = resolve(args.fn, **params).coefficients(args.K)
     else:
         fc = fourier_coefficients(read_samples_csv(args.csv), args.K)
-    payload = coefficients_payload(fc, to_taylor(fc))
+    payload = coefficients_payload(fc)
     if args.out:
         write_json(args.out, payload)
     else:
@@ -108,9 +103,10 @@ def cmd_reconstruct(args) -> int:
     if (args.rho is None) == (args.schedule is None):
         print("reconstruct: provide exactly one of --rho or --schedule", file=sys.stderr)
         return _USAGE
-    fc, tc = read_coefficients_json(args.coeffs)
-    if fc is None:
-        fc = from_taylor(tc)
+    if args.rho is not None and args.tol is not None:
+        print("reconstruct: --tol is read only with --schedule", file=sys.stderr)
+        return _USAGE
+    fc = read_coefficients_json(args.coeffs)
     thetas = _parse_theta_grid(args.thetas)
     if args.rho is not None:
         if not 0.0 <= args.rho < 1.0:
@@ -231,7 +227,7 @@ def _suite_classify():
     yield "equivalence_agreement", float(disagree), 0.0
     k = np.arange(1025, dtype=float)
     tc = TaylorCoefficients((k**2).astype(complex))
-    rep = classify.convergence_radius_check(tc, [0.9]).for_rho(0.9)
+    rep = classify.convergence_radius_check(tc, 0.9)
     yield "tail_ratio", abs(rep.rate - 0.9), 0.05
 
 
@@ -295,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("coeffs", help="compute coefficients of a catalog function or CSV samples")
-    pc.add_argument("--fn", help="catalog id (zero, const, square, sawtooth, triangle, delta, delta_derivative, poisson, cos_<k>, sin_<k>)")
+    pc.add_argument("--fn", help=f"catalog id ({', '.join(catalog_ids())})")
     pc.add_argument("--csv", help="sample CSV path (header theta,value)")
     pc.add_argument("--K", type=int, required=True, help="number of harmonics")
     pc.add_argument("--theta1", type=float, default=None, help="angle of delta, delta_derivative and poisson (default 0)")
@@ -308,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--thetas", default="-pi:pi:256", help="theta grid spec lo:hi:n (pi literals allowed)")
     pr.add_argument("--rho", type=float, default=None, help="single radius in [0, 1)")
     pr.add_argument("--schedule", default=None, help="radius schedule j1..j2 meaning rho = 1 - 2^-j")
-    pr.add_argument("--tol", type=float, default=1e-6, help="schedule convergence tolerance")
+    pr.add_argument("--tol", type=float, default=None, help="schedule convergence tolerance (with --schedule only)")
     pr.add_argument("--out", help="output CSV path (default stdout)")
     pr.set_defaults(func=cmd_reconstruct)
 
@@ -334,9 +330,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_glue_thetas(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except UnknownCatalogId as exc:
-        print(f"unknown catalog id: {exc}", file=sys.stderr)
-        return _USAGE
     except (ValueError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE

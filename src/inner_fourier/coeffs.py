@@ -66,10 +66,6 @@ class PeriodicFunction:
     def from_samples(cls, values, name="samples") -> "PeriodicFunction":
         return cls(name=name, samples=np.asarray(values, dtype=float))
 
-    @property
-    def is_sampled(self) -> bool:
-        return self.samples is not None
-
     def on_grid(self, m: int) -> np.ndarray:
         """Values at the m uniform grid angles; non-finite values raise EvaluationError.
 
@@ -143,11 +139,6 @@ class TaylorCoefficients:
         return cls(np.zeros(K + 1, dtype=complex))
 
 
-def default_quadrature_points(K: int) -> int:
-    """Default grid size max(4K, 256), comfortably past the aliasing bound."""
-    return max(4 * K, 256)
-
-
 def fourier_coefficients(
     f: PeriodicFunction, K: int, M: int | None = None
 ) -> FourierCoefficients:
@@ -155,12 +146,14 @@ def fourier_coefficients(
 
     Requires M >= 2K + 2 so that no retained harmonic is aliased. The
     result is exact to roundoff when f is a trigonometric polynomial of
-    degree at most M - 1 - K.
+    degree at most M - 1 - K. M defaults to the sample count of a sampled
+    f and to max(4K, 256) otherwise.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if M is None:
-        M = f.samples.size if f.is_sampled else default_quadrature_points(K)
+        # max(4K, 256) is comfortably past the aliasing bound 2K + 2
+        M = f.samples.size if f.samples is not None else max(4 * K, 256)
     if M < 2 * K + 2:
         raise ValueError(f"need M >= 2K + 2 = {2 * K + 2} grid points, got {M}")
     return from_taylor(TaylorCoefficients(grid_coefficients(f.on_grid(M), K)))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .coeffs import FourierCoefficients, from_taylor, to_taylor
 from .quadrature import TWO_PI, disk_points, power_series
-from .series import ClosedForm, TaylorCoefficients, angular_derivative
+from .series import ClosedForm, angular_derivative
 
 
 @dataclass(frozen=True)
@@ -58,25 +58,16 @@ def poisson_kernel(theta, theta1: float, rho: float):
     return float(out) if np.ndim(theta) == 0 else out
 
 
-class DeltaClosedForm(ClosedForm):
-    """Closed form 1/(2*pi) - (1/pi) z/(z - z1) with its pole at z1."""
-
-    def __init__(self, theta1: float):
-        z1 = complex(math.cos(theta1), math.sin(theta1))
-        super().__init__(
-            lambda z: 1.0 / TWO_PI - (z / (z - z1)) / math.pi,
-            pole_set=(z1,),
-            label=f"delta inner function (theta1={theta1})",
-        )
-        self.theta1 = float(theta1)
-
-    def taylor(self, K: int) -> TaylorCoefficients:
-        return to_taylor(delta_coefficients(DeltaSpec(self.theta1), K))
-
-
-def delta_inner(theta1: float) -> DeltaClosedForm:
-    """The inner analytic representation of the point mass at theta1."""
-    return DeltaClosedForm(DeltaSpec(theta1).theta1)
+def delta_inner(theta1: float) -> ClosedForm:
+    """The point mass at theta1 as the closed form w above, with Taylor coefficients ``delta_coefficients``."""
+    spec = DeltaSpec(theta1)
+    z1 = complex(math.cos(spec.theta1), math.sin(spec.theta1))
+    return ClosedForm(
+        lambda z: 1.0 / TWO_PI - (z / (z - z1)) / math.pi,
+        pole_set=(z1,),
+        taylor_fn=lambda K: to_taylor(delta_coefficients(spec, K)),
+        label=f"delta inner function (theta1={spec.theta1})",
+    )
 
 
 def delta_coefficients(spec: DeltaSpec, K: int) -> FourierCoefficients:

@@ -7,7 +7,8 @@ byte-identical files.
 Coefficient JSON carries the real triple as {"K", "alpha0", "alpha",
 "beta"} and the complex sequence as {"K", "c_re", "c_im"}; one file may
 hold both key groups if c is exactly ``to_taylor`` of the triple, and a
-"K" key must equal the harmonic count of the arrays. Sample CSV is two
+"K" key must equal the harmonic count of the arrays. Either group alone
+reads as the same ``FourierCoefficients``. Sample CSV is two
 columns "theta,value" with a required header, on the uniform grid
 starting at -pi.
 """
@@ -16,11 +17,12 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 
 import numpy as np
 
-from .coeffs import FourierCoefficients, PeriodicFunction, TaylorCoefficients, to_taylor
+from .coeffs import FourierCoefficients, PeriodicFunction, TaylorCoefficients, from_taylor, to_taylor
 from .quadrature import theta_grid
 
 
@@ -75,26 +77,17 @@ def write_json(path, obj) -> None:
         fp.write(dumps_json(obj))
 
 
-def coefficients_payload(
-    fc: FourierCoefficients | None, tc: TaylorCoefficients | None = None
-) -> dict:
-    if fc is None and tc is None:
-        raise ValueError("nothing to serialize")
-    payload: dict = {}
-    if fc is not None:
-        payload.update(
-            {
-                "K": fc.K,
-                "alpha0": fc.alpha0,
-                "alpha": list(fc.alpha),
-                "beta": list(fc.beta),
-            }
-        )
-    if tc is not None:
-        payload.setdefault("K", tc.K)
-        payload["c_re"] = list(tc.c.real)
-        payload["c_im"] = list(tc.c.imag)
-    return payload
+def coefficients_payload(fc: FourierCoefficients) -> dict:
+    """Both key groups of fc: the real triple and its Taylor form c = ``to_taylor(fc)``."""
+    c = to_taylor(fc).c
+    return {
+        "K": fc.K,
+        "alpha0": fc.alpha0,
+        "alpha": list(fc.alpha),
+        "beta": list(fc.beta),
+        "c_re": list(c.real),
+        "c_im": list(c.imag),
+    }
 
 
 def _numbers(doc: dict, *keys: str) -> list[np.ndarray]:
@@ -107,7 +100,8 @@ def _numbers(doc: dict, *keys: str) -> list[np.ndarray]:
         raise ValueError(f"coefficient JSON keys {', '.join(keys)} must hold numbers") from None
 
 
-def parse_coefficients(doc: dict) -> tuple[FourierCoefficients | None, TaylorCoefficients | None]:
+def parse_coefficients(doc: dict) -> FourierCoefficients:
+    """The alpha group of doc, or ``from_taylor`` of its c group; both groups must agree."""
     if not isinstance(doc, dict):
         raise ValueError("coefficient JSON must be an object")
     fc = tc = None
@@ -119,17 +113,16 @@ def parse_coefficients(doc: dict) -> tuple[FourierCoefficients | None, TaylorCoe
         tc = TaylorCoefficients(c_re + 1j * c_im)
     if fc is None and tc is None:
         raise ValueError("no coefficient keys found (expected alpha/beta or c_re/c_im)")
-    if fc is not None and tc is not None and not np.array_equal(tc.c, to_taylor(fc).c):
+    if fc is None:
+        fc = from_taylor(tc)
+    elif tc is not None and not np.array_equal(tc.c, to_taylor(fc).c):
         raise ValueError("coefficient JSON c_re/c_im is not the Taylor form of its alpha0/alpha/beta")
-    K = fc.K if fc is not None else tc.K
-    if "K" in doc and doc["K"] != K:
-        raise ValueError(f"coefficient JSON says K = {doc['K']!r} but holds {K} harmonics")
-    return fc, tc
+    if "K" in doc and doc["K"] != fc.K:
+        raise ValueError(f"coefficient JSON says K = {doc['K']!r} but holds {fc.K} harmonics")
+    return fc
 
 
-def read_coefficients_json(path) -> tuple[FourierCoefficients | None, TaylorCoefficients | None]:
-    import json
-
+def read_coefficients_json(path) -> FourierCoefficients:
     with open(path, "r", encoding="utf-8") as fp:
         return parse_coefficients(json.load(fp))
 

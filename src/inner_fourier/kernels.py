@@ -42,9 +42,11 @@ _RADIUS_CLASH_TOL = 1e-12
 class PartialSumReport:
     """Direct and contour values of one partial sum, with their distance.
 
-    ``roundoff_bound`` is eps * max|w_j| * max(1, A): the rounding of the
-    samples w_j, amplified by A = (|z|/rho1)**N / rho1 in the second
-    contour term. It is the scale to read ``discrepancy`` against.
+    ``roundoff_bound`` bounds the error of ``contour``: eps * max|w_j| *
+    max(1, A), the sample rounding amplified by A = (|z|/rho1)**N / rho1,
+    or near the circle (N + 1) * eps * max summand / M if larger.
+    ``discrepancy`` also carries the error of ``direct``, Horner's
+    2N * eps * sum_{k<N} |c_k| |z|**k (``quadrature``).
     """
 
     N: int
@@ -68,12 +70,17 @@ def _contour_terms(w: InnerAnalytic, z: complex, N: int, rho1: float, M: int):
     nodes, vals = circle_samples(w, rho1, M)
     log_zn = N * math.log(abs(z)) if z else -math.inf
     amp = check_amplification(log_zn, N + 1, rho1, M, getattr(w, "pole_set", ()))
-    first = compensated_csum(vals * nodes / (nodes - z)) / M
+    terms1 = vals * nodes / (nodes - z)
+    first = compensated_csum(terms1) / M
     # z1^{-(N-1)} through the exact phase table keeps the strong rho1
     # scaling out of the cancellation.
     inv_pow = phase_powers(M, -(N - 1)) / rho1 ** (N - 1)
-    second = (z**N / M) * compensated_csum(vals * inv_pow / (nodes - z))
-    return first, second, _EPS * float(np.max(np.abs(vals))) * max(1.0, amp)
+    terms2 = vals * inv_pow / (nodes - z)
+    second = (z**N / M) * compensated_csum(terms2)
+    # near the circle one summand can dwarf the samples: its rounding and the
+    # (N - 1) eps by which the table power misses the rounded node's dominate
+    near = (N + 1) * float(np.max(np.abs(terms1) + abs(z**N) * np.abs(terms2))) / M
+    return first, second, _EPS * max(float(np.max(np.abs(vals))) * max(1.0, amp), near)
 
 
 def contour_partial_sum(
@@ -84,12 +91,16 @@ def contour_partial_sum(
     Requires rho1 != |z| strictly: inside (|z| < rho1) the first contour
     term reproduces w(z) and the difference of terms is S_N; outside
     (|z| > rho1) the first term vanishes by analyticity and the negated
-    second term is S_N. Both branches reduce to first - second.
+    second term is S_N. Both branches reduce to first - second, the sum of
+    the first N trapezoid Cauchy coefficients; N > M is refused, since
+    c_k for k >= M aliases onto c_{k-M} * rho1**-M.
     """
     if not 0.0 < rho1 <= 1.0:
         raise ValueError(f"need 0 < rho1 <= 1, got {rho1}")
     if abs(rho1 - z.rho) < _RADIUS_CLASH_TOL:
         raise ValueError(f"ill posed: |z| = rho1 = {rho1}; the identity needs |z| != rho1")
+    if N > M:
+        raise ValueError(f"{N} terms alias on {M} nodes; need M >= {N}")
     first, second, bound = _contour_terms(w, z.z, N, rho1, M)
     contour = first - second
     direct = partial_sum(w.taylor(N), z, N)
@@ -104,7 +115,8 @@ def remainder(w: InnerAnalytic, z: PolarPoint, N: int, rho1: float, M: int = 409
     analogous closed form survives on the circle itself. Accuracy
     contract: the error is within eps * max|w_j| * max(1, A), A =
     (|z|/rho1)**N / rho1, over the M samples w_j on the circle; this is
-    ``PartialSumReport.roundoff_bound``, which the bare value does not carry.
+    the far-field ``PartialSumReport.roundoff_bound``, which the bare value
+    does not carry.
     """
     if not 0.0 < rho1 <= 1.0:
         raise ValueError(f"need 0 < rho1 <= 1, got {rho1}")

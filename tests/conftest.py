@@ -4,6 +4,9 @@ Expected values for derived cases are produced by routes independent of
 the implementation under test: symbolic integration for coefficient
 integrals, adaptive numerical quadrature for kernel integrals, and closed
 forms entered directly from elementary identities.
+
+Every hypothesis property test runs under one profile: derandomized, with
+no example database and no deadline, so runs repeat exactly.
 """
 
 from __future__ import annotations
@@ -13,6 +16,10 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import settings
+
+settings.register_profile("inner_fourier", derandomize=True, deadline=None, database=None, max_examples=60)
+settings.load_profile("inner_fourier")
 
 _THETA = sp.symbols("theta", real=True)
 

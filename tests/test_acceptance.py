@@ -136,7 +136,7 @@ def test_criterion_3_delta_poisson_identity():
 
 
 def test_criterion_4_orthogonality():
-    g = fourier_gram(64, 4 * 64 + 2)
+    g = fourier_gram(64)
     residue_worst = 0.0
     for p in range(-8, 9):
         want = 1.0 if p == 0 else 0.0
@@ -233,7 +233,7 @@ def test_criterion_7_classification():
             disagreements += 1
 
     k = np.arange(1025, dtype=float)
-    est = convergence_radius_check(TaylorCoefficients((k**2).astype(complex)), [0.9]).for_rho(0.9)
+    est = convergence_radius_check(TaylorCoefficients((k**2).astype(complex)), 0.9)
     tail_err = abs(est.rate - 0.9)
     ok = grid_errors == 0 and disagreements == 0 and tail_err <= 0.05
     _report(

@@ -61,14 +61,14 @@ class TestFourierGram:
         assert abs(g.matrix[2, 6]) < 1e-13
 
     def test_bounds_at_k64(self):
-        g = fourier_gram(64, 4 * 64 + 2)
+        g = fourier_gram(64)
         assert g.size == 129
         assert g.max_diag_error <= 1e-12
         assert g.max_offdiag_error <= 1e-12
         assert g.passed
 
     def test_bounds_at_k128(self):
-        g = fourier_gram(128, 4 * 128 + 2)
+        g = fourier_gram(128)
         assert g.max_diag_error <= 1e-12
         assert g.max_offdiag_error <= 1e-12
 

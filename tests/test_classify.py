@@ -142,12 +142,12 @@ class TestConvergenceRadius:
     def test_polynomial_coefficients_rate(self):
         k = np.arange(1025, dtype=float)
         tc = TaylorCoefficients((k**2).astype(complex))
-        est = convergence_radius_check(tc, [0.9]).for_rho(0.9)
+        est = convergence_radius_check(tc, 0.9)
         assert est.rate == pytest.approx(0.9, abs=0.05)
 
     def test_geometric_gaps_closed_form(self):
         tc = TaylorCoefficients(np.ones(1025, dtype=complex))
-        est = convergence_radius_check(tc, [0.5]).for_rho(0.5)
+        est = convergence_radius_check(tc, 0.5)
         for n, gap in est.gaps:
             want = 2.0 * 0.5**n * (1.0 - 0.5**n)
             assert gap == pytest.approx(want, rel=1e-12)
@@ -155,13 +155,23 @@ class TestConvergenceRadius:
 
     def test_zero_radius_is_constant_after_first_term(self):
         tc = TaylorCoefficients(np.arange(64, dtype=complex))
-        est = convergence_radius_check(tc, [0.0]).for_rho(0.0)
+        est = convergence_radius_check(tc, 0.0)
         assert all(gap == 0.0 for _, gap in est.gaps)
         assert est.rate is None
 
     def test_domain_validation(self):
         tc = TaylorCoefficients(np.ones(16, dtype=complex))
         with pytest.raises(ValueError):
-            convergence_radius_check(tc, [1.0])
-        with pytest.raises(KeyError):
-            convergence_radius_check(tc, [0.5]).for_rho(0.25)
+            convergence_radius_check(tc, 1.0)
+
+
+def test_short_fit_window_names_its_span():
+    with pytest.raises(ValueError, match=r"fit window \(2, 8\) spans 7 indices; need 8"):
+        classify_sequence(family_magnitudes(2.0, 1.0, 8))
+    rep = classify_sequence(family_magnitudes(2.0, 1.0, 9))
+    assert rep.window == (2, 9) and rep.bounded
+
+
+def test_short_window_of_roundoff_stays_degenerate():
+    rep = classify_sequence(np.r_[1.0, np.zeros(8)])
+    assert rep.degenerate and rep.bounded and rep.window == (2, 8)

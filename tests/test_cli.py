@@ -171,6 +171,41 @@ class TestReconstructCommand:
         assert outs[0][0] == 0 and outs[0][1]
         assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.filterwarnings("ignore::inner_fourier.errors.TruncationWarning")
+    @pytest.mark.parametrize("mode", [("--rho", "0.5"), ("--schedule", "1..6")])
+    def test_c_group_alone_reads_as_both_groups(self, capsys, tmp_path, mode):
+        both = self._coeff_file(capsys, tmp_path, "square", 12)
+        doc = json.loads(both.read_text())
+        c_only = tmp_path / "c_only.json"
+        c_only.write_text(json.dumps({k: doc[k] for k in ("K", "c_re", "c_im")}))
+        outs = [run(capsys, "reconstruct", "--coeffs", str(p), "--thetas=-pi:pi:8", *mode) for p in (both, c_only)]
+        assert outs[0][0] == 0 and outs[0][1].count("\n") == 1 + 8 * (1 if mode[0] == "--rho" else 6)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.filterwarnings("ignore::inner_fourier.errors.TruncationWarning")
+    def test_tol_reaches_the_schedule_only_when_given(self, capsys, tmp_path):
+        path = self._coeff_file(capsys, tmp_path, "square", 8)
+        argv = ["reconstruct", "--coeffs", str(path), "--thetas=0.5:1:2", "--schedule", "1..4"]
+
+        def converged(*extra):
+            code, out, _ = run(capsys, *argv, *extra)
+            assert code == 0
+            return [row.split(",")[4] for row in out.splitlines()[1:] if row.split(",")[4]]
+
+        assert converged() == ["false", "false"]  # the schedule's own 1e-6
+        assert converged("--tol", "5") == ["true", "true"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--rho", "0.5", "--tol", "5"], ["--rho", "0.5", "--schedule", "1..4"], []],
+        ids=["tol_with_rho", "rho_and_schedule", "neither"],
+    )
+    def test_radius_options_misused_are_refused(self, capsys, tmp_path, argv):
+        path = self._coeff_file(capsys, tmp_path, "square", 8)
+        code, out, err = run(capsys, "reconstruct", "--coeffs", str(path), "--thetas=0:1:2", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("reconstruct: ") and err.count("\n") == 1
+
     def test_radius_domain_error(self, capsys, tmp_path):
         path = self._coeff_file(capsys, tmp_path, "zero", 8)
         code, _, err = run(
@@ -214,6 +249,16 @@ class TestInputErrors:
         assert main(["coeffs", "--fn", "square", "--K", "8", "--out", str(path)]) == 0
         self._one_line_usage_error(capsys, "reconstruct", "--coeffs", str(path), "--schedule", spec)
         assert "j1..j2" in run(capsys, "reconstruct", "--coeffs", str(path), "--schedule", spec)[2]
+
+    def test_c_group_with_imaginary_mean_term(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"K": 2, "c_re": [0.0, 1.0, 0.0], "c_im": [1.0, 0.0, 0.0]}))
+        self._one_line_usage_error(capsys, "reconstruct", "--coeffs", str(path), "--rho", "0.5")
+
+    def test_unknown_catalog_id_lists_the_known_ones(self, capsys):
+        self._one_line_usage_error(capsys, "coeffs", "--fn", "parabola", "--K", "4")
+        err = run(capsys, "coeffs", "--fn", "parabola", "--K", "4")[2]
+        assert "unknown catalog id 'parabola'" in err and "delta_derivative" in err and "cos_<k>" in err
 
     def test_sample_csv_one_column_row(self, capsys, tmp_path):
         path = tmp_path / "s.csv"
@@ -321,6 +366,16 @@ class TestVerifyCommand:
         assert [line.match(c).group(1) for c in checks] == names
         for c in checks:
             assert float(line.match(c).group(3)) <= float(line.match(c).group(4))
+
+    def test_classify_family_window_too_short_is_named(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "classify", "--p", "2", "--K", "8")
+        assert code == 2 and out == ""
+        assert err == "error: fit window (2, 8) spans 7 indices; need 8\n"
+
+    def test_classify_family_at_the_shortest_window(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "classify", "--p", "2", "--K", "9")
+        assert code == 0
+        assert out.splitlines()[0].startswith("family p=2 b=1: bounded=true")
 
     def test_classify_overflow_is_a_usage_error(self, capsys):
         with warnings.catch_warnings():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import oracle_cos_coefficient, oracle_sin_coefficient, sawtooth_expr
+from hypothesis import given
+from hypothesis import strategies as st
 
 from inner_fourier import (
     EvaluationError,
@@ -165,3 +167,42 @@ def test_cauchy_coefficients_radius_independent(rng):
 def test_cauchy_pole_on_circle_rejected():
     with pytest.raises(EvaluationError, match="pole"):
         coefficients_by_cauchy(delta_inner(0.0), 1, 1.0, 256)
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.5, 1.5])
+def test_cauchy_radius_outside_its_range_refused(rho):
+    w = TaylorSeries(TaylorCoefficients(np.array([1.0, 2.0], dtype=complex)))
+    with pytest.raises(ValueError, match="need 0 < rho <= 1"):
+        coefficients_by_cauchy(w, 0, rho, 64)
+
+
+_REAL = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def fourier_triples(draw, K=None):
+    K = K if K is not None else draw(st.integers(1, 32))
+    arrays = [draw(st.lists(_REAL, min_size=K, max_size=K)) for _ in range(2)]
+    return FourierCoefficients(draw(_REAL), np.array(arrays[0]), np.array(arrays[1]))
+
+
+@given(fc=fourier_triples(), c=st.lists(st.builds(complex, _REAL, _REAL), min_size=2, max_size=33))
+def test_coefficient_map_round_trips(fc, c):
+    back = from_taylor(to_taylor(fc))
+    # alpha_0 passes through c_0 = alpha_0/2, which can lose the last bit of a subnormal
+    assert abs(back.alpha0 - fc.alpha0) <= np.finfo(float).smallest_subnormal
+    assert np.array_equal(back.alpha, fc.alpha)
+    assert np.array_equal(back.beta, fc.beta)
+    tc = TaylorCoefficients(np.r_[c[0].real, c[1:]])  # a real c_0, as from_taylor requires
+    assert np.array_equal(to_taylor(from_taylor(tc)).c, tc.c)
+
+
+@given(data=st.data(), K=st.integers(1, 32), a=_REAL, b=_REAL)
+def test_coefficient_map_is_linear(data, K, a, b):
+    f, g = data.draw(fourier_triples(K), label="f"), data.draw(fourier_triples(K), label="g")
+    combo = FourierCoefficients(
+        a * f.alpha0 + b * g.alpha0, a * f.alpha + b * g.alpha, a * f.beta + b * g.beta
+    )
+    want = a * to_taylor(f).c + b * to_taylor(g).c
+    scale = abs(a) * np.abs(to_taylor(f).c) + abs(b) * np.abs(to_taylor(g).c)
+    assert np.all(np.abs(to_taylor(combo).c - want) <= 4 * np.finfo(float).eps * scale)

@@ -174,3 +174,18 @@ def test_catalog_ids_route_to_distribution_generators():
     want = delta_derivative_coefficients(DeltaSpec(0.5, 2), 8)
     assert np.array_equal(fc.alpha, want.alpha)
     assert np.array_equal(fc.beta, want.beta)
+
+
+@pytest.mark.parametrize(
+    "theta1, order, match",
+    [(math.pi, 0, "theta1"), (4.0, 0, "theta1"), (-3.5, 1, "theta1"), (0.3, -1, "order")],
+)
+def test_delta_spec_refuses_out_of_range(theta1, order, match):
+    with pytest.raises(ValueError, match=match):
+        DeltaSpec(theta1, order)
+
+
+@pytest.mark.parametrize("theta1, K", [(0.0, 1), (-1.1, 16), (2.9, 300)])
+def test_point_mass_taylor_is_its_exact_coefficients(theta1, K):
+    got = delta_inner(theta1).taylor(K).c
+    assert np.array_equal(got, to_taylor(delta_coefficients(DeltaSpec(theta1), K)).c)

@@ -37,18 +37,21 @@ def test_coefficient_payload_roundtrip(tmp_path, rng):
     fc = FourierCoefficients(1.25, rng.standard_normal(5), rng.standard_normal(5))
     tc = to_taylor(fc)
     path = tmp_path / "c.json"
-    write_json(path, coefficients_payload(fc, tc))
-    fc2, tc2 = read_coefficients_json(path)
+    write_json(path, coefficients_payload(fc))
+    fc2 = read_coefficients_json(path)
     assert fc2.alpha0 == fc.alpha0
     assert np.array_equal(fc2.alpha, fc.alpha)
     assert np.array_equal(fc2.beta, fc.beta)
-    assert np.array_equal(tc2.c, tc.c)
+    assert np.array_equal(to_taylor(fc2).c, tc.c)
 
 
 def test_partial_payloads():
     fc = FourierCoefficients(2.0, np.zeros(2), np.zeros(2))
-    fc2, tc2 = parse_coefficients(coefficients_payload(fc, None))
-    assert tc2 is None and fc2.alpha0 == 2.0
+    doc = coefficients_payload(fc)
+    del doc["c_re"], doc["c_im"]
+    fc2 = parse_coefficients(doc)
+    assert fc2.alpha0 == 2.0
+    assert np.array_equal(to_taylor(fc2).c, to_taylor(fc).c)
     with pytest.raises(ValueError):
         parse_coefficients({"K": 2})
 
@@ -73,6 +76,10 @@ def test_sample_csv_validation(tmp_path):
     bad_grid.write_text("theta,value\n0.0,1.0\n0.5,1.0\n1.0,1.0\n")
     with pytest.raises(ValueError, match="uniform"):
         read_samples_csv(bad_grid)
+    one_row = tmp_path / "r.csv"
+    one_row.write_text("theta,value\n-3.141592653589793,1.0\n")
+    with pytest.raises(ValueError, match="at least 2 sample rows"):
+        read_samples_csv(one_row)
 
 
 def test_curve_csv_formatting(tmp_path):
@@ -81,3 +88,20 @@ def test_curve_csv_formatting(tmp_path):
     text = path.read_text()
     assert text.splitlines()[0] == "theta,value,flag"
     assert "0.33333333333333331" in text
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        ([1.0, 2.0], "must be an object"),
+        ("alpha", "must be an object"),
+        ({"alpha0": 1.0, "alpha": [{"re": 1.0}], "beta": [0.0]}, "must hold numbers"),
+        # numpy's own ValueError, whose wording is numpy's
+        ({"c_re": [0.0, 1.0], "c_im": [0.0, [1.0, 2.0]]}, None),
+        ({"c_re": [0.0, "one"], "c_im": [0.0, 0.0]}, None),
+    ],
+    ids=["list", "string", "dict_entry", "ragged", "text_entry"],
+)
+def test_malformed_coefficient_documents_refused(doc, match):
+    with pytest.raises(ValueError, match=match):
+        parse_coefficients(doc)

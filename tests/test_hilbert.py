@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from inner_fourier import (
@@ -107,6 +107,21 @@ class TestSeriesProduct:
         assert not res.divergent
         assert res.value == 1.0 + 0.0j
 
+    @pytest.mark.parametrize(
+        "c",
+        [
+            np.ones(9),  # K < 32: too short to fit, flagged conservatively
+            1.1 ** np.arange(65.0),  # products 1.21**k: the fit is unbounded
+            np.r_[1.0, np.zeros(39), 1.0],  # one nonzero product in the window: the fit is refused
+        ],
+        ids=["short", "unbounded", "fit_refused"],
+    )
+    def test_nondecaying_products_flagged_on_circle(self, c):
+        tc = TaylorCoefficients(c.astype(complex))
+        with pytest.warns(DivergenceWarning):
+            res = inner_product_series(tc, tc, 1.0)
+        assert res.divergent
+
     def test_matches_contour_value(self, rng):
         worst = -math.inf
         for _ in range(30):
@@ -149,7 +164,6 @@ class TestTaylorGram:
             taylor_gram(64, DiskProductConfig(0.5, 64))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     c=st.lists(st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=2, max_size=60),
     rho0=st.floats(0.2, 1.0),

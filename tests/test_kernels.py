@@ -4,6 +4,8 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
 
 from inner_fourier import (
     ClosedForm,
@@ -322,3 +324,80 @@ def test_amplified_contour_partial_sum_refused(z, N, M):
         rep = contour_partial_sum(w, z, N, rho1, M)
         assert abs(rep.contour - exact) <= rep.roundoff_bound
         assert rep.discrepancy <= rep.roundoff_bound
+
+
+_CUBIC = TaylorSeries(TaylorCoefficients(np.array([1.0, 2.0, 3.0], dtype=complex)))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: contour_partial_sum(_CUBIC, PolarPoint(0.3, 0.0), 0, 0.8), "N must be >= 1"),
+        (lambda: remainder(_CUBIC, PolarPoint(0.3, 0.0), 0, 0.8), "N must be >= 1"),
+        (lambda: boundary_partial_sum(_CUBIC, 0.3, 0, 0.8), "N must be >= 1"),
+        (lambda: contour_partial_sum(_CUBIC, PolarPoint(0.3, 0.0), 2, 0.0), "need 0 < rho1 <= 1"),
+        (lambda: contour_partial_sum(_CUBIC, PolarPoint(0.3, 0.0), 2, 1.5), "need 0 < rho1 <= 1"),
+        (lambda: remainder(_CUBIC, PolarPoint(0.3, 0.0), 2, -0.5), "need 0 < rho1 <= 1"),
+        (lambda: remainder(_CUBIC, PolarPoint(0.3, 0.0), 2, 1.5), "need 0 < rho1 <= 1"),
+        (lambda: contour_partial_sum(_CUBIC, PolarPoint(0.3, 0.0), 65, 0.8, 64), "need M >= 65"),
+    ],
+    ids=[
+        "contour_N0",
+        "remainder_N0",
+        "boundary_N0",
+        "contour_rho1_0",
+        "contour_rho1_above_1",
+        "remainder_rho1_negative",
+        "remainder_rho1_above_1",
+        "contour_N_above_M",
+    ],
+)
+def test_kernel_arguments_outside_their_range_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+# refusals of the amplification and aliasing rules, of N > M and of |z| = rho1
+_REFUSED = "exceeds 1/sqrt|aliasing scale|alias on|ill posed"
+
+
+@st.composite
+def contour_cases(draw):
+    M = draw(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]), label="M")
+    if draw(st.booleans(), label="point mass"):
+        w = delta_inner(draw(st.floats(-math.pi, math.pi, exclude_max=True), label="theta1"))
+        # the aliasing rule admits circles up to eps**(1/M) inside the pole on |z| = 1
+        limit = EPS ** (1.0 / M)
+    else:
+        part = st.floats(-1e3, 1e3)
+        c = draw(st.lists(st.builds(complex, part, part), min_size=2, max_size=40), label="c")
+        w, limit = TaylorSeries(TaylorCoefficients(np.array(c))), 1.0
+    rho1 = draw(st.floats(0.5, 1.0), label="rho1 / limit") * limit
+    z = PolarPoint(draw(st.floats(0.0, 2.0), label="|z| / rho1") * rho1, draw(st.floats(-math.pi, math.pi)))
+    return w, z, draw(st.integers(1, 80), label="N"), rho1, M
+
+
+@given(case=contour_cases())
+def test_contour_equals_direct_wherever_the_amplification_passes(case):
+    w, z, N, rho1, M = case
+    try:
+        rep = contour_partial_sum(w, z, N, rho1, M)
+    except ValueError as exc:
+        if not re.search(_REFUSED, str(exc)):
+            raise
+        reject()
+    # the contour value's roundoff plus the direct sum's Horner bound
+    # 2N * eps * sum_{k<N} |c_k| |z|**k, as stated in quadrature; M * tiny
+    # covers operands below the underflow threshold, where no relative bound holds
+    c = w.taylor(N).c[:N]
+    horner = 2 * N * EPS * math.fsum(np.abs(c) * abs(z.z) ** np.arange(N))
+    assert rep.discrepancy <= rep.roundoff_bound + horner + M * np.finfo(float).tiny
+
+
+def test_roundoff_bound_covers_a_point_near_the_circle():
+    # 1/(z1 - z) at the node z1 = 1 inflates both contour terms of the constant i
+    # about 1600-fold, far past the sample scale eps * max|w_j| = eps
+    w = TaylorSeries(TaylorCoefficients(np.array([1j, 0.0])))
+    rep = contour_partial_sum(w, PolarPoint(0.99999, 0.0), 1, 1.0, 64)
+    assert abs(rep.contour - 1j) > 100 * EPS
+    assert abs(rep.contour - 1j) <= rep.roundoff_bound

@@ -10,14 +10,14 @@ import math
 
 import mpmath
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import given
 from hypothesis import strategies as st
 
 from inner_fourier import PeriodicFunction, TaylorCoefficients, TaylorSeries, fourier_coefficients
 from inner_fourier.quadrature import circle_coefficients, disk_points, phase_powers, power_series
 
 EPS = np.finfo(float).eps
-_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def direct_trapezoid(f: np.ndarray, K: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -38,7 +38,6 @@ def direct_trapezoid(f: np.ndarray, K: int) -> tuple[float, np.ndarray, np.ndarr
     return alpha[0], alpha[1:], beta[1:]
 
 
-@_SETTINGS
 @given(
     m=st.integers(4, 512),
     data=st.data(),
@@ -61,7 +60,6 @@ def _complex_lists(n_min, n_max):
     return st.lists(st.builds(complex, part, part), min_size=n_min, max_size=n_max)
 
 
-@_SETTINGS
 @given(
     c=_complex_lists(1, 65),
     thetas=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=4),
@@ -82,7 +80,6 @@ def test_synthesis_matches_mpmath_within_stated_bound(c, thetas, rho):
         assert abs(complex(exact) - vi) <= bound
 
 
-@_SETTINGS
 @given(
     c=_complex_lists(2, 40),
     rho=st.floats(0.7, 1.0),  # 0.7**-39 keeps the amplification below 1/sqrt(eps)
@@ -106,3 +103,10 @@ def test_synthesis_shapes_follow_the_theta_by_rho_grid():
     assert power_series(c, disk_points(0.3, 0.5)).shape == ()
     assert power_series(c, disk_points(np.zeros(5), [0.1, 0.2])).shape == (5, 2)
     assert power_series(c, disk_points(0.0, 0.5)) == 1.0 + 2.0 * 0.5 + 3.0 * 0.25
+
+
+@pytest.mark.parametrize("K, m", [(5, 11), (-1, 64)])
+def test_circle_transform_needs_2k_plus_2_nodes(K, m):
+    w = TaylorSeries(TaylorCoefficients(np.array([1.0, 2.0], dtype=complex)))
+    with pytest.raises(ValueError, match="M >= 2K \\+ 2"):
+        circle_coefficients(w, K, 0.5, m)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import abel_square_wave
+from hypothesis import given
+from hypothesis import strategies as st
 
 from inner_fourier import (
     FourierCoefficients,
@@ -227,6 +229,15 @@ class TestAngularCalculus:
             out = angular_primitive(out)
         assert np.max(np.abs(out.c[1:] - tc.c[1:])) <= 1e-14 * np.max(np.abs(c))
         assert out.c[0] == 0.0
+
+
+@given(c=st.lists(st.builds(complex, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=2, max_size=65))
+def test_primitive_inverts_derivative_on_proper_part(c):
+    tc = TaylorCoefficients(np.array(c))
+    back = angular_primitive(angular_derivative(tc))
+    # i*k*c_k and its division by i*k round each part twice
+    assert np.all(np.abs(back.c[1:] - tc.c[1:]) <= 4 * np.finfo(float).eps * np.abs(tc.c[1:]))
+    assert back.c[0] == 0.0
 
 
 def test_polar_point_normalizes_angle():
