@@ -153,7 +153,7 @@ class TestRemainder:
     @pytest.mark.parametrize("rho1", [0.5, 0.9, 0.99])
     @pytest.mark.parametrize("N", [1, 5, 20, 80])
     def test_error_within_roundoff_contract(self, rho1, N):
-        # the docstring bound eps * max|w_j| * max(1, A), A = (|z|/rho1)**N / rho1
+        # the far-field bound eps * max|w_j| * max(1, A), A = (|z|/rho1)**N / rho1
         w, z, M = geometric_series(), PolarPoint(0.4 * rho1, 1.0), 4096
         with mpmath.workdps(40):
             zz = mpmath.mpc(z.z.real, z.z.imag)
@@ -322,8 +322,11 @@ def test_amplified_contour_partial_sum_refused(z, N, M):
     exact = _delta_partial_sum(z.z, N)
     for rho1 in (lo, hi):
         rep = contour_partial_sum(w, z, N, rho1, M)
-        assert abs(rep.contour - exact) <= rep.roundoff_bound
-        assert rep.discrepancy <= rep.roundoff_bound
+        # the far-field bound eps * max|w_j| * max(1, A), A = (|z|/rho1)**N / rho1
+        _, samples = circle_samples(w, rho1, M)
+        bound = EPS * float(np.max(np.abs(samples))) * max(1.0, (z.rho / rho1) ** N / rho1)
+        assert abs(rep.contour - exact) <= bound
+        assert rep.discrepancy <= bound
 
 
 _CUBIC = TaylorSeries(TaylorCoefficients(np.array([1.0, 2.0, 3.0], dtype=complex)))
