@@ -14,7 +14,6 @@ from __future__ import annotations
 from .basis import (
     GramReport,
     completeness_probe,
-    delta_unit_mass,
     fourier_gram,
     residue_identity_check,
     scalar_product,
@@ -41,7 +40,6 @@ from .coeffs import (
 from .distributions import (
     DeltaSpec,
     delta_coefficients,
-    delta_derivative_coefficients,
     delta_inner,
     poisson_kernel,
     regulated_delta_on_grid,
@@ -72,7 +70,6 @@ from .series import (
     angular_derivative,
     angular_primitive,
     conjugate_sum,
-    eval_inner,
     regulated_sum,
     rho_limit,
     truncation_bound,
@@ -114,11 +111,8 @@ __all__ = [
     "contour_partial_sum",
     "convergence_radius_check",
     "delta_coefficients",
-    "delta_derivative_coefficients",
     "delta_inner",
-    "delta_unit_mass",
     "equivalence_check",
-    "eval_inner",
     "family_magnitudes",
     "fourier_coefficients",
     "fourier_gram",

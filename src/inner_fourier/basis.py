@@ -100,10 +100,10 @@ def completeness_probe(
     """Integral of psi against the K-term damped point-mass expansion.
 
     Converges to psi(theta1) as rho -> 1 and K grows, at continuity
-    points. With psi = cos(k*theta) the exact value is rho**k *
-    cos(k*theta1) for K >= k, and a function with vanishing coefficients
-    up to K is annihilated to roundoff. The grid must resolve every
-    kernel harmonic, hence M > K.
+    points. With psi = 1 the value is 1 at every rho (the unit mass);
+    with psi = cos(k*theta) it is rho**k * cos(k*theta1) for K >= k; a
+    function with vanishing coefficients up to K is annihilated to
+    roundoff. The grid must resolve every kernel harmonic, hence M > K.
     """
     if M <= K:
         raise ValueError(f"need M > K to resolve the kernel harmonics, got M={M}, K={K}")
@@ -111,14 +111,3 @@ def completeness_probe(
     kernel = regulated_delta_on_grid(theta_grid(M), theta1, rho, K)
     return trapezoid_periodic(vals * kernel)
 
-
-def delta_unit_mass(theta1: float, rho: float, K: int, M: int = 4096) -> float:
-    """Quadrature of the damped point-mass expansion over the full circle.
-
-    Every harmonic integrates to zero on the uniform grid, so the value is
-    carried by the constant term alone and equals 1 at every rho < 1.
-    """
-    if M <= K:
-        raise ValueError(f"need M > K to avoid aliased harmonics, got M={M}, K={K}")
-    kernel = regulated_delta_on_grid(theta_grid(M), theta1, rho, K)
-    return trapezoid_periodic(kernel)

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .coeffs import FourierCoefficients, PeriodicFunction, to_taylor
-from .distributions import DeltaSpec, delta_coefficients, delta_derivative_coefficients, poisson_kernel
+from .distributions import DeltaSpec, delta_coefficients, poisson_kernel
 from .quadrature import disk_points, power_series
 
 _COS_SIN = re.compile(r"^(cos|sin)_(\d+)$")
@@ -91,7 +91,7 @@ def _entry_delta(theta1: float = 0.0):
 
 def _entry_delta_derivative(theta1: float = 0.0, order: int = 1):
     spec = DeltaSpec(theta1, order)
-    return CatalogEntry("delta_derivative", None, partial(delta_derivative_coefficients, spec))
+    return CatalogEntry("delta_derivative", None, partial(delta_coefficients, spec))
 
 
 def _entry_poisson(r: float = 0.5, theta1: float = 0.0):

@@ -26,6 +26,7 @@ import argparse
 import inspect
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -40,8 +41,7 @@ from .fileio import (
     dumps_json,
     read_coefficients_json,
     read_samples_csv,
-    write_curve_csv,
-    write_json,
+    write_output,
 )
 from .quadrature import disk_points, power_series
 from .series import ClosedForm, PolarPoint, RhoSchedule, TaylorSeries
@@ -91,11 +91,7 @@ def cmd_coeffs(args) -> int:
         fc = resolve(args.fn, **params).coefficients(args.K)
     else:
         fc = fourier_coefficients(read_samples_csv(args.csv), args.K)
-    payload = coefficients_payload(fc)
-    if args.out:
-        write_json(args.out, payload)
-    else:
-        sys.stdout.write(dumps_json(payload))
+    write_output(dumps_json(coefficients_payload(fc)), args.out)
     return 0
 
 
@@ -125,10 +121,7 @@ def cmd_reconstruct(args) -> int:
     cols = [*np.meshgrid(thetas, rhos, indexing="ij"), values.real, values.imag, flags]
     rows = zip(*(col.ravel() for col in cols))
     header = ["theta", "rho", "value", "conjugate", "converged"]
-    if args.out:
-        write_curve_csv(args.out, header, rows)
-    else:
-        sys.stdout.write(dumps_csv(header, rows))
+    write_output(dumps_csv(header, rows), args.out)
     return 0
 
 
@@ -148,7 +141,8 @@ def _suite_complete(K=512):
     theta1 = 0.7
     worst = 0.0
     for rho in (0.3, 0.9, 0.99):
-        worst = max(worst, abs(basis.delta_unit_mass(theta1, rho, 2000, 4096) - 1.0))
+        probe = basis.completeness_probe(resolve("const").function, theta1, rho, 2000, 4096)
+        worst = max(worst, abs(probe - 1.0))
     yield "unit_mass", worst, 1e-12
     rho, M = 0.9, 4096
     worst = 0.0
@@ -328,14 +322,17 @@ def _glue_thetas(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(_glue_thetas(sys.argv[1:] if argv is None else argv))
-    try:
-        return args.func(args)
-    except (ValueError, EvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return _IO
+    with warnings.catch_warnings():
+        # one stderr line per warning, instead of Python's two naming this file
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (ValueError, EvaluationError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return _USAGE
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return _IO
 
 
 if __name__ == "__main__":

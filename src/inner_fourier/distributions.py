@@ -12,10 +12,9 @@ manifestly non decaying, so the rho = 1 trigonometric series diverges
 everywhere; the damped sums converge for every rho < 1 and recover the
 point mass in the rho -> 1 limit everywhere except at theta1.
 
-Derivative coefficients follow the distributional integration by parts
-convention and coincide with repeated angular differentiation of the
-delta coefficients; the latter is taken as the defining route here and
-the former is kept as an independent check.
+Derivative coefficients are repeated angular differentiation of the
+delta coefficients. They agree with the distributional integration by
+parts formula, which the test suite's sympy oracle checks.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import FourierCoefficients, from_taylor, to_taylor
-from .quadrature import TWO_PI, disk_points, power_series
-from .series import ClosedForm, angular_derivative
+from .quadrature import TWO_PI
+from .series import ClosedForm, angular_derivative, regulated_sum
 
 
 @dataclass(frozen=True)
@@ -71,29 +70,24 @@ def delta_inner(theta1: float) -> ClosedForm:
 
 
 def delta_coefficients(spec: DeltaSpec, K: int) -> FourierCoefficients:
-    """Exact coefficients of the point mass at spec.theta1, orders 1..K."""
-    if spec.order != 0:
-        raise ValueError("delta_coefficients requires order 0; see delta_derivative_coefficients")
+    """Exact coefficients, orders 1..K, of the point mass at spec.theta1 or its derivative.
+
+    The derivative is ``spec.order`` applications of ``angular_derivative``
+    to the point-mass coefficients, so the chain identity with the series
+    module holds bitwise. Magnitudes grow as k**order / pi.
+    """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     k = np.arange(1, K + 1)
-    return FourierCoefficients(
+    fc = FourierCoefficients(
         1.0 / math.pi,
         np.cos(k * spec.theta1) / math.pi,
         np.sin(k * spec.theta1) / math.pi,
     )
-
-
-def delta_derivative_coefficients(spec: DeltaSpec, K: int) -> FourierCoefficients:
-    """Coefficients of the order-th derivative of the point mass.
-
-    Computed as ``order`` applications of the angular derivative to the
-    delta coefficients, so the chain identity with the series module holds
-    bitwise. Magnitudes grow as k**order / pi.
-    """
-    if spec.order < 1:
-        raise ValueError("delta_derivative_coefficients requires order >= 1")
-    tc = to_taylor(delta_coefficients(DeltaSpec(spec.theta1, 0), K))
+    if spec.order == 0:
+        # the round trip through from_taylor would turn a zero beta_k into -0.0
+        return fc
+    tc = to_taylor(fc)
     for _ in range(spec.order):
         tc = angular_derivative(tc)
     return from_taylor(tc)
@@ -102,14 +96,9 @@ def delta_derivative_coefficients(spec: DeltaSpec, K: int) -> FourierCoefficient
 def regulated_delta_on_grid(theta, theta1: float, rho: float, K: int) -> np.ndarray:
     """The K-term damped delta expansion evaluated on an array of angles.
 
-    1/(2*pi) + (1/pi) * sum_{k=1..K} rho**k cos(k*(theta - theta1)),
-    the real part of the power series with c = (1/(2*pi), 1/pi, ..., 1/pi)
-    at rho*exp(i*(theta - theta1)), evaluated by Horner's rule within the
-    bound stated in ``quadrature``. Non-finite angles raise ValueError.
+    1/(2*pi) + (1/pi) * sum_{k=1..K} rho**k cos(k*(theta - theta1)): the
+    regulated sum of the point mass at 0, at the angles theta - theta1.
+    Non-finite angles raise ValueError.
     """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"need 0 <= rho < 1, got {rho}")
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    c = np.r_[1.0 / TWO_PI, np.full(K, 1.0 / math.pi)]
-    return power_series(c, disk_points(np.asarray(theta, dtype=float) - theta1, rho)).real
+    fc = delta_coefficients(DeltaSpec(0.0), K)
+    return regulated_sum(fc, np.asarray(theta, dtype=float) - theta1, rho)

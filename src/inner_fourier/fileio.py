@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -70,11 +71,6 @@ def dumps_json(obj) -> str:
     out: list[str] = []
     _emit(obj, out)
     return "".join(out) + "\n"
-
-
-def write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        fp.write(dumps_json(obj))
 
 
 def coefficients_payload(fc: FourierCoefficients) -> dict:
@@ -157,7 +153,10 @@ def dumps_csv(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def write_curve_csv(path, header: list[str], rows) -> None:
-    """Write ``dumps_csv(header, rows)`` to path."""
+def write_output(text: str, path) -> None:
+    """Write text to the file at path, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        fp.write(dumps_csv(header, rows))
+        fp.write(text)

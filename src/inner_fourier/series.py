@@ -13,6 +13,10 @@ the plain (rho = 1) trigonometric series diverges. ``rho_limit`` realizes
 that limit along a finite radius schedule and reports convergence
 empirically; it does not classify the boundary singularity at the probed
 angle.
+
+The regulated sums and ``rho_limit`` evaluate any ``InnerAnalytic``: a
+truncated series, or a closed form such as the point mass, which has no
+cutoff. Coefficients fc are read as ``TaylorSeries(to_taylor(fc))``.
 """
 
 from __future__ import annotations
@@ -184,36 +188,35 @@ class RhoLimitResult:
     extrapolated: tuple[float, ...]
 
 
-def eval_inner(w: InnerAnalytic, p: PolarPoint) -> complex:
-    """Value of w at a point strictly inside the unit disk."""
-    if p.rho >= 1.0:
-        raise ValueError(f"evaluation requires rho < 1, got rho={p.rho}")
-    return complex(w(p.z))
+def _inner(w: InnerAnalytic | FourierCoefficients) -> InnerAnalytic:
+    """w itself, or the truncated series ``TaylorSeries(to_taylor(w))`` of coefficients w."""
+    return TaylorSeries(to_taylor(w)) if isinstance(w, FourierCoefficients) else w
 
 
-def _series_at(fc: FourierCoefficients, theta: float, rho: float) -> complex:
+def _disk_values(w: InnerAnalytic | FourierCoefficients, theta, rho: float):
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"need 0 <= rho < 1, got {rho}")
-    return complex(power_series(to_taylor(fc).c, disk_points(theta, rho)))
+    return _inner(w)(disk_points(theta, rho))
 
 
-def regulated_sum(fc: FourierCoefficients, theta: float, rho: float) -> float:
-    """alpha_0/2 + sum rho**k [alpha_k cos(k theta) + beta_k sin(k theta)], rho < 1.
+def regulated_sum(w: InnerAnalytic | FourierCoefficients, theta, rho: float):
+    """Re w(rho*exp(i*theta)) for 0 <= rho < 1, at one angle or an array of angles.
 
-    Equals the real part of the power series at (rho, theta), evaluated by
-    Horner's rule within the bound stated in ``quadrature``. A non-finite
-    theta raises ValueError.
+    For coefficients fc this is alpha_0/2 + sum rho**k [alpha_k cos(k theta)
+    + beta_k sin(k theta)], evaluated by Horner's rule within the bound
+    stated in ``quadrature``. A non-finite theta raises ValueError.
     """
-    return _series_at(fc, theta, rho).real
+    return _disk_values(w, theta, rho).real
 
 
-def conjugate_sum(fc: FourierCoefficients, theta: float, rho: float) -> float:
-    """sum rho**k [alpha_k sin(k theta) - beta_k cos(k theta)], rho < 1.
+def conjugate_sum(w: InnerAnalytic | FourierCoefficients, theta, rho: float):
+    """Im w(rho*exp(i*theta)) for 0 <= rho < 1, at one angle or an array of angles.
 
-    Equals the imaginary part of the power series at (rho, theta); its
-    rho -> 1 limit is the Fourier conjugate of the function behind fc.
+    For coefficients fc this is sum rho**k [alpha_k sin(k theta) - beta_k
+    cos(k theta)]; its rho -> 1 limit is the Fourier conjugate of the
+    function behind fc.
     """
-    return _series_at(fc, theta, rho).imag
+    return _disk_values(w, theta, rho).imag
 
 
 def truncation_bound(rho: float, K: int) -> float:
@@ -221,20 +224,24 @@ def truncation_bound(rho: float, K: int) -> float:
     return rho ** (K + 1) / (1.0 - rho)
 
 
-def rho_limit(fc: FourierCoefficients, theta: float, sched: RhoSchedule) -> RhoLimitResult:
-    """Evaluate the regulated sum along a radius schedule.
+def rho_limit(
+    w: InnerAnalytic | FourierCoefficients, theta: float, sched: RhoSchedule
+) -> RhoLimitResult:
+    """Evaluate Re w(rho*exp(i*theta)) along a radius schedule.
 
     The returned value is the evaluation at the last radius; the full
-    history is kept for diagnostics. All radii are evaluated in one
-    Horner pass; a non-finite theta raises ValueError. A first order
-    Richardson step 2*v[j+1] - v[j] (valid for schedules that halve
-    1 - rho) is returned alongside as ``extrapolated``, leaving the plain
-    values untouched.
+    history is kept for diagnostics. All radii are evaluated in one call
+    of w; a non-finite theta raises ValueError. ``truncation_suspect``
+    (and its warning) checks the cutoff ``w.degree`` of a truncated
+    series and is False for a closed form. A first order Richardson step
+    2*v[j+1] - v[j] (valid for schedules that halve 1 - rho) is returned
+    alongside as ``extrapolated``, leaving the plain values untouched.
     """
-    values = power_series(to_taylor(fc).c, disk_points(theta, sched.rhos)).real
+    w = _inner(w)
+    values = w(disk_points(theta, sched.rhos)).real
     history = tuple(values.tolist())
     converged = bool(sched.converged(values))
-    suspect = sched.truncation_suspect(fc.K)
+    suspect = w.degree is not None and sched.truncation_suspect(w.degree)
     extrapolated = tuple((2.0 * values[1:] - values[:-1]).tolist())
     return RhoLimitResult(history[-1], converged, history, suspect, extrapolated)
 

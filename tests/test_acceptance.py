@@ -27,9 +27,7 @@ from inner_fourier import (
     contour_partial_sum,
     convergence_radius_check,
     delta_coefficients,
-    delta_derivative_coefficients,
     delta_inner,
-    delta_unit_mass,
     equivalence_check,
     family_magnitudes,
     fourier_coefficients,
@@ -124,8 +122,10 @@ def test_criterion_3_delta_poisson_identity():
         err = abs(regulated_sum(fc, theta, rho) - poisson_kernel(theta, theta1, rho))
         bound = rho ** (K + 1) / (math.pi * (1.0 - rho)) + 1e-12
         worst_excess = max(worst_excess, err - bound)
+    const = resolve("const").function
     mass_err = max(
-        abs(delta_unit_mass(0.7, rho, 2000, 4096) - 1.0) for rho in (0.1, 0.5, 0.9, 0.99, 0.999)
+        abs(completeness_probe(const, 0.7, rho, 2000, 4096) - 1.0)
+        for rho in (0.1, 0.5, 0.9, 0.99, 0.999)
     )
     _report(
         3,
@@ -293,7 +293,7 @@ def test_criterion_8_hilbert():
 def test_criterion_9_cross_module_and_cli():
     exact = True
     for n in range(1, 6):
-        direct = delta_derivative_coefficients(DeltaSpec(0.33, n), 64)
+        direct = delta_coefficients(DeltaSpec(0.33, n), 64)
         tc = to_taylor(delta_coefficients(DeltaSpec(0.33), 64))
         for _ in range(n):
             tc = angular_derivative(tc)

@@ -9,7 +9,7 @@ from inner_fourier import (
     TaylorCoefficients,
     classify_sequence,
     convergence_radius_check,
-    delta_derivative_coefficients,
+    delta_coefficients,
     equivalence_check,
     family_magnitudes,
     fourier_coefficients,
@@ -109,7 +109,7 @@ class TestPropertyOneEcho:
 
 class TestEquivalence:
     def test_distributional_derivative_agrees(self):
-        fc = delta_derivative_coefficients(DeltaSpec(0.4, 3), 512)
+        fc = delta_coefficients(DeltaSpec(0.4, 3), 512)
         rep = equivalence_check(fc)
         assert rep.c_bounded and rep.ab_bounded and rep.agree
 

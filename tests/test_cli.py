@@ -142,6 +142,18 @@ class TestReconstructCommand:
                 assert abs(value - math.copysign(1.0, theta)) < 0.02
                 assert cells[4] == "true"
 
+    def test_truncation_warning_is_one_stderr_line(self, capsys, tmp_path):
+        path = self._coeff_file(capsys, tmp_path, "square", 64)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(inner_fourier.__file__)))
+        env.pop("PYTHONWARNINGS", None)
+        argv = ["reconstruct", "--coeffs", str(path), "--thetas=-pi:pi:4", "--schedule", "1..12"]
+        cmd = [sys.executable, "-m", "inner_fourier", *argv]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == (
+            "warning: K=64 truncation bound 4.03e+03 exceeds schedule tol 1e-06 at rho=0.999755859375\n"
+        )
+
     def test_point_mass_poisson_curve(self, capsys, tmp_path):
         from inner_fourier import poisson_kernel
 

@@ -7,13 +7,13 @@ import pytest
 from inner_fourier import FourierCoefficients, to_taylor
 from inner_fourier.fileio import (
     coefficients_payload,
+    dumps_csv,
     dumps_json,
     format_float,
     parse_coefficients,
     read_coefficients_json,
     read_samples_csv,
-    write_curve_csv,
-    write_json,
+    write_output,
 )
 from inner_fourier.quadrature import theta_grid
 
@@ -37,7 +37,7 @@ def test_coefficient_payload_roundtrip(tmp_path, rng):
     fc = FourierCoefficients(1.25, rng.standard_normal(5), rng.standard_normal(5))
     tc = to_taylor(fc)
     path = tmp_path / "c.json"
-    write_json(path, coefficients_payload(fc))
+    write_output(dumps_json(coefficients_payload(fc)), path)
     fc2 = read_coefficients_json(path)
     assert fc2.alpha0 == fc.alpha0
     assert np.array_equal(fc2.alpha, fc.alpha)
@@ -84,11 +84,10 @@ def test_sample_csv_validation(tmp_path):
 
 def test_curve_csv_formatting(tmp_path):
     path = tmp_path / "curve.csv"
-    write_curve_csv(path, ["theta", "value", "flag"], [(0.5, 1.0 / 3.0, "true")])
+    write_output(dumps_csv(["theta", "value", "flag"], [(0.5, 1.0 / 3.0, "true")]), path)
     text = path.read_text()
     assert text.splitlines()[0] == "theta,value,flag"
     assert "0.33333333333333331" in text
-
 
 @pytest.mark.parametrize(
     "doc, match",

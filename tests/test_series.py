@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from inner_fourier import (
     conjugate_sum,
     delta_coefficients,
     delta_inner,
-    eval_inner,
     fourier_coefficients,
     poisson_kernel,
     regulated_sum,
@@ -27,6 +27,8 @@ from inner_fourier import (
     to_taylor,
 )
 from inner_fourier.distributions import DeltaSpec
+
+EPS = np.finfo(float).eps
 
 
 def _fc(alpha0=0.0, alpha=(), beta=(), K=None):
@@ -40,19 +42,23 @@ def _fc(alpha0=0.0, alpha=(), beta=(), K=None):
 class TestEvalInner:
     def test_constant_series(self):
         w = TaylorSeries(TaylorCoefficients(np.array([1.0, 0.0], dtype=complex)))
-        assert eval_inner(w, PolarPoint(0.3, 2.0)) == pytest.approx(1.0)
+        assert regulated_sum(w, 2.0, 0.3) == pytest.approx(1.0)
+        assert conjugate_sum(w, 2.0, 0.3) == 0.0
 
     def test_identity_series(self):
         w = TaylorSeries(TaylorCoefficients(np.array([0.0, 1.0], dtype=complex)))
-        assert eval_inner(w, PolarPoint(0.5, math.pi / 2)) == pytest.approx(0.5j)
+        assert regulated_sum(w, math.pi / 2, 0.5) == pytest.approx(0.0, abs=1e-16)
+        assert conjugate_sum(w, math.pi / 2, 0.5) == pytest.approx(0.5)
 
     def test_point_mass_at_origin(self):
-        assert eval_inner(delta_inner(0.0), PolarPoint(0.0, 1.3)) == pytest.approx(1 / (2 * math.pi))
+        assert regulated_sum(delta_inner(0.0), 1.3, 0.0) == pytest.approx(1 / (2 * math.pi))
 
     def test_outside_disk_rejected(self):
         w = TaylorSeries(TaylorCoefficients(np.array([1.0, 0.0], dtype=complex)))
         with pytest.raises(ValueError, match="rho < 1"):
-            eval_inner(w, PolarPoint(1.0, 0.0))
+            regulated_sum(w, 0.0, 1.0)
+        with pytest.raises(ValueError, match="rho < 1"):
+            conjugate_sum(delta_inner(0.0), 0.0, 1.0)
 
 
 class TestRegulatedSum:
@@ -104,10 +110,22 @@ def test_sums_match_series_evaluation(rng):
         )
         theta = float(rng.uniform(-math.pi, math.pi))
         rho = float(rng.uniform(0.0, 0.999))
-        w = eval_inner(TaylorSeries(to_taylor(fc)), PolarPoint(rho, theta))
+        w = TaylorSeries(to_taylor(fc))(PolarPoint(rho, theta).z)
         scale = max(1.0, abs(w))
         assert abs(regulated_sum(fc, theta, rho) - w.real) < 1e-12 * scale
         assert abs(conjugate_sum(fc, theta, rho) - w.imag) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("w", [_fc(alpha0=0.5, alpha=(1.0, -0.25), beta=(0.5,)), delta_inner(0.7)])
+def test_sums_on_an_angle_array_equal_the_scalar_calls(w):
+    thetas, rho = np.linspace(-3.0, 3.0, 41), 0.9
+    for f in (regulated_sum, conjugate_sum):
+        got = f(w, thetas, rho)
+        want = np.array([f(w, float(t), rho) for t in thetas])
+        assert got.shape == thetas.shape
+        # numpy's vectorised complex product may round differently from its
+        # one-element path, so the two agree to a few ulps, not bitwise
+        np.testing.assert_allclose(got, want, rtol=0, atol=8 * EPS * np.max(np.abs(want)))
 
 
 def test_poisson_closed_form_within_truncation(rng):
@@ -168,6 +186,19 @@ class TestRhoLimit:
         assert len(res.extrapolated) == len(res.history) - 1
         # first order error in (1 - rho) cancels, so the extrapolant is closer
         assert abs(res.extrapolated[-1] - 0.5) < abs(res.history[-1] - 0.5)
+
+    @pytest.mark.parametrize("theta1", [0.7, -3.0])
+    def test_point_mass_closed_form_is_its_poisson_kernel(self, theta1):
+        sched = RhoSchedule.geometric(1, 14)
+        for theta in theta1 + np.array([0.5, 1.0, 2.0, math.pi, -0.5, -2.5]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = rho_limit(delta_inner(theta1), float(theta), sched)
+            want = [poisson_kernel(float(theta), theta1, rho) for rho in sched.rhos]
+            # Re w = 1/(2 pi) - Re(z/(z - z1))/pi cancels to ~1e-5 at the last
+            # radius, so the closed form agrees to ~1e-16 absolute, ~4e-12 relative
+            np.testing.assert_allclose(res.history, want, rtol=1e-12, atol=1e-15)
+            assert not res.truncation_suspect
 
     def test_truncation_warning_condition(self):
         fc = delta_coefficients(DeltaSpec(0.0), 50)
