@@ -15,9 +15,10 @@ Three subcommands, each reading every option it accepts:
   --K and --rho0, kernels and classify none; --p or --b makes classify
   check one family, which reads --p, --b and --K. It refuses the rest.
 
-All output is deterministic: fixed evaluation order, fixed seeds, floats
-printed with 17 significant digits. Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 I/O error.
+All output is deterministic: fixed evaluation order, fixed seeds, every
+float printed as its shortest exact repr, so a file reads back as the
+same doubles and identical inputs give identical bytes. Exit codes: 0
+success, 1 verification failure, 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def cmd_reconstruct(args) -> int:
     if args.rho is not None and args.tol is not None:
         print("reconstruct: --tol is read only with --schedule", file=sys.stderr)
         return _USAGE
-    fc = read_coefficients_json(args.coeffs)
+    tc = to_taylor(read_coefficients_json(args.coeffs))
     thetas = _parse_theta_grid(args.thetas)
     if args.rho is not None:
         if not 0.0 <= args.rho < 1.0:
@@ -111,17 +112,16 @@ def cmd_reconstruct(args) -> int:
         rhos = np.array([args.rho])
     else:
         sched = _parse_schedule(args.schedule, args.tol)
-        sched.truncation_suspect(fc.K)
+        sched.truncation_suspect(tc)
         rhos = np.array(sched.rhos)
     # one row per (theta, rho), theta major; value and conjugate are Re and Im
-    values = power_series(to_taylor(fc).c, disk_points(thetas, rhos))
+    values = power_series(tc.c, disk_points(thetas, rhos))
     flags = np.full(values.shape, "", dtype=object)
     if args.rho is None:
         flags[:, -1] = np.where(sched.converged(values.real), "true", "false")
     cols = [*np.meshgrid(thetas, rhos, indexing="ij"), values.real, values.imag, flags]
-    rows = zip(*(col.ravel() for col in cols))
     header = ["theta", "rho", "value", "conjugate", "converged"]
-    write_output(dumps_csv(header, rows), args.out)
+    write_output(dumps_csv(header, [col.ravel() for col in cols]), args.out)
     return 0
 
 

@@ -1,16 +1,17 @@
-"""Deterministic JSON and CSV serialization.
+"""Deterministic JSON and CSV serialization through the standard library.
 
-Floats are written with 17 significant digits, enough to round-trip any
-double exactly, and emission order is fixed, so identical inputs produce
-byte-identical files.
+Every float is written as its shortest exact repr (``0.1``, not
+``0.10000000000000001``), which reads back as the same double, in a fixed
+order, so identical inputs give identical bytes. A non-finite float
+raises ValueError.
 
 Coefficient JSON carries the real triple as {"K", "alpha0", "alpha",
 "beta"} and the complex sequence as {"K", "c_re", "c_im"}; one file may
 hold both key groups if c is exactly ``to_taylor`` of the triple, and a
 "K" key must equal the harmonic count of the arrays. Either group alone
-reads as the same ``FourierCoefficients``. Sample CSV is two
-columns "theta,value" with a required header, on the uniform grid
-starting at -pi.
+reads as the same ``FourierCoefficients``; every entry must be a JSON
+number. Sample CSV is two columns "theta,value" with a required header,
+on the uniform grid starting at -pi.
 """
 
 from __future__ import annotations
@@ -27,50 +28,9 @@ from .coeffs import FourierCoefficients, PeriodicFunction, TaylorCoefficients, f
 from .quadrature import theta_grid
 
 
-def format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non finite value {x!r}")
-    s = f"{x:.17g}"
-    if "e" not in s and "." not in s:
-        s += ".0"
-    return s
-
-
-def _emit(obj, out: list[str]) -> None:
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(f'"{k}": ')
-            _emit(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(", ")
-            _emit(v, out)
-        out.append("]")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif obj is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps_json(obj) -> str:
-    """Serialize with fixed key order and 17-significant-digit floats."""
-    out: list[str] = []
-    _emit(obj, out)
-    return "".join(out) + "\n"
+    """Serialize with the standard library; a non-finite float raises ValueError."""
+    return json.dumps(obj, allow_nan=False) + "\n"
 
 
 def coefficients_payload(fc: FourierCoefficients) -> dict:
@@ -78,11 +38,11 @@ def coefficients_payload(fc: FourierCoefficients) -> dict:
     c = to_taylor(fc).c
     return {
         "K": fc.K,
-        "alpha0": fc.alpha0,
-        "alpha": list(fc.alpha),
-        "beta": list(fc.beta),
-        "c_re": list(c.real),
-        "c_im": list(c.imag),
+        "alpha0": float(fc.alpha0),
+        "alpha": fc.alpha.tolist(),
+        "beta": fc.beta.tolist(),
+        "c_re": c.real.tolist(),
+        "c_im": c.imag.tolist(),
     }
 
 
@@ -90,10 +50,11 @@ def _numbers(doc: dict, *keys: str) -> list[np.ndarray]:
     for k in keys:
         if k not in doc:
             raise ValueError(f"coefficient JSON has {keys[0]!r} but lacks {k!r}")
-    try:
-        return [np.asarray(doc[k], dtype=float) for k in keys]
-    except TypeError:
-        raise ValueError(f"coefficient JSON keys {', '.join(keys)} must hold numbers") from None
+    entries = [x for k in keys for x in (doc[k] if isinstance(doc[k], list) else [doc[k]])]
+    # bool is an int, and numpy would also read the string "1.5" as a number
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entries):
+        raise ValueError(f"coefficient JSON keys {', '.join(keys)} must hold numbers")
+    return [np.asarray(doc[k], dtype=float) for k in keys]
 
 
 def parse_coefficients(doc: dict) -> FourierCoefficients:
@@ -136,20 +97,22 @@ def read_samples_csv(path) -> PeriodicFunction:
         raise ValueError(f"{path}: every sample row needs two columns, theta and value")
     theta = np.array([float(r[0]) for r in body])
     vals = np.array([float(r[1]) for r in body])
-    if np.max(np.abs(theta - theta_grid(theta.size))) > 1e-9:
+    # written so that a NaN angle fails the comparison and is refused
+    if not np.all(np.abs(theta - theta_grid(theta.size)) <= 1e-9):
         raise ValueError(f"{path}: samples are not on the uniform grid starting at -pi")
     return PeriodicFunction.from_samples(vals, name=str(path))
 
 
-def dumps_csv(header: list[str], rows) -> str:
-    """Serialize rows of floats/strings with fixed float formatting."""
+def dumps_csv(header: list[str], columns) -> str:
+    """One row per index of the equal-length columns of floats or strings, under header."""
+    cols = [np.asarray(col).tolist() for col in columns]
+    bad = [v for col in cols for v in col if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"cannot serialize non finite value {bad[0]!r}")
     buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        cells = [
-            format_float(v) if isinstance(v, (float, np.floating)) else str(v) for v in row
-        ]
-        buf.write(",".join(cells) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*cols))
     return buf.getvalue()
 
 

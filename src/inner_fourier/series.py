@@ -154,11 +154,16 @@ class RhoSchedule:
         """Whether the last two values along the last (radius) axis differ by less than tol."""
         return np.abs(np.diff(values)[..., -1]) < self.tol
 
-    def truncation_suspect(self, K: int) -> bool:
-        """Whether the K-term cutoff may dominate tol at the last radius; warns when it does."""
-        bound = truncation_bound(self.rhos[-1], K)
+    def truncation_suspect(self, tc: TaylorCoefficients) -> bool:
+        """Whether the cutoff of c_0..c_K may dominate tol at the last radius; warns when it does.
+
+        ``truncation_bound`` is scaled by the largest |c_k| over K/2 <= k <= K,
+        a window that the square wave's zero even-index coefficients leave full.
+        """
+        scale = float(np.max(np.abs(tc.c[(tc.K + 1) // 2 :])))
+        bound = scale * truncation_bound(self.rhos[-1], tc.K)
         if bound > self.tol:
-            msg = f"K={K} truncation bound {bound:.3g} exceeds schedule tol {self.tol:.3g}"
+            msg = f"K={tc.K} truncation bound {bound:.3g} exceeds schedule tol {self.tol:.3g}"
             warnings.warn(f"{msg} at rho={self.rhos[-1]}", TruncationWarning, stacklevel=3)
         return bound > self.tol
 
@@ -220,7 +225,7 @@ def conjugate_sum(w: InnerAnalytic | FourierCoefficients, theta, rho: float):
 
 
 def truncation_bound(rho: float, K: int) -> float:
-    """rho**(K+1) / (1 - rho), a scale for the discarded tail at radius rho."""
+    """rho**(K+1) / (1 - rho), the discarded tail at radius rho of coefficients bounded by 1."""
     return rho ** (K + 1) / (1.0 - rho)
 
 
@@ -232,16 +237,16 @@ def rho_limit(
     The returned value is the evaluation at the last radius; the full
     history is kept for diagnostics. All radii are evaluated in one call
     of w; a non-finite theta raises ValueError. ``truncation_suspect``
-    (and its warning) checks the cutoff ``w.degree`` of a truncated
-    series and is False for a closed form. A first order Richardson step
-    2*v[j+1] - v[j] (valid for schedules that halve 1 - rho) is returned
-    alongside as ``extrapolated``, leaving the plain values untouched.
+    (and its warning) weighs a series' cutoff by its coefficients and is
+    False for a closed form. A first order Richardson step 2*v[j+1] - v[j]
+    (valid for schedules that halve 1 - rho) is returned alongside as
+    ``extrapolated``, leaving the plain values untouched.
     """
     w = _inner(w)
     values = w(disk_points(theta, sched.rhos)).real
     history = tuple(values.tolist())
     converged = bool(sched.converged(values))
-    suspect = w.degree is not None and sched.truncation_suspect(w.degree)
+    suspect = isinstance(w, TaylorSeries) and sched.truncation_suspect(w.tc)
     extrapolated = tuple((2.0 * values[1:] - values[:-1]).tolist())
     return RhoLimitResult(history[-1], converged, history, suspect, extrapolated)
 

@@ -151,7 +151,7 @@ class TestReconstructCommand:
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stderr == (
-            "warning: K=64 truncation bound 4.03e+03 exceeds schedule tol 1e-06 at rho=0.999755859375\n"
+            "warning: K=64 truncation bound 156 exceeds schedule tol 1e-06 at rho=0.999755859375\n"
         )
 
     def test_point_mass_poisson_curve(self, capsys, tmp_path):
@@ -290,6 +290,31 @@ def test_outputs_are_byte_identical_across_processes(tmp_path):
     coeffs_path.write_bytes(coeffs)
     sweep = ["reconstruct", "--coeffs", str(coeffs_path), "--thetas=-pi:pi:64", "--schedule", "1..14"]
     assert cli(*sweep) == cli(*sweep)
+
+
+def test_every_float_token_is_its_shortest_repr(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(inner_fourier.__file__)))
+    csv_path, coeffs_path = tmp_path / "s.csv", tmp_path / "c.json"
+    rows = "".join(f"{t!r},{math.exp(math.cos(t))!r}\n" for t in theta_grid(64).tolist())
+    csv_path.write_text("theta,value\n" + rows)
+
+    def cli(*argv):
+        cmd = [sys.executable, "-W", "ignore", "-m", "inner_fourier", *argv]
+        return subprocess.run(cmd, env=env, capture_output=True, check=True, text=True).stdout
+
+    outputs = [
+        cli("coeffs", "--csv", str(csv_path), "--K", "16"),
+        cli("coeffs", "--fn", "delta_derivative", "--order", "2", "--theta1", "0.3", "--K", "16"),
+    ]
+    coeffs_path.write_text(cli("coeffs", "--fn", "square", "--K", "16"))
+    for mode in (["--rho", "0.9"], ["--schedule", "1..6"]):
+        outputs.append(cli("reconstruct", "--coeffs", str(coeffs_path), "--thetas=-pi:pi:16", *mode))
+    for text in outputs:
+        # JSON keys are quoted and CSV words start with a letter, so number tokens start with - or a digit
+        tokens = [t for t in re.split(r"[\s,:\[\]{}]+", text) if t[:1] in tuple("-0123456789")]
+        floats = [t for t in tokens if not t.isdigit()]
+        assert len(floats) >= 64
+        assert [t for t in floats if t != repr(float(t))] == []
 
 
 class TestVerifyCommand:

@@ -1,15 +1,18 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from inner_fourier import FourierCoefficients, to_taylor
+from inner_fourier.cli import main
 from inner_fourier.fileio import (
     coefficients_payload,
     dumps_csv,
     dumps_json,
-    format_float,
     parse_coefficients,
     read_coefficients_json,
     read_samples_csv,
@@ -18,12 +21,29 @@ from inner_fourier.fileio import (
 from inner_fourier.quadrature import theta_grid
 
 
-def test_float_formatting_roundtrips():
-    for x in (0.1, -1.0 / 3.0, 2.0, 1e-300, math.pi, -0.0):
-        assert float(format_float(x)) == x
-    assert format_float(2.0) == "2.0"
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(2.2250738585072014e-308)
+@example(1.7976931348623157e308)
+@example(-1.7976931348623157e308)
+def test_floats_read_back_bitwise(x):
+    (from_json,) = json.loads(dumps_json([x]))
+    from_csv = float(dumps_csv(["x"], [[x]]).splitlines()[1])
+    assert _bits(from_json) == _bits(x)
+    assert _bits(from_csv) == _bits(x)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_floats_refused(x):
     with pytest.raises(ValueError):
-        format_float(math.inf)
+        dumps_json({"a": [1.0, x]})
+    with pytest.raises(ValueError):
+        dumps_csv(["a", "b"], [[1.0, 2.0], [0.5, x]])
 
 
 def test_json_emitter_is_valid_json():
@@ -31,6 +51,7 @@ def test_json_emitter_is_valid_json():
     parsed = json.loads(dumps_json(doc))
     assert parsed["b"] == [0.5, 2.0, -1e-9]
     assert parsed["c"] == 'x"y'
+    assert dumps_json({"K": 2, "b": [0.1, -0.0]}) == '{"K": 2, "b": [0.1, -0.0]}\n'
 
 
 def test_coefficient_payload_roundtrip(tmp_path, rng):
@@ -67,7 +88,7 @@ def test_sample_csv_roundtrip(tmp_path):
     assert np.max(np.abs(f.samples - np.cos(grid))) < 1e-16
 
 
-def test_sample_csv_validation(tmp_path):
+def test_sample_csv_validation(tmp_path, capsys):
     bad_header = tmp_path / "h.csv"
     bad_header.write_text("x,y\n0,1\n1,2\n")
     with pytest.raises(ValueError, match="header"):
@@ -80,14 +101,24 @@ def test_sample_csv_validation(tmp_path):
     one_row.write_text("theta,value\n-3.141592653589793,1.0\n")
     with pytest.raises(ValueError, match="at least 2 sample rows"):
         read_samples_csv(one_row)
+    # a NaN angle makes every comparison with the grid false, so it must not pass as on the grid
+    for name, nan_rows in (("all_nan.csv", range(8)), ("one_nan.csv", [3])):
+        theta = theta_grid(8).tolist()
+        for j in nan_rows:
+            theta[j] = math.nan
+        path = tmp_path / name
+        path.write_text("theta,value\n" + "".join(f"{t!r},1.0\n" for t in theta))
+        assert main(["coeffs", "--csv", str(path), "--K", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(path) in captured.err and "uniform grid" in captured.err
 
 
 def test_curve_csv_formatting(tmp_path):
     path = tmp_path / "curve.csv"
-    write_output(dumps_csv(["theta", "value", "flag"], [(0.5, 1.0 / 3.0, "true")]), path)
-    text = path.read_text()
-    assert text.splitlines()[0] == "theta,value,flag"
-    assert "0.33333333333333331" in text
+    write_output(dumps_csv(["theta", "value", "flag"], [[0.5], [1.0 / 3.0], ["true"]]), path)
+    assert path.read_text() == "theta,value,flag\n0.5,0.3333333333333333,true\n"
 
 @pytest.mark.parametrize(
     "doc, match",
@@ -95,11 +126,18 @@ def test_curve_csv_formatting(tmp_path):
         ([1.0, 2.0], "must be an object"),
         ("alpha", "must be an object"),
         ({"alpha0": 1.0, "alpha": [{"re": 1.0}], "beta": [0.0]}, "must hold numbers"),
-        # numpy's own ValueError, whose wording is numpy's
-        ({"c_re": [0.0, 1.0], "c_im": [0.0, [1.0, 2.0]]}, None),
-        ({"c_re": [0.0, "one"], "c_im": [0.0, 0.0]}, None),
+        ({"c_re": [0.0, 1.0], "c_im": [0.0, [1.0, 2.0]]}, "must hold numbers"),
+        ({"c_re": [0.0, "one"], "c_im": [0.0, 0.0]}, "must hold numbers"),
+        # numpy reads the string "1.5" and the booleans as numbers; JSON does not
+        ({"alpha0": "1.5", "alpha": ["0.5", True], "beta": [False, "2"]}, "must hold numbers"),
+        ({"alpha0": 1.5, "alpha": [0.5, 1.0], "beta": [0.0, "2"]}, "must hold numbers"),
+        ({"alpha0": True, "alpha": [0.5, 1.0], "beta": [0.0, 2.0]}, "must hold numbers"),
+        ({"c_re": [0.0, False], "c_im": [0.0, 0.0]}, "must hold numbers"),
     ],
-    ids=["list", "string", "dict_entry", "ragged", "text_entry"],
+    ids=[
+        "list", "string", "dict_entry", "ragged", "text_entry",
+        "strings_and_bools", "one_string", "bool_alpha0", "bool_c",
+    ],
 )
 def test_malformed_coefficient_documents_refused(doc, match):
     with pytest.raises(ValueError, match=match):

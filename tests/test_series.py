@@ -206,6 +206,19 @@ class TestRhoLimit:
             res = rho_limit(fc, 2.0, RhoSchedule.geometric(1, 12, tol=1e-6))
         assert res.truncation_suspect
 
+    def test_truncation_bound_scales_with_the_coefficients(self):
+        # |c_k| = k**3 / pi: a unit-coefficient bound (6.2e-13) would pass a cutoff that
+        # is 2.7e-5 off the K = 8192 value at rho = 1 - 2**-6, against tol 1e-6
+        sched = RhoSchedule.geometric(1, 6)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = rho_limit(delta_coefficients(DeltaSpec(0.0, 3), 2048), 1.0, sched)
+        assert res.truncation_suspect
+        assert [type(w.message) for w in caught] == [TruncationWarning]
+        assert "truncation bound 0.00169 " in str(caught[0].message)
+        longer = rho_limit(delta_coefficients(DeltaSpec(0.0, 3), 8192), 1.0, sched)
+        assert abs(res.value - longer.value) > sched.tol
+
 
 class TestSchedule:
     def test_validation(self):
