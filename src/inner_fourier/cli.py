@@ -8,7 +8,10 @@ Three subcommands, each reading every option it accepts:
   refuses it.
 - ``reconstruct --coeffs PATH [--thetas lo:hi:n] (--rho R | --schedule
   j1..j2 [--tol T]) [--out PATH]`` sweeps the damped sums over a theta
-  grid and writes curve CSV; --tol with --rho is refused.
+  grid and writes curve CSV; --tol with --rho is refused. The values come
+  from ``TaylorSeries.polar``: one folded inverse FFT per radius when the
+  grid spans one full period (the default -pi:pi:256), Horner's rule on
+  a partial arc.
 - ``verify --suite NAME [--K K] [--rho0 R] [--p P] [--b B]`` runs one
   verification suite and exits 1 on any tolerance violation. Each suite
   reads the options its function takes: ortho and complete --K, hilbert
@@ -44,7 +47,6 @@ from .fileio import (
     read_samples_csv,
     write_output,
 )
-from .quadrature import disk_points, power_series
 from .series import ClosedForm, PolarPoint, RhoSchedule, TaylorSeries
 
 _USAGE, _IO = 2, 3
@@ -115,7 +117,7 @@ def cmd_reconstruct(args) -> int:
         sched.truncation_suspect(tc)
         rhos = np.array(sched.rhos)
     # one row per (theta, rho), theta major; value and conjugate are Re and Im
-    values = power_series(tc.c, disk_points(thetas, rhos))
+    values = TaylorSeries(tc).polar(thetas, rhos)
     flags = np.full(values.shape, "", dtype=object)
     if args.rho is None:
         flags[:, -1] = np.where(sched.converged(values.real), "true", "false")

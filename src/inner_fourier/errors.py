@@ -2,7 +2,7 @@
 
 
 class EvaluationError(ArithmeticError):
-    """A function was evaluated at a declared singular point or pole."""
+    """A function was evaluated at a declared singular point or pole, or its value overflowed."""
 
 
 class TruncationWarning(UserWarning):

@@ -8,10 +8,11 @@ raises ValueError.
 Coefficient JSON carries the real triple as {"K", "alpha0", "alpha",
 "beta"} and the complex sequence as {"K", "c_re", "c_im"}; one file may
 hold both key groups if c is exactly ``to_taylor`` of the triple, and a
-"K" key must equal the harmonic count of the arrays. Either group alone
-reads as the same ``FourierCoefficients``; every entry must be a JSON
-number. Sample CSV is two columns "theta,value" with a required header,
-on the uniform grid starting at -pi.
+"K" key must be an integer, not a bool, equal to the harmonic count of
+the arrays. Either group alone reads as the same ``FourierCoefficients``;
+every entry must be a JSON number. Sample CSV is two columns
+"theta,value" with a required header, on the uniform grid starting at
+-pi, and finite values.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ def parse_coefficients(doc: dict) -> FourierCoefficients:
         fc = from_taylor(tc)
     elif tc is not None and not np.array_equal(tc.c, to_taylor(fc).c):
         raise ValueError("coefficient JSON c_re/c_im is not the Taylor form of its alpha0/alpha/beta")
+    if "K" in doc and (not isinstance(doc["K"], int) or isinstance(doc["K"], bool)):
+        raise ValueError(f"coefficient JSON key 'K' must be an integer, got {doc['K']!r}")
     if "K" in doc and doc["K"] != fc.K:
         raise ValueError(f"coefficient JSON says K = {doc['K']!r} but holds {fc.K} harmonics")
     return fc
@@ -100,15 +103,42 @@ def read_samples_csv(path) -> PeriodicFunction:
     # written so that a NaN angle fails the comparison and is refused
     if not np.all(np.abs(theta - theta_grid(theta.size)) <= 1e-9):
         raise ValueError(f"{path}: samples are not on the uniform grid starting at -pi")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{path}: sample values must be finite")
     return PeriodicFunction.from_samples(vals, name=str(path))
 
 
-def dumps_csv(header: list[str], columns) -> str:
-    """One row per index of the equal-length columns of floats or strings, under header."""
-    cols = [np.asarray(col).tolist() for col in columns]
-    bad = [v for col in cols for v in col if isinstance(v, float) and not math.isfinite(v)]
+def _cells(column) -> list:
+    """The cells of one column; a float64 column that repeats values holds each one's repr, formatted once."""
+    col = np.asarray(column)
+    if col.dtype != np.float64:
+        cells = col.tolist()
+        bad = [v for v in cells if isinstance(v, float) and not math.isfinite(v)]
+    else:
+        # distinct by bits, so that -0.0 keeps its own cell "-0.0"
+        bits = col.view(np.int64).tolist()
+        distinct = dict.fromkeys(bits)
+        if 2 * len(distinct) <= len(bits):
+            values = np.array(list(distinct), dtype=np.int64).view(np.float64).tolist()
+            text = dict(zip(distinct, map(repr, values)))
+            cells = list(map(text.__getitem__, bits))
+        else:
+            # mostly distinct values: csv.writer writes each float's repr as it goes, without holding the text
+            cells = col.tolist()
+        bad = col[~np.isfinite(col)].tolist()
     if bad:
         raise ValueError(f"cannot serialize non finite value {bad[0]!r}")
+    return cells
+
+
+def dumps_csv(header: list[str], columns) -> str:
+    """One row per index of the equal-length columns of floats or strings, under header.
+
+    A float is written as its repr, which is what ``csv.writer`` writes for
+    it; a float64 column that repeats values formats each distinct value
+    once.
+    """
+    cols = [_cells(col) for col in columns]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -6,9 +6,21 @@ of the node values times the period; it is spectrally accurate for
 integrands analytic in a strip around the real axis, and it is exactly a
 discrete Fourier transform. Analysis (samples to coefficients) is
 therefore one real FFT, ``grid_coefficients``, with error a small multiple
-of eps * log2(M) times the largest sample. Synthesis (coefficients to
-values of sum c_k z**k) is Horner's rule, ``power_series``, with error at
-most 2(K+1) * eps * sum |c_k| |z|**k for the floating-point z given.
+of eps * log2(M) times the largest sample.
+
+Synthesis (coefficients to values of sum c_k z**k) has two evaluators.
+At arbitrary points it is Horner's rule, ``power_series``, O(K) per
+point, with error at most 2(K+1) * eps * sum |c_k| |z|**k for the
+floating-point z given. On a full-period uniform angle grid,
+theta_j = theta_0 + 2*pi*j/n for j = 0..n-1 to within 8 eps of the
+largest angle, ``grid_power_series`` folds c_k * rho**k * exp(i*k*theta_0)
+modulo n and takes one inverse FFT per radius, O(K + n log n), then
+moves each value from the exact angle theta_0 + 2*pi*j/n to the double
+theta_j given by a first-order correction from a second folded FFT. Its
+error at the angles given is at most (2K/n + 2 log2(n) + 4) * eps *
+sum |c_k| rho**k; the phase exp(i*k*theta_0) is an exact root-of-unity
+table entry times exp(i*k*s) with |s| <= pi/n, so it carries no error
+growing with k*|theta_0|. Any other angle array goes to Horner's rule.
 
 Contour integrals over a circle |z| = rho <= 1 sample w through
 ``circle_samples``, the one place circle nodes are built and checked. The
@@ -47,6 +59,7 @@ import numpy as np
 from .errors import EvaluationError
 
 TWO_PI = 2.0 * math.pi
+_TWO_PI_TAIL = 2.4492935982947064e-16  # 2*pi - TWO_PI, to double precision
 _EPS = float(np.finfo(float).eps)
 _POLE_CLASH_TOL = 1e-9
 _LOG_AMP_MAX = -0.5 * math.log(_EPS)
@@ -97,6 +110,95 @@ def power_series(c, z) -> np.ndarray:
         out *= z
         out += ck
     return out
+
+
+def _two_sum(a, b):
+    """s, e with s = fl(a + b) and s + e == a + b exactly (Knuth's TwoSum), elementwise."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _step_parts(n: int) -> tuple[float, float, float]:
+    """2*pi/n as a + b + t: a and b short enough that j*a and j*b are exact for j < 2**26, t the tail."""
+    h = TWO_PI / n
+    mant, exp = math.frexp(h)
+    a = math.ldexp(math.floor(math.ldexp(mant, 26)), exp - 26)
+    b = h - a
+    # n*a, n*b and both differences are exact: each is a multiple of ulp(h) below 2**53 ulp(h)
+    t = ((TWO_PI - n * a) - n * b + _TWO_PI_TAIL) / n
+    return a, b, t
+
+
+def _minus_steps(x, x_lo, j, parts):
+    """(x + x_lo) - j * 2*pi/n to about eps of the result, for j*2*pi/n close to x."""
+    a, b, t = parts
+    x1, e1 = _two_sum(x, -j * a)
+    x2, e2 = _two_sum(x1, -j * b)
+    return x2 + (((x_lo + e1) + e2) - j * t)
+
+
+def _full_period(theta):
+    """(q, s, delta) with theta_j = 2*pi*q/n + s + 2*pi*j/n + delta_j and |s| <= pi/n, or None.
+
+    None unless theta is a finite 1-D array of n angles whose offsets
+    delta_j from the exact full-period grid are within 8 eps of the
+    largest angle. s and every delta_j are accurate to about eps of
+    themselves: 2*pi/n enters split into exact pieces and each difference
+    is carried by TwoSum.
+    """
+    theta = np.asarray(theta, dtype=float)
+    n = theta.size
+    if theta.ndim != 1 or not 1 <= n < 2**26 or not np.all(np.isfinite(theta)):
+        return None
+    parts = _step_parts(n)
+    q = round(theta[0] * n / TWO_PI)
+    if abs(q) >= 2**26:
+        return None
+    s = float(_minus_steps(theta[0], 0.0, q, parts))
+    d, d_lo = _two_sum(theta, -theta[0])
+    delta = _minus_steps(d, d_lo, np.arange(n, dtype=float), parts)
+    if np.max(np.abs(delta)) > 8.0 * _EPS * np.max(np.abs(theta)):
+        return None
+    return q, s, delta
+
+
+def _folded_sum(terms: np.ndarray, n: int) -> np.ndarray:
+    """sum_k terms[k] * exp(2*pi*i*k*j/n) for j = 0..n-1: terms folded modulo n, one inverse FFT."""
+    folds = -(-terms.size // n)
+    padded = np.zeros(folds * n, dtype=complex)
+    padded[: terms.size] = terms
+    return np.fft.ifft(padded.reshape(folds, n).sum(axis=0), norm="forward")
+
+
+def grid_power_series(c, theta, rho):
+    """sum_k c[k] * (rho*exp(i*theta_j))**k on a full-period uniform grid, or None off one.
+
+    theta must be a 1-D grid theta_j = theta_0 + 2*pi*j/n to within a few
+    ulps (see ``_full_period``); otherwise the result is None and the
+    caller falls back to ``power_series``. The result has the shape of
+    ``disk_points(theta, rho)``. Per radius, c_k * rho**k * exp(i*k*theta_0)
+    is folded modulo n and summed by one inverse FFT, at the exact angles
+    theta_0 + 2*pi*j/n; a second folded FFT of i*k times the same terms,
+    times the offsets delta_j of the given angles, moves each value to the
+    angle given. The phase exp(i*k*theta_0) is the exact table entry of
+    ``unit_phasors`` at k*q times exp(i*k*s) with |s| <= pi/n.
+    """
+    grid = _full_period(theta)
+    if grid is None:
+        return None
+    q, s, delta = grid
+    c = np.asarray(c, dtype=complex)
+    n, k = delta.size, np.arange(c.size)
+    phased = c * unit_phasors(n)[(k * q) % n] * np.exp(1j * s * k)
+    radii = np.asarray(rho, dtype=float)
+    out = np.empty((n, radii.size), dtype=complex)
+    for r, radius in enumerate(radii.ravel()):
+        terms = phased * radius ** k.astype(float)
+        out[:, r] = _folded_sum(terms, n)
+        if np.any(delta):
+            out[:, r] += delta * _folded_sum(1j * k * terms, n)
+    return out.reshape((n,) + radii.shape)
 
 
 def disk_points(theta, rho) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .coeffs import FourierCoefficients, TaylorCoefficients, to_taylor
 from .errors import EvaluationError, TruncationWarning
-from .quadrature import _POLE_CLASH_TOL, TWO_PI, disk_points, power_series
+from .quadrature import _POLE_CLASH_TOL, TWO_PI, disk_points, grid_power_series, power_series
 
 _POLE_TOL = 1e-12
 
@@ -67,7 +67,9 @@ class InnerAnalytic:
     that contour routines can refuse circles through them and size their
     aliasing; ``degree`` is the polynomial degree when w is a polynomial,
     else None. ``taylor(K)`` returns the coefficients c_0..c_K when the
-    representation knows them.
+    representation knows them. ``polar(theta, rho)`` is w on the
+    theta x rho grid of ``disk_points``, the one entry point of synthesis;
+    a representation with a faster evaluator there overrides it.
     """
 
     label: str = "inner analytic function"
@@ -77,12 +79,21 @@ class InnerAnalytic:
     def __call__(self, z):
         raise NotImplementedError
 
+    def polar(self, theta, rho):
+        """w(rho*exp(i*theta)) with the shape of ``disk_points(theta, rho)``."""
+        return self(disk_points(theta, rho))
+
     def taylor(self, K: int) -> TaylorCoefficients:
         raise NotImplementedError(f"{self.label} has no coefficient generator")
 
 
 class TaylorSeries(InnerAnalytic):
-    """Truncated power series sum c_k z**k, evaluated by Horner's scheme."""
+    """Truncated power series sum c_k z**k.
+
+    Points are evaluated by Horner's scheme; ``polar`` on a full-period
+    uniform angle grid by one folded inverse FFT per radius
+    (``grid_power_series``).
+    """
 
     def __init__(self, tc: TaylorCoefficients):
         self.tc = tc
@@ -92,6 +103,22 @@ class TaylorSeries(InnerAnalytic):
     def __call__(self, z):
         out = power_series(self.tc.c, z)
         return complex(out) if out.ndim == 0 else out
+
+    def polar(self, theta, rho):
+        """w on the theta x rho grid; a non-finite value raises EvaluationError naming its radius.
+
+        On a full-period uniform theta grid the values come from
+        ``grid_power_series``, elsewhere from Horner's rule bit for bit.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = grid_power_series(self.tc.c, theta, rho)
+            if out is None:
+                out = super().polar(theta, rho)
+        finite = np.isfinite(out)
+        if not np.all(finite):
+            radius = float(np.broadcast_to(np.asarray(rho, dtype=float), np.shape(out))[~finite][0])
+            raise EvaluationError(f"{self.label} overflows at radius {radius!r}")
+        return out
 
     def taylor(self, K: int) -> TaylorCoefficients:
         c = np.zeros(K + 1, dtype=complex)
@@ -201,15 +228,17 @@ def _inner(w: InnerAnalytic | FourierCoefficients) -> InnerAnalytic:
 def _disk_values(w: InnerAnalytic | FourierCoefficients, theta, rho: float):
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"need 0 <= rho < 1, got {rho}")
-    return _inner(w)(disk_points(theta, rho))
+    return _inner(w).polar(theta, rho)
 
 
 def regulated_sum(w: InnerAnalytic | FourierCoefficients, theta, rho: float):
     """Re w(rho*exp(i*theta)) for 0 <= rho < 1, at one angle or an array of angles.
 
     For coefficients fc this is alpha_0/2 + sum rho**k [alpha_k cos(k theta)
-    + beta_k sin(k theta)], evaluated by Horner's rule within the bound
-    stated in ``quadrature``. A non-finite theta raises ValueError.
+    + beta_k sin(k theta)], evaluated through ``w.polar``: for a series on
+    a full-period uniform angle grid by one folded inverse FFT, elsewhere
+    by Horner's rule, each within the bound stated in ``quadrature``. A
+    non-finite theta raises ValueError.
     """
     return _disk_values(w, theta, rho).real
 
@@ -236,14 +265,14 @@ def rho_limit(
 
     The returned value is the evaluation at the last radius; the full
     history is kept for diagnostics. All radii are evaluated in one call
-    of w; a non-finite theta raises ValueError. ``truncation_suspect``
-    (and its warning) weighs a series' cutoff by its coefficients and is
-    False for a closed form. A first order Richardson step 2*v[j+1] - v[j]
+    of ``w.polar``; a non-finite theta raises ValueError.
+    ``truncation_suspect`` (and its warning) weighs a series' cutoff by its
+    coefficients and is False for a closed form. A first order Richardson step 2*v[j+1] - v[j]
     (valid for schedules that halve 1 - rho) is returned alongside as
     ``extrapolated``, leaving the plain values untouched.
     """
     w = _inner(w)
-    values = w(disk_points(theta, sched.rhos)).real
+    values = w.polar(theta, sched.rhos).real
     history = tuple(values.tolist())
     converged = bool(sched.converged(values))
     suspect = isinstance(w, TaylorSeries) and sched.truncation_suspect(w.tc)

@@ -220,6 +220,22 @@ class TestReconstructCommand:
         assert code == 2 and out == ""
         assert err.startswith("reconstruct: ") and err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("ignore::inner_fourier.errors.TruncationWarning")
+    def test_partial_arc_is_horner_bit_for_bit(self, capsys, tmp_path):
+        from inner_fourier.quadrature import disk_points, power_series
+
+        path = self._coeff_file(capsys, tmp_path, "sawtooth", 64)
+        code, out, _ = run(capsys, "reconstruct", "--coeffs", str(path), "--thetas=0:1:16", "--schedule", "1..6")
+        assert code == 0
+        doc = json.loads(path.read_text())
+        c = np.array(doc["c_re"]) + 1j * np.array(doc["c_im"])
+        # the angles as --thetas lo:hi:n builds them, lo + (hi - lo) * j / n
+        thetas, rhos = 0.0 + 1.0 * np.arange(16) / 16, [1.0 - 2.0**-j for j in range(1, 7)]
+        want = power_series(c, disk_points(thetas, rhos)).ravel()
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [r[2] for r in rows] == [repr(v) for v in want.real.tolist()]
+        assert [r[3] for r in rows] == [repr(v) for v in want.imag.tolist()]
+
     def test_radius_domain_error(self, capsys, tmp_path):
         path = self._coeff_file(capsys, tmp_path, "zero", 8)
         code, _, err = run(
@@ -273,6 +289,15 @@ class TestInputErrors:
         path = tmp_path / "s.csv"
         path.write_text("theta,value\n-3.141592653589793,1.0\n0.0\n")
         self._one_line_usage_error(capsys, "coeffs", "--csv", str(path), "--K", "1")
+
+    # the default full-period grid takes the folded FFT, the partial arc Horner's rule
+    @pytest.mark.parametrize("thetas", ["-pi:pi:256", "0:1:4"], ids=["full_period", "partial_arc"])
+    def test_overflowing_synthesis_is_refused_by_radius(self, capsys, tmp_path, thetas):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"K": 4, "alpha0": 1e308, "alpha": [1e308] * 4, "beta": [1e308] * 4}))
+        code, out, err = run(capsys, "reconstruct", "--coeffs", str(path), f"--thetas={thetas}", "--rho", "0.9")
+        assert code == 2 and out == ""
+        assert err == "error: taylor series (K=4) overflows at radius 0.9\n"
 
 
 def test_outputs_are_byte_identical_across_processes(tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import oracle_delta_derivative_alpha, oracle_delta_derivative_beta
@@ -136,10 +137,23 @@ class TestRegulatedDeltaKernel:
 
     @pytest.mark.parametrize("theta1, rho, K", [(0.8, 0.95, 300), (-2.9, 0.5, 1), (3.0, 0.999, 2000)])
     def test_equals_explicit_kernel_series(self, theta1, rho, K):
+        # 1/(2 pi) + (1/pi) sum_{k=1..K} rho**k cos(k phi) at the double angles phi = theta - theta1,
+        # summed in closed form by mpmath at 40 digits; Horner's rule meets the same bound
         grid = theta_grid(128)
-        c = np.r_[1.0 / (2.0 * math.pi), np.full(K, 1.0 / math.pi)]
-        want = power_series(c, disk_points(grid - theta1, rho)).real
-        assert np.array_equal(regulated_delta_on_grid(grid, theta1, rho, K), want)
+        phi = grid - theta1
+        with mpmath.workdps(40):
+            c0, ck = mpmath.mpf(1.0 / (2.0 * math.pi)), mpmath.mpf(1.0 / math.pi)
+
+            def kernel(p):
+                zeta = mpmath.mpf(rho) * mpmath.expj(mpmath.mpf(float(p)))
+                return float(c0 + ck * mpmath.re(zeta * (1 - zeta**K) / (1 - zeta)))
+
+            want = np.array([kernel(p) for p in phi])
+        scale = 1.0 / (2.0 * math.pi) + math.fsum(rho ** np.arange(1.0, K + 1)) / math.pi
+        got = regulated_delta_on_grid(grid, theta1, rho, K)
+        assert np.max(np.abs(got - want)) <= 1e-15 * scale
+        horner = power_series(np.r_[1.0 / (2.0 * math.pi), np.full(K, 1.0 / math.pi)], disk_points(phi, rho)).real
+        assert np.max(np.abs(horner - want)) <= 1e-15 * scale
 
     def test_unit_mass_at_every_radius(self):
         const = resolve("const").function

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import struct
@@ -113,6 +115,36 @@ def test_sample_csv_validation(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert str(path) in captured.err and "uniform grid" in captured.err
+    values = ["1.0"] * 8
+    values[2] = "nan"
+    path = tmp_path / "nan_value.csv"
+    path.write_text("theta,value\n" + "".join(f"{t!r},{v}\n" for t, v in zip(theta_grid(8).tolist(), values)))
+    assert main(["coeffs", "--csv", str(path), "--K", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: sample values must be finite\n"
+
+
+_CELL_FLOATS = st.sampled_from([0.0, -0.0, 0.1, -2.5, 1e-300, 5e-324, 1.7976931348623157e308]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@given(data=st.data(), rows=st.integers(0, 40))
+def test_curve_csv_equals_csv_writer_over_repr_cells(data, rows):
+    pool = data.draw(st.lists(_CELL_FLOATS, min_size=1, max_size=5), label="pool")  # few values: repeats
+    pick = st.lists(st.sampled_from(pool), min_size=rows, max_size=rows)
+    words = st.lists(st.sampled_from(["", "true", "false", "a,b", 'q"']), min_size=rows, max_size=rows)
+    columns = [np.array(data.draw(pick), dtype=float), np.array(data.draw(pick), dtype=float)]
+    columns.append(np.array(data.draw(words), dtype=object))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["x", "y", "flag"])
+    writer.writerows(zip(*[[repr(v) if isinstance(v, float) else v for v in col.tolist()] for col in columns]))
+    assert dumps_csv(["x", "y", "flag"], columns) == buf.getvalue()
+
+
+def test_curve_csv_keeps_the_sign_of_zero():
+    assert dumps_csv(["x"], [np.array([0.0, -0.0, 0.0, -0.0])]) == "x\n0.0\n-0.0\n0.0\n-0.0\n"
 
 
 def test_curve_csv_formatting(tmp_path):
@@ -133,10 +165,13 @@ def test_curve_csv_formatting(tmp_path):
         ({"alpha0": 1.5, "alpha": [0.5, 1.0], "beta": [0.0, "2"]}, "must hold numbers"),
         ({"alpha0": True, "alpha": [0.5, 1.0], "beta": [0.0, 2.0]}, "must hold numbers"),
         ({"c_re": [0.0, False], "c_im": [0.0, 0.0]}, "must hold numbers"),
+        # True == 1 and 2.0 == 2, so an equality test alone would let both pass
+        ({"K": True, "alpha0": 1.0, "alpha": [1.0], "beta": [0.0]}, "'K' must be an integer"),
+        ({"K": 2.0, "alpha0": 1.0, "alpha": [1.0, 0.5], "beta": [0.0, 0.0]}, "'K' must be an integer"),
     ],
     ids=[
         "list", "string", "dict_entry", "ragged", "text_entry",
-        "strings_and_bools", "one_string", "bool_alpha0", "bool_c",
+        "strings_and_bools", "one_string", "bool_alpha0", "bool_c", "bool_K", "float_K",
     ],
 )
 def test_malformed_coefficient_documents_refused(doc, match):

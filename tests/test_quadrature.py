@@ -1,9 +1,10 @@
 """The spectral core against independent oracles.
 
 Analysis (one real FFT) is checked against the trapezoid sums written out
-directly with exactly rounded summation, and synthesis (Horner's rule)
-against an mpmath sum at the same floating-point points, within the error
-bounds stated in the quadrature module.
+directly with exactly rounded summation, and both synthesis evaluators
+(Horner's rule, and the folded inverse FFT on full-period grids) against
+an mpmath sum at the same floating-point angles, within the error bounds
+stated in the quadrature module.
 """
 
 import math
@@ -11,11 +12,18 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from inner_fourier import PeriodicFunction, TaylorCoefficients, TaylorSeries, fourier_coefficients
-from inner_fourier.quadrature import circle_coefficients, disk_points, phase_powers, power_series
+from inner_fourier.quadrature import (
+    TWO_PI,
+    circle_coefficients,
+    disk_points,
+    grid_power_series,
+    phase_powers,
+    power_series,
+)
 
 EPS = np.finfo(float).eps
 
@@ -103,6 +111,9 @@ def test_synthesis_shapes_follow_the_theta_by_rho_grid():
     assert power_series(c, disk_points(0.3, 0.5)).shape == ()
     assert power_series(c, disk_points(np.zeros(5), [0.1, 0.2])).shape == (5, 2)
     assert power_series(c, disk_points(0.0, 0.5)) == 1.0 + 2.0 * 0.5 + 3.0 * 0.25
+    grid = np.linspace(-math.pi, math.pi, 5, endpoint=False)
+    assert grid_power_series(c, grid, 0.5).shape == (5,)
+    assert grid_power_series(c, grid, [0.1, 0.2]).shape == (5, 2)
 
 
 @pytest.mark.parametrize("K, m", [(5, 11), (-1, 64)])
@@ -110,3 +121,45 @@ def test_circle_transform_needs_2k_plus_2_nodes(K, m):
     w = TaylorSeries(TaylorCoefficients(np.array([1.0, 2.0], dtype=complex)))
     with pytest.raises(ValueError, match="M >= 2K \\+ 2"):
         circle_coefficients(w, K, 0.5, m)
+
+
+@given(
+    c=_complex_lists(1, 65),
+    n=st.integers(1, 96),
+    theta0=st.floats(-20.0, 20.0),
+    radii=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+)
+@example(c=[1 + 2j, 3 - 1j, 0.5j, -2.0], n=8, theta0=-math.pi, radii=[0.0])  # rho = 0
+@example(c=[1.0 + 1j] * 41, n=7, theta0=12.5, radii=[0.5, 0.99, 1.0])  # n <= K, theta0 past pi
+@example(c=[0.25 - 1j, 2.0, -1j], n=64, theta0=-9.0, radii=[0.3])  # n > K + 1
+@example(c=[1.0 - 0.5j] * 65, n=96, theta0=-19.7, radii=[1.0])  # angles ulps off the exact grid, k up to 64
+def test_grid_synthesis_matches_mpmath_within_stated_bound(c, n, theta0, radii):
+    theta = theta0 + (TWO_PI / n) * np.arange(n)
+    values = grid_power_series(np.array(c), theta, np.array(radii))
+    assert values.shape == (n, len(radii))
+    K = len(c) - 1
+    with mpmath.workdps(40):
+        coeffs = [mpmath.mpc(ck.real, ck.imag) for ck in reversed(c)]
+        for r, rho in enumerate(radii):
+            scale = math.fsum(abs(ck) * rho**k for k, ck in enumerate(c))
+            bound = (2.0 * K / n + 2.0 * math.log2(n) + 4.0) * EPS * scale
+            for t, v in zip(theta.tolist(), values[:, r]):
+                exact = mpmath.polyval(coeffs, mpmath.mpf(rho) * mpmath.expj(mpmath.mpf(t)))
+                assert abs(complex(exact) - v) <= bound
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        np.linspace(-math.pi, math.pi, 16, endpoint=False)[:-1],  # one node short of the period
+        np.linspace(0.0, 1.0, 8),
+        np.linspace(-math.pi, math.pi, 16, endpoint=False) + 1e-12 * np.arange(16),
+        np.linspace(-math.pi, math.pi, 16, endpoint=False).reshape(4, 4),
+        np.r_[np.linspace(-math.pi, math.pi, 7, endpoint=False), math.nan],
+        np.array(0.3),
+    ],
+    ids=["short", "partial_arc", "perturbed", "two_dimensional", "nan", "scalar"],
+)
+def test_grid_synthesis_declines_other_angles(theta):
+    assert grid_power_series(np.array([1.0, 2.0, 3.0]), theta, 0.5) is None
+

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from inner_fourier import (
+    EvaluationError,
     FourierCoefficients,
     PolarPoint,
     RhoSchedule,
@@ -118,14 +119,28 @@ def test_sums_match_series_evaluation(rng):
 
 @pytest.mark.parametrize("w", [_fc(alpha0=0.5, alpha=(1.0, -0.25), beta=(0.5,)), delta_inner(0.7)])
 def test_sums_on_an_angle_array_equal_the_scalar_calls(w):
-    thetas, rho = np.linspace(-3.0, 3.0, 41), 0.9
-    for f in (regulated_sum, conjugate_sum):
-        got = f(w, thetas, rho)
-        want = np.array([f(w, float(t), rho) for t in thetas])
-        assert got.shape == thetas.shape
-        # numpy's vectorised complex product may round differently from its
-        # one-element path, so the two agree to a few ulps, not bitwise
-        np.testing.assert_allclose(got, want, rtol=0, atol=8 * EPS * np.max(np.abs(want)))
+    rho = 0.9
+    # a partial arc (Horner's rule for a series) and a full period (the folded FFT)
+    for thetas in (np.linspace(-3.0, 3.0, 41), np.linspace(-math.pi, math.pi, 40, endpoint=False) + 0.3):
+        for f in (regulated_sum, conjugate_sum):
+            got = f(w, thetas, rho)
+            want = np.array([f(w, float(t), rho) for t in thetas])
+            assert got.shape == thetas.shape
+            # numpy's vectorised complex product may round differently from its
+            # one-element path, so the two agree to a few ulps, not bitwise
+            np.testing.assert_allclose(got, want, rtol=0, atol=8 * EPS * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize(
+    "theta", [np.linspace(-math.pi, math.pi, 64, endpoint=False), np.linspace(0.0, 1.0, 64)], ids=["grid", "arc"]
+)
+def test_overflow_is_refused_at_its_radius(theta):
+    w = TaylorSeries(TaylorCoefficients(np.full(5, 1e308 - 1e308j)))
+    with pytest.raises(EvaluationError, match=r"taylor series \(K=4\) overflows at radius 0.9$"):
+        w.polar(theta, [0.1, 0.9])
+    with pytest.raises(EvaluationError, match="overflows at radius 0.95"):
+        rho_limit(w, 0.0, RhoSchedule((0.1, 0.95)))
+    assert np.all(np.isfinite(w.polar(theta, 0.1)))
 
 
 def test_poisson_closed_form_within_truncation(rng):
