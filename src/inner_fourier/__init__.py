@@ -11,13 +11,7 @@ verifies numerically.
 
 from __future__ import annotations
 
-from .basis import (
-    GramReport,
-    completeness_probe,
-    fourier_gram,
-    residue_identity_check,
-    scalar_product,
-)
+from .basis import GramReport, completeness_probe, fourier_gram, residue_identity_check
 from .catalog import CatalogEntry, UnknownCatalogId, catalog_ids, resolve, trig_poly_entry
 from .classify import (
     ClassificationReport,
@@ -37,13 +31,7 @@ from .coeffs import (
     from_taylor,
     to_taylor,
 )
-from .distributions import (
-    DeltaSpec,
-    delta_coefficients,
-    delta_inner,
-    poisson_kernel,
-    regulated_delta_on_grid,
-)
+from .distributions import delta_inner, poisson_kernel, regulated_delta_on_grid
 from .errors import DivergenceWarning, EvaluationError, TruncationWarning
 from .hilbert import (
     DiskProductConfig,
@@ -81,7 +69,6 @@ __all__ = [
     "CatalogEntry",
     "ClassificationReport",
     "ClosedForm",
-    "DeltaSpec",
     "DiskProductConfig",
     "DivergenceWarning",
     "EquivalenceReport",
@@ -110,7 +97,6 @@ __all__ = [
     "conjugate_sum",
     "contour_partial_sum",
     "convergence_radius_check",
-    "delta_coefficients",
     "delta_inner",
     "equivalence_check",
     "family_magnitudes",
@@ -128,7 +114,6 @@ __all__ = [
     "residue_identity_check",
     "resolve",
     "rho_limit",
-    "scalar_product",
     "taylor_gram",
     "to_taylor",
     "trig_poly_entry",

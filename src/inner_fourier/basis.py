@@ -56,11 +56,6 @@ class GramReport:
         return self.max_offdiag_error <= 1e-12 and self.max_diag_error <= 1e-12
 
 
-def scalar_product(f: PeriodicFunction, g: PeriodicFunction, M: int = 1024) -> float:
-    """Trapezoidal value of integral f(theta)*g(theta) dtheta over [-pi, pi]."""
-    return trapezoid_periodic(f.on_grid(M) * g.on_grid(M))
-
-
 def residue_identity_check(p: int, rho: float) -> complex:
     """Contour quadrature of (1/(2*pi*i)) * loop of z**(p-1) dz at radius rho.
 
@@ -89,8 +84,9 @@ def fourier_gram(K: int) -> GramReport:
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     M = 4 * K + 2
-    kt = np.multiply.outer(np.arange(1, K + 1), theta_grid(M))
-    b = np.vstack([np.ones(M), np.cos(kt), np.sin(kt)])
+    b = np.empty((2 * K + 1, M))  # first, so that numpy refuses a size it cannot hold before any work
+    kt = np.multiply.outer(np.arange(1, K + 1), theta_grid(M), out=b[K + 1 :])
+    b[0], b[1 : K + 1], b[K + 1 :] = 1.0, np.cos(kt), np.sin(kt)
     return GramReport.of((2.0 / M) * (b @ b.T), np.r_[2.0, np.ones(2 * K)])
 
 

@@ -1,10 +1,11 @@
 """Named periodic functions with known coefficient generators.
 
 Entries span the cases the library is exercised on: smooth functions
-(constant, single harmonics, the damped point-mass kernel), functions
-with jump discontinuities (square, sawtooth) and genuinely distributional
-objects (point mass and its derivatives), which have coefficient
-generators but no pointwise samples.
+(constant, single harmonics, the damped point-mass kernel "poisson"),
+functions with jump discontinuities (square, sawtooth) and the point mass
+and its derivatives, "delta" and "delta_derivative": one builder that
+applies ``angular_derivative`` to ``delta_inner(theta1).taylor(K)``,
+with no pointwise samples. These three refuse theta1 outside [-pi, pi).
 
 Jump-discontinuous samplers return the midpoint of the one-sided limits
 at the jump angles, which is the value the damped sums converge to and
@@ -24,9 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .coeffs import FourierCoefficients, PeriodicFunction, to_taylor
-from .distributions import DeltaSpec, delta_coefficients, poisson_kernel
+from .coeffs import FourierCoefficients, PeriodicFunction, from_taylor, to_taylor
+from .distributions import _check_theta1, delta_inner, poisson_kernel
 from .quadrature import disk_points, power_series
+from .series import angular_derivative
 
 _COS_SIN = re.compile(r"^(cos|sin)_(\d+)$")
 
@@ -85,18 +87,25 @@ def _entry_triangle():
     return CatalogEntry("triangle", PeriodicFunction.from_callable("triangle", np.abs), gen, 65536)
 
 
-def _entry_delta(theta1: float = 0.0):
-    return CatalogEntry("delta", None, partial(delta_coefficients, DeltaSpec(theta1, 0)))
+def _entry_point_mass(id: str, theta1: float, order: int) -> CatalogEntry:
+    """The order-th angular derivative of the point mass at theta1, from its exact Taylor coefficients."""
+    w = delta_inner(theta1)
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
 
+    def gen(K):
+        tc = w.taylor(K)
+        for _ in range(order):
+            tc = angular_derivative(tc)
+        return from_taylor(tc)
 
-def _entry_delta_derivative(theta1: float = 0.0, order: int = 1):
-    spec = DeltaSpec(theta1, order)
-    return CatalogEntry("delta_derivative", None, partial(delta_coefficients, spec))
+    return CatalogEntry(id, None, gen)
 
 
 def _entry_poisson(r: float = 0.5, theta1: float = 0.0):
     if not 0.0 <= r < 1.0:
         raise ValueError(f"poisson entry needs 0 <= r < 1, got {r}")
+    _check_theta1(theta1)
 
     def fn(theta):
         return poisson_kernel(theta, theta1, r)
@@ -149,8 +158,8 @@ _BUILDERS = {
     "square": _entry_square,
     "sawtooth": _entry_sawtooth,
     "triangle": _entry_triangle,
-    "delta": _entry_delta,
-    "delta_derivative": _entry_delta_derivative,
+    "delta": lambda theta1=0.0: _entry_point_mass("delta", theta1, 0),
+    "delta_derivative": lambda theta1=0.0, order=1: _entry_point_mass("delta_derivative", theta1, order),
     "poisson": _entry_poisson,
 }
 

@@ -71,8 +71,9 @@ def _parse_theta_grid(spec: str) -> np.ndarray:
         raise ValueError(f"theta grid spec must be lo:hi:n, got {spec!r}")
     lo, hi = _parse_angle(parts[0]), _parse_angle(parts[1])
     n = int(parts[2])
-    if n < 1 or hi <= lo:
-        raise ValueError(f"bad theta grid spec {spec!r}")
+    # hi - lo is NaN or infinite when an end is, and NaN fails every comparison
+    if n < 1 or not 0.0 < hi - lo < math.inf:
+        raise ValueError(f"theta grid spec needs n >= 1 and finite lo < hi, got {spec!r}")
     return lo + (hi - lo) * np.arange(n) / n
 
 
@@ -329,7 +330,8 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             return args.func(args)
-        except (ValueError, EvaluationError) as exc:
+        # a MemoryError is numpy refusing an array size, such as the Gram basis of a huge verify --K
+        except (ValueError, EvaluationError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return _USAGE
         except OSError as exc:

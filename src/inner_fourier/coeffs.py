@@ -174,7 +174,7 @@ def from_taylor(tc: TaylorCoefficients) -> FourierCoefficients:
     counterpart and is rejected.
     """
     if abs(tc.c[0].imag) > _IMAG_TOL:
-        raise ValueError(f"Im(c_0) = {tc.c[0].imag!r} exceeds {_IMAG_TOL}; no real mean term")
+        raise ValueError(f"Im(c_0) = {float(tc.c[0].imag)!r} exceeds {_IMAG_TOL}; no real mean term")
     return FourierCoefficients(2.0 * tc.c[0].real, tc.c[1:].real, -tc.c[1:].imag)
 
 

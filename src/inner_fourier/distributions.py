@@ -1,46 +1,75 @@
-"""Dirac delta and delta-derivative representations on the unit circle.
+"""The point mass on the unit circle as one inner analytic function.
 
-The point mass at angle theta1 is carried by the analytic function
+The point mass at theta1 is w(z) = 1/(2*pi) - (1/pi) * z/(z - z1) =
+(1/(2*pi)) * (1 + u)/(1 - u), z1 = exp(i*theta1), u = z/z1; its real part
+at radius rho is the Poisson kernel. Its coefficients c_0 = 1/(2*pi),
+c_k = (cos(k*theta1) - i*sin(k*theta1))/pi do not decay: the rho = 1 series
+diverges everywhere, the damped sums converge for every rho < 1 and recover
+the point mass as rho -> 1 everywhere except at theta1. ``delta_inner(theta1)``
+is that one object: ``taylor(K)`` builds c_0..c_K, a point z takes the z
+formula, and ``polar``, called by the regulated sums and ``rho_limit``,
+takes the Herglotz form (phi = theta - theta1), in which nothing cancels:
 
-    w(z) = 1/(2*pi) - (1/pi) * z / (z - z1),    z1 = exp(i*theta1),
+    w = ((1 - rho)*(1 + rho) + 2i*rho*sin(phi)) / (2*pi*((1 - rho)**2 + 4*rho*sin(phi/2)**2)).
 
-whose real part at radius rho is the Poisson kernel. Its coefficients are
-
-    alpha_0 = 1/pi,  alpha_k = cos(k*theta1)/pi,  beta_k = sin(k*theta1)/pi,
-
-manifestly non decaying, so the rho = 1 trigonometric series diverges
-everywhere; the damped sums converge for every rho < 1 and recover the
-point mass in the rho -> 1 limit everywhere except at theta1.
-
-Derivative coefficients are repeated angular differentiation of the
-delta coefficients. They agree with the distributional integration by
-parts formula, which the test suite's sympy oracle checks.
+Re w and |w| are within 1e-15 relative of w at the double phi for rho up to
+1 - 2**-30; the z formula loses about eps/(1 - rho). Both refuse a point
+within 1e-12 of z1. The catalog's "delta_derivative" differentiates
+``taylor(K)`` with ``angular_derivative``, which agrees with the
+distributional integration by parts formula (the tests' sympy oracle).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import FourierCoefficients, from_taylor, to_taylor
+from .coeffs import TaylorCoefficients
+from .errors import EvaluationError
 from .quadrature import TWO_PI
-from .series import ClosedForm, angular_derivative, regulated_sum
+from .series import _POLE_TOL, ClosedForm, TaylorSeries, regulated_sum
 
 
-@dataclass(frozen=True)
-class DeltaSpec:
-    """A point mass at theta1 (order 0) or its order-th angular derivative."""
+def _check_theta1(theta1: float) -> None:
+    if not -math.pi <= theta1 < math.pi:
+        raise ValueError(f"theta1 must lie in [-pi, pi), got {theta1}")
 
-    theta1: float
-    order: int = 0
 
-    def __post_init__(self):
-        if not -math.pi <= self.theta1 < math.pi:
-            raise ValueError(f"theta1 must lie in [-pi, pi), got {self.theta1}")
-        if self.order < 0:
-            raise ValueError(f"order must be >= 0, got {self.order}")
+class _PointMass(ClosedForm):
+    """The point mass at theta1 in [-pi, pi): the closed form w above, its coefficients and its polar form."""
+
+    def __init__(self, theta1: float):
+        _check_theta1(theta1)
+        z1 = complex(math.cos(theta1), math.sin(theta1))
+        label = f"delta inner function (theta1={theta1})"
+        super().__init__(lambda z: 1.0 / TWO_PI - (z / (z - z1)) / math.pi, pole_set=(z1,), label=label)
+        self.theta1 = theta1
+
+    def taylor(self, K: int) -> TaylorCoefficients:
+        """c_0 = 1/(2*pi) and c_k = (cos(k*theta1) - i*sin(k*theta1))/pi for k = 1..K."""
+        if K < 1:
+            raise ValueError(f"K must be >= 1, got {K}")
+        kt = np.arange(1, K + 1) * self.theta1
+        c = np.full(K + 1, 1.0 / TWO_PI, dtype=complex)
+        c.real[1:] = np.cos(kt) / math.pi
+        # -sin, not 0 - sin: a zero beta_k = -Im c_k stays 0.0, never -0.0
+        c.imag[1:] = -np.sin(kt) / math.pi
+        return TaylorCoefficients(c)
+
+    def polar(self, theta, rho):
+        """w in the Herglotz form on the theta x rho grid; non-finite angles raise ValueError."""
+        phi = np.asarray(theta, dtype=float) - self.theta1
+        if not np.all(np.isfinite(phi)):
+            raise ValueError("angles must be finite")
+        rho = np.asarray(rho, dtype=float)
+        q = 1.0 - rho
+        # |1 - u|**2, the squared distance to the pole that __call__ measures
+        den = np.multiply.outer(np.sin(0.5 * phi) ** 2, 4.0 * rho) + q * q
+        if np.any(den < _POLE_TOL**2):
+            raise EvaluationError(f"{self.label} evaluated at pole {self.pole_set[0]!r}")
+        out = q * (1.0 + rho) / (TWO_PI * den) + 1j * (np.multiply.outer(np.sin(phi), rho) / (math.pi * den))
+        return complex(out) if out.ndim == 0 else out
 
 
 def poisson_kernel(theta, theta1: float, rho: float):
@@ -58,39 +87,8 @@ def poisson_kernel(theta, theta1: float, rho: float):
 
 
 def delta_inner(theta1: float) -> ClosedForm:
-    """The point mass at theta1 as the closed form w above, with Taylor coefficients ``delta_coefficients``."""
-    spec = DeltaSpec(theta1)
-    z1 = complex(math.cos(spec.theta1), math.sin(spec.theta1))
-    return ClosedForm(
-        lambda z: 1.0 / TWO_PI - (z / (z - z1)) / math.pi,
-        pole_set=(z1,),
-        taylor_fn=lambda K: to_taylor(delta_coefficients(spec, K)),
-        label=f"delta inner function (theta1={spec.theta1})",
-    )
-
-
-def delta_coefficients(spec: DeltaSpec, K: int) -> FourierCoefficients:
-    """Exact coefficients, orders 1..K, of the point mass at spec.theta1 or its derivative.
-
-    The derivative is ``spec.order`` applications of ``angular_derivative``
-    to the point-mass coefficients, so the chain identity with the series
-    module holds bitwise. Magnitudes grow as k**order / pi.
-    """
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    k = np.arange(1, K + 1)
-    fc = FourierCoefficients(
-        1.0 / math.pi,
-        np.cos(k * spec.theta1) / math.pi,
-        np.sin(k * spec.theta1) / math.pi,
-    )
-    if spec.order == 0:
-        # the round trip through from_taylor would turn a zero beta_k into -0.0
-        return fc
-    tc = to_taylor(fc)
-    for _ in range(spec.order):
-        tc = angular_derivative(tc)
-    return from_taylor(tc)
+    """The point mass at theta1 in [-pi, pi), a ``ClosedForm`` with exact ``taylor`` and a Herglotz ``polar``."""
+    return _PointMass(theta1)
 
 
 def regulated_delta_on_grid(theta, theta1: float, rho: float, K: int) -> np.ndarray:
@@ -100,5 +98,4 @@ def regulated_delta_on_grid(theta, theta1: float, rho: float, K: int) -> np.ndar
     regulated sum of the point mass at 0, at the angles theta - theta1.
     Non-finite angles raise ValueError.
     """
-    fc = delta_coefficients(DeltaSpec(0.0), K)
-    return regulated_sum(fc, np.asarray(theta, dtype=float) - theta1, rho)
+    return regulated_sum(TaylorSeries(delta_inner(0.0).taylor(K)), np.asarray(theta, dtype=float) - theta1, rho)

@@ -22,6 +22,7 @@ import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -82,30 +83,39 @@ def parse_coefficients(doc: dict) -> FourierCoefficients:
     return fc
 
 
+@contextmanager
+def _reading(path):
+    """The text file at path, open for reading; a ValueError raised inside names the file."""
+    with open(path, "r", encoding="utf-8", newline="") as fp:
+        try:
+            yield fp
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def read_coefficients_json(path) -> FourierCoefficients:
-    with open(path, "r", encoding="utf-8") as fp:
+    """``parse_coefficients`` of the JSON file at path; a refusal names the file."""
+    with _reading(path) as fp:
         return parse_coefficients(json.load(fp))
 
 
 def read_samples_csv(path) -> PeriodicFunction:
-    """Load "theta,value" rows into a uniform-grid sampled function."""
-    with open(path, "r", encoding="utf-8", newline="") as fp:
+    """Load "theta,value" rows into a uniform-grid sampled function; a refusal names the file."""
+    with _reading(path) as fp:
         rows = list(csv.reader(fp))
-    if not rows or [c.strip() for c in rows[0][:2]] != ["theta", "value"]:
-        raise ValueError(f"{path}: expected header 'theta,value'")
-    body = [r for r in rows[1:] if r]
-    if len(body) < 2:
-        raise ValueError(f"{path}: need at least 2 sample rows")
-    if any(len(r) < 2 for r in body):
-        raise ValueError(f"{path}: every sample row needs two columns, theta and value")
-    theta = np.array([float(r[0]) for r in body])
-    vals = np.array([float(r[1]) for r in body])
-    # written so that a NaN angle fails the comparison and is refused
-    if not np.all(np.abs(theta - theta_grid(theta.size)) <= 1e-9):
-        raise ValueError(f"{path}: samples are not on the uniform grid starting at -pi")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"{path}: sample values must be finite")
-    return PeriodicFunction.from_samples(vals, name=str(path))
+        if not rows or [c.strip() for c in rows[0][:2]] != ["theta", "value"]:
+            raise ValueError("expected header 'theta,value'")
+        body = [r for r in rows[1:] if r]
+        if len(body) < 2:
+            raise ValueError("need at least 2 sample rows")
+        if any(len(r) < 2 for r in body):
+            raise ValueError("every sample row needs two columns, theta and value")
+        theta = np.array([float(r[0]) for r in body])
+        vals = np.array([float(r[1]) for r in body])
+        # written so that a NaN angle fails the comparison and is refused
+        if not np.all(np.abs(theta - theta_grid(theta.size)) <= 1e-9):
+            raise ValueError("samples are not on the uniform grid starting at -pi")
+        return PeriodicFunction.from_samples(vals, name=str(path))
 
 
 def _cells(column) -> list:

@@ -69,7 +69,7 @@ class InnerAnalytic:
     else None. ``taylor(K)`` returns the coefficients c_0..c_K when the
     representation knows them. ``polar(theta, rho)`` is w on the
     theta x rho grid of ``disk_points``, the one entry point of synthesis;
-    a representation with a faster evaluator there overrides it.
+    a representation with a faster or more accurate evaluator overrides it.
     """
 
     label: str = "inner analytic function"

@@ -26,7 +26,6 @@ from inner_fourier import (
     completeness_probe,
     contour_partial_sum,
     convergence_radius_check,
-    delta_coefficients,
     delta_inner,
     equivalence_check,
     family_magnitudes,
@@ -47,7 +46,6 @@ from inner_fourier import (
     to_taylor,
     trig_poly_entry,
 )
-from inner_fourier.distributions import DeltaSpec
 from inner_fourier.series import ClosedForm
 
 _T0 = time.perf_counter()
@@ -118,7 +116,7 @@ def test_criterion_3_delta_poisson_identity():
         theta = float(rng.uniform(-math.pi, math.pi))
         theta1 = float(rng.uniform(-math.pi, math.pi))
         rho = float(rng.uniform(0.0, 0.99))
-        fc = delta_coefficients(DeltaSpec(theta1), K)
+        fc = resolve("delta", theta1=theta1).coefficients(K)
         err = abs(regulated_sum(fc, theta, rho) - poisson_kernel(theta, theta1, rho))
         bound = rho ** (K + 1) / (math.pi * (1.0 - rho)) + 1e-12
         worst_excess = max(worst_excess, err - bound)
@@ -293,8 +291,8 @@ def test_criterion_8_hilbert():
 def test_criterion_9_cross_module_and_cli():
     exact = True
     for n in range(1, 6):
-        direct = delta_coefficients(DeltaSpec(0.33, n), 64)
-        tc = to_taylor(delta_coefficients(DeltaSpec(0.33), 64))
+        direct = resolve("delta_derivative", theta1=0.33, order=n).coefficients(64)
+        tc = delta_inner(0.33).taylor(64)
         for _ in range(n):
             tc = angular_derivative(tc)
         chained = from_taylor(tc)

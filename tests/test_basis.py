@@ -11,25 +11,7 @@ from inner_fourier import (
     fourier_gram,
     residue_identity_check,
     resolve,
-    scalar_product,
 )
-
-
-class TestScalarProduct:
-    def test_constant_norm(self):
-        one = resolve("const").function
-        assert scalar_product(one, one, 256) == pytest.approx(2 * math.pi, abs=1e-12)
-
-    def test_cos_sin_orthogonal(self):
-        for k in (1, 3, 7):
-            c = resolve(f"cos_{k}").function
-            s = resolve(f"sin_{k}").function
-            assert abs(scalar_product(c, s, 256)) < 1e-12
-
-    def test_harmonic_norm(self):
-        for k in (1, 4):
-            c = resolve(f"cos_{k}").function
-            assert scalar_product(c, c, 256) == pytest.approx(math.pi, abs=1e-12)
 
 
 class TestResidueIdentity:

@@ -9,14 +9,12 @@ from inner_fourier import (
     TaylorCoefficients,
     classify_sequence,
     convergence_radius_check,
-    delta_coefficients,
     equivalence_check,
     family_magnitudes,
     fourier_coefficients,
     resolve,
     to_taylor,
 )
-from inner_fourier.distributions import DeltaSpec
 
 GRID_P = (0.0, 1.0, 2.0, 5.0)
 GRID_B = (0.9, 1.0, 1.01, 1.1)
@@ -109,7 +107,7 @@ class TestPropertyOneEcho:
 
 class TestEquivalence:
     def test_distributional_derivative_agrees(self):
-        fc = delta_coefficients(DeltaSpec(0.4, 3), 512)
+        fc = resolve("delta_derivative", theta1=0.4, order=3).coefficients(512)
         rep = equivalence_check(fc)
         assert rep.c_bounded and rep.ab_bounded and rep.agree
 

@@ -97,6 +97,13 @@ class TestCoeffsCommand:
         assert alpha == resolve(name, **params).coefficients(8).alpha.tolist()
         assert alpha != resolve(name).coefficients(8).alpha.tolist()
 
+    @pytest.mark.parametrize("theta1", ["7", "-3.2", "3.141592653589793", "nan"])
+    @pytest.mark.parametrize("name", ["delta", "delta_derivative", "poisson"])
+    def test_theta1_outside_one_period_is_refused(self, capsys, name, theta1):
+        code, out, err = run(capsys, "coeffs", "--fn", name, "--theta1", theta1, "--K", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: theta1 must lie in [-pi, pi), got {float(theta1)}\n"
+
     def test_output_file_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run(capsys, "coeffs", "--fn", "triangle", "--K", "16", "--out", str(a))[0] == 0
@@ -290,6 +297,31 @@ class TestInputErrors:
         path.write_text("theta,value\n-3.141592653589793,1.0\n0.0\n")
         self._one_line_usage_error(capsys, "coeffs", "--csv", str(path), "--K", "1")
 
+    @pytest.mark.parametrize("rows", ["-3.141592653589793,abc\n0.0,1.0\n", "abc,1.0\n0.0,1.0\n"], ids=["value", "theta"])
+    def test_sample_cell_that_is_not_a_number_names_the_file(self, capsys, tmp_path, rows):
+        path = tmp_path / "s.csv"
+        path.write_text("theta,value\n" + rows)
+        code, out, err = run(capsys, "coeffs", "--csv", str(path), "--K", "0")
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: could not convert string to float: 'abc'\n"
+
+    def test_coefficient_file_that_is_not_json_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("not json")
+        code, out, err = run(capsys, "reconstruct", "--coeffs", str(path), "--rho", "0.5")
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: Expecting value: line 1 column 1 (char 0)\n"
+
+    @pytest.mark.parametrize("thetas", ["0:inf:4", "-inf:0:4", "nan:1:4", "0:nan:4", "-1e308:1e308:4"])
+    def test_theta_grid_without_finite_span_is_refused(self, capsys, tmp_path, thetas):
+        path = tmp_path / "c.json"
+        assert main(["coeffs", "--fn", "square", "--K", "8", "--out", str(path)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "reconstruct", "--coeffs", str(path), f"--thetas={thetas}", "--rho", "0.5")
+        assert code == 2 and out == ""
+        assert err == f"error: theta grid spec needs n >= 1 and finite lo < hi, got {thetas!r}\n"
+
     # the default full-period grid takes the folded FFT, the partial arc Horner's rule
     @pytest.mark.parametrize("thetas", ["-pi:pi:256", "0:1:4"], ids=["full_period", "partial_arc"])
     def test_overflowing_synthesis_is_refused_by_radius(self, capsys, tmp_path, thetas):
@@ -425,6 +457,12 @@ class TestVerifyCommand:
         assert [line.match(c).group(1) for c in checks] == names
         for c in checks:
             assert float(line.match(c).group(3)) <= float(line.match(c).group(4))
+
+    def test_size_numpy_cannot_allocate_is_a_usage_error(self, capsys):
+        # the Gram basis for K = 1e8 needs 568 PiB, which numpy refuses before touching any memory
+        code, out, err = run(capsys, "verify", "--suite", "ortho", "--K", "100000000")
+        assert code == 2 and out == ""
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
 
     def test_classify_family_window_too_short_is_named(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "classify", "--p", "2", "--K", "8")

@@ -13,7 +13,6 @@ from inner_fourier import (
     TaylorCoefficients,
     TaylorSeries,
     coefficients_by_cauchy,
-    delta_coefficients,
     delta_inner,
     fourier_coefficients,
     from_taylor,
@@ -21,7 +20,6 @@ from inner_fourier import (
     to_taylor,
     trig_poly_entry,
 )
-from inner_fourier.distributions import DeltaSpec
 
 
 def test_constant_function_coefficients():
@@ -76,7 +74,7 @@ def test_to_taylor_examples():
     assert np.all(tc.c[1:] == 0.0)
 
     theta1 = 0.7
-    dc = to_taylor(delta_coefficients(DeltaSpec(theta1), 8))
+    dc = delta_inner(theta1).taylor(8)
     k = np.arange(1, 9)
     assert np.max(np.abs(dc.c[1:] - np.exp(-1j * k * theta1) / math.pi)) < 1e-15
 

@@ -4,25 +4,30 @@ import mpmath
 import numpy as np
 import pytest
 from conftest import oracle_delta_derivative_alpha, oracle_delta_derivative_beta
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from inner_fourier import (
     EvaluationError,
     angular_derivative,
     completeness_probe,
-    delta_coefficients,
     delta_inner,
     from_taylor,
     poisson_kernel,
     regulated_delta_on_grid,
     regulated_sum,
     resolve,
-    scalar_product,
     to_taylor,
     trig_poly_entry,
 )
-from inner_fourier.coeffs import PeriodicFunction
-from inner_fourier.distributions import DeltaSpec
 from inner_fourier.quadrature import disk_points, power_series, theta_grid, trapezoid_periodic
+
+EPS = np.finfo(float).eps
+
+
+def _delta(theta1, order=0, K=8):
+    # the catalog's coefficients of the order-th derivative of the point mass at theta1
+    return resolve("delta_derivative", theta1=theta1, order=order).coefficients(K)
 
 
 class TestDeltaClosedForm:
@@ -51,7 +56,7 @@ class TestDeltaClosedForm:
     def test_real_part_matches_regulated_expansion(self):
         theta1 = -1.1
         w = delta_inner(theta1)
-        fc = delta_coefficients(DeltaSpec(theta1), 10000)
+        fc = _delta(theta1, K=10000)
         for theta, rho in [(0.3, 0.5), (theta1, 0.9), (2.5, 0.8)]:
             z = rho * complex(math.cos(theta), math.sin(theta))
             assert w(z).real == pytest.approx(regulated_sum(fc, theta, rho), abs=1e-12)
@@ -59,34 +64,34 @@ class TestDeltaClosedForm:
 
 class TestDeltaCoefficients:
     def test_centered_at_zero(self):
-        fc = delta_coefficients(DeltaSpec(0.0), 6)
+        fc = _delta(0.0, K=6)
         assert np.allclose(fc.alpha, 1.0 / math.pi, atol=0)
         assert np.all(fc.beta == 0.0)
 
     def test_centered_at_half_pi(self):
-        fc = delta_coefficients(DeltaSpec(math.pi / 2), 4)
+        fc = _delta(math.pi / 2, K=4)
         assert abs(fc.alpha[0]) < 1e-16
         assert fc.beta[0] == pytest.approx(1.0 / math.pi)
 
     def test_zero_sines_keep_their_sign(self):
         # the coefficient files print beta_k = 0 as "0.0", never "-0.0"
-        assert not np.any(np.signbit(delta_coefficients(DeltaSpec(0.0), 6).beta))
+        assert not np.any(np.signbit(_delta(0.0, K=6).beta))
 
     def test_mean_term(self):
         for theta1 in (-2.0, 0.0, 1.3):
-            assert delta_coefficients(DeltaSpec(theta1), 3).alpha0 == 1.0 / math.pi
+            assert _delta(theta1, K=3).alpha0 == 1.0 / math.pi
 
 
 class TestDeltaDerivativeCoefficients:
     def test_first_derivative_at_zero(self):
-        fc = delta_coefficients(DeltaSpec(0.0, 1), 6)
+        fc = _delta(0.0, 1, 6)
         k = np.arange(1, 7)
         assert np.max(np.abs(fc.beta - (-k / math.pi))) < 1e-15
         assert np.max(np.abs(fc.alpha)) < 1e-15
         assert fc.alpha0 == 0.0
 
     def test_second_derivative_at_zero(self):
-        fc = delta_coefficients(DeltaSpec(0.0, 2), 6)
+        fc = _delta(0.0, 2, 6)
         k = np.arange(1, 7)
         assert np.max(np.abs(fc.alpha - (-(k**2) / math.pi))) < 1e-15
         assert np.max(np.abs(fc.beta)) < 1e-15
@@ -94,7 +99,7 @@ class TestDeltaDerivativeCoefficients:
     def test_against_integration_by_parts_oracle(self):
         for n in (1, 2, 3):
             for theta1 in (0.0, 0.9, -2.2):
-                fc = delta_coefficients(DeltaSpec(theta1, n), 5)
+                fc = _delta(theta1, n, 5)
                 for k in range(1, 6):
                     assert fc.alpha[k - 1] == pytest.approx(
                         oracle_delta_derivative_alpha(n, theta1, k), abs=1e-12 * k**n
@@ -105,9 +110,8 @@ class TestDeltaDerivativeCoefficients:
 
     def test_equals_repeated_angular_derivative_exactly(self):
         for n in range(1, 6):
-            spec = DeltaSpec(0.33, n)
-            direct = delta_coefficients(spec, 32)
-            tc = to_taylor(delta_coefficients(DeltaSpec(0.33), 32))
+            direct = _delta(0.33, n, 32)
+            tc = delta_inner(0.33).taylor(32)
             for _ in range(n):
                 tc = angular_derivative(tc)
             chained = from_taylor(tc)
@@ -116,12 +120,12 @@ class TestDeltaDerivativeCoefficients:
             assert np.array_equal(direct.beta, chained.beta)
 
     def test_taylor_route_first_derivative(self):
-        tc = to_taylor(delta_coefficients(DeltaSpec(0.0, 1), 6))
+        tc = to_taylor(_delta(0.0, 1, 6))
         k = np.arange(1, 7)
         assert np.max(np.abs(tc.c[1:] - 1j * k / math.pi)) < 1e-15
 
     def test_growth_scale(self):
-        fc = delta_coefficients(DeltaSpec(0.5, 3), 64)
+        fc = _delta(0.5, 3, 64)
         mags = np.hypot(fc.alpha, fc.beta)
         k = np.arange(1, 65)
         assert np.max(np.abs(mags - k**3 / math.pi)) < 1e-9
@@ -132,7 +136,7 @@ class TestRegulatedDeltaKernel:
         theta1, rho, K = 0.8, 0.95, 300
         grid = theta_grid(64)
         kern = regulated_delta_on_grid(grid, theta1, rho, K)
-        fc = delta_coefficients(DeltaSpec(theta1), K)
+        fc = _delta(theta1, K=K)
         np.testing.assert_allclose(kern, regulated_sum(fc, grid, rho), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("theta1, rho, K", [(0.8, 0.95, 300), (-2.9, 0.5, 1), (3.0, 0.999, 2000)])
@@ -185,13 +189,11 @@ class TestRegulatedDeltaKernel:
 
 
 def test_catalog_ids_route_to_distribution_generators():
+    tc = delta_inner(0.5).taylor(8)
     fc = resolve("delta", theta1=0.5).coefficients(8)
-    want = delta_coefficients(DeltaSpec(0.5), 8)
-    assert np.array_equal(fc.alpha, want.alpha)
+    assert np.array_equal(to_taylor(fc).c, tc.c)
     fc = resolve("delta_derivative", theta1=0.5, order=2).coefficients(8)
-    want = delta_coefficients(DeltaSpec(0.5, 2), 8)
-    assert np.array_equal(fc.alpha, want.alpha)
-    assert np.array_equal(fc.beta, want.beta)
+    assert np.array_equal(to_taylor(fc).c, angular_derivative(angular_derivative(tc)).c)
 
 
 @pytest.mark.parametrize(
@@ -200,10 +202,62 @@ def test_catalog_ids_route_to_distribution_generators():
 )
 def test_delta_spec_refuses_out_of_range(theta1, order, match):
     with pytest.raises(ValueError, match=match):
-        DeltaSpec(theta1, order)
+        resolve("delta_derivative", theta1=theta1, order=order)
+    if match == "theta1":
+        with pytest.raises(ValueError, match=r"theta1 must lie in \[-pi, pi\)"):
+            delta_inner(theta1)
 
 
 @pytest.mark.parametrize("theta1, K", [(0.0, 1), (-1.1, 16), (2.9, 300)])
 def test_point_mass_taylor_is_its_exact_coefficients(theta1, K):
+    # c_k = exp(-i*k*theta1)/pi at the double angle k*theta1 the code forms, to 40 digits
     got = delta_inner(theta1).taylor(K).c
-    assert np.array_equal(got, to_taylor(delta_coefficients(DeltaSpec(theta1), K)).c)
+    assert got[0] == 1.0 / (2.0 * math.pi)
+    with mpmath.workdps(40):
+        want = [complex(mpmath.expj(-mpmath.mpf(k * theta1)) / mpmath.pi) for k in range(1, K + 1)]
+    assert np.max(np.abs(got[1:] - want)) <= 2 * EPS / math.pi
+
+
+def _herglotz_oracle(phi: float, rho: float) -> mpmath.mpc:
+    # (1/(2 pi)) (1 + u)/(1 - u) with u = rho*exp(i*phi), at the double phi and rho given
+    with mpmath.workdps(40):
+        u = mpmath.mpf(rho) * mpmath.expj(mpmath.mpf(phi))
+        return (1 + u) / (1 - u) / (2 * mpmath.pi)
+
+
+@given(
+    theta1=st.floats(-math.pi, math.pi, exclude_max=True),
+    theta=st.floats(-20.0, 20.0),
+    rho=st.integers(1, 30).map(lambda j: 1.0 - 2.0**-j) | st.floats(0.0, 1.0, exclude_max=True),
+)
+@example(theta1=0.7, theta=-1.0, rho=1.0 - 2.0**-14)  # 3.4e-12 relative through the z formula
+@example(theta1=-math.pi, theta=-math.pi, rho=1.0 - 2.0**-30)  # at the pole's angle
+@example(theta1=0.0, theta=math.pi, rho=1.0 - 2.0**-30)  # Im w = 0 at the opposite angle
+def test_polar_matches_mpmath_up_to_the_circle(theta1, theta, rho):
+    got = delta_inner(theta1).polar(theta, rho)
+    want = _herglotz_oracle(theta - theta1, rho)
+    with mpmath.workdps(40):
+        assert abs(got.real - want.real) <= 1e-15 * want.real
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_polar_grid_is_the_scalar_calls():
+    w = delta_inner(-1.1)
+    theta, rho = np.linspace(-7.0, 7.0, 9), np.array([0.0, 0.5, 1.0 - 2.0**-30])
+    grid = w.polar(theta, rho)
+    assert grid.shape == (9, 3)
+    scalars = [[w.polar(t, r) for r in rho] for t in theta]
+    np.testing.assert_allclose(grid, scalars, rtol=4 * EPS, atol=0)
+
+
+def test_polar_refuses_the_pole_and_non_finite_angles():
+    w = delta_inner(0.4)
+    with pytest.raises(EvaluationError, match="pole"):
+        w(w.pole_set[0])
+    with pytest.raises(EvaluationError, match="pole"):
+        w.polar(0.4, 1.0)
+    with pytest.raises(EvaluationError, match="pole"):
+        w.polar(np.array([0.0, 0.4]), [0.5, 1.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="angles must be finite"):
+            w.polar(np.array([0.0, bad]), 0.5)

@@ -177,3 +177,49 @@ def test_curve_csv_formatting(tmp_path):
 def test_malformed_coefficient_documents_refused(doc, match):
     with pytest.raises(ValueError, match=match):
         parse_coefficients(doc)
+
+
+_BAD_COEFFICIENT_FILES = {
+    "not_json": (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+    "not_utf8": (b'{"K": 1, "alpha0": \xff}', "'utf-8' codec can't decode byte 0xff in position 19: invalid start byte"),
+    "not_an_object": (b"[1.0, 2.0]", "coefficient JSON must be an object"),
+    "no_keys": (b'{"K": 1}', "no coefficient keys found (expected alpha/beta or c_re/c_im)"),
+    "missing_key": (b'{"alpha0": 0.5, "alpha": [1, 0]}', "coefficient JSON has 'alpha' but lacks 'beta'"),
+    "text_entry": (b'{"c_re": [0.0, "one"], "c_im": [0.0, 0.0]}', "coefficient JSON keys c_re, c_im must hold numbers"),
+    "nan_entry": (b'{"alpha0": NaN, "alpha": [1.0], "beta": [0.0]}', "coefficients must be finite"),
+    "imaginary_mean": (b'{"c_re": [0.0, 1.0], "c_im": [1.0, 0.0]}', "Im(c_0) = 1.0 exceeds 1e-12; no real mean term"),
+    "disagreeing_groups": (
+        b'{"alpha0": 1.0, "alpha": [1.0], "beta": [0.0], "c_re": [0.5, 2.0], "c_im": [0.0, 0.0]}',
+        "coefficient JSON c_re/c_im is not the Taylor form of its alpha0/alpha/beta",
+    ),
+    "bool_K": (b'{"K": true, "alpha0": 1.0, "alpha": [1.0], "beta": [0.0]}', "coefficient JSON key 'K' must be an integer, got True"),
+    "wrong_K": (b'{"K": 3, "alpha0": 1.0, "alpha": [1.0], "beta": [0.0]}', "coefficient JSON says K = 3 but holds 1 harmonics"),
+}
+
+
+@pytest.mark.parametrize("content, message", _BAD_COEFFICIENT_FILES.values(), ids=_BAD_COEFFICIENT_FILES.keys())
+def test_coefficient_file_refusal_names_the_file(tmp_path, content, message):
+    path = tmp_path / "c.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as exc:
+        read_coefficients_json(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+_BAD_SAMPLE_FILES = {
+    "text_value": (b"theta,value\n-3.141592653589793,abc\n0.0,1.0\n", "could not convert string to float: 'abc'"),
+    "text_theta": (b"theta,value\nabc,1.0\n0.0,1.0\n", "could not convert string to float: 'abc'"),
+    "empty_cell": (b"theta,value\n-3.141592653589793,\n0.0,1.0\n", "could not convert string to float: ''"),
+    "not_utf8": (b"theta,value\n\xff,1.0\n", "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
+    "no_header": (b"", "expected header 'theta,value'"),
+    "one_column": (b"theta,value\n-3.141592653589793,1.0\n0.0\n", "every sample row needs two columns, theta and value"),
+}
+
+
+@pytest.mark.parametrize("content, message", _BAD_SAMPLE_FILES.values(), ids=_BAD_SAMPLE_FILES.keys())
+def test_sample_file_refusal_names_the_file(tmp_path, content, message):
+    path = tmp_path / "s.csv"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as exc:
+        read_samples_csv(path)
+    assert str(exc.value) == f"{path}: {message}"

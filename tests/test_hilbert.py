@@ -8,20 +8,17 @@ from hypothesis import strategies as st
 from inner_fourier import (
     DiskProductConfig,
     DivergenceWarning,
-    PeriodicFunction,
     TaylorCoefficients,
     TaylorSeries,
-    delta_coefficients,
+    delta_inner,
     inner_product_disk,
     inner_product_series,
     norm_disk,
-    scalar_product,
     taylor_gram,
     to_taylor,
     trig_poly_entry,
 )
-from inner_fourier.distributions import DeltaSpec
-from inner_fourier.quadrature import theta_grid
+from inner_fourier.quadrature import theta_grid, trapezoid_periodic
 
 
 def monomial(k: int) -> TaylorSeries:
@@ -82,7 +79,7 @@ class TestSeriesProduct:
         assert inner_product_series(tc, tc, 0.5).value == pytest.approx(0.25)
 
     def test_point_mass_flagged_divergent_on_circle(self):
-        tc = to_taylor(delta_coefficients(DeltaSpec(0.0), 512))
+        tc = delta_inner(0.0).taylor(512)
         with pytest.warns(DivergenceWarning):
             res = inner_product_series(tc, tc, 1.0)
         assert res.divergent
@@ -189,8 +186,7 @@ def test_boundary_product_reduces_to_circle_scalar_products(rng):
         w = TaylorSeries(tc)
         m = 512
         grid = theta_grid(m)
-        u = PeriodicFunction.from_samples(np.asarray(w(np.exp(1j * grid))).real)
-        v = PeriodicFunction.from_samples(np.asarray(w(np.exp(1j * grid))).imag)
+        u, v = w(np.exp(1j * grid)).real, w(np.exp(1j * grid)).imag
         lhs = 2 * math.pi * inner_product_disk(w, w, DiskProductConfig(1.0, m)).real
-        rhs = scalar_product(u, u, m) + scalar_product(v, v, m)
+        rhs = trapezoid_periodic(u * u) + trapezoid_periodic(v * v)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)

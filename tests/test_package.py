@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import inner_fourier
 
 
@@ -14,3 +16,26 @@ def test_imported_names_are_the_export_list():
     ]
     assert len(imported) == len(set(imported))
     assert sorted(imported) == sorted(inner_fourier.__all__)
+
+
+def _bound_imports(tree: ast.Module) -> dict[str, int]:
+    """Each name an import statement binds, with its line."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                # "import a.b" binds a
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return bound
+
+
+@pytest.mark.parametrize("path", sorted(Path(inner_fourier.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        # the package re-exports what it imports through __all__
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    unused = {name: line for name, line in _bound_imports(tree).items() if name not in used}
+    assert unused == {}, f"{path.name} imports names it never uses (name: line)"

@@ -18,7 +18,6 @@ from inner_fourier import (
     angular_derivative,
     angular_primitive,
     conjugate_sum,
-    delta_coefficients,
     delta_inner,
     fourier_coefficients,
     poisson_kernel,
@@ -27,7 +26,6 @@ from inner_fourier import (
     rho_limit,
     to_taylor,
 )
-from inner_fourier.distributions import DeltaSpec
 
 EPS = np.finfo(float).eps
 
@@ -67,7 +65,7 @@ class TestRegulatedSum:
         assert regulated_sum(_fc(alpha0=2.0), 1.1, 0.9) == pytest.approx(1.0)
 
     def test_point_mass_poisson_value(self):
-        fc = delta_coefficients(DeltaSpec(0.0), 400)
+        fc = resolve("delta").coefficients(400)
         got = regulated_sum(fc, 0.0, 0.5)
         assert got == pytest.approx(3.0 / (2.0 * math.pi), abs=1e-12)
         assert got == pytest.approx(poisson_kernel(0.0, 0.0, 0.5), abs=1e-12)
@@ -149,7 +147,7 @@ def test_poisson_closed_form_within_truncation(rng):
         theta1 = float(rng.uniform(-math.pi, math.pi))
         theta = float(rng.uniform(-math.pi, math.pi))
         rho = float(rng.uniform(0.0, 0.97))
-        fc = delta_coefficients(DeltaSpec(theta1), K)
+        fc = resolve("delta", theta1=theta1).coefficients(K)
         bound = rho ** (K + 1) / (math.pi * (1.0 - rho)) + 1e-12
         assert abs(regulated_sum(fc, theta, rho) - poisson_kernel(theta, theta1, rho)) <= bound
 
@@ -167,7 +165,7 @@ class TestRhoLimit:
         assert len(res.history) == len(sched.rhos)
 
     def test_point_mass_vanishes_away_from_its_angle(self):
-        fc = delta_coefficients(DeltaSpec(0.0), 10000)
+        fc = resolve("delta").coefficients(10000)
         with pytest.warns(TruncationWarning):
             res = rho_limit(fc, math.pi, RhoSchedule.geometric(1, 10, tol=1e-3))
         assert res.converged
@@ -176,7 +174,7 @@ class TestRhoLimit:
         assert res.value == pytest.approx((1 - rho) / (2 * math.pi * (1 + rho)), abs=1e-4)
 
     def test_point_mass_diverges_at_its_angle(self):
-        fc = delta_coefficients(DeltaSpec(0.0), 10000)
+        fc = resolve("delta").coefficients(10000)
         with pytest.warns(TruncationWarning):
             res = rho_limit(fc, 0.0, RhoSchedule.geometric(1, 10, tol=1e-3))
         assert not res.converged
@@ -210,13 +208,11 @@ class TestRhoLimit:
                 warnings.simplefilter("error")
                 res = rho_limit(delta_inner(theta1), float(theta), sched)
             want = [poisson_kernel(float(theta), theta1, rho) for rho in sched.rhos]
-            # Re w = 1/(2 pi) - Re(z/(z - z1))/pi cancels to ~1e-5 at the last
-            # radius, so the closed form agrees to ~1e-16 absolute, ~4e-12 relative
-            np.testing.assert_allclose(res.history, want, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(res.history, want, rtol=1e-15, atol=0)
             assert not res.truncation_suspect
 
     def test_truncation_warning_condition(self):
-        fc = delta_coefficients(DeltaSpec(0.0), 50)
+        fc = resolve("delta").coefficients(50)
         with pytest.warns(TruncationWarning):
             res = rho_limit(fc, 2.0, RhoSchedule.geometric(1, 12, tol=1e-6))
         assert res.truncation_suspect
@@ -227,11 +223,11 @@ class TestRhoLimit:
         sched = RhoSchedule.geometric(1, 6)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            res = rho_limit(delta_coefficients(DeltaSpec(0.0, 3), 2048), 1.0, sched)
+            res = rho_limit(resolve("delta_derivative", order=3).coefficients(2048), 1.0, sched)
         assert res.truncation_suspect
         assert [type(w.message) for w in caught] == [TruncationWarning]
         assert "truncation bound 0.00169 " in str(caught[0].message)
-        longer = rho_limit(delta_coefficients(DeltaSpec(0.0, 3), 8192), 1.0, sched)
+        longer = rho_limit(resolve("delta_derivative", order=3).coefficients(8192), 1.0, sched)
         assert abs(res.value - longer.value) > sched.tol
 
 
