@@ -31,7 +31,7 @@ from .coeffs import (
     from_taylor,
     to_taylor,
 )
-from .distributions import delta_inner, poisson_kernel, regulated_delta_on_grid
+from .distributions import delta_inner, regulated_delta_on_grid
 from .errors import DivergenceWarning, EvaluationError, TruncationWarning
 from .hilbert import (
     DiskProductConfig,
@@ -107,7 +107,6 @@ __all__ = [
     "inner_product_series",
     "norm_disk",
     "partial_sum",
-    "poisson_kernel",
     "regulated_delta_on_grid",
     "regulated_sum",
     "remainder",

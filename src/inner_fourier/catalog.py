@@ -1,17 +1,17 @@
 """Named periodic functions with known coefficient generators.
 
 Entries span the cases the library is exercised on: smooth functions
-(constant, single harmonics, the damped point-mass kernel "poisson"),
-functions with jump discontinuities (square, sawtooth) and the point mass
-and its derivatives, "delta" and "delta_derivative": one builder that
-applies ``angular_derivative`` to ``delta_inner(theta1).taylor(K)``,
-with no pointwise samples. These three refuse theta1 outside [-pi, pi).
+(constant, single harmonics, and "poisson", the point mass seen at radius
+r: ``delta_inner(theta1).polar(theta, r).real`` sampled, its coefficients
+damped by r**k), functions with jump discontinuities (square, sawtooth)
+and the point mass and its derivatives, "delta" and "delta_derivative":
+one builder that applies ``angular_derivative`` to
+``delta_inner(theta1).taylor(K)``, with no pointwise samples. These three
+refuse theta1 outside [-pi, pi). Every generator refuses K < 1.
 
 Jump-discontinuous samplers return the midpoint of the one-sided limits
 at the jump angles, which is the value the damped sums converge to and
-keeps the coefficient quadrature spectrally accurate. Entries carrying
-both a sampler and a generator self-test to 1e-8 agreement at the stated
-grid size.
+keeps the coefficient quadrature spectrally accurate.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .coeffs import FourierCoefficients, PeriodicFunction, from_taylor, to_taylor
-from .distributions import _check_theta1, delta_inner, poisson_kernel
+from .distributions import delta_inner
 from .quadrature import disk_points, power_series
 from .series import angular_derivative
 
@@ -38,11 +38,12 @@ class CatalogEntry:
     id: str
     function: PeriodicFunction | None
     known_coefficients: Callable[[int], FourierCoefficients] | None
-    self_test_M: int | None = None
 
     def coefficients(self, K: int) -> FourierCoefficients:
         if self.known_coefficients is None:
             raise ValueError(f"catalog entry {self.id!r} has no coefficient generator")
+        if K < 1:
+            raise ValueError(f"K must be >= 1, got {K}")
         return self.known_coefficients(K)
 
 
@@ -63,7 +64,7 @@ def _entry_square():
         beta = 2.0 * (1.0 - (-1.0) ** k) / (math.pi * k)
         return FourierCoefficients(0.0, np.zeros(K), beta)
 
-    return CatalogEntry("square", PeriodicFunction.from_callable("square", fn), gen, 262144)
+    return CatalogEntry("square", PeriodicFunction.from_callable("square", fn), gen)
 
 
 def _entry_sawtooth():
@@ -75,7 +76,7 @@ def _entry_sawtooth():
         beta = 2.0 * (-1.0) ** (k + 1) / k
         return FourierCoefficients(0.0, np.zeros(K), beta)
 
-    return CatalogEntry("sawtooth", PeriodicFunction.from_callable("sawtooth", fn), gen, 262144)
+    return CatalogEntry("sawtooth", PeriodicFunction.from_callable("sawtooth", fn), gen)
 
 
 def _entry_triangle():
@@ -84,7 +85,7 @@ def _entry_triangle():
         alpha = (2.0 / (math.pi * k * k)) * ((-1.0) ** k - 1.0)
         return FourierCoefficients(math.pi, alpha, np.zeros(K))
 
-    return CatalogEntry("triangle", PeriodicFunction.from_callable("triangle", np.abs), gen, 65536)
+    return CatalogEntry("triangle", PeriodicFunction.from_callable("triangle", np.abs), gen)
 
 
 def _entry_point_mass(id: str, theta1: float, order: int) -> CatalogEntry:
@@ -105,21 +106,18 @@ def _entry_point_mass(id: str, theta1: float, order: int) -> CatalogEntry:
 def _entry_poisson(r: float = 0.5, theta1: float = 0.0):
     if not 0.0 <= r < 1.0:
         raise ValueError(f"poisson entry needs 0 <= r < 1, got {r}")
-    _check_theta1(theta1)
+    w = delta_inner(theta1)
 
     def fn(theta):
-        return poisson_kernel(theta, theta1, r)
+        return w.polar(theta, r).real
 
     def gen(K):
-        k = np.arange(1, K + 1)
-        damp = r ** k.astype(float)
-        return FourierCoefficients(
-            1.0 / math.pi,
-            damp * np.cos(k * theta1) / math.pi,
-            damp * np.sin(k * theta1) / math.pi,
-        )
+        fc = from_taylor(w.taylor(K))
+        # scale the real alpha and beta: r**k * c_k would turn a +0.0 beta_k into -0.0
+        damp = r ** np.arange(1, K + 1, dtype=float)
+        return FourierCoefficients(fc.alpha0, damp * fc.alpha, damp * fc.beta)
 
-    return CatalogEntry("poisson", PeriodicFunction.from_callable("poisson", fn), gen, 2048)
+    return CatalogEntry("poisson", PeriodicFunction.from_callable("poisson", fn), gen)
 
 
 def _trig_poly(id: str, fc: FourierCoefficients) -> CatalogEntry:
@@ -136,7 +134,7 @@ def _trig_poly(id: str, fc: FourierCoefficients) -> CatalogEntry:
         b[: fc.K] = fc.beta
         return FourierCoefficients(fc.alpha0, a, b)
 
-    return CatalogEntry(id, PeriodicFunction.from_callable(id, fn), gen, 4 * fc.K + 256)
+    return CatalogEntry(id, PeriodicFunction.from_callable(id, fn), gen)
 
 
 def trig_poly_entry(alpha0: float, alpha, beta) -> CatalogEntry:

@@ -71,8 +71,11 @@ def _parse_theta_grid(spec: str) -> np.ndarray:
         raise ValueError(f"theta grid spec must be lo:hi:n, got {spec!r}")
     lo, hi = _parse_angle(parts[0]), _parse_angle(parts[1])
     n = int(parts[2])
-    # hi - lo is NaN or infinite when an end is, and NaN fails every comparison
-    if n < 1 or not 0.0 < hi - lo < math.inf:
+    # hi - lo is NaN or infinite when an end is, and NaN fails every comparison;
+    # a finite (hi - lo)*(n - 1) keeps every (hi - lo)*j below from overflowing.
+    # n is capped at sys.maxsize so that a larger int, which numpy refuses as an
+    # array size, does not overflow its conversion to float here
+    if n < 1 or not 0.0 < hi - lo < math.inf or not math.isfinite((hi - lo) * min(n - 1, sys.maxsize)):
         raise ValueError(f"theta grid spec needs n >= 1 and finite lo < hi, got {spec!r}")
     return lo + (hi - lo) * np.arange(n) / n
 

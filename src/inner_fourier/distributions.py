@@ -14,9 +14,11 @@ takes the Herglotz form (phi = theta - theta1), in which nothing cancels:
 
 Re w and |w| are within 1e-15 relative of w at the double phi for rho up to
 1 - 2**-30; the z formula loses about eps/(1 - rho). Both refuse a point
-within 1e-12 of z1. The catalog's "delta_derivative" differentiates
-``taylor(K)`` with ``angular_derivative``, which agrees with the
-distributional integration by parts formula (the tests' sympy oracle).
+within 1e-12 of z1. The Poisson kernel is
+``delta_inner(theta1).polar(theta, rho).real``, the only form of it here:
+the catalog's "poisson" entry samples it. The catalog's "delta_derivative"
+differentiates ``taylor(K)`` with ``angular_derivative``, which agrees with
+the distributional integration by parts formula (the tests' sympy oracle).
 """
 
 from __future__ import annotations
@@ -31,16 +33,12 @@ from .quadrature import TWO_PI
 from .series import _POLE_TOL, ClosedForm, TaylorSeries, regulated_sum
 
 
-def _check_theta1(theta1: float) -> None:
-    if not -math.pi <= theta1 < math.pi:
-        raise ValueError(f"theta1 must lie in [-pi, pi), got {theta1}")
-
-
 class _PointMass(ClosedForm):
     """The point mass at theta1 in [-pi, pi): the closed form w above, its coefficients and its polar form."""
 
     def __init__(self, theta1: float):
-        _check_theta1(theta1)
+        if not -math.pi <= theta1 < math.pi:
+            raise ValueError(f"theta1 must lie in [-pi, pi), got {theta1}")
         z1 = complex(math.cos(theta1), math.sin(theta1))
         label = f"delta inner function (theta1={theta1})"
         super().__init__(lambda z: 1.0 / TWO_PI - (z / (z - z1)) / math.pi, pole_set=(z1,), label=label)
@@ -70,20 +68,6 @@ class _PointMass(ClosedForm):
             raise EvaluationError(f"{self.label} evaluated at pole {self.pole_set[0]!r}")
         out = q * (1.0 + rho) / (TWO_PI * den) + 1j * (np.multiply.outer(np.sin(phi), rho) / (math.pi * den))
         return complex(out) if out.ndim == 0 else out
-
-
-def poisson_kernel(theta, theta1: float, rho: float):
-    """(1/2pi) * (1 - rho**2) / ((1 - rho)**2 + 4*rho*sin((theta - theta1)/2)**2).
-
-    The denominator is the expanded form of |z - z1|**2 written to avoid
-    cancellation near theta = theta1 for rho close to 1.
-    """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"need 0 <= rho < 1, got {rho}")
-    s = np.sin((np.asarray(theta, dtype=float) - theta1) / 2.0)
-    den = (1.0 - rho) ** 2 + 4.0 * rho * s * s
-    out = (1.0 - rho * rho) / (TWO_PI * den)
-    return float(out) if np.ndim(theta) == 0 else out
 
 
 def delta_inner(theta1: float) -> ClosedForm:

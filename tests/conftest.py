@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -58,9 +59,15 @@ def oracle_delta_derivative_beta(n: int, theta1: float, k: int) -> float:
     return float((-1) ** n * d.subs(_THETA, theta1) / sp.pi)
 
 
+def oracle_poisson_kernel(theta: float, theta1: float, rho: float) -> float:
+    """(1/(2*pi)) * (1 - rho**2)/(1 - 2*rho*cos(phi) + rho**2) to 40 digits, at the double phi = theta - theta1."""
+    with mpmath.workdps(40):
+        r = mpmath.mpf(rho)
+        return float((1 - r * r) / (2 * mpmath.pi * (1 - 2 * r * mpmath.cos(theta - theta1) + r * r)))
+
+
 def oracle_poisson_integral(psi, theta1: float, rho: float) -> float:
     """Adaptive quadrature of psi against the closed-form Poisson kernel."""
-    import mpmath
 
     def integrand(t):
         t = float(t)

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import oracle_poisson_kernel
 
 from inner_fourier import (
     DiskProductConfig,
@@ -36,7 +37,6 @@ from inner_fourier import (
     inner_product_series,
     norm_disk,
     partial_sum,
-    poisson_kernel,
     regulated_sum,
     remainder,
     residue_identity_check,
@@ -117,7 +117,7 @@ def test_criterion_3_delta_poisson_identity():
         theta1 = float(rng.uniform(-math.pi, math.pi))
         rho = float(rng.uniform(0.0, 0.99))
         fc = resolve("delta", theta1=theta1).coefficients(K)
-        err = abs(regulated_sum(fc, theta, rho) - poisson_kernel(theta, theta1, rho))
+        err = abs(regulated_sum(fc, theta, rho) - oracle_poisson_kernel(theta, theta1, rho))
         bound = rho ** (K + 1) / (math.pi * (1.0 - rho)) + 1e-12
         worst_excess = max(worst_excess, err - bound)
     const = resolve("const").function

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import (
     oracle_cos_coefficient,
+    oracle_poisson_kernel,
     oracle_sin_coefficient,
     square_wave_expr,
     triangle_expr,
@@ -12,15 +13,25 @@ from conftest import (
 from inner_fourier import ClosedForm, UnknownCatalogId, catalog_ids, delta_inner, fourier_coefficients, resolve, to_taylor
 from inner_fourier.quadrature import circle_coefficients, theta_grid
 
-SELF_TESTABLE = ("zero", "const", "cos_3", "sin_5", "square", "sawtooth", "triangle", "poisson")
+# grid sizes M at which the trapezoid rule meets 1e-8; a trig polynomial of degree d takes 4*d + 256
+SELF_TESTABLE = [
+    ("zero", 260),
+    ("const", 260),
+    ("cos_3", 268),
+    ("sin_5", 276),
+    ("square", 262144),
+    ("sawtooth", 262144),
+    ("triangle", 65536),
+    ("poisson", 2048),
+]
 
 
-@pytest.mark.parametrize("name", SELF_TESTABLE)
-def test_generator_agrees_with_quadrature(name):
+@pytest.mark.parametrize("name, M", SELF_TESTABLE, ids=[name for name, _ in SELF_TESTABLE])
+def test_generator_agrees_with_quadrature(name, M):
     entry = resolve(name)
     K = 8
     want = entry.coefficients(K)
-    got = fourier_coefficients(entry.function, K, entry.self_test_M)
+    got = fourier_coefficients(entry.function, K, M)
     assert abs(got.alpha0 - want.alpha0) <= 1e-8
     assert np.max(np.abs(got.alpha - want.alpha)) <= 1e-8
     assert np.max(np.abs(got.beta - want.beta)) <= 1e-8
@@ -65,6 +76,15 @@ def test_poisson_entry_is_damped_point_mass():
     k = np.arange(1, 6)
     assert np.allclose(fc.alpha, 0.7**k * np.cos(k * 0.3) / math.pi, atol=1e-15)
     assert fc.alpha0 == pytest.approx(1.0 / math.pi)
+
+
+@pytest.mark.parametrize("theta", [0.5, 2.0, 1e-6])
+def test_poisson_sampler_matches_mpmath_near_the_circle(theta):
+    # r**2 needs more than 53 bits here, so a kernel formed with 1 - r*r is 4.7e-10 off
+    r = 1.0 - 2.0**-30
+    got = resolve("poisson", r=r, theta1=0.0).function.fn(np.array([theta]))[0]
+    want = oracle_poisson_kernel(theta, 0.0, r)
+    assert abs(got - want) <= 1e-15 * want
 
 
 def test_distribution_entries_have_no_sampler():

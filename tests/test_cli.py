@@ -8,9 +8,10 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import oracle_poisson_kernel
 
 import inner_fourier
-from inner_fourier import resolve
+from inner_fourier import catalog_ids, resolve
 from inner_fourier.cli import main
 from inner_fourier.quadrature import theta_grid
 
@@ -104,6 +105,13 @@ class TestCoeffsCommand:
         assert code == 2 and out == ""
         assert err == f"error: theta1 must lie in [-pi, pi), got {float(theta1)}\n"
 
+    @pytest.mark.parametrize("K", [0, -2])
+    @pytest.mark.parametrize("name", [{"cos_<k>": "cos_3", "sin_<k>": "sin_5"}.get(i, i) for i in catalog_ids()])
+    def test_fewer_than_one_coefficient_is_refused(self, capsys, name, K):
+        code, out, err = run(capsys, "coeffs", "--fn", name, "--K", str(K))
+        assert code == 2 and out == ""
+        assert err == f"error: K must be >= 1, got {K}\n"
+
     def test_output_file_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run(capsys, "coeffs", "--fn", "triangle", "--K", "16", "--out", str(a))[0] == 0
@@ -162,8 +170,6 @@ class TestReconstructCommand:
         )
 
     def test_point_mass_poisson_curve(self, capsys, tmp_path):
-        from inner_fourier import poisson_kernel
-
         path = self._coeff_file(capsys, tmp_path, "delta", 2000, theta1=0.0)
         code, out, _ = run(
             capsys, "reconstruct", "--coeffs", str(path), "--thetas=-pi:pi:16", "--rho", "0.99"
@@ -173,7 +179,7 @@ class TestReconstructCommand:
         for line in out.splitlines()[1:]:
             cells = line.split(",")
             assert float(cells[2]) == pytest.approx(
-                poisson_kernel(float(cells[0]), 0.0, 0.99), abs=truncation
+                oracle_poisson_kernel(float(cells[0]), 0.0, 0.99), abs=truncation
             )
 
     def test_zero_curve(self, capsys, tmp_path):
@@ -312,7 +318,8 @@ class TestInputErrors:
         assert code == 2 and out == ""
         assert err == f"error: {path}: Expecting value: line 1 column 1 (char 0)\n"
 
-    @pytest.mark.parametrize("thetas", ["0:inf:4", "-inf:0:4", "nan:1:4", "0:nan:4", "-1e308:1e308:4"])
+    # the last two: a span that overflows, and a finite span whose steps (hi - lo)*j overflow
+    @pytest.mark.parametrize("thetas", ["0:inf:4", "-inf:0:4", "nan:1:4", "0:nan:4", "-1e308:1e308:4", "-1e308:7e307:4"])
     def test_theta_grid_without_finite_span_is_refused(self, capsys, tmp_path, thetas):
         path = tmp_path / "c.json"
         assert main(["coeffs", "--fn", "square", "--K", "8", "--out", str(path)]) == 0
@@ -321,6 +328,11 @@ class TestInputErrors:
             code, out, err = run(capsys, "reconstruct", "--coeffs", str(path), f"--thetas={thetas}", "--rho", "0.5")
         assert code == 2 and out == ""
         assert err == f"error: theta grid spec needs n >= 1 and finite lo < hi, got {thetas!r}\n"
+
+    def test_theta_grid_with_more_points_than_a_float_holds_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        assert main(["coeffs", "--fn", "square", "--K", "8", "--out", str(path)]) == 0
+        self._one_line_usage_error(capsys, "reconstruct", "--coeffs", str(path), f"--thetas=0:1:{10**400}", "--rho", "0.5")
 
     # the default full-period grid takes the folded FFT, the partial arc Horner's rule
     @pytest.mark.parametrize("thetas", ["-pi:pi:256", "0:1:4"], ids=["full_period", "partial_arc"])

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from conftest import oracle_delta_derivative_alpha, oracle_delta_derivative_beta
+from conftest import oracle_delta_derivative_alpha, oracle_delta_derivative_beta, oracle_poisson_kernel
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -13,7 +13,6 @@ from inner_fourier import (
     completeness_probe,
     delta_inner,
     from_taylor,
-    poisson_kernel,
     regulated_delta_on_grid,
     regulated_sum,
     resolve,
@@ -51,7 +50,7 @@ class TestDeltaClosedForm:
             rho = float(rng.uniform(0.0, 0.99))
             theta = float(rng.uniform(-math.pi, math.pi))
             z = rho * complex(math.cos(theta), math.sin(theta))
-            assert w(z).real == pytest.approx(poisson_kernel(theta, theta1, rho), abs=1e-12)
+            assert w(z).real == pytest.approx(oracle_poisson_kernel(theta, theta1, rho), abs=1e-12)
 
     def test_real_part_matches_regulated_expansion(self):
         theta1 = -1.1
@@ -184,8 +183,8 @@ class TestRegulatedDeltaKernel:
             regulated_delta_on_grid(np.array([0.0, math.nan]), 0.0, 0.5, 10)
         with pytest.raises(ValueError, match="finite"):
             regulated_delta_on_grid(theta_grid(16), math.inf, 0.5, 10)
-        with pytest.raises(ValueError):
-            poisson_kernel(0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="0 <= r < 1"):
+            resolve("poisson", r=1.0)
 
 
 def test_catalog_ids_route_to_distribution_generators():

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import abel_square_wave
+from conftest import abel_square_wave, oracle_poisson_kernel
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -20,7 +20,6 @@ from inner_fourier import (
     conjugate_sum,
     delta_inner,
     fourier_coefficients,
-    poisson_kernel,
     regulated_sum,
     resolve,
     rho_limit,
@@ -68,7 +67,7 @@ class TestRegulatedSum:
         fc = resolve("delta").coefficients(400)
         got = regulated_sum(fc, 0.0, 0.5)
         assert got == pytest.approx(3.0 / (2.0 * math.pi), abs=1e-12)
-        assert got == pytest.approx(poisson_kernel(0.0, 0.0, 0.5), abs=1e-12)
+        assert got == pytest.approx(oracle_poisson_kernel(0.0, 0.0, 0.5), abs=1e-12)
 
     def test_single_cosine(self):
         assert regulated_sum(_fc(alpha=(1.0,)), 0.0, 0.99) == pytest.approx(0.99)
@@ -149,7 +148,7 @@ def test_poisson_closed_form_within_truncation(rng):
         rho = float(rng.uniform(0.0, 0.97))
         fc = resolve("delta", theta1=theta1).coefficients(K)
         bound = rho ** (K + 1) / (math.pi * (1.0 - rho)) + 1e-12
-        assert abs(regulated_sum(fc, theta, rho) - poisson_kernel(theta, theta1, rho)) <= bound
+        assert abs(regulated_sum(fc, theta, rho) - oracle_poisson_kernel(theta, theta1, rho)) <= bound
 
 
 class TestRhoLimit:
@@ -207,7 +206,7 @@ class TestRhoLimit:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 res = rho_limit(delta_inner(theta1), float(theta), sched)
-            want = [poisson_kernel(float(theta), theta1, rho) for rho in sched.rhos]
+            want = [oracle_poisson_kernel(float(theta), theta1, rho) for rho in sched.rhos]
             np.testing.assert_allclose(res.history, want, rtol=1e-15, atol=0)
             assert not res.truncation_suspect
 
