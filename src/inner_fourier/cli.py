@@ -10,8 +10,8 @@ Three subcommands, each reading every option it accepts:
   j1..j2 [--tol T]) [--out PATH]`` sweeps the damped sums over a theta
   grid and writes curve CSV; --tol with --rho is refused. The values come
   from ``TaylorSeries.polar``: one folded inverse FFT per radius when the
-  grid spans one full period (the default -pi:pi:256), Horner's rule on
-  a partial arc.
+  grid spans one full period (the default -pi:pi:256), the blocked
+  ``quadrature.power_series`` on a partial arc.
 - ``verify --suite NAME [--K K] [--rho0 R] [--p P] [--b B]`` runs one
   verification suite and exits 1 on any tolerance violation. Each suite
   reads the options its function takes: ortho and complete --K, hilbert

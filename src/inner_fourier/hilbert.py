@@ -103,11 +103,11 @@ def inner_product_series(
 ) -> SeriesProductResult:
     """Coefficient form of the disk product: sum rho0**(2k) * conj(c1_k) * c2_k.
 
-    The sum is a power series in rho0**2, evaluated by Horner's rule within
-    the bound stated in ``quadrature``. For rho0 < 1 this matches the
-    contour value up to the attached tail bound. At rho0 = 1 with non
-    decaying coefficient products the partial value is returned with the
-    divergent flag set and a warning emitted.
+    The sum is a power series in rho0**2, evaluated at the one point
+    rho0**2 by ``quadrature.power_series`` within the bound stated there.
+    For rho0 < 1 this matches the contour value up to the attached tail
+    bound. At rho0 = 1 with non decaying coefficient products the partial
+    value is returned with the divergent flag set and a warning emitted.
     """
     if not 0.0 < rho0 <= 1.0:
         raise ValueError(f"need 0 < rho0 <= 1, got {rho0}")

@@ -18,9 +18,10 @@ degrade when it exceeds eps; ``remainder`` also refuses when its pole at
 z aliases, at scale (|z|/rho1)**M. The second term amplifies the rounding
 of the samples by A = (|z|/rho1)**N / rho1, and the routines refuse when
 A exceeds 1/sqrt(eps) (``quadrature.check_amplification``). The boundary
-partial sum on |z| = 1 is the exterior case; it is computed as Horner's
-rule over ``quadrature.circle_coefficients``, the same sum without the
-two contour terms.
+partial sum on |z| = 1 is the exterior case; it is computed as
+``quadrature.power_series`` over ``quadrature.circle_coefficients``, the
+same sum without the two contour terms. Direct partial sums go through
+``power_series`` too, with its error bound 2N * eps * sum |c_k| |z|**k.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class PartialSumReport:
     ``roundoff_bound`` bounds the error of ``contour``: eps * max|w_j| *
     max(1, A), the sample rounding amplified by A = (|z|/rho1)**N / rho1,
     or near the circle (N + 1) * eps * max summand / M if larger.
-    ``discrepancy`` also carries the error of ``direct``, Horner's
-    2N * eps * sum_{k<N} |c_k| |z|**k (``quadrature``).
+    ``discrepancy`` also carries the error of ``direct``, the
+    ``quadrature.power_series`` bound 2N * eps * sum_{k<N} |c_k| |z|**k.
     """
 
     N: int
@@ -57,7 +58,7 @@ class PartialSumReport:
 
 
 def partial_sum(tc: TaylorCoefficients, z: PolarPoint, N: int) -> complex:
-    """Horner evaluation of the first N terms at any finite point."""
+    """The first N terms at any finite point, by ``quadrature.power_series``."""
     if not 1 <= N <= tc.K + 1:
         raise ValueError(f"need 1 <= N <= K + 1 = {tc.K + 1}, got N={N}")
     return complex(power_series(tc.c[:N], z.z))
@@ -131,12 +132,13 @@ def boundary_partial_sum(
 ) -> complex:
     """S_N at the boundary point exp(i*theta) from an integral over radius rho1 < 1.
 
-    The exterior case of the contour identity: Horner's rule over the
-    first N trapezoid Cauchy coefficients (``quadrature.circle_coefficients``)
-    at z = exp(i*theta). A circle whose aliasing scale (rho1/R)**M exceeds
-    eps, or whose amplification rho1**-(N-1) exceeds 1/sqrt(eps), is
-    refused with ValueError naming the M or the radii that pass; the value
-    is never returned degraded. A non-finite theta raises ValueError.
+    The exterior case of the contour identity: ``quadrature.power_series``
+    over the first N trapezoid Cauchy coefficients
+    (``quadrature.circle_coefficients``) at z = exp(i*theta). A circle
+    whose aliasing scale (rho1/R)**M exceeds eps, or whose amplification
+    rho1**-(N-1) exceeds 1/sqrt(eps), is refused with ValueError naming
+    the M or the radii that pass; the value is never returned degraded. A
+    non-finite theta raises ValueError.
     """
     if not 0.0 < rho1 < 1.0:
         raise ValueError(f"need 0 < rho1 < 1 strictly, got {rho1}")

@@ -90,9 +90,10 @@ class InnerAnalytic:
 class TaylorSeries(InnerAnalytic):
     """Truncated power series sum c_k z**k.
 
-    Points are evaluated by Horner's scheme; ``polar`` on a full-period
-    uniform angle grid by one folded inverse FFT per radius
-    (``grid_power_series``).
+    Points are evaluated by ``power_series`` (Horner's rule in z**b over
+    blocks of b = isqrt(K + 1) terms, or Horner's rule itself for few terms
+    or many points); ``polar`` on a full-period uniform angle grid by one
+    folded inverse FFT per radius (``grid_power_series``).
     """
 
     def __init__(self, tc: TaylorCoefficients):
@@ -108,7 +109,7 @@ class TaylorSeries(InnerAnalytic):
         """w on the theta x rho grid; a non-finite value raises EvaluationError naming its radius.
 
         On a full-period uniform theta grid the values come from
-        ``grid_power_series``, elsewhere from Horner's rule bit for bit.
+        ``grid_power_series``, elsewhere from ``power_series`` bit for bit.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             out = grid_power_series(self.tc.c, theta, rho)
@@ -237,7 +238,7 @@ def regulated_sum(w: InnerAnalytic | FourierCoefficients, theta, rho: float):
     For coefficients fc this is alpha_0/2 + sum rho**k [alpha_k cos(k theta)
     + beta_k sin(k theta)], evaluated through ``w.polar``: for a series on
     a full-period uniform angle grid by one folded inverse FFT, elsewhere
-    by Horner's rule, each within the bound stated in ``quadrature``. A
+    by ``power_series``, each within the bound stated in ``quadrature``. A
     non-finite theta raises ValueError.
     """
     return _disk_values(w, theta, rho).real

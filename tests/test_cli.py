@@ -234,7 +234,7 @@ class TestReconstructCommand:
         assert err.startswith("reconstruct: ") and err.count("\n") == 1
 
     @pytest.mark.filterwarnings("ignore::inner_fourier.errors.TruncationWarning")
-    def test_partial_arc_is_horner_bit_for_bit(self, capsys, tmp_path):
+    def test_partial_arc_is_power_series_bit_for_bit(self, capsys, tmp_path):
         from inner_fourier.quadrature import disk_points, power_series
 
         path = self._coeff_file(capsys, tmp_path, "sawtooth", 64)
@@ -334,7 +334,7 @@ class TestInputErrors:
         assert main(["coeffs", "--fn", "square", "--K", "8", "--out", str(path)]) == 0
         self._one_line_usage_error(capsys, "reconstruct", "--coeffs", str(path), f"--thetas=0:1:{10**400}", "--rho", "0.5")
 
-    # the default full-period grid takes the folded FFT, the partial arc Horner's rule
+    # the default full-period grid takes the folded FFT, the partial arc power_series
     @pytest.mark.parametrize("thetas", ["-pi:pi:256", "0:1:4"], ids=["full_period", "partial_arc"])
     def test_overflowing_synthesis_is_refused_by_radius(self, capsys, tmp_path, thetas):
         path = tmp_path / "c.json"

@@ -389,12 +389,12 @@ def test_contour_equals_direct_wherever_the_amplification_passes(case):
         if not re.search(_REFUSED, str(exc)):
             raise
         reject()
-    # the contour value's roundoff plus the direct sum's Horner bound
+    # the contour value's roundoff plus the direct sum's power_series bound
     # 2N * eps * sum_{k<N} |c_k| |z|**k, as stated in quadrature; M * tiny
     # covers operands below the underflow threshold, where no relative bound holds
     c = w.taylor(N).c[:N]
-    horner = 2 * N * EPS * math.fsum(np.abs(c) * abs(z.z) ** np.arange(N))
-    assert rep.discrepancy <= rep.roundoff_bound + horner + M * np.finfo(float).tiny
+    direct_bound = 2 * N * EPS * math.fsum(np.abs(c) * abs(z.z) ** np.arange(N))
+    assert rep.discrepancy <= rep.roundoff_bound + direct_bound + M * np.finfo(float).tiny
 
 
 def test_roundoff_bound_covers_a_point_near_the_circle():

@@ -2,12 +2,13 @@
 
 Analysis (one real FFT) is checked against the trapezoid sums written out
 directly with exactly rounded summation, and both synthesis evaluators
-(Horner's rule, and the folded inverse FFT on full-period grids) against
-an mpmath sum at the same floating-point angles, within the error bounds
-stated in the quadrature module.
+(the blocked power series at scattered points, and the folded inverse FFT
+on full-period grids) against an mpmath sum at the same floating-point
+angles, within the error bounds stated in the quadrature module.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -23,6 +24,8 @@ from inner_fourier.quadrature import (
     grid_power_series,
     phase_powers,
     power_series,
+    theta_grid,
+    unit_phasors,
 )
 
 EPS = np.finfo(float).eps
@@ -104,6 +107,85 @@ def test_circle_transform_matches_direct_cauchy_sums(c, rho, m):
         want = complex(math.fsum(terms.real), math.fsum(terms.imag)) / (m * rho**k)
         bound = 4.0 * EPS * math.log2(m) * float(np.max(np.abs(vals))) * rho**-k
         assert abs(got[k] - want) <= bound
+
+
+def _horner(c, z):
+    """The reference loop: Horner's rule, one numpy step per coefficient."""
+    c = np.asarray(c, dtype=complex)
+    out = np.full(np.shape(z), c[-1])
+    for ck in c[-2::-1]:
+        out *= z
+        out += ck
+    return out
+
+
+def _random_coefficients(K: int) -> np.ndarray:
+    rng = np.random.default_rng(K)
+    return rng.uniform(-1.0, 1.0, K + 1) + 1j * rng.uniform(-1.0, 1.0, K + 1)
+
+
+@pytest.mark.parametrize("K", [255, 1024, 4096])
+@pytest.mark.parametrize("points", ["ray", "circle"])
+def test_long_series_match_mpmath_within_stated_bound(K, points):
+    # the 14 schedule radii 1 - 2**-j of rho_limit along one ray, or 260
+    # circle nodes evaluated in one call, of which every ((K+1) // 256)-th is
+    # checked: the mpmath sum costs about 35 ms per node at K = 4096
+    c = _random_coefficients(K)
+    if points == "ray":
+        z, step = disk_points(0.7, 1.0 - 2.0 ** -np.arange(1, 15)), 1
+    else:
+        z, step = disk_points(theta_grid(260), 0.95), (K + 1) // 256
+    values = power_series(c, z)
+    abs_c, k = np.abs(c), np.arange(K + 1)
+    with mpmath.workdps(40):
+        coeffs = [mpmath.mpc(ck.real, ck.imag) for ck in reversed(c.tolist())]
+        for zi, vi in zip(z[::step].tolist(), values[::step].tolist()):
+            exact = mpmath.polyval(coeffs, mpmath.mpc(zi.real, zi.imag))
+            bound = 2 * (K + 1) * EPS * math.fsum((abs_c * abs(zi) ** k).tolist())
+            assert abs(complex(exact) - vi) <= bound
+
+
+@pytest.mark.parametrize(
+    "K, P",
+    [(0, 1), (14, 0), (14, 260), (24, 4096), (4096, 129)],
+    ids=["one_term", "scalar", "under_four_blocks", "contour_nodes", "table_over_cap"],
+)
+def test_few_terms_or_many_points_are_horner_bit_for_bit(K, P):
+    rng = np.random.default_rng(P)
+    c = _random_coefficients(K)
+    if P == 0:
+        z = complex(0.6, -0.7)
+    else:
+        z = rng.uniform(0.5, 1.0, P) * np.exp(1j * rng.uniform(-math.pi, math.pi, P))
+    assert power_series(c, z).tobytes() == _horner(c, z).tobytes()
+
+
+def test_unused_powers_of_a_large_point_do_not_overflow():
+    assert power_series(np.r_[1.0, 2.0, np.zeros(400)], 10.0) == 21.0
+
+
+@pytest.mark.parametrize("P", [128, 3584])
+def test_evaluation_memory_stays_far_below_a_k_by_p_table(P):
+    # a K x P power table at K = 4096 and 3,584 points would take 235 MB
+    c = _random_coefficients(4096)
+    z = disk_points(np.linspace(0.0, 1.0, P), 0.9)
+    tracemalloc.start()
+    try:
+        power_series(c, z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("m", [7, 260, 4096])
+def test_unit_phasors_are_shared_and_read_only(m):
+    table = unit_phasors(m)
+    assert unit_phasors(m) is table
+    with pytest.raises(ValueError):
+        table[0] = 2.0
+    if m % 4 == 0:
+        assert np.array_equal(table[m // 2 :], -table[: m // 2])
 
 
 def test_synthesis_shapes_follow_the_theta_by_rho_grid():

@@ -117,7 +117,7 @@ def test_sums_match_series_evaluation(rng):
 @pytest.mark.parametrize("w", [_fc(alpha0=0.5, alpha=(1.0, -0.25), beta=(0.5,)), delta_inner(0.7)])
 def test_sums_on_an_angle_array_equal_the_scalar_calls(w):
     rho = 0.9
-    # a partial arc (Horner's rule for a series) and a full period (the folded FFT)
+    # a partial arc (power_series for a series) and a full period (the folded FFT)
     for thetas in (np.linspace(-3.0, 3.0, 41), np.linspace(-math.pi, math.pi, 40, endpoint=False) + 0.3):
         for f in (regulated_sum, conjugate_sum):
             got = f(w, thetas, rho)
