@@ -20,6 +20,7 @@ from .classify import (
     classify_sequence,
     convergence_radius_check,
     equivalence_check,
+    equivalence_checks,
     family_magnitudes,
 )
 from .coeffs import (
@@ -99,6 +100,7 @@ __all__ = [
     "convergence_radius_check",
     "delta_inner",
     "equivalence_check",
+    "equivalence_checks",
     "family_magnitudes",
     "fourier_coefficients",
     "fourier_gram",

@@ -122,19 +122,31 @@ def power_series(c, z) -> np.ndarray:
     bit. For b > 1 the block sums come from one table of z**0..z**b and
     one matrix product (``_block_sums``), so about 2*sqrt(K + 1) numpy
     steps replace K + 1, in O(b * z.size + K) memory. b depends on the
-    shapes of c and z alone. Error at most 2(K+1) * eps * sum |c_k| |z|**k
-    for the floating-point z given, as long as |z|**b is finite.
+    shapes of c and z alone. At a point where |z|**b overflows, the blocked
+    form would multiply inf by zero blocks, so that point takes Horner's
+    rule, bit for bit, and stays finite wherever Horner's rule does. Error
+    at most 2(K+1) * eps * sum |c_k| |z|**k for the floating-point z given.
     """
     c = np.asarray(c, dtype=complex)
     z = np.asarray(z)
     b = math.isqrt(c.size)
     if b < 4 or b * z.size > _TABLE_ENTRIES:
-        zb, terms = z, c
-    else:
+        return _horner(c, z)
+    with np.errstate(over="ignore", invalid="ignore"):
         zb, terms = _block_sums(c, z, b)
-    out = np.full(z.shape, terms[-1])
+    lost = ~np.isfinite(zb)
+    if not lost.any():
+        return _horner(terms, zb)
+    out = _horner(np.where(lost, 0.0, terms), np.where(lost, 0.0, zb))
+    out[lost] = _horner(c, z[lost])
+    return out
+
+
+def _horner(terms: np.ndarray, z) -> np.ndarray:
+    """sum_i terms[i] * z**i by Horner's rule; each terms[i] is a scalar or has the shape of z."""
+    out = np.full(np.shape(z), terms[-1])
     for t in terms[-2::-1]:
-        out *= zb
+        out *= z
         out += t
     return out
 

@@ -10,11 +10,13 @@ from inner_fourier import (
     classify_sequence,
     convergence_radius_check,
     equivalence_check,
+    equivalence_checks,
     family_magnitudes,
     fourier_coefficients,
     resolve,
     to_taylor,
 )
+from inner_fourier.classify import _fit_rows
 
 GRID_P = (0.0, 1.0, 2.0, 5.0)
 GRID_B = (0.9, 1.0, 1.01, 1.1)
@@ -173,3 +175,145 @@ def test_short_fit_window_names_its_span():
 def test_short_window_of_roundoff_stays_degenerate():
     rep = classify_sequence(np.r_[1.0, np.zeros(8)])
     assert rep.degenerate and rep.bounded and rep.window == (2, 8)
+
+
+def test_empty_window_is_degenerate():
+    # K = 0: the default window (1, 0) holds no index, so no magnitude is above roundoff
+    rep = classify_sequence(np.ones(1))
+    assert rep.degenerate and rep.bounded and rep.window == (1, 0)
+
+
+def rotated_family(p, b, K, phase, alpha0=0.5) -> FourierCoefficients:
+    """Family magnitudes split by one rotation; below 1e-16 of the peak they are noise off the law."""
+    mags = family_magnitudes(p, b, K)[1:]
+    tail = mags < 1e-16 * mags.max()
+    mags[tail] = np.random.default_rng(K).uniform(1e-19, 1e-18, np.count_nonzero(tail)) * mags.max()
+    return FourierCoefficients(alpha0, mags * math.cos(phase), mags * math.sin(phase))
+
+
+def batch_mix(K=512) -> list[FourierCoefficients]:
+    """Rows with full masks, prefix masks cut by roundoff, all zeros, and sparse ones."""
+    sparse = np.zeros(K)
+    sparse[3::4] = 1.0
+    fcs = [rotated_family(p, b, K, phase) for p in (0.0, 2.0, 5.0) for b in (1.0, 1.01, 1.1) for phase in (0.3, -2.0)]
+    # b = 0.9 falls below 64 eps of its peak inside the window [128, 512], at an index set by
+    # the phase; a fit over another row's mask would take in the noise beyond that index
+    fcs += [rotated_family(p, 0.9, K, phase) for p in (0.0, 1.0, 5.0) for phase in (0.05, 0.7, 1.5, -3.0)]
+    fcs += [FourierCoefficients.zeros(K), FourierCoefficients(1.0, np.zeros(K), np.zeros(K))]
+    fcs += [FourierCoefficients(0.0, sparse, np.zeros(K)), FourierCoefficients(0.0, sparse, -2.0 * sparse)]
+    return fcs
+
+
+def reference_fit(mags, window, floor):
+    """The fit of one row by its own lstsq: (rate, power, sparse), or None when degenerate."""
+    lo, hi = window
+    k = np.arange(lo, hi + 1, dtype=float)
+    m = mags[lo : hi + 1]
+    nz = m > floor
+    if np.count_nonzero(nz) < 8 and not nz[-1]:
+        return None
+    design = np.column_stack([np.log(k[nz]), k[nz], np.ones(np.count_nonzero(nz))])
+    power, rate, _ = np.linalg.lstsq(design, np.log(m[nz]), rcond=None)[0]
+    return rate, power, np.count_nonzero(nz) < 0.5 * k.size
+
+
+class TestBatchedFit:
+    def test_batch_equals_one_by_one(self):
+        fcs = batch_mix()
+        assert equivalence_checks(fcs) == [equivalence_check(fc) for fc in fcs]
+
+    def test_rates_match_per_row_lstsq(self):
+        fcs = batch_mix()
+        rows, floors = [], []
+        for fc in fcs:
+            c = np.abs(to_taylor(fc).c)
+            a, b = np.abs(np.r_[fc.alpha0, fc.alpha]), np.abs(np.r_[0.0, fc.beta])
+            ab_floor = 64 * np.finfo(float).eps * max(a.max(), b.max())
+            rows += [c, a, b]
+            floors += [64 * np.finfo(float).eps * c.max(), ab_floor, ab_floor]
+        window = (128, 512)
+        reports = _fit_rows(np.array(rows), window, np.array(floors))
+        kinds = {"degenerate": 0, "full": 0, "partial": 0, "sparse": 0}
+        for row, floor, rep in zip(rows, floors, reports):
+            want = reference_fit(row, window, floor)
+            if want is None:
+                kinds["degenerate"] += 1
+                assert rep == classify_sequence(np.zeros(513))
+                continue
+            rate, power, sparse = want
+            assert abs(rep.fitted_rate - rate) <= 1e-12 and abs(rep.fitted_power - power) <= 1e-12
+            assert (rep.bounded, rep.sparsity_flag, rep.degenerate) == (rate <= 1e-3, sparse, False)
+            n = np.count_nonzero(row[128:] > floor)
+            kinds["sparse" if sparse else "full" if n == 385 else "partial"] += 1
+        assert all(kinds.values()), kinds
+
+    def test_fourier_view_is_its_two_rows(self):
+        for fc in batch_mix():
+            rep = classify_sequence(fc)
+            a, b = np.abs(np.r_[fc.alpha0, fc.alpha]), np.abs(np.r_[0.0, fc.beta])
+            floor = 64 * np.finfo(float).eps * max(a.max(), b.max())
+            fits = [reference_fit(row, (128, 512), floor) for row in (a, b)]
+            assert rep.degenerate == all(f is None for f in fits)
+            assert rep.bounded == all(f is None or f[0] <= 1e-3 for f in fits)
+            worst = max((f for f in fits if f is not None), default=(0.0, 0.0, False))
+            assert abs(rep.fitted_rate - worst[0]) <= 1e-12
+
+    def test_views_are_those_of_classify_sequence(self):
+        # |alpha_k| rises from 64 eps to 1.4 * 64 eps times the largest |alpha|, |beta| in the
+        # window: above the shared alpha-beta floor, below the floor of |c|, whose peak is sqrt(2)
+        K = 64
+        floor = 64 * np.finfo(float).eps
+        alpha, beta = np.zeros(K), np.zeros(K)
+        alpha[0] = beta[0] = 1.0
+        alpha[15:] = floor * 1.4 ** np.linspace(0.01, 1.0, K - 15)
+        band = FourierCoefficients(0.0, alpha, beta)
+        # alpha_0 = 2 lifts the alpha-beta floor to 128 eps, and |c_0| = alpha_0/2 sets that of |c| to 64 eps
+        alpha, beta = np.zeros(K), np.zeros(K)
+        alpha[0] = beta[0] = 0.1
+        alpha[15:] = floor * np.geomspace(1.01, 1.5, K - 15)
+        mean_band = FourierCoefficients(2.0, alpha, beta)
+        fcs = [band, mean_band, *batch_mix(K), band]
+        want = [(classify_sequence(to_taylor(fc)).bounded, classify_sequence(fc).bounded) for fc in fcs]
+        assert want[:2] == [(True, False), (False, True)]
+        assert [(rep.c_bounded, rep.ab_bounded) for rep in equivalence_checks(fcs)] == want
+
+    def test_empty_batch(self):
+        assert equivalence_checks([]) == []
+
+    def test_mixed_K_is_refused_in_one_line(self):
+        with pytest.raises(ValueError) as exc:
+            equivalence_checks([FourierCoefficients.zeros(64), FourierCoefficients.zeros(128)])
+        assert str(exc.value) == "equivalence_checks needs one K for every sequence, got K = 64, 128"
+
+    def test_batch_raises_its_first_refusal(self):
+        def bad(n):
+            alpha = np.zeros(64)
+            alpha[-n:] = 1.0
+            return FourierCoefficients(0.0, alpha, np.zeros(64))
+
+        for first, second in ((7, 6), (6, 7)):
+            with pytest.raises(ValueError) as exc:
+                equivalence_checks([rotated_family(1.0, 1.0, 64, 0.4), bad(first), bad(second)])
+            assert str(exc.value) == f"only {first} magnitudes above roundoff in window (16, 64); need 8"
+
+    @pytest.mark.parametrize(
+        "mags, model, text",
+        [
+            (np.ones(513), GrowthModel(window=(100, 600)), "window end 600 exceeds last index 512"),
+            (np.r_[np.ones(64), np.inf], None, "non-finite magnitude in fit window (16, 64)"),
+            (np.ones(6), None, "fit window (1, 5) spans 5 indices; need 8"),
+            (np.r_[np.zeros(58), np.ones(7)], None, "only 7 magnitudes above roundoff in window (16, 64); need 8"),
+        ],
+        ids=["window_end", "non_finite", "short_window", "few_points"],
+    )
+    def test_refusals_keep_their_text(self, mags, model, text):
+        with pytest.raises(ValueError) as exc:
+            classify_sequence(mags, model)
+        assert str(exc.value) == text
+        if mags.size > 7 and np.all(np.isfinite(mags)):
+            # a batch raises the message of its first member that a lone check refuses
+            bad = FourierCoefficients(0.0, mags[1:], np.zeros(mags.size - 1))
+            good = rotated_family(1.0, 1.0, mags.size - 1, 0.4)
+            with pytest.raises(ValueError) as exc:
+                equivalence_checks([good, bad, good], model)
+            assert str(exc.value) == text

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from conftest import oracle_poisson_kernel
 
 import inner_fourier
-from inner_fourier import catalog_ids, resolve
+from inner_fourier import catalog_ids, cli, resolve
 from inner_fourier.cli import main
 from inner_fourier.quadrature import theta_grid
 
@@ -493,6 +494,58 @@ class TestVerifyCommand:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "PASS" not in out
+
+    def test_classify_suite_output_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "classify")
+        assert code == 0
+        assert out == (
+            "family_grid: PASS (max_error=0, tol=0)\n"
+            "equivalence_agreement: PASS (max_error=0, tol=0)\n"
+            "tail_ratio: PASS (max_error=0.00476, tol=0.05)\n"
+            "all checks passed\n"
+        )
+
+    # the family line prints rate and power to 6 significant digits, so a fit
+    # that rounds differently in the last digits shows up here
+    FAMILY_LINES = [
+        "family p=0 b=0.9: bounded=true rate=0 power=0",
+        "family p=0 b=1: bounded=true rate=0 power=0",
+        "family p=0 b=1.01: bounded=false rate=0.00995033 power=1.0977e-14",
+        "family p=0 b=1.1: bounded=false rate=0.0953102 power=3.55495e-11",
+        "family p=1 b=0.9: bounded=true rate=0 power=0",
+        "family p=1 b=1: bounded=true rate=-1.07723e-16 power=1",
+        "family p=1 b=1.01: bounded=false rate=0.00995033 power=1",
+        "family p=1 b=1.1: bounded=false rate=0.0953102 power=1",
+        "family p=2 b=0.9: bounded=true rate=0 power=0",
+        "family p=2 b=1: bounded=true rate=-2.15446e-16 power=2",
+        "family p=2 b=1.01: bounded=false rate=0.00995033 power=2",
+        "family p=2 b=1.1: bounded=false rate=0.0953102 power=2",
+        "family p=5 b=0.9: bounded=true rate=0 power=0",
+        "family p=5 b=1: bounded=true rate=-5.44118e-16 power=5",
+        "family p=5 b=1.01: bounded=false rate=0.00995033 power=5",
+        "family p=5 b=1.1: bounded=false rate=0.0953102 power=5",
+    ]
+
+    @pytest.mark.parametrize("line", FAMILY_LINES)
+    def test_classify_family_output_is_pinned(self, capsys, line):
+        p, b = re.match(r"family p=(\S+) b=(\S+):", line).groups()
+        code, out, _ = run(capsys, "verify", "--suite", "classify", "--p", p, "--b", b)
+        assert code == 0
+        assert out == (
+            f"{line}\n"
+            "family_matches_ground_truth: PASS (max_error=0, tol=0.5)\n"
+            "all checks passed\n"
+        )
+
+    def test_classify_suite_memory_stays_small(self):
+        # checking all 200 families in one batch raised this peak from 1.2 MB to 8.3 MB
+        tracemalloc.start()
+        try:
+            list(cli._suite_classify())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_exit_one_on_violation(self, capsys, monkeypatch):
         import inner_fourier.basis as basis_mod

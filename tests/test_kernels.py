@@ -67,6 +67,11 @@ class TestPartialSum:
         tc = TaylorCoefficients(np.ones(6, dtype=complex))
         assert partial_sum(tc, PolarPoint(1.0, 0.0), 5) == pytest.approx(5.0)
 
+    def test_any_finite_point(self):
+        # z**64 overflows at K = 4096; the trailing zeros must not turn that into NaN
+        tc = TaylorCoefficients(np.r_[1.0, 3.0, np.zeros(4095)].astype(complex))
+        assert partial_sum(tc, PolarPoint(1e5, 0.0), 4097) == 300001.0
+
     def test_length_precondition(self):
         tc = TaylorCoefficients(np.ones(3, dtype=complex))
         with pytest.raises(ValueError):

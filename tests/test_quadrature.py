@@ -164,6 +164,25 @@ def test_unused_powers_of_a_large_point_do_not_overflow():
     assert power_series(np.r_[1.0, 2.0, np.zeros(400)], 10.0) == 21.0
 
 
+@pytest.mark.parametrize(
+    "c, z",
+    [
+        (np.r_[1.0, np.zeros(15)], 1e100),  # zero top blocks times an overflowed z**4
+        (np.r_[1.0, np.zeros(3), 5e-324, np.zeros(11)], 1e78),  # a subnormal term times an overflowed z**4
+        (np.r_[2.0, np.zeros(4095)], 1e5),  # K = 4096: z**64 overflows
+    ],
+    ids=["zero_top_blocks", "subnormal_term", "long_zero_tail"],
+)
+def test_an_overflowed_block_power_falls_back_to_horner(c, z):
+    # Horner's rule is finite here, so the blocked evaluator must be too
+    points = np.array([0.5, z, -z, 1j * z])
+    got = power_series(c, points)
+    assert np.all(np.isfinite(got))
+    assert got[1:].tobytes() == _horner(c, points[1:]).tobytes()
+    # the point whose z**b is finite keeps the blocked value
+    assert got[0] == power_series(c, points[:1])[0]
+
+
 @pytest.mark.parametrize("P", [128, 3584])
 def test_evaluation_memory_stays_far_below_a_k_by_p_table(P):
     # a K x P power table at K = 4096 and 3,584 points would take 235 MB
