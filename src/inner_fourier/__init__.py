@@ -16,7 +16,6 @@ from .catalog import CatalogEntry, UnknownCatalogId, catalog_ids, resolve, trig_
 from .classify import (
     ClassificationReport,
     EquivalenceReport,
-    GrowthModel,
     classify_sequence,
     convergence_radius_check,
     equivalence_check,
@@ -76,7 +75,6 @@ __all__ = [
     "EvaluationError",
     "FourierCoefficients",
     "GramReport",
-    "GrowthModel",
     "InnerAnalytic",
     "PartialSumReport",
     "PeriodicFunction",

@@ -7,10 +7,12 @@ residue identity
 
     (1/(2*pi*i)) * loop of z**(p-1) dz = 1 if p == 0 else 0
 
-on any circle centered at the origin. Completeness is probed through the
-damped expansion of the point mass: integrating a test function against
-it reproduces the function value in the rho -> 1 limit at continuity
-points, and annihilates any function whose coefficients vanish.
+on any circle centered at the origin. Completeness is probed by
+integrating a test function psi against Re w(rho*exp(i*theta)) for any
+inner analytic kernel w, under the circle rule ``quadrature.check_circle``
+(``completeness_probe``). With the point mass as kernel this is the
+Poisson integral of psi, which tends to psi(theta1) as rho -> 1 at
+continuity points.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import PeriodicFunction
-from .distributions import regulated_delta_on_grid
 from .quadrature import (
+    check_circle,
     compensated_csum,
     phase_powers,
     theta_grid,
     trapezoid_periodic,
 )
+from .series import InnerAnalytic, regulated_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,20 +93,20 @@ def fourier_gram(K: int) -> GramReport:
     return GramReport.of((2.0 / M) * (b @ b.T), np.r_[2.0, np.ones(2 * K)])
 
 
-def completeness_probe(
-    psi: PeriodicFunction, theta1: float, rho: float, K: int, M: int = 2048
-) -> float:
-    """Integral of psi against the K-term damped point-mass expansion.
+def completeness_probe(psi: PeriodicFunction, kernel: InnerAnalytic, rho: float, M: int = 2048) -> float:
+    """Trapezoid value on M nodes of the integral of psi(theta) * Re kernel(rho*exp(i*theta)).
 
-    Converges to psi(theta1) as rho -> 1 and K grows, at continuity
-    points. With psi = 1 the value is 1 at every rho (the unit mass);
-    with psi = cos(k*theta) it is rho**k * cos(k*theta1) for K >= k; a
-    function with vanishing coefficients up to K is annihilated to
-    roundoff. The grid must resolve every kernel harmonic, hence M > K.
+    With kernel = ``delta_inner(theta1)`` this is the Poisson integral of
+    psi: 1 at every rho for psi = 1 (the unit mass), rho**k * cos(k*theta1)
+    for psi = cos(k*theta), and psi(theta1) in the rho -> 1 limit at
+    continuity points. The K-term kernel
+    ``TaylorSeries(delta_inner(theta1).taylor(K))`` gives the same values
+    for harmonics up to K and annihilates the rest to roundoff. The kernel
+    is evaluated by ``kernel.polar`` on ``theta_grid(M)``; rho outside
+    [0, 1) raises the ValueError of ``regulated_sum``, and the circle rule
+    of ``quadrature.check_circle`` refuses a kernel of degree >= M, a pole
+    on the circle of radius rho and an aliasing scale (rho/R)**M above eps.
     """
-    if M <= K:
-        raise ValueError(f"need M > K to resolve the kernel harmonics, got M={M}, K={K}")
-    vals = psi.on_grid(M)
-    kernel = regulated_delta_on_grid(theta_grid(M), theta1, rho, K)
-    return trapezoid_periodic(vals * kernel)
-
+    values = regulated_sum(kernel, theta_grid(M), rho)
+    check_circle(kernel, rho, M)
+    return trapezoid_periodic(psi.on_grid(M) * values)

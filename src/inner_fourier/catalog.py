@@ -37,11 +37,9 @@ _COS_SIN = re.compile(r"^(cos|sin)_(\d+)$")
 class CatalogEntry:
     id: str
     function: PeriodicFunction | None
-    known_coefficients: Callable[[int], FourierCoefficients] | None
+    known_coefficients: Callable[[int], FourierCoefficients]
 
     def coefficients(self, K: int) -> FourierCoefficients:
-        if self.known_coefficients is None:
-            raise ValueError(f"catalog entry {self.id!r} has no coefficient generator")
         if K < 1:
             raise ValueError(f"K must be >= 1, got {K}")
         return self.known_coefficients(K)

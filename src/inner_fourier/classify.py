@@ -11,11 +11,13 @@ semantics adopted here fits
 
     log |a_k|  ~  power * log k + rate * k + const
 
-by least squares over a trailing index window and declares the sequence
-bounded when the fitted rate does not exceed a small tolerance. Adversarial
-sequences that turn exponential beyond the window are necessarily
-misclassified; the window is the caller's statement of how far the
-prefix is trusted.
+by least squares over an index window and declares the sequence bounded
+when the fitted rate does not exceed 1e-3. Adversarial sequences that turn
+exponential beyond the window are necessarily misclassified; the window is
+the caller's statement of how far the prefix is trusted. Every classifier
+takes it as the keyword ``window=(lo, hi)``, both ends included, with
+1 <= lo and hi at most the last index; the default None is the trailing
+quarter (max(1, K // 4), K).
 
 Sequences are fitted as a stack of magnitude rows (``_fit_rows``). The
 above-roundoff masks of all rows come from one vector step, the rows are
@@ -40,19 +42,6 @@ from .coeffs import FourierCoefficients, TaylorCoefficients
 
 _MIN_FIT_POINTS = 8
 _RATE_TOL = 1e-3
-
-
-@dataclass(frozen=True)
-class GrowthModel:
-    """Fit configuration: the index window; the fitted rate is bounded at or below 1e-3."""
-
-    window: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        if self.window is not None:
-            lo, hi = self.window
-            if lo < 1 or hi - lo + 1 < _MIN_FIT_POINTS:
-                raise ValueError(f"window must start at k >= 1 and span >= {_MIN_FIT_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -138,6 +127,11 @@ def _fit_rows(rows: np.ndarray, window: tuple[int, int], floors: np.ndarray) -> 
     lone fit bit for bit; in a larger group LAPACK may round differently.
     """
     lo, hi = window
+    if lo < 1:
+        raise ValueError(f"fit window {window} starts at k = {lo}; need k >= 1")
+    # (lo, lo - 1) holds no index, as the default (1, 0) of K = 0 does; an earlier end is a mistake
+    if hi < lo - 1:
+        raise ValueError(f"fit window {window} ends before it starts")
     if hi > rows.shape[1] - 1:
         raise ValueError(f"window end {hi} exceeds last index {rows.shape[1] - 1}")
     m = rows[:, lo : hi + 1]
@@ -185,7 +179,7 @@ def _fit_rows(rows: np.ndarray, window: tuple[int, int], floors: np.ndarray) -> 
     ]
 
 
-def classify_sequence(seq, model: GrowthModel | None = None) -> ClassificationReport:
+def classify_sequence(seq, window: tuple[int, int] | None = None) -> ClassificationReport:
     """Classify a coefficient sequence as exponentially bounded or not.
 
     Accepts TaylorCoefficients (magnitudes |c_k|), FourierCoefficients
@@ -193,10 +187,11 @@ def classify_sequence(seq, model: GrowthModel | None = None) -> ClassificationRe
     two) or a plain magnitude array. Magnitudes at or below 64 eps times
     the largest magnitude of the whole sequence (alpha and beta together)
     are roundoff and count as zeros, which are excluded from the fit. A
-    window that is all zeros, or ends in zeros with fewer than 8 nonzero
-    magnitudes, classifies as bounded and degenerate. Any other window
-    that spans fewer than 8 indices, and a window that holds a non-finite
-    magnitude, raise ValueError.
+    window that starts below k = 1, ends before it starts or ends past the
+    last index raises ValueError. A window that is all zeros, or ends in
+    zeros with fewer than 8 nonzero magnitudes, classifies as bounded and
+    degenerate. Any other window that spans fewer than 8 indices, and a
+    window that holds a non-finite magnitude, raise ValueError.
 
     The alpha and beta sequences are fitted as one stack of two rows,
     one least-squares solve when their masks agree. Their masks and
@@ -204,9 +199,8 @@ def classify_sequence(seq, model: GrowthModel | None = None) -> ClassificationRe
     the lone fits to ulps (see the module docstring). A plain array or a
     Taylor sequence is a stack of one and fits exactly as alone.
     """
-    model = model or GrowthModel()
     if isinstance(seq, FourierCoefficients):
-        window = model.window or _default_window(seq.K)
+        window = window or _default_window(seq.K)
         rows = _magnitude_rows([seq], seq.K)[0, 1:]
         ra, rb = _fit_rows(rows, window, np.full(2, _roundoff_floors(rows).max()))
         worse = max((ra, rb), key=lambda r: r.fitted_rate if not r.degenerate else -math.inf)
@@ -224,11 +218,11 @@ def classify_sequence(seq, model: GrowthModel | None = None) -> ClassificationRe
         mags = np.abs(seq.c)
     else:
         mags = np.abs(np.asarray(seq, dtype=complex))
-    window = model.window or _default_window(mags.size - 1)
+    window = window or _default_window(mags.size - 1)
     return _fit_rows(mags[None, :], window, _roundoff_floors(mags)[None])[0]
 
 
-def equivalence_checks(fcs, model: GrowthModel | None = None) -> list[EquivalenceReport]:
+def equivalence_checks(fcs, window: tuple[int, int] | None = None) -> list[EquivalenceReport]:
     """Boundedness of |c_k| versus boundedness of (alpha_k, beta_k), for sequences of one K.
 
     Since |c_k|**2 = alpha_k**2 + beta_k**2, either both views are
@@ -251,8 +245,7 @@ def equivalence_checks(fcs, model: GrowthModel | None = None) -> list[Equivalenc
         raise ValueError(f"equivalence_checks needs one K for every sequence, got K = {', '.join(map(str, Ks))}")
     if not fcs:
         return []
-    model = model or GrowthModel()
-    window = model.window or _default_window(Ks[0])
+    window = window or _default_window(Ks[0])
     rows = _magnitude_rows(fcs, Ks[0])
     floors = _roundoff_floors(rows)
     floors[:, 1:] = floors[:, 1:].max(axis=1, keepdims=True)
@@ -264,9 +257,9 @@ def equivalence_checks(fcs, model: GrowthModel | None = None) -> list[Equivalenc
     return out
 
 
-def equivalence_check(fc: FourierCoefficients, model: GrowthModel | None = None) -> EquivalenceReport:
+def equivalence_check(fc: FourierCoefficients, window: tuple[int, int] | None = None) -> EquivalenceReport:
     """``equivalence_checks`` of the one sequence fc."""
-    return equivalence_checks([fc], model)[0]
+    return equivalence_checks([fc], window)[0]
 
 
 def convergence_radius_check(tc: TaylorCoefficients, rho: float) -> TailEstimate:

@@ -144,21 +144,24 @@ def _suite_ortho(K=32):
 
 
 def _suite_complete(K=512):
-    theta1 = 0.7
+    theta1, M = 0.7, 4096
+    delta = delta_inner(theta1)
     worst = 0.0
     for rho in (0.3, 0.9, 0.99):
-        probe = basis.completeness_probe(resolve("const").function, theta1, rho, 2000, 4096)
+        probe = basis.completeness_probe(resolve("const").function, delta, rho, M)
         worst = max(worst, abs(probe - 1.0))
     yield "unit_mass", worst, 1e-12
-    rho, M = 0.9, 4096
+    rho = 0.9
     worst = 0.0
+    kernel = TaylorSeries(delta.taylor(K))
     for k in range(1, 9):
-        probe = basis.completeness_probe(resolve(f"cos_{k}").function, theta1, rho, K, M)
+        probe = basis.completeness_probe(resolve(f"cos_{k}").function, kernel, rho, M)
         worst = max(worst, abs(probe - rho**k * math.cos(k * theta1)))
     yield "poisson_eigenrelation", worst, 1e-10
     worst = 0.0
+    kernel = TaylorSeries(delta.taylor(8))
     for name in ("cos_12", "sin_12"):
-        probe = basis.completeness_probe(resolve(name).function, theta1, rho, 8, M)
+        probe = basis.completeness_probe(resolve(name).function, kernel, rho, M)
         worst = max(worst, abs(probe))
     yield "zero_coefficient_probe", worst, 1e-10
 
@@ -211,10 +214,9 @@ def _suite_hilbert(K=16, rho0=0.5):
 
 def _suite_classify():
     errors = 0
-    model = classify.GrowthModel(window=(64, 4096))
     for p in (0.0, 1.0, 2.0, 5.0):
         for b in (0.9, 1.0, 1.01, 1.1):
-            rep = classify.classify_sequence(classify.family_magnitudes(p, b, 4096), model)
+            rep = classify.classify_sequence(classify.family_magnitudes(p, b, 4096), window=(64, 4096))
             if rep.bounded != (b <= 1.0):
                 errors += 1
     yield "family_grid", float(errors), 0.0

@@ -76,10 +76,12 @@ def delta_inner(theta1: float) -> ClosedForm:
 
 
 def regulated_delta_on_grid(theta, theta1: float, rho: float, K: int) -> np.ndarray:
-    """The K-term damped delta expansion evaluated on an array of angles.
+    """The K-term damped delta expansion evaluated on an array of angles: the benchmark's entry point.
 
     1/(2*pi) + (1/pi) * sum_{k=1..K} rho**k cos(k*(theta - theta1)): the
     regulated sum of the point mass at 0, at the angles theta - theta1.
-    Non-finite angles raise ValueError.
+    Non-finite angles raise ValueError. The library's K-term kernel is
+    ``TaylorSeries(delta_inner(theta1).taylor(K))``, which
+    ``basis.completeness_probe`` takes like any other inner function.
     """
     return regulated_sum(TaylorSeries(delta_inner(0.0).taylor(K)), np.asarray(theta, dtype=float) - theta1, rho)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import GramReport
-from .classify import GrowthModel, classify_sequence
+from .classify import classify_sequence
 from .coeffs import TaylorCoefficients
 from .errors import DivergenceWarning
 from .quadrature import circle_samples, phase_powers, power_series
@@ -87,7 +87,7 @@ def _products_diverge_at_one(products: np.ndarray) -> bool:
         return False
     if K >= 32:
         try:
-            report = classify_sequence(products, GrowthModel(window=(1, K)))
+            report = classify_sequence(products, window=(1, K))
         except ValueError:
             return True
         if report.degenerate:

@@ -30,15 +30,16 @@ table entry times exp(i*k*s) with |s| <= pi/n, so it carries no error
 growing with k*|theta_0|. Any other angle array goes to ``power_series``.
 
 Contour integrals over a circle |z| = rho <= 1 sample w through
-``circle_samples``, the one place circle nodes are built and checked. The
-M-node trapezoid rule there aliases with error of order (rho/R)**M when w
-is analytic out to radius R (Trefethen & Weideman, SIAM Review 2014).
-With R the nearest declared pole outside the circle, the helper refuses a
-circle where that scale exceeds eps, naming the smallest M that passes,
-and a circle within 1e-9 of a declared pole. ``check_aliasing`` applies
-the same rule to a pole of the integrand itself. The rule is exact for a
-polynomial of degree below M, which has nothing to alias; a w with a
-declared degree at or above M is refused, naming M = degree + 1.
+``circle_samples``, the one place circle nodes are built. The M-node
+trapezoid rule aliases with error of order (rho/R)**M when w is analytic
+out to radius R (Trefethen & Weideman, SIAM Review 2014). ``check_circle``,
+the one circle rule of ``circle_samples`` and ``basis.completeness_probe``,
+refuses a circle where that scale exceeds eps for R the nearest declared
+pole outside it, naming the smallest M that passes, and a circle within
+1e-9 of a declared pole. ``check_aliasing`` applies the same rule to a
+pole of the integrand itself. The rule is exact for a polynomial of
+degree below M, which has nothing to alias; a w with a declared degree
+at or above M is refused, naming M = degree + 1.
 
 The trapezoid Cauchy coefficients c_0..c_K of w on such a circle all come
 from one complex FFT of the samples, ``circle_coefficients``;
@@ -317,16 +318,14 @@ def check_amplification(log_scale: float, power: int, rho: float, m: int, poles)
     raise ValueError(f"{msg}; no radius passes at M={m}; need M >= {need}")
 
 
-def circle_samples(w, rho: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes rho*exp(i*theta_j) on the standard grid and w at them, after the checks.
+def check_circle(w, rho: float, m: int) -> None:
+    """Refuse the m-node trapezoid rule for w on the circle of radius rho when it would alias.
 
     A declared pole of w within 1e-9 of the circle raises EvaluationError;
     a circle whose aliasing scale (rho/R)**m, R the nearest declared pole
     outside it, exceeds eps raises ValueError, and so does a declared
     polynomial degree of w at or above m.
     """
-    if rho <= 0.0:
-        raise ValueError(f"circle radius must be positive, got {rho}")
     degree = getattr(w, "degree", None)
     if degree is not None and degree >= m:
         raise ValueError(f"polynomial of degree {degree} aliases on {m} nodes; need M >= {degree + 1}")
@@ -337,6 +336,13 @@ def circle_samples(w, rho: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     outside = [abs(p) for p in poles if abs(p) > rho]
     if outside:
         check_aliasing(rho / min(outside), m)
+
+
+def circle_samples(w, rho: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes rho*exp(i*theta_j) on the standard grid and w at them, after ``check_circle``."""
+    if rho <= 0.0:
+        raise ValueError(f"circle radius must be positive, got {rho}")
+    check_circle(w, rho, m)
     nodes = -rho * unit_phasors(m)
     return nodes, np.asarray(w(nodes), dtype=complex)
 

@@ -210,15 +210,13 @@ class RhoLimitResult:
     ``converged`` holds when the last two schedule values differ by less
     than the schedule tolerance; non convergence is reported, never
     raised. ``truncation_suspect`` flags radii where the K-term cutoff may
-    dominate the tolerance. ``extrapolated`` holds the Richardson steps
-    of consecutive history values, one fewer than the history.
+    dominate the tolerance.
     """
 
     value: float
     converged: bool
     history: tuple[float, ...]
     truncation_suspect: bool
-    extrapolated: tuple[float, ...]
 
 
 def _inner(w: InnerAnalytic | FourierCoefficients) -> InnerAnalytic:
@@ -268,17 +266,14 @@ def rho_limit(
     history is kept for diagnostics. All radii are evaluated in one call
     of ``w.polar``; a non-finite theta raises ValueError.
     ``truncation_suspect`` (and its warning) weighs a series' cutoff by its
-    coefficients and is False for a closed form. A first order Richardson step 2*v[j+1] - v[j]
-    (valid for schedules that halve 1 - rho) is returned alongside as
-    ``extrapolated``, leaving the plain values untouched.
+    coefficients and is False for a closed form.
     """
     w = _inner(w)
     values = w.polar(theta, sched.rhos).real
     history = tuple(values.tolist())
     converged = bool(sched.converged(values))
     suspect = isinstance(w, TaylorSeries) and sched.truncation_suspect(w.tc)
-    extrapolated = tuple((2.0 * values[1:] - values[:-1]).tolist())
-    return RhoLimitResult(history[-1], converged, history, suspect, extrapolated)
+    return RhoLimitResult(history[-1], converged, history, suspect)
 
 
 def angular_derivative(tc: TaylorCoefficients) -> TaylorCoefficients:

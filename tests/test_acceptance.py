@@ -17,7 +17,6 @@ from conftest import oracle_poisson_kernel
 from inner_fourier import (
     DiskProductConfig,
     FourierCoefficients,
-    GrowthModel,
     PolarPoint,
     RhoSchedule,
     TaylorCoefficients,
@@ -122,7 +121,7 @@ def test_criterion_3_delta_poisson_identity():
         worst_excess = max(worst_excess, err - bound)
     const = resolve("const").function
     mass_err = max(
-        abs(completeness_probe(const, 0.7, rho, 2000, 4096) - 1.0)
+        abs(completeness_probe(const, TaylorSeries(delta_inner(0.7).taylor(2000)), rho, 4096) - 1.0)
         for rho in (0.1, 0.5, 0.9, 0.99, 0.999)
     )
     _report(
@@ -151,13 +150,14 @@ def test_criterion_4_orthogonality():
 
 def test_criterion_5_completeness_probes():
     theta1 = 0.7
+    kernel = TaylorSeries(delta_inner(theta1).taylor(512))
     eigen_worst = 0.0
     for rho in (0.5, 0.9, 0.99):
         for k in range(1, 9):
-            got = completeness_probe(resolve(f"cos_{k}").function, theta1, rho, 512, 4096)
+            got = completeness_probe(resolve(f"cos_{k}").function, kernel, rho, 4096)
             eigen_worst = max(eigen_worst, abs(got - rho**k * math.cos(k * theta1)))
     zero_worst = max(
-        abs(completeness_probe(resolve(name).function, theta1, 0.97, 8, 2048))
+        abs(completeness_probe(resolve(name).function, TaylorSeries(delta_inner(theta1).taylor(8)), 0.97, 2048))
         for name in ("cos_12", "sin_12")
     )
     _report(
@@ -206,11 +206,10 @@ def test_criterion_6_kernels():
 
 
 def test_criterion_7_classification():
-    model = GrowthModel(window=(64, 4096))
     grid_errors = 0
     for p in (0.0, 1.0, 2.0, 5.0):
         for b in (0.9, 1.0, 1.01, 1.1):
-            rep = classify_sequence(family_magnitudes(p, b, 4096), model)
+            rep = classify_sequence(family_magnitudes(p, b, 4096), window=(64, 4096))
             if rep.bounded != (b <= 1.0):
                 grid_errors += 1
 

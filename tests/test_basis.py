@@ -5,9 +5,12 @@ import pytest
 from conftest import oracle_poisson_integral
 
 from inner_fourier import (
+    EvaluationError,
     GramReport,
     PeriodicFunction,
+    TaylorSeries,
     completeness_probe,
+    delta_inner,
     fourier_gram,
     residue_identity_check,
     resolve,
@@ -68,34 +71,78 @@ class TestFourierGram:
         assert leaky.size == 2 and not GramReport.of(g, np.array([2.0, 1.0]), leak=1e-9).passed
 
 
+def _series_kernel(theta1, K):
+    # the K-term damped point mass at theta1
+    return TaylorSeries(delta_inner(theta1).taylor(K))
+
+
 class TestCompletenessProbe:
     def test_unit_test_function(self):
         one = resolve("const").function
         for rho in (0.2, 0.9):
-            assert completeness_probe(one, 0.3, rho, 64, 512) == pytest.approx(1.0, abs=1e-12)
+            assert completeness_probe(one, _series_kernel(0.3, 64), rho, 512) == pytest.approx(1.0, abs=1e-12)
 
     def test_cosine_against_adaptive_poisson_oracle(self):
         psi = resolve("cos_1").function
         rho = 0.999
-        got = completeness_probe(psi, 0.0, rho, 10000, 16384)
+        got = completeness_probe(psi, _series_kernel(0.0, 10000), rho, 16384)
         want = oracle_poisson_integral(math.cos, 0.0, rho)
         assert got == pytest.approx(want, abs=1e-6)
         assert got == pytest.approx(0.999, abs=1e-6)
 
     def test_jump_function_at_continuity_point(self):
         psi = resolve("square").function
-        got = completeness_probe(psi, math.pi / 2, 0.99, 2000, 8192)
+        got = completeness_probe(psi, _series_kernel(math.pi / 2, 2000), 0.99, 8192)
         assert abs(got - 1.0) < 0.02
 
     def test_eigenrelation(self):
         theta1, rho = 0.7, 0.9
+        kernel = _series_kernel(theta1, 512)
         for k in range(1, 9):
             psi = resolve(f"cos_{k}").function
-            got = completeness_probe(psi, theta1, rho, 512, 4096)
+            got = completeness_probe(psi, kernel, rho, 4096)
             assert abs(got - rho**k * math.cos(k * theta1)) <= 1e-10
 
     def test_annihilates_functions_with_vanishing_coefficients(self):
         K = 8
         for name in ("cos_12", "sin_12"):
             psi = resolve(name).function
-            assert abs(completeness_probe(psi, 0.4, 0.97, K, 2048)) <= 1e-10
+            assert abs(completeness_probe(psi, _series_kernel(0.4, K), 0.97, 2048)) <= 1e-10
+            assert abs(completeness_probe(psi, _series_kernel(0.7, K), 0.9, 4096)) <= 1e-10
+
+    def test_exact_kernel_keeps_every_harmonic(self):
+        # the point mass itself has no cutoff: cos(12 theta) and sin(12 theta) are damped, not annihilated
+        delta, rho = delta_inner(0.7), 0.9
+        for name, part in (("cos_12", math.cos), ("sin_12", math.sin)):
+            got = completeness_probe(resolve(name).function, delta, rho, 4096)
+            assert abs(got - rho**12 * part(12 * 0.7)) <= 1e-12
+
+    @pytest.mark.parametrize("theta1", [math.pi / 2, 0.7, -2.0])
+    @pytest.mark.parametrize("rho", [0.9, 0.99])
+    def test_exact_kernel_square_is_its_poisson_integral(self, theta1, rho):
+        # the Poisson integral of the square wave in closed form
+        want = (2.0 / math.pi) * math.atan2(2.0 * rho * math.sin(theta1), 1.0 - rho * rho)
+        got = completeness_probe(resolve("square").function, delta_inner(theta1), rho, 4096)
+        assert abs(got - want) <= 1e-7
+
+    def test_series_kernel_of_degree_at_least_M_is_refused(self):
+        one = resolve("const").function
+        assert completeness_probe(one, _series_kernel(0.7, 511), 0.5, 512) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError) as exc:
+            completeness_probe(one, _series_kernel(0.7, 512), 0.5, 512)
+        assert str(exc.value) == "polynomial of degree 512 aliases on 512 nodes; need M >= 513"
+
+    def test_exact_kernel_that_aliases_is_refused(self):
+        with pytest.raises(ValueError) as exc:
+            completeness_probe(resolve("const").function, delta_inner(0.7), 0.999, 4096)
+        assert "need M >= 36026" in str(exc.value) and "\n" not in str(exc.value)
+
+    def test_exact_kernel_with_its_pole_on_the_circle_is_refused(self):
+        with pytest.raises(EvaluationError, match="lies on the integration circle"):
+            completeness_probe(resolve("const").function, delta_inner(0.7), 1.0 - 1e-10, 4096)
+
+    @pytest.mark.parametrize("kernel", [delta_inner(0.7), _series_kernel(0.7, 8)], ids=["exact", "series"])
+    def test_radius_one_is_refused_by_the_regulated_sum(self, kernel):
+        with pytest.raises(ValueError) as exc:
+            completeness_probe(resolve("const").function, kernel, 1.0, 4096)
+        assert str(exc.value) == "need 0 <= rho < 1, got 1.0"

@@ -93,14 +93,6 @@ def test_distribution_entries_have_no_sampler():
     assert entry.coefficients(4).alpha0 == pytest.approx(1.0 / math.pi)
 
 
-def test_entry_without_generator_reports_it():
-    from inner_fourier.catalog import CatalogEntry
-
-    bare = CatalogEntry("bare", resolve("const").function, None)
-    with pytest.raises(ValueError, match="generator"):
-        bare.coefficients(4)
-
-
 @pytest.mark.parametrize("name, params", [("square", {"theta1": 1.0}), ("cos_3", {"order": 2}), ("delta", {"r": 0.5})])
 def test_parameter_the_entry_does_not_take_is_refused(name, params):
     with pytest.raises(ValueError, match=f"takes no parameter {next(iter(params))}"):

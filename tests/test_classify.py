@@ -5,7 +5,6 @@ import pytest
 
 from inner_fourier import (
     FourierCoefficients,
-    GrowthModel,
     TaylorCoefficients,
     classify_sequence,
     convergence_radius_check,
@@ -58,10 +57,9 @@ class TestClassifySequence:
         assert rep.fitted_power == pytest.approx(-1.0, abs=1e-3)
 
     def test_family_grid_ground_truth(self):
-        model = GrowthModel(window=(64, 4096))
         for p in GRID_P:
             for b in GRID_B:
-                rep = classify_sequence(family_magnitudes(p, b, 4096), model)
+                rep = classify_sequence(family_magnitudes(p, b, 4096), window=(64, 4096))
                 assert rep.bounded == (b <= 1.0), (p, b)
 
     def test_all_zero_is_degenerate(self):
@@ -81,8 +79,9 @@ class TestClassifySequence:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             classify_sequence(np.ones(6))
-        with pytest.raises(ValueError):
-            GrowthModel(window=(1, 4))
+        with pytest.raises(ValueError) as exc:
+            classify_sequence(np.ones(64), window=(1, 4))
+        assert str(exc.value) == "fit window (1, 4) spans 4 indices; need 8"
 
     def test_non_finite_window_rejected(self):
         mags = family_magnitudes(0.0, 2.0, 4096)  # 2**k overflows past k = 1023
@@ -297,23 +296,25 @@ class TestBatchedFit:
             assert str(exc.value) == f"only {first} magnitudes above roundoff in window (16, 64); need 8"
 
     @pytest.mark.parametrize(
-        "mags, model, text",
+        "mags, window, text",
         [
-            (np.ones(513), GrowthModel(window=(100, 600)), "window end 600 exceeds last index 512"),
+            (np.ones(513), (100, 600), "window end 600 exceeds last index 512"),
+            (np.ones(65), (0, 64), "fit window (0, 64) starts at k = 0; need k >= 1"),
+            (np.ones(65), (64, 10), "fit window (64, 10) ends before it starts"),
             (np.r_[np.ones(64), np.inf], None, "non-finite magnitude in fit window (16, 64)"),
             (np.ones(6), None, "fit window (1, 5) spans 5 indices; need 8"),
             (np.r_[np.zeros(58), np.ones(7)], None, "only 7 magnitudes above roundoff in window (16, 64); need 8"),
         ],
-        ids=["window_end", "non_finite", "short_window", "few_points"],
+        ids=["window_end", "window_start", "window_reversed", "non_finite", "short_window", "few_points"],
     )
-    def test_refusals_keep_their_text(self, mags, model, text):
+    def test_refusals_keep_their_text(self, mags, window, text):
         with pytest.raises(ValueError) as exc:
-            classify_sequence(mags, model)
+            classify_sequence(mags, window)
         assert str(exc.value) == text
         if mags.size > 7 and np.all(np.isfinite(mags)):
             # a batch raises the message of its first member that a lone check refuses
             bad = FourierCoefficients(0.0, mags[1:], np.zeros(mags.size - 1))
             good = rotated_family(1.0, 1.0, mags.size - 1, 0.4)
             with pytest.raises(ValueError) as exc:
-                equivalence_checks([good, bad, good], model)
+                equivalence_checks([good, bad, good], window)
             assert str(exc.value) == text

@@ -505,6 +505,40 @@ class TestVerifyCommand:
             "all checks passed\n"
         )
 
+    SUITE_OUTPUT = {
+        "ortho": (
+            "gram_offdiag: PASS (max_error=2.3e-15, tol=1e-12)\n"
+            "gram_diag: PASS (max_error=1.11e-15, tol=1e-12)\n"
+            "residue_identity: PASS (max_error=0, tol=1e-13)\n"
+        ),
+        "kernels": (
+            "contour_polynomial: PASS (max_error=1.36e-16, tol=1e-10)\n"
+            "contour_delta: PASS (max_error=6.94e-17, tol=1e-10)\n"
+            "remainder_closed_form: PASS (max_error=3.56e-17, tol=1e-10)\n"
+            "remainder_slope: PASS (max_error=1.6e-16, tol=0.02)\n"
+        ),
+        "hilbert": (
+            "taylor_gram_offdiag: PASS (max_error=5.04e-18, tol=1e-12)\n"
+            "taylor_gram_diag: PASS (max_error=5.55e-17, tol=1e-12)\n"
+            "taylor_gram_identity: PASS (max_error=2.22e-16, tol=1e-12)\n"
+            "contour_vs_series: PASS (max_error=0, tol=1e-11)\n"
+            "hermitian_symmetry: PASS (max_error=0, tol=1e-13)\n"
+            "positivity_margin: PASS (max_error=0, tol=0)\n"
+        ),
+        "complete": (
+            "unit_mass: PASS (max_error=2.22e-16, tol=1e-12)\n"
+            "poisson_eigenrelation: PASS (max_error=8.33e-17, tol=1e-10)\n"
+            "zero_coefficient_probe: PASS (max_error=1.09e-16, tol=1e-10)\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("suite", sorted(SUITE_OUTPUT))
+    def test_suite_output_is_pinned(self, capsys, suite):
+        # every printed max_error, at the default options
+        code, out, _ = run(capsys, "verify", "--suite", suite)
+        assert code == 0
+        assert out == self.SUITE_OUTPUT[suite] + "all checks passed\n"
+
     # the family line prints rate and power to 6 significant digits, so a fit
     # that rounds differently in the last digits shows up here
     FAMILY_LINES = [

@@ -191,14 +191,6 @@ class TestRhoLimit:
                 for a, b in zip(errs, errs[1:]):
                     assert b <= a + 1e-9
 
-    def test_extrapolation_diagnostics(self):
-        fc = resolve("triangle").coefficients(4000)
-        sched = RhoSchedule.geometric(1, 8, tol=1e-3)
-        res = rho_limit(fc, 0.5, sched)
-        assert len(res.extrapolated) == len(res.history) - 1
-        # first order error in (1 - rho) cancels, so the extrapolant is closer
-        assert abs(res.extrapolated[-1] - 0.5) < abs(res.history[-1] - 0.5)
-
     @pytest.mark.parametrize("theta1", [0.7, -3.0])
     def test_point_mass_closed_form_is_its_poisson_kernel(self, theta1):
         sched = RhoSchedule.geometric(1, 14)
