@@ -145,6 +145,8 @@ def _suite_ortho(K=32):
 
 def _suite_complete(K=512):
     theta1, M = 0.7, 4096
+    if not 8 <= K < M:
+        raise ValueError(f"--suite complete needs 8 <= K <= {M - 1}, got K={K}")
     delta = delta_inner(theta1)
     worst = 0.0
     for rho in (0.3, 0.9, 0.99):

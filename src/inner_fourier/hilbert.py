@@ -59,8 +59,8 @@ def inner_product_disk(w1: InnerAnalytic, w2: InnerAnalytic, cfg: DiskProductCon
     rho0 = 1 is allowed only when neither function has a pole there, and
     each function must pass the aliasing rule of ``quadrature.circle_samples``.
     """
-    _, v1 = circle_samples(w1, cfg.rho0, cfg.M)
-    _, v2 = circle_samples(w2, cfg.rho0, cfg.M)
+    v1 = circle_samples(w1, cfg.rho0, cfg.M)
+    v2 = circle_samples(w2, cfg.rho0, cfg.M)
     return complex(np.vdot(v1, v2)) / cfg.M
 
 

@@ -8,20 +8,22 @@ summing the finite geometric progression yields the two-term identity
     S_N(z) = (1/(2*pi*i)) loop w(z1)/(z1 - z) dz1
            - (z**N/(2*pi*i)) loop w(z1)/(z1**N (z1 - z)) dz1
 
-on any circle |z1| = rho1 with rho1 != |z|. For |z| < rho1 the first term
-is the Cauchy value w(z) and the second is the remainder R_N(z) = w(z) -
-S_N(z); for |z| > rho1 the first term vanishes and the second alone
-carries -S_N(z). On M nodes first - second is exactly sum_{k<N} c^_k z**k
-with c^_k the trapezoid Cauchy coefficients, so only the aliasing of w is
-left, and the routines refuse (``quadrature.circle_samples``) rather than
-degrade when it exceeds eps; ``remainder`` also refuses when its pole at
-z aliases, at scale (|z|/rho1)**M. The second term amplifies the rounding
-of the samples by A = (|z|/rho1)**N / rho1, and the routines refuse when
-A exceeds 1/sqrt(eps) (``quadrature.check_amplification``). The boundary
-partial sum on |z| = 1 is the exterior case; it is computed as
-``quadrature.power_series`` over ``quadrature.circle_coefficients``, the
-same sum without the two contour terms. Direct partial sums go through
-``power_series`` too, with its error bound 2N * eps * sum |c_k| |z|**k.
+on any circle |z1| = rho1 != |z|. For |z| < rho1 the first term is the
+Cauchy value w(z) and the second the remainder R_N(z) = w(z) - S_N(z);
+for |z| > rho1 the first term vanishes. On the M nodes z_j = -rho1 *
+exp(2*pi*i*j/M) of the grid from -pi, with F = fft(w(z_j)) / M and
+zeta = -z/rho1, the trapezoid value of first - second is exactly
+sum_{k<N} F_k zeta**k, and that of second is zeta**N * sum_{N<=k<M} F_k
+zeta**(k-N) up to the aliasing (|z|/rho1)**M of its pole at z
+(``quadrature.check_aliasing``): each a ``quadrature.power_series`` over
+one FFT. ``quadrature.circle_samples`` refuses a w that aliases, and
+``quadrature.check_amplification`` a sample rounding eps * max|w_j|
+amplified past 1/sqrt(eps) by A = (|z|/rho1)**N / rho1.
+``quadrature.circle_coefficients``, c^_k = F_k / (-rho1)**k, does not
+serve: the remainder needs all M entries, rho1**-k overflows for large
+k, and its M >= 2K + 2 rule would refuse N up to M. It serves the
+boundary partial sum on |z| = 1, the exterior case. Direct partial sums
+use ``power_series`` too, with its bound 2N * eps * sum |c_k| |z|**k.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import TaylorCoefficients
-from .quadrature import _EPS, check_aliasing, check_amplification, circle_coefficients, circle_samples
-from .quadrature import compensated_csum, phase_powers, power_series
+from .quadrature import _EPS, check_aliasing, check_amplification, circle_coefficients, circle_samples, power_series
 from .series import InnerAnalytic, PolarPoint
 
 _RADIUS_CLASH_TOL = 1e-12
@@ -44,8 +45,7 @@ class PartialSumReport:
     """Direct and contour values of one partial sum, with their distance.
 
     ``roundoff_bound`` bounds the error of ``contour``: eps * max|w_j| *
-    max(1, A), the sample rounding amplified by A = (|z|/rho1)**N / rho1,
-    or near the circle (N + 1) * eps * max summand / M if larger.
+    max(1, A), the sample rounding amplified by A = (|z|/rho1)**N / rho1.
     ``discrepancy`` also carries the error of ``direct``, the
     ``quadrature.power_series`` bound 2N * eps * sum_{k<N} |c_k| |z|**k.
     """
@@ -64,24 +64,16 @@ def partial_sum(tc: TaylorCoefficients, z: PolarPoint, N: int) -> complex:
     return complex(power_series(tc.c[:N], z.z))
 
 
-def _contour_terms(w: InnerAnalytic, z: complex, N: int, rho1: float, M: int):
-    """The two quadrature terms of the contour identity at radius rho1, and their roundoff bound."""
+def _circle_fft(w: InnerAnalytic, z: complex, N: int, rho1: float, M: int):
+    """F = fft(w(z_j)) / M on the circle of radius rho1, zeta = -z/rho1, and the far-field bound of the sums."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    nodes, vals = circle_samples(w, rho1, M)
+    vals = circle_samples(w, rho1, M)
     log_zn = N * math.log(abs(z)) if z else -math.inf
     amp = check_amplification(log_zn, N + 1, rho1, M, getattr(w, "pole_set", ()))
-    terms1 = vals * nodes / (nodes - z)
-    first = compensated_csum(terms1) / M
-    # z1^{-(N-1)} through the exact phase table keeps the strong rho1
-    # scaling out of the cancellation.
-    inv_pow = phase_powers(M, -(N - 1)) / rho1 ** (N - 1)
-    terms2 = vals * inv_pow / (nodes - z)
-    second = (z**N / M) * compensated_csum(terms2)
-    # near the circle one summand can dwarf the samples: its rounding and the
-    # (N - 1) eps by which the table power misses the rounded node's dominate
-    near = (N + 1) * float(np.max(np.abs(terms1) + abs(z**N) * np.abs(terms2))) / M
-    return first, second, _EPS * max(float(np.max(np.abs(vals))) * max(1.0, amp), near)
+    # Python scalars: numpy divides a complex by a real through its reciprocal, one rounding more
+    zeta = -complex(z) / float(rho1)
+    return np.fft.fft(vals) / M, zeta, _EPS * float(np.max(np.abs(vals))) * max(1.0, amp)
 
 
 def contour_partial_sum(
@@ -89,12 +81,10 @@ def contour_partial_sum(
 ) -> PartialSumReport:
     """Contour-integral value of S_N(z) compared against the direct sum.
 
-    Requires rho1 != |z| strictly: inside (|z| < rho1) the first contour
-    term reproduces w(z) and the difference of terms is S_N; outside
-    (|z| > rho1) the first term vanishes by analyticity and the negated
-    second term is S_N. Both branches reduce to first - second, the sum of
-    the first N trapezoid Cauchy coefficients; N > M is refused, since
-    c_k for k >= M aliases onto c_{k-M} * rho1**-M.
+    Requires rho1 != |z|: inside, the first contour term is w(z) and the
+    difference of terms is S_N; outside, the first term vanishes and the
+    negated second is S_N. On M nodes both are sum_{k<N} F_k zeta**k; N > M
+    is refused, since c_k for k >= M aliases onto c_{k-M} * rho1**-M.
     """
     if not 0.0 < rho1 <= 1.0:
         raise ValueError(f"need 0 < rho1 <= 1, got {rho1}")
@@ -102,8 +92,8 @@ def contour_partial_sum(
         raise ValueError(f"ill posed: |z| = rho1 = {rho1}; the identity needs |z| != rho1")
     if N > M:
         raise ValueError(f"{N} terms alias on {M} nodes; need M >= {N}")
-    first, second, bound = _contour_terms(w, z.z, N, rho1, M)
-    contour = first - second
+    F, zeta, bound = _circle_fft(w, z.z, N, rho1, M)
+    contour = complex(power_series(F[:N], zeta))
     direct = partial_sum(w.taylor(N), z, N)
     return PartialSumReport(N, direct, contour, abs(direct - contour), bound)
 
@@ -111,20 +101,27 @@ def contour_partial_sum(
 def remainder(w: InnerAnalytic, z: PolarPoint, N: int, rho1: float, M: int = 4096) -> complex:
     """Contour value of R_N(z) = w(z) - S_N(z), valid for |z| < rho1 <= 1.
 
-    The magnitude decays like |z|**N for large N, which is what makes the
-    convergence of the power series inside the disk easy to control; no
-    analogous closed form survives on the circle itself. Accuracy: the
-    error is about ``PartialSumReport.roundoff_bound``, which the bare
-    value does not carry, but near the aliasing limit (|z|/rho1)**M ~ eps
-    it can exceed it (1.11x for 1/(1 - z) at |z| = 0.892, rho1 = 0.9,
-    N = 10, M = 4096).
+    It decays like |z|**N. On M nodes it is zeta**N * sum_{N<=k<M} F_k
+    zeta**(k-N), 0 at N = M; N > M is refused. Accuracy: within the
+    far-field bound eps * max|w_j| * max(1, A) of ``PartialSumReport``,
+    which the bare value does not carry, times 1/(1 - |z|/rho1), the
+    length of the tail. Measured for 1/(1 - z) and point masses: at most
+    0.30 of the far-field bound with |z| uniform up to the aliasing limit
+    (M <= 4096); on the ray to the pole near that limit, where the tail
+    is about M/36 terms, up to 10.7x it for M <= 4096 and 153x for M up
+    to 65536, and at most 0.17 of the stated bound.
     """
     if not 0.0 < rho1 <= 1.0:
         raise ValueError(f"need 0 < rho1 <= 1, got {rho1}")
     if z.rho >= rho1 - _RADIUS_CLASH_TOL:
         raise ValueError(f"remainder integral needs |z| < rho1, got |z|={z.rho}, rho1={rho1}")
+    if N > M:
+        raise ValueError(f"{N} terms alias on {M} nodes; need M >= {N}")
     check_aliasing(z.rho / rho1, M)
-    return _contour_terms(w, z.z, N, rho1, M)[1]
+    F, zeta, _ = _circle_fft(w, z.z, N, rho1, M)
+    if N == M:
+        return 0j
+    return complex(zeta**N * power_series(F[N:], zeta))
 
 
 def boundary_partial_sum(

@@ -30,16 +30,17 @@ table entry times exp(i*k*s) with |s| <= pi/n, so it carries no error
 growing with k*|theta_0|. Any other angle array goes to ``power_series``.
 
 Contour integrals over a circle |z| = rho <= 1 sample w through
-``circle_samples``, the one place circle nodes are built. The M-node
-trapezoid rule aliases with error of order (rho/R)**M when w is analytic
-out to radius R (Trefethen & Weideman, SIAM Review 2014). ``check_circle``,
-the one circle rule of ``circle_samples`` and ``basis.completeness_probe``,
-refuses a circle where that scale exceeds eps for R the nearest declared
-pole outside it, naming the smallest M that passes, and a circle within
-1e-9 of a declared pole. ``check_aliasing`` applies the same rule to a
-pole of the integrand itself. The rule is exact for a polynomial of
-degree below M, which has nothing to alias; a w with a declared degree
-at or above M is refused, naming M = degree + 1.
+``circle_samples``, the one place circle nodes are built; it returns the
+values alone. The M-node trapezoid rule aliases with error of order
+(rho/R)**M when w is analytic out to radius R (Trefethen & Weideman, SIAM
+Review 2014). ``check_circle``, the one circle rule of ``circle_samples``
+and ``basis.completeness_probe``, refuses a circle where that scale
+exceeds eps for R the nearest declared pole outside it, naming the
+smallest M that passes, and a circle within 1e-9 of a declared pole.
+``check_aliasing`` applies the same rule to a pole of the integrand
+itself. The rule is exact for a polynomial of degree below M, which has
+nothing to alias; a w with a declared degree at or above M is refused,
+naming M = degree + 1.
 
 The trapezoid Cauchy coefficients c_0..c_K of w on such a circle all come
 from one complex FFT of the samples, ``circle_coefficients``;
@@ -51,11 +52,10 @@ exceeds 1/sqrt(eps), where more than half the digits of max|w_j| are
 lost, and names the window of radii that passes both rules, or the M
 that opens it. ``circle_coefficients`` applies it with A = rho**-K.
 
-Results are bitwise reproducible for identical inputs. Compensated
-(exactly rounded) sums, ``compensated_csum``, are kept only where
-cancellation needs them: the residue identity and the two contour terms
-of the kernels, both over the exact phase tables of ``phase_powers``.
-Every other sum is a plain numpy sum, dot product or FFT.
+Results are bitwise reproducible for identical inputs. A compensated
+(exactly rounded) sum, ``compensated_csum``, serves only the residue
+identity of ``basis``, over the exact phase table of ``phase_powers``.
+Every other sum, the contour kernels' too, is a numpy sum, dot or FFT.
 """
 
 from __future__ import annotations
@@ -338,13 +338,12 @@ def check_circle(w, rho: float, m: int) -> None:
         check_aliasing(rho / min(outside), m)
 
 
-def circle_samples(w, rho: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes rho*exp(i*theta_j) on the standard grid and w at them, after ``check_circle``."""
+def circle_samples(w, rho: float, m: int) -> np.ndarray:
+    """w at the nodes rho*exp(i*theta_j) of the standard grid, after ``check_circle``."""
     if rho <= 0.0:
         raise ValueError(f"circle radius must be positive, got {rho}")
     check_circle(w, rho, m)
-    nodes = -rho * unit_phasors(m)
-    return nodes, np.asarray(w(nodes), dtype=complex)
+    return np.asarray(w(-rho * unit_phasors(m)), dtype=complex)
 
 
 def circle_coefficients(w, K: int, rho: float, m: int) -> np.ndarray:
@@ -358,7 +357,7 @@ def circle_coefficients(w, K: int, rho: float, m: int) -> np.ndarray:
     """
     if not 0 <= K <= m // 2 - 1:
         raise ValueError(f"need 0 <= K and M >= 2K + 2, got K={K}, M={m}")
-    _, vals = circle_samples(w, rho, m)
+    vals = circle_samples(w, rho, m)
     check_amplification(0.0, K, rho, m, getattr(w, "pole_set", ()))
     return _from_minus_pi(np.fft.fft(vals), K) / (m * rho ** np.arange(K + 1.0))
 

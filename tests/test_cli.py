@@ -477,6 +477,19 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("K", ["1", "7", "4096"])
+    def test_complete_K_outside_its_range_is_a_usage_error(self, capsys, K):
+        # the kernel needs the harmonics 1..8 it is checked on and a degree below M = 4096
+        code, out, err = run(capsys, "verify", "--suite", "complete", "--K", K)
+        assert code == 2 and out == ""
+        assert err == f"error: --suite complete needs 8 <= K <= 4095, got K={K}\n"
+
+    @pytest.mark.parametrize("K, eigen", [("8", "1.11e-16"), ("4095", "8.33e-17")])
+    def test_complete_K_at_the_ends_of_its_range(self, capsys, K, eigen):
+        code, out, _ = run(capsys, "verify", "--suite", "complete", "--K", K)
+        assert code == 0
+        assert out.splitlines()[1] == f"poisson_eigenrelation: PASS (max_error={eigen}, tol=1e-10)"
+
     def test_classify_family_window_too_short_is_named(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "classify", "--p", "2", "--K", "8")
         assert code == 2 and out == ""
@@ -512,10 +525,10 @@ class TestVerifyCommand:
             "residue_identity: PASS (max_error=0, tol=1e-13)\n"
         ),
         "kernels": (
-            "contour_polynomial: PASS (max_error=1.36e-16, tol=1e-10)\n"
-            "contour_delta: PASS (max_error=6.94e-17, tol=1e-10)\n"
-            "remainder_closed_form: PASS (max_error=3.56e-17, tol=1e-10)\n"
-            "remainder_slope: PASS (max_error=1.6e-16, tol=0.02)\n"
+            "contour_polynomial: PASS (max_error=2.29e-16, tol=1e-10)\n"
+            "contour_delta: PASS (max_error=5.55e-17, tol=1e-10)\n"
+            "remainder_closed_form: PASS (max_error=4.32e-17, tol=1e-10)\n"
+            "remainder_slope: PASS (max_error=0, tol=0.02)\n"
         ),
         "hilbert": (
             "taylor_gram_offdiag: PASS (max_error=5.04e-18, tol=1e-12)\n"

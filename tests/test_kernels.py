@@ -24,7 +24,6 @@ from inner_fourier import (
     resolve,
     to_taylor,
 )
-from inner_fourier.kernels import _contour_terms
 from inner_fourier.quadrature import circle_samples, theta_grid
 
 
@@ -101,21 +100,19 @@ class TestContourPartialSum:
         rep = contour_partial_sum(w, PolarPoint(0.8, -1.0), 6, 0.4, 4096)
         assert rep.discrepancy < 1e-10
 
-    def test_cauchy_value_inside(self):
-        w = monomial(3)
-        z = PolarPoint(0.4, 0.7)
-        first, second, _ = _contour_terms(w, z.z, 5, 0.9, 4096)
-        assert abs(first - w(z.z)) < 1e-11
-        assert abs(second) < 1e-11  # polynomial exhausted at N > degree
-
-    def test_first_term_vanishes_outside(self):
-        w = monomial(2)
-        first, _, _ = _contour_terms(w, PolarPoint(0.9, 0.3).z, 3, 0.4, 4096)
-        assert abs(first) < 1e-10
-
     def test_radius_clash_rejected(self):
         with pytest.raises(ValueError, match="ill posed"):
             contour_partial_sum(monomial(2), PolarPoint(0.5, 0.0), 2, 0.5)
+
+    @pytest.mark.parametrize("N", [1, 5, 30])
+    @pytest.mark.parametrize("z", [PolarPoint(0.4, 0.7), PolarPoint(0.85, -2.5)])
+    @pytest.mark.parametrize(
+        "w", [geometric_series(), monomial(3), delta_inner(2.0)], ids=["geometric", "cubic", "point_mass"]
+    )
+    def test_partial_sum_plus_remainder_is_the_cauchy_value(self, w, z, N):
+        # inside the circle the first contour term, S_N + R_N, is w(z)
+        rep = contour_partial_sum(w, z, N, 0.9, 4096)
+        assert abs(rep.contour + remainder(w, z, N, 0.9, 4096) - w(z.z)) <= rep.roundoff_bound
 
 
 class TestRemainder:
@@ -160,12 +157,15 @@ class TestRemainder:
     def test_error_within_roundoff_contract(self, rho1, N):
         # the far-field bound eps * max|w_j| * max(1, A), A = (|z|/rho1)**N / rho1
         w, z, M = geometric_series(), PolarPoint(0.4 * rho1, 1.0), 4096
-        with mpmath.workdps(40):
-            zz = mpmath.mpc(z.z.real, z.z.imag)
-            want = complex(zz**N / (1 - zz))
-        _, samples = circle_samples(w, rho1, M)
-        bound = np.finfo(float).eps * float(np.max(np.abs(samples))) * max(1.0, 0.4**N / rho1)
-        assert abs(remainder(w, z, N, rho1, M) - want) <= bound
+        assert abs(remainder(w, z, N, rho1, M) - _geometric_tail(z, N)) <= _far_field_bound(w, z, N, rho1, M)
+
+    def test_near_the_aliasing_limit_within_the_far_field_bound(self):
+        # (|z|/rho1)**M = 1.6e-16 here; the error was 2.51e-15 against a bound of 2.26e-15
+        w, z, N, rho1, M = geometric_series(), PolarPoint(0.8919783833581677, 0.23822533441842797), 10, 0.9, 4096
+        assert abs(remainder(w, z, N, rho1, M) - _geometric_tail(z, N)) <= _far_field_bound(w, z, N, rho1, M)
+
+    def test_N_equal_to_M_leaves_an_empty_tail(self):
+        assert remainder(geometric_series(), PolarPoint(0.2, 0.0), 64, 0.5, 64) == 0j
 
 
 class TestBoundaryPartialSum:
@@ -327,11 +327,47 @@ def test_amplified_contour_partial_sum_refused(z, N, M):
     exact = _delta_partial_sum(z.z, N)
     for rho1 in (lo, hi):
         rep = contour_partial_sum(w, z, N, rho1, M)
-        # the far-field bound eps * max|w_j| * max(1, A), A = (|z|/rho1)**N / rho1
-        _, samples = circle_samples(w, rho1, M)
-        bound = EPS * float(np.max(np.abs(samples))) * max(1.0, (z.rho / rho1) ** N / rho1)
+        bound = _far_field_bound(w, z, N, rho1, M)
         assert abs(rep.contour - exact) <= bound
         assert rep.discrepancy <= bound
+
+
+def _geometric_tail(z: PolarPoint, N: int) -> complex:
+    # R_N of 1/(1 - z) is z**N/(1 - z), to 40 digits
+    with mpmath.workdps(40):
+        zz = mpmath.mpc(z.z.real, z.z.imag)
+        return complex(zz**N / (1 - zz))
+
+
+def _far_field_bound(w, z: PolarPoint, N: int, rho1: float, M: int) -> float:
+    # eps * max|w_j| * max(1, A), A = (|z|/rho1)**N / rho1
+    return EPS * float(np.max(np.abs(circle_samples(w, rho1, M)))) * max(1.0, (z.rho / rho1) ** N / rho1)
+
+
+@st.composite
+def remainder_cases(draw):
+    M = draw(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]), label="M")
+    # the circle rule admits rho1 up to eps**(1/M) inside the pole at 1, and the
+    # aliasing rule of the pole at z admits |z| up to rho1 * eps**(1/M)
+    limit = EPS ** (1.0 / M)
+    rho1 = draw(st.floats(0.5, 1.0), label="rho1 / limit") * limit
+    r = draw(st.floats(0.0, 1.0), label="|z| / (rho1 * limit)") * rho1 * limit
+    z = PolarPoint(r, draw(st.floats(-math.pi, math.pi), label="theta"))
+    return z, draw(st.integers(1, M), label="N"), rho1, M
+
+
+@given(case=remainder_cases())
+def test_remainder_within_the_tail_length_bound_up_to_the_aliasing_limit(case):
+    # the far-field bound times 1/(1 - |z|/rho1), the length of the tail, as the docstring states
+    z, N, rho1, M = case
+    w = geometric_series()
+    try:
+        got = remainder(w, z, N, rho1, M)
+    except ValueError as exc:
+        if not re.search(_REFUSED, str(exc)):
+            raise
+        reject()
+    assert abs(got - _geometric_tail(z, N)) <= _far_field_bound(w, z, N, rho1, M) / (1.0 - z.rho / rho1)
 
 
 _CUBIC = TaylorSeries(TaylorCoefficients(np.array([1.0, 2.0, 3.0], dtype=complex)))
@@ -348,6 +384,7 @@ _CUBIC = TaylorSeries(TaylorCoefficients(np.array([1.0, 2.0, 3.0], dtype=complex
         (lambda: remainder(_CUBIC, PolarPoint(0.3, 0.0), 2, -0.5), "need 0 < rho1 <= 1"),
         (lambda: remainder(_CUBIC, PolarPoint(0.3, 0.0), 2, 1.5), "need 0 < rho1 <= 1"),
         (lambda: contour_partial_sum(_CUBIC, PolarPoint(0.3, 0.0), 65, 0.8, 64), "need M >= 65"),
+        (lambda: remainder(_CUBIC, PolarPoint(0.3, 0.0), 65, 0.8, 64), "65 terms alias on 64 nodes; need M >= 65"),
     ],
     ids=[
         "contour_N0",
@@ -358,6 +395,7 @@ _CUBIC = TaylorSeries(TaylorCoefficients(np.array([1.0, 2.0, 3.0], dtype=complex
         "remainder_rho1_negative",
         "remainder_rho1_above_1",
         "contour_N_above_M",
+        "remainder_N_above_M",
     ],
 )
 def test_kernel_arguments_outside_their_range_refused(call, match):
@@ -403,9 +441,9 @@ def test_contour_equals_direct_wherever_the_amplification_passes(case):
 
 
 def test_roundoff_bound_covers_a_point_near_the_circle():
-    # 1/(z1 - z) at the node z1 = 1 inflates both contour terms of the constant i
-    # about 1600-fold, far past the sample scale eps * max|w_j| = eps
+    # z sits 1e-5 from the node z1 = 1, yet the sum over the FFT of the samples
+    # keeps the constant i within the far-field bound eps * max|w_j| = eps
     w = TaylorSeries(TaylorCoefficients(np.array([1j, 0.0])))
     rep = contour_partial_sum(w, PolarPoint(0.99999, 0.0), 1, 1.0, 64)
-    assert abs(rep.contour - 1j) > 100 * EPS
+    assert rep.roundoff_bound == EPS
     assert abs(rep.contour - 1j) <= rep.roundoff_bound
