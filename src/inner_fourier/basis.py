@@ -9,10 +9,10 @@ residue identity
 
 on any circle centered at the origin. Completeness is probed by
 integrating a test function psi against Re w(rho*exp(i*theta)) for any
-inner analytic kernel w, under the circle rule ``quadrature.check_circle``
-(``completeness_probe``). With the point mass as kernel this is the
-Poisson integral of psi, which tends to psi(theta1) as rho -> 1 at
-continuity points.
+inner analytic kernel w, sampled by ``quadrature.circle_samples`` under
+its circle rule (``completeness_probe``). With the point mass as kernel
+this is the Poisson integral of psi, which tends to psi(theta1) as
+rho -> 1 at continuity points.
 """
 
 from __future__ import annotations
@@ -22,14 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import PeriodicFunction
-from .quadrature import (
-    check_circle,
-    compensated_csum,
-    phase_powers,
-    theta_grid,
-    trapezoid_periodic,
-)
-from .series import InnerAnalytic, regulated_sum
+from .quadrature import circle_samples, compensated_csum, phase_powers, theta_grid, trapezoid_periodic
+from .series import InnerAnalytic
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,11 +96,12 @@ def completeness_probe(psi: PeriodicFunction, kernel: InnerAnalytic, rho: float,
     continuity points. The K-term kernel
     ``TaylorSeries(delta_inner(theta1).taylor(K))`` gives the same values
     for harmonics up to K and annihilates the rest to roundoff. The kernel
-    is evaluated by ``kernel.polar`` on ``theta_grid(M)``; rho outside
-    [0, 1) raises the ValueError of ``regulated_sum``, and the circle rule
-    of ``quadrature.check_circle`` refuses a kernel of degree >= M, a pole
-    on the circle of radius rho and an aliasing scale (rho/R)**M above eps.
+    is sampled on the nodes of ``theta_grid(M)`` by
+    ``quadrature.circle_samples``, under its circle rule: a kernel of
+    degree >= M, a pole on the circle of radius rho and an aliasing scale
+    (rho/R)**M above eps are refused. rho outside [0, 1) raises
+    ValueError, and so does rho = 0, which is no circle.
     """
-    values = regulated_sum(kernel, theta_grid(M), rho)
-    check_circle(kernel, rho, M)
-    return trapezoid_periodic(psi.on_grid(M) * values)
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"need 0 <= rho < 1, got {rho}")
+    return trapezoid_periodic(psi.on_grid(M) * circle_samples(kernel, rho, M).real)

@@ -34,7 +34,7 @@ _IMAG_TOL = 1e-12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
+    """a, which the caller built as its own copy, made read-only."""
     a.setflags(write=False)
     return a
 
@@ -51,7 +51,7 @@ class PeriodicFunction:
         if (self.fn is None) == (self.samples is None):
             raise ValueError("provide exactly one of fn or samples")
         if self.samples is not None:
-            s = np.asarray(self.samples, dtype=float)
+            s = np.array(self.samples, dtype=float)
             if s.ndim != 1 or s.size < 2:
                 raise ValueError("sample grid needs at least 2 values")
             if not np.all(np.isfinite(s)):
@@ -96,8 +96,8 @@ class FourierCoefficients:
     beta: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=float)
-        b = np.asarray(self.beta, dtype=float)
+        a = np.array(self.alpha, dtype=float)
+        b = np.array(self.beta, dtype=float)
         if a.ndim != 1 or b.shape != a.shape:
             raise ValueError("alpha and beta must be 1d arrays of equal length")
         if a.size < 1:
@@ -123,7 +123,7 @@ class TaylorCoefficients:
     c: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=complex)
+        c = np.array(self.c, dtype=complex)
         if c.ndim != 1 or c.size < 2:
             raise ValueError("need coefficients c_0..c_K with K >= 1")
         if not np.all(np.isfinite(c)):

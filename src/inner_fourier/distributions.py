@@ -8,7 +8,9 @@ diverges everywhere, the damped sums converge for every rho < 1 and recover
 the point mass as rho -> 1 everywhere except at theta1. ``delta_inner(theta1)``
 is that one object: ``taylor(K)`` builds c_0..c_K, a point z takes the z
 formula, and ``polar``, called by the regulated sums and ``rho_limit``,
-takes the Herglotz form (phi = theta - theta1), in which nothing cancels:
+takes the Herglotz form (phi = theta - theta1), in which nothing cancels;
+so does ``circle``, the samples of every contour integral and of
+``basis.completeness_probe``, on ``theta_grid(M)``:
 
     w = ((1 - rho)*(1 + rho) + 2i*rho*sin(phi)) / (2*pi*((1 - rho)**2 + 4*rho*sin(phi/2)**2)).
 
@@ -29,7 +31,7 @@ import numpy as np
 
 from .coeffs import TaylorCoefficients
 from .errors import EvaluationError
-from .quadrature import TWO_PI
+from .quadrature import TWO_PI, theta_grid
 from .series import _POLE_TOL, ClosedForm, TaylorSeries, regulated_sum
 
 
@@ -68,6 +70,10 @@ class _PointMass(ClosedForm):
             raise EvaluationError(f"{self.label} evaluated at pole {self.pole_set[0]!r}")
         out = q * (1.0 + rho) / (TWO_PI * den) + 1j * (np.multiply.outer(np.sin(phi), rho) / (math.pi * den))
         return complex(out) if out.ndim == 0 else out
+
+    def circle(self, rho: float, m: int):
+        """w at the m circle nodes, in the Herglotz form on ``theta_grid(m)``."""
+        return self.polar(theta_grid(m), rho)
 
 
 def delta_inner(theta1: float) -> ClosedForm:

@@ -53,8 +53,11 @@ def _numbers(doc: dict, *keys: str) -> list[np.ndarray]:
         if k not in doc:
             raise ValueError(f"coefficient JSON has {keys[0]!r} but lacks {k!r}")
     entries = [x for k in keys for x in (doc[k] if isinstance(doc[k], list) else [doc[k]])]
-    # bool is an int, and numpy would also read the string "1.5" as a number
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entries):
+    # bool is an int, and numpy would also read the string "1.5" as a number. JSON yields
+    # exact ints and floats, checked in one pass; other subclasses are checked one by one
+    if not set(map(type, entries)) <= {int, float} and not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in entries
+    ):
         raise ValueError(f"coefficient JSON keys {', '.join(keys)} must hold numbers")
     return [np.asarray(doc[k], dtype=float) for k in keys]
 

@@ -127,9 +127,9 @@ def inner_product_series(
 
 
 def norm_disk(w: InnerAnalytic, cfg: DiskProductConfig) -> float:
-    """sqrt of (w|w) on the circle rho0; zero only for the zero function."""
-    sq = inner_product_disk(w, w, cfg).real
-    return math.sqrt(max(sq, 0.0))
+    """sqrt of (w|w) on the circle rho0, from one sampling of w; zero only for the zero function."""
+    v = circle_samples(w, cfg.rho0, cfg.M)
+    return math.sqrt(np.vdot(v, v).real / cfg.M)
 
 
 def taylor_gram(Kmax: int, cfg: DiskProductConfig) -> GramReport:

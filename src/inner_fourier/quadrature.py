@@ -30,17 +30,22 @@ table entry times exp(i*k*s) with |s| <= pi/n, so it carries no error
 growing with k*|theta_0|. Any other angle array goes to ``power_series``.
 
 Contour integrals over a circle |z| = rho <= 1 sample w through
-``circle_samples``, the one place circle nodes are built; it returns the
-values alone. The M-node trapezoid rule aliases with error of order
-(rho/R)**M when w is analytic out to radius R (Trefethen & Weideman, SIAM
-Review 2014). ``check_circle``, the one circle rule of ``circle_samples``
-and ``basis.completeness_probe``, refuses a circle where that scale
-exceeds eps for R the nearest declared pole outside it, naming the
-smallest M that passes, and a circle within 1e-9 of a declared pole.
-``check_aliasing`` applies the same rule to a pole of the integrand
-itself. The rule is exact for a polynomial of degree below M, which has
-nothing to alias; a w with a declared degree at or above M is refused,
-naming M = degree + 1.
+``circle_samples``, at the nodes z_j = -rho * ``unit_phasors(M)``[j] of
+``theta_grid(M)``; it returns the values alone, from ``w.circle(rho, M)``.
+A truncated series of degree K < M takes one length-M inverse FFT of
+c_k * (-rho)**k, zero-padded, with nothing to fold: the values at the
+exact nodes are within log2(M) * eps * sum |c_k| rho**k, no worse than
+``power_series`` at the rounded nodes. Every contour routine, the
+completeness probe of ``basis`` too, runs its own quadrature on those
+values. The M-node trapezoid rule aliases with error of order (rho/R)**M
+when w is analytic out to radius R (Trefethen & Weideman, SIAM Review
+2014). ``check_circle``, the one circle rule of ``circle_samples``,
+refuses a circle where that scale exceeds eps for R the nearest declared
+pole outside it, naming the smallest M that passes, and a circle within
+1e-9 of a declared pole. ``check_aliasing`` applies the same rule to a
+pole of the integrand itself. The rule is exact for a polynomial of
+degree below M, which has nothing to alias; a w with a declared degree at
+or above M is refused, naming M = degree + 1.
 
 The trapezoid Cauchy coefficients c_0..c_K of w on such a circle all come
 from one complex FFT of the samples, ``circle_coefficients``;
@@ -339,11 +344,16 @@ def check_circle(w, rho: float, m: int) -> None:
 
 
 def circle_samples(w, rho: float, m: int) -> np.ndarray:
-    """w at the nodes rho*exp(i*theta_j) of the standard grid, after ``check_circle``."""
+    """w at the nodes rho*exp(i*theta_j) of the standard grid: ``w.circle(rho, m)`` after ``check_circle``.
+
+    The nodes are z_j = -rho * ``unit_phasors(m)``[j]. A closed form is
+    called at them, a truncated series takes one inverse FFT, and the
+    point mass its Herglotz form; each w says which in ``circle``.
+    """
     if rho <= 0.0:
         raise ValueError(f"circle radius must be positive, got {rho}")
     check_circle(w, rho, m)
-    return np.asarray(w(-rho * unit_phasors(m)), dtype=complex)
+    return np.asarray(w.circle(rho, m), dtype=complex)
 
 
 def circle_coefficients(w, K: int, rho: float, m: int) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .coeffs import FourierCoefficients, TaylorCoefficients, to_taylor
 from .errors import EvaluationError, TruncationWarning
-from .quadrature import _POLE_CLASH_TOL, TWO_PI, disk_points, grid_power_series, power_series
+from .quadrature import _POLE_CLASH_TOL, TWO_PI, check_circle, disk_points, grid_power_series, power_series, unit_phasors
 
 _POLE_TOL = 1e-12
 
@@ -68,8 +68,10 @@ class InnerAnalytic:
     aliasing; ``degree`` is the polynomial degree when w is a polynomial,
     else None. ``taylor(K)`` returns the coefficients c_0..c_K when the
     representation knows them. ``polar(theta, rho)`` is w on the
-    theta x rho grid of ``disk_points``, the one entry point of synthesis;
-    a representation with a faster or more accurate evaluator overrides it.
+    theta x rho grid of ``disk_points``, the one entry point of synthesis,
+    and ``circle(rho, m)`` is w at the m nodes of a contour integral, the
+    one entry point of ``quadrature.circle_samples``; a representation
+    with a faster or more accurate evaluator overrides either.
     """
 
     label: str = "inner analytic function"
@@ -83,6 +85,10 @@ class InnerAnalytic:
         """w(rho*exp(i*theta)) with the shape of ``disk_points(theta, rho)``."""
         return self(disk_points(theta, rho))
 
+    def circle(self, rho: float, m: int):
+        """w at the nodes z_j = -rho * ``unit_phasors(m)``[j], which are rho*exp(i*theta_j) on ``theta_grid(m)``."""
+        return self(-rho * unit_phasors(m))
+
     def taylor(self, K: int) -> TaylorCoefficients:
         raise NotImplementedError(f"{self.label} has no coefficient generator")
 
@@ -93,7 +99,8 @@ class TaylorSeries(InnerAnalytic):
     Points are evaluated by ``power_series`` (Horner's rule in z**b over
     blocks of b = isqrt(K + 1) terms, or Horner's rule itself for few terms
     or many points); ``polar`` on a full-period uniform angle grid by one
-    folded inverse FFT per radius (``grid_power_series``).
+    folded inverse FFT per radius (``grid_power_series``); ``circle`` by
+    one inverse FFT with nothing to fold.
     """
 
     def __init__(self, tc: TaylorCoefficients):
@@ -120,6 +127,21 @@ class TaylorSeries(InnerAnalytic):
             radius = float(np.broadcast_to(np.asarray(rho, dtype=float), np.shape(out))[~finite][0])
             raise EvaluationError(f"{self.label} overflows at radius {radius!r}")
         return out
+
+    def circle(self, rho: float, m: int):
+        """w at the m circle nodes: c_k * (-rho)**k zero-padded to length m, one inverse FFT.
+
+        sum_k c_k * (-rho)**k * exp(2*pi*i*j*k/m) is the length-m inverse
+        DFT without its 1/m. Degree K >= m would fold and is refused with
+        the text of ``check_circle``. The values are at the exact nodes,
+        within log2(m) * eps * sum |c_k| rho**k.
+        """
+        check_circle(self, rho, m)
+        c = self.tc.c
+        terms = np.zeros(m, dtype=complex)
+        terms[: c.size] = c * rho ** np.arange(float(c.size))
+        terms[1 : c.size : 2] *= -1.0
+        return np.fft.ifft(terms, norm="forward")
 
     def taylor(self, K: int) -> TaylorCoefficients:
         c = np.zeros(K + 1, dtype=complex)

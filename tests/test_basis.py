@@ -142,7 +142,14 @@ class TestCompletenessProbe:
             completeness_probe(resolve("const").function, delta_inner(0.7), 1.0 - 1e-10, 4096)
 
     @pytest.mark.parametrize("kernel", [delta_inner(0.7), _series_kernel(0.7, 8)], ids=["exact", "series"])
-    def test_radius_one_is_refused_by_the_regulated_sum(self, kernel):
+    def test_radius_one_is_refused(self, kernel):
         with pytest.raises(ValueError) as exc:
             completeness_probe(resolve("const").function, kernel, 1.0, 4096)
         assert str(exc.value) == "need 0 <= rho < 1, got 1.0"
+
+    @pytest.mark.parametrize("kernel", [delta_inner(0.7), _series_kernel(0.7, 8)], ids=["exact", "series"])
+    def test_radius_zero_is_no_circle(self, kernel):
+        # the kernel is sampled by circle_samples, which needs a circle
+        with pytest.raises(ValueError) as exc:
+            completeness_probe(resolve("const").function, kernel, 0.0, 4096)
+        assert str(exc.value) == "circle radius must be positive, got 0.0"

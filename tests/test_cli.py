@@ -484,7 +484,7 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == f"error: --suite complete needs 8 <= K <= 4095, got K={K}\n"
 
-    @pytest.mark.parametrize("K, eigen", [("8", "1.11e-16"), ("4095", "8.33e-17")])
+    @pytest.mark.parametrize("K, eigen", [("8", "2.22e-16"), ("4095", "1.11e-16")])
     def test_complete_K_at_the_ends_of_its_range(self, capsys, K, eigen):
         code, out, _ = run(capsys, "verify", "--suite", "complete", "--K", K)
         assert code == 0
@@ -525,8 +525,8 @@ class TestVerifyCommand:
             "residue_identity: PASS (max_error=0, tol=1e-13)\n"
         ),
         "kernels": (
-            "contour_polynomial: PASS (max_error=2.29e-16, tol=1e-10)\n"
-            "contour_delta: PASS (max_error=5.55e-17, tol=1e-10)\n"
+            "contour_polynomial: PASS (max_error=2.22e-16, tol=1e-10)\n"
+            "contour_delta: PASS (max_error=1.69e-16, tol=1e-10)\n"
             "remainder_closed_form: PASS (max_error=4.32e-17, tol=1e-10)\n"
             "remainder_slope: PASS (max_error=0, tol=0.02)\n"
         ),
@@ -540,8 +540,8 @@ class TestVerifyCommand:
         ),
         "complete": (
             "unit_mass: PASS (max_error=2.22e-16, tol=1e-12)\n"
-            "poisson_eigenrelation: PASS (max_error=8.33e-17, tol=1e-10)\n"
-            "zero_coefficient_probe: PASS (max_error=1.09e-16, tol=1e-10)\n"
+            "poisson_eigenrelation: PASS (max_error=1.11e-16, tol=1e-10)\n"
+            "zero_coefficient_probe: PASS (max_error=1.55e-16, tol=1e-10)\n"
         ),
     }
 

@@ -22,6 +22,23 @@ from inner_fourier import (
 )
 
 
+@pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+def test_stored_arrays_are_read_only_copies(as_list):
+    a, b, c, f = np.arange(1.0, 4.0), np.arange(4.0, 7.0), np.arange(3.0) + 1j, np.linspace(0.0, 1.0, 4)
+    wrap = (lambda x: x.tolist()) if as_list else (lambda x: x)
+    fc = FourierCoefficients(0.5, wrap(a), wrap(b))
+    tc = TaylorCoefficients(wrap(c))
+    pf = PeriodicFunction(name="f", samples=wrap(f))
+    for stored, given_array in [(fc.alpha, a), (fc.beta, b), (tc.c, c), (pf.samples, f)]:
+        assert not stored.flags.writeable and stored.flags.owndata
+        assert not np.shares_memory(stored, given_array)
+        with pytest.raises(ValueError):
+            stored[0] = 9.0
+    # the caller's arrays stay writable, and writing to them leaves the stored copies alone
+    a[0] = c[0] = f[0] = 9.0
+    assert fc.alpha[0] == 1.0 and tc.c[0] == 1j and pf.samples[0] == 0.0
+
+
 def test_constant_function_coefficients():
     fc = fourier_coefficients(resolve("const").function, 4)
     assert fc.alpha0 == pytest.approx(2.0, abs=1e-14)

@@ -160,6 +160,8 @@ def test_curve_csv_formatting(tmp_path):
         ({"alpha0": 1.0, "alpha": [{"re": 1.0}], "beta": [0.0]}, "must hold numbers"),
         ({"c_re": [0.0, 1.0], "c_im": [0.0, [1.0, 2.0]]}, "must hold numbers"),
         ({"c_re": [0.0, "one"], "c_im": [0.0, 0.0]}, "must hold numbers"),
+        ({"c_re": [0.0, None], "c_im": [0.0, 0.0]}, "must hold numbers"),
+        ({"alpha0": 1.0, "alpha": [[0.5], 1.0], "beta": [0.0, 0.0]}, "must hold numbers"),
         # numpy reads the string "1.5" and the booleans as numbers; JSON does not
         ({"alpha0": "1.5", "alpha": ["0.5", True], "beta": [False, "2"]}, "must hold numbers"),
         ({"alpha0": 1.5, "alpha": [0.5, 1.0], "beta": [0.0, "2"]}, "must hold numbers"),
@@ -170,13 +172,19 @@ def test_curve_csv_formatting(tmp_path):
         ({"K": 2.0, "alpha0": 1.0, "alpha": [1.0, 0.5], "beta": [0.0, 0.0]}, "'K' must be an integer"),
     ],
     ids=[
-        "list", "string", "dict_entry", "ragged", "text_entry",
+        "list", "string", "dict_entry", "ragged", "text_entry", "null_entry", "nested_alpha",
         "strings_and_bools", "one_string", "bool_alpha0", "bool_c", "bool_K", "float_K",
     ],
 )
 def test_malformed_coefficient_documents_refused(doc, match):
     with pytest.raises(ValueError, match=match):
         parse_coefficients(doc)
+
+
+def test_numpy_scalars_in_a_document_are_numbers():
+    doc = {"alpha0": np.float64(1.0), "alpha": [np.float64(0.5), 2], "beta": [0.0, 1]}
+    fc = parse_coefficients(doc)
+    assert fc.alpha0 == 1.0 and fc.alpha.tolist() == [0.5, 2.0] and fc.beta.tolist() == [0.0, 1.0]
 
 
 _BAD_COEFFICIENT_FILES = {

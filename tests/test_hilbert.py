@@ -166,7 +166,7 @@ class TestTaylorGram:
     rho0=st.floats(0.2, 1.0),
 )
 def test_parseval_at_radius(c, rho0):
-    # norm_disk**2 = sum rho0**(2k) |c_k|**2, within the power_series error of the samples
+    # norm_disk**2 = sum rho0**(2k) |c_k|**2, within the log2(M) error of the inverse-FFT samples
     w = TaylorSeries(TaylorCoefficients(np.array(c)))
     got = norm_disk(w, DiskProductConfig(rho0, 64)) ** 2
     want = math.fsum(rho0 ** (2 * k) * abs(ck) ** 2 for k, ck in enumerate(c))

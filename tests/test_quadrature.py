@@ -4,7 +4,9 @@ Analysis (one real FFT) is checked against the trapezoid sums written out
 directly with exactly rounded summation, and both synthesis evaluators
 (the blocked power series at scattered points, and the folded inverse FFT
 on full-period grids) against an mpmath sum at the same floating-point
-angles, within the error bounds stated in the quadrature module.
+angles, within the error bounds stated in the quadrature module. A
+series' circle samples, one inverse FFT, are checked against mpmath at
+the exact circle nodes.
 """
 
 import math
@@ -16,10 +18,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from inner_fourier import PeriodicFunction, TaylorCoefficients, TaylorSeries, fourier_coefficients
+from inner_fourier import (
+    ClosedForm,
+    PeriodicFunction,
+    TaylorCoefficients,
+    TaylorSeries,
+    delta_inner,
+    fourier_coefficients,
+)
 from inner_fourier.quadrature import (
     TWO_PI,
     circle_coefficients,
+    circle_samples,
     disk_points,
     grid_power_series,
     phase_powers,
@@ -107,6 +117,53 @@ def test_circle_transform_matches_direct_cauchy_sums(c, rho, m):
         want = complex(math.fsum(terms.real), math.fsum(terms.imag)) / (m * rho**k)
         bound = 4.0 * EPS * math.log2(m) * float(np.max(np.abs(vals))) * rho**-k
         assert abs(got[k] - want) <= bound
+
+
+@given(c=_complex_lists(2, 65), rho=st.floats(0.0, 1.3, exclude_min=True), extra=st.integers(0, 128))
+@example(c=[1.0 - 2j] * 65, rho=1.3, extra=0)  # m = K + 1, the fewest nodes
+@example(c=[0.5j, -1.0, 2.0 + 1j], rho=0.9, extra=1)  # m = 4, odd powers against the node sign
+def test_series_circle_matches_mpmath_at_the_exact_nodes(c, rho, extra):
+    w = TaylorSeries(TaylorCoefficients(np.array(c)))
+    K = len(c) - 1
+    m = K + 1 + extra
+    values = w.circle(rho, m)
+    assert np.array_equal(circle_samples(w, rho, m), values)
+    bound = math.log2(m) * EPS * math.fsum(abs(ck) * rho**k for k, ck in enumerate(c))
+    with mpmath.workdps(40):
+        coeffs = [mpmath.mpc(ck.real, ck.imag) for ck in reversed(c)]
+        r = mpmath.mpf(rho)
+        for j, v in enumerate(values):
+            exact = mpmath.polyval(coeffs, -r * mpmath.expjpi(mpmath.mpf(2 * j) / m))
+            assert abs(complex(exact) - v) <= bound
+
+
+@pytest.mark.parametrize("K, m", [(5, 5), (8, 4)])
+def test_series_circle_with_degree_at_least_m_is_refused(K, m):
+    w = TaylorSeries(TaylorCoefficients(np.ones(K + 1, dtype=complex)))
+    with pytest.raises(ValueError) as exc:
+        w.circle(0.5, m)
+    assert str(exc.value) == f"polynomial of degree {K} aliases on {m} nodes; need M >= {K + 1}"
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        ClosedForm(lambda z: 1.0 / (1.0 - z), pole_set=(1.0,)),
+        ClosedForm(lambda z: np.exp(z) * z**3),
+    ],
+    ids=["geometric", "entire"],
+)
+@pytest.mark.parametrize("rho, m", [(0.5, 64), (0.9, 4096), (0.3, 99)])
+def test_closed_form_circle_samples_are_the_z_formula_bit_for_bit(w, rho, m):
+    assert circle_samples(w, rho, m).tobytes() == np.asarray(w(-rho * unit_phasors(m)), dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("rho, m", [(0.3, 64), (0.99, 4096)])
+def test_point_mass_circle_samples_are_its_herglotz_form(rho, m):
+    w = delta_inner(0.7)
+    got = circle_samples(w, rho, m)
+    assert got.tobytes() == w.polar(theta_grid(m), rho).tobytes()
+    assert np.max(np.abs(got - w(-rho * unit_phasors(m)))) <= 1e-13 * np.max(np.abs(got))
 
 
 def _horner(c, z):
