@@ -27,6 +27,7 @@ success, 1 verification failure, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import math
 import sys
@@ -296,6 +297,7 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@functools.lru_cache(maxsize=1)  # parse_args leaves the parser as it was, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="inner-fourier", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)

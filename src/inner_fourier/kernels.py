@@ -106,10 +106,10 @@ def remainder(w: InnerAnalytic, z: PolarPoint, N: int, rho1: float, M: int = 409
     far-field bound eps * max|w_j| * max(1, A) of ``PartialSumReport``,
     which the bare value does not carry, times 1/(1 - |z|/rho1), the
     length of the tail. Measured for 1/(1 - z) and point masses: at most
-    0.30 of the far-field bound with |z| uniform up to the aliasing limit
+    0.40 of the far-field bound with |z| uniform up to the aliasing limit
     (M <= 4096); on the ray to the pole near that limit, where the tail
-    is about M/36 terms, up to 10.7x it for M <= 4096 and 153x for M up
-    to 65536, and at most 0.17 of the stated bound.
+    is about M/36 terms, up to 17x it for M <= 4096 and 153x for M up
+    to 65536, and at most 0.29 of the stated bound.
     """
     if not 0.0 < rho1 <= 1.0:
         raise ValueError(f"need 0 < rho1 <= 1, got {rho1}")

@@ -14,12 +14,19 @@ b = isqrt(K+1) (Paterson & Stockmeyer, SIAM J. Comput. 1973): a table of
 z**0..z**b built by b row products, one matrix product for all block
 sums, and Horner's rule in z**b over the blocks, about 2*sqrt(K+1) numpy
 steps in place of K+1. Fewer than 16 terms, or a table of more than 2**13
-entries, take b = 1, which is Horner's rule. Either way the cost is O(K)
-per point, and the error is at most 2(K+1) * eps * sum |c_k| |z|**k for
-the floating-point z given: to first order each term passes through at
-most K + 2b + 2 roundings of at most sqrt(5)/2 eps, which stays inside
-the bound for every b >= 4. On a full-period uniform angle grid,
-theta_j = theta_0 + 2*pi*j/n for j = 0..n-1 to within 8 eps of the
+entries, take b = 1, which is Horner's rule. At one point (a 0-d z) the
+same blocks run in Python scalars: the table and Horner's rule are Python
+products and the block sums one matrix-vector product, so no step pays
+numpy's cost per call. Python's complex product is the plain
+four-multiply formula, where numpy's vector loop may fuse a multiply and
+an add, so a lone point is not bit for bit the same point inside an
+array; at a real z the products round alike in both. Either way the
+cost is O(K) per point, and the error is at most 2(K+1) * eps *
+sum |c_k| |z|**k for the floating-point z given: to first order each
+term passes through at most K + 2b + 2 roundings of at most sqrt(5)/2
+eps (the plain complex product's bound, above the fused one's), which
+stays inside the bound for every b >= 4. On a full-period uniform angle
+grid, theta_j = theta_0 + 2*pi*j/n for j = 0..n-1 to within 8 eps of the
 largest angle, ``grid_power_series`` folds c_k * rho**k * exp(i*k*theta_0)
 modulo n and takes one inverse FFT per radius, O(K + n log n), then
 moves each value from the exact angle theta_0 + 2*pi*j/n to the double
@@ -65,6 +72,7 @@ Every other sum, the contour kernels' too, is a numpy sum, dot or FFT.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -130,11 +138,16 @@ def power_series(c, z) -> np.ndarray:
     steps replace K + 1, in O(b * z.size + K) memory. b depends on the
     shapes of c and z alone. At a point where |z|**b overflows, the blocked
     form would multiply inf by zero blocks, so that point takes Horner's
-    rule, bit for bit, and stays finite wherever Horner's rule does. Error
-    at most 2(K+1) * eps * sum |c_k| |z|**k for the floating-point z given.
+    rule, bit for bit, and stays finite wherever Horner's rule does. A 0-d
+    z, a Python or numpy scalar, takes the same steps in Python scalars
+    (``_one_point``) and returns a 0-d array; at a complex z it may differ
+    from the same point inside an array in the last bits. Error at most
+    2(K+1) * eps * sum |c_k| |z|**k for the floating-point z given.
     """
     c = np.asarray(c, dtype=complex)
     z = np.asarray(z)
+    if z.ndim == 0:
+        return np.asarray(_one_point(c, z.item()))
     b = math.isqrt(c.size)
     if b < 4 or b * z.size > _TABLE_ENTRIES:
         return _horner(c, z)
@@ -145,6 +158,30 @@ def power_series(c, z) -> np.ndarray:
         return _horner(terms, zb)
     out = _horner(np.where(lost, 0.0, terms), np.where(lost, 0.0, zb))
     out[lost] = _horner(c, z[lost])
+    return out
+
+
+def _one_point(c: np.ndarray, z) -> complex:
+    """``power_series`` at one Python scalar z in Python arithmetic: the same blocks, table and fallback.
+
+    A real z keeps a real table, whose products round as numpy's complex
+    ones with a zero imaginary part. Python's complex product is the plain
+    four-multiply formula, as is numpy's on a 0-d array, so the fallback
+    is ``_horner`` on a 0-d z bit for bit.
+    """
+    b = math.isqrt(c.size)
+    if b >= 4:
+        table = [1.0]
+        for _ in range(b):
+            table.append(table[-1] * z)
+        if cmath.isfinite(table[b]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                c = _blocks(c, b) @ np.array(table[:b])
+            z = table[b]  # Horner's rule in z**b over the block sums
+    terms = c.tolist()
+    out = terms.pop()
+    for t in reversed(terms):
+        out = out * z + t
     return out
 
 
@@ -170,10 +207,15 @@ def _block_sums(c: np.ndarray, z: np.ndarray, b: int) -> tuple[np.ndarray, np.nd
     table[0] = 1.0
     for j in range(1, b + 1):
         np.multiply(table[j - 1], zf, out=table[j])
+    sums = _blocks(c, b) @ table[:b]
+    return table[b].reshape(z.shape), sums.reshape((-1,) + z.shape)
+
+
+def _blocks(c: np.ndarray, b: int) -> np.ndarray:
+    """c zero-padded to whole blocks of b terms, one block a row."""
     padded = np.zeros(-(-c.size // b) * b, dtype=complex)
     padded[: c.size] = c
-    sums = padded.reshape(-1, b) @ table[:b]
-    return table[b].reshape(z.shape), sums.reshape((-1,) + z.shape)
+    return padded.reshape(-1, b)
 
 
 def _two_sum(a, b):

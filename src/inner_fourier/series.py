@@ -98,9 +98,12 @@ class TaylorSeries(InnerAnalytic):
 
     Points are evaluated by ``power_series`` (Horner's rule in z**b over
     blocks of b = isqrt(K + 1) terms, or Horner's rule itself for few terms
-    or many points); ``polar`` on a full-period uniform angle grid by one
-    folded inverse FFT per radius (``grid_power_series``); ``circle`` by
-    one inverse FFT with nothing to fold.
+    or many points); one point returns a Python complex from the same
+    steps in Python scalars, which at a complex z may round differently
+    from that point inside an array, within the same bound. ``polar`` on
+    a full-period uniform angle grid is one folded inverse FFT per radius
+    (``grid_power_series``); ``circle`` is one inverse FFT with nothing to
+    fold.
     """
 
     def __init__(self, tc: TaylorCoefficients):

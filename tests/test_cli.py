@@ -362,6 +362,27 @@ def test_outputs_are_byte_identical_across_processes(tmp_path):
     assert cli(*sweep) == cli(*sweep)
 
 
+def test_one_parser_serves_every_call_after_a_usage_error():
+    assert cli.build_parser() is cli.build_parser()
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(inner_fourier.__file__)))
+    after_error = (
+        "import sys\n"
+        "from inner_fourier.cli import main\n"
+        "try:\n"
+        "    main(['verify', '--suite', 'ortho', '--tol', '1'])\n"
+        "    raise AssertionError('no usage error')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 2\n"
+        "sys.exit(main(['verify', '--suite', 'ortho']))\n"
+    )
+    runs = [
+        subprocess.run([sys.executable, *cmd], env=env, capture_output=True, check=True).stdout
+        for cmd in (["-c", after_error], ["-m", "inner_fourier", "verify", "--suite", "ortho"])
+    ]
+    assert runs[0] == runs[1]
+    assert runs[0].endswith(b"all checks passed\n")
+
+
 def test_every_float_token_is_its_shortest_repr(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(inner_fourier.__file__)))
     csv_path, coeffs_path = tmp_path / "s.csv", tmp_path / "c.json"

@@ -238,6 +238,62 @@ def test_an_overflowed_block_power_falls_back_to_horner(c, z):
     assert got[1:].tobytes() == _horner(c, points[1:]).tobytes()
     # the point whose z**b is finite keeps the blocked value
     assert got[0] == power_series(c, points[:1])[0]
+    # each point alone takes Horner's rule in Python scalars, bit for bit
+    for p in (z, -z, 1j * z):
+        alone = power_series(c, p)
+        assert alone.shape == () and np.isfinite(alone)
+        assert alone.tobytes() == _horner(c, p).tobytes()
+
+
+def _series_bound(c: np.ndarray, z: complex) -> float:
+    """The stated bound 2(K+1) * eps * sum |c_k| |z|**k."""
+    return 2 * c.size * EPS * math.fsum((np.abs(c) * abs(z) ** np.arange(c.size)).tolist())
+
+
+@pytest.mark.parametrize("K", [15, 63, 1023, 4095])
+@pytest.mark.parametrize("radius", [0.3, 0.97, 1.003, 1.02])  # a contour partial sum's zeta lies outside
+def test_one_point_matches_mpmath_within_stated_bound(K, radius):
+    c = _random_coefficients(K)
+    with mpmath.workdps(40):
+        coeffs = [mpmath.mpc(ck.real, ck.imag) for ck in reversed(c.tolist())]
+        for theta in (-2.5, 0.4, math.pi):
+            z = radius * complex(math.cos(theta), math.sin(theta))
+            got = power_series(c, z)
+            assert got.shape == ()
+            exact = mpmath.polyval(coeffs, mpmath.mpc(z.real, z.imag))
+            assert abs(complex(exact) - complex(got)) <= _series_bound(c, z)
+
+
+@pytest.mark.parametrize("K", [14, 63, 4095])
+def test_one_point_is_the_same_for_a_python_scalar_and_a_0d_array(K):
+    c = _random_coefficients(K)
+    z = complex(0.62, -0.71)
+    for point in (np.array(z), np.complex128(z)):
+        assert power_series(c, point).shape == power_series(c, z).shape == ()
+        assert power_series(c, point).tobytes() == power_series(c, z).tobytes()
+
+
+@pytest.mark.parametrize("K", [24, 255, 4095])
+@pytest.mark.parametrize("x", [0.81, -0.999, 1.01])
+def test_a_real_point_keeps_the_value_of_a_one_point_array(K, x):
+    # rho0**2 in hilbert.inner_product_series: at a real point the Python
+    # products round as numpy's do, so one point gives the value of a
+    # single-point array, bit for bit
+    c = _random_coefficients(K)
+    assert power_series(c, x).tobytes() == power_series(c, np.array([x])).tobytes()
+
+
+@pytest.mark.parametrize("K", [24, 255, 4095])
+def test_a_lone_point_agrees_with_the_same_point_in_an_array(K):
+    # Not bit for bit at a complex point: Python's complex product is the
+    # plain four-multiply formula, while numpy's vector loop over a table
+    # row may fuse a multiply and an add, so the two round z**j differently.
+    # Both values are within the stated bound of the true sum.
+    c = _random_coefficients(K)
+    z = disk_points(theta_grid(12), 0.93)
+    values = power_series(c, z)
+    for zi, vi in zip(z.tolist(), values.tolist()):
+        assert abs(complex(power_series(c, zi)) - vi) <= _series_bound(c, zi)
 
 
 @pytest.mark.parametrize("P", [128, 3584])
