@@ -17,6 +17,7 @@ rho -> 1 at continuity points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,11 @@ def residue_identity_check(p: int, rho: float) -> complex:
     radius. The M = max(64, 4|p| + 8) nodes keep the table divisible by 4
     and the integrand power is evaluated through the exact root of unity
     table, so the cancellation survives the rho**p scaling even for
-    strongly negative p.
+    strongly negative p. A rho that is not finite, or 0 or below, raises
+    ValueError.
     """
+    if not math.isfinite(rho):
+        raise ValueError(f"need a finite rho, got {rho}")
     if rho <= 0.0:
         raise ValueError(f"need rho > 0, got {rho}")
     M = max(64, 4 * abs(p) + 8)

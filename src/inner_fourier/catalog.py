@@ -2,12 +2,14 @@
 
 Entries span the cases the library is exercised on: smooth functions
 (constant, single harmonics, and "poisson", the point mass seen at radius
-r: ``delta_inner(theta1).polar(theta, r).real`` sampled, its coefficients
-damped by r**k), functions with jump discontinuities (square, sawtooth)
-and the point mass and its derivatives, "delta" and "delta_derivative":
-one builder that applies ``angular_derivative`` to
-``delta_inner(theta1).taylor(K)``, with no pointwise samples. These three
-refuse theta1 outside [-pi, pi). Every generator refuses K < 1.
+r: ``delta_inner(theta1).polar(theta, r).real`` sampled, its Taylor
+coefficients damped by r**k and read back by ``from_taylor``), functions
+with jump discontinuities (square, sawtooth: one builder from an odd
+function and its sine series) and the point mass and its derivatives,
+"delta" and "delta_derivative": one builder that applies
+``angular_derivative`` to ``delta_inner(theta1).taylor(K)``, with no
+pointwise samples. These three refuse theta1 outside [-pi, pi). Every
+generator refuses K < 1.
 
 Jump-discontinuous samplers return the midpoint of the one-sided limits
 at the jump angles, which is the value the damped sums converge to and
@@ -25,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coeffs import FourierCoefficients, PeriodicFunction, from_taylor, to_taylor
+from .coeffs import FourierCoefficients, PeriodicFunction, TaylorCoefficients, from_taylor, to_taylor
 from .distributions import delta_inner
 from .quadrature import disk_points, power_series
 from .series import angular_derivative
@@ -52,29 +54,16 @@ class UnknownCatalogId(ValueError):
         super().__init__(f"unknown catalog id {name!r}; known: {', '.join(catalog_ids())}")
 
 
-def _entry_square():
+def _jump_entry(id: str, f, beta) -> CatalogEntry:
+    """An odd function f with a jump at the +-pi seam, sampled as 0 there, and its sine series beta(k)."""
+
     def fn(theta):
-        # midpoint value 0 at the jumps (0 and the +-pi seam)
-        return np.where(np.abs(np.abs(theta) - math.pi) < 1e-12, 0.0, np.sign(theta))
+        return np.where(np.abs(np.abs(theta) - math.pi) < 1e-12, 0.0, f(theta))
 
     def gen(K):
-        k = np.arange(1, K + 1)
-        beta = 2.0 * (1.0 - (-1.0) ** k) / (math.pi * k)
-        return FourierCoefficients(0.0, np.zeros(K), beta)
+        return FourierCoefficients(0.0, np.zeros(K), beta(np.arange(1, K + 1)))
 
-    return CatalogEntry("square", PeriodicFunction.from_callable("square", fn), gen)
-
-
-def _entry_sawtooth():
-    def fn(theta):
-        return np.where(np.abs(np.abs(theta) - math.pi) < 1e-12, 0.0, theta)
-
-    def gen(K):
-        k = np.arange(1, K + 1)
-        beta = 2.0 * (-1.0) ** (k + 1) / k
-        return FourierCoefficients(0.0, np.zeros(K), beta)
-
-    return CatalogEntry("sawtooth", PeriodicFunction.from_callable("sawtooth", fn), gen)
+    return CatalogEntry(id, PeriodicFunction.from_callable(id, fn), gen)
 
 
 def _entry_triangle():
@@ -110,10 +99,7 @@ def _entry_poisson(r: float = 0.5, theta1: float = 0.0):
         return w.polar(theta, r).real
 
     def gen(K):
-        fc = from_taylor(w.taylor(K))
-        # scale the real alpha and beta: r**k * c_k would turn a +0.0 beta_k into -0.0
-        damp = r ** np.arange(1, K + 1, dtype=float)
-        return FourierCoefficients(fc.alpha0, damp * fc.alpha, damp * fc.beta)
+        return from_taylor(TaylorCoefficients(w.taylor(K).c * r ** np.arange(K + 1.0)))
 
     return CatalogEntry("poisson", PeriodicFunction.from_callable("poisson", fn), gen)
 
@@ -151,8 +137,9 @@ def _entry_harmonic(kind: str, k: int) -> CatalogEntry:
 _BUILDERS = {
     "zero": partial(_trig_poly, "zero", FourierCoefficients.zeros(1)),
     "const": partial(_trig_poly, "const", FourierCoefficients(2.0, np.zeros(1), np.zeros(1))),
-    "square": _entry_square,
-    "sawtooth": _entry_sawtooth,
+    # sign(theta) is the midpoint 0 at its other jump, theta = 0
+    "square": partial(_jump_entry, "square", np.sign, lambda k: 2.0 * (1.0 - (-1.0) ** k) / (math.pi * k)),
+    "sawtooth": partial(_jump_entry, "sawtooth", lambda theta: theta, lambda k: 2.0 * (-1.0) ** (k + 1) / k),
     "triangle": _entry_triangle,
     "delta": lambda theta1=0.0: _entry_point_mass("delta", theta1, 0),
     "delta_derivative": lambda theta1=0.0, order=1: _entry_point_mass("delta_derivative", theta1, order),

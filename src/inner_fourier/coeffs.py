@@ -147,7 +147,8 @@ def fourier_coefficients(
     Requires M >= 2K + 2 so that no retained harmonic is aliased. The
     result is exact to roundoff when f is a trigonometric polynomial of
     degree at most M - 1 - K. M defaults to the sample count of a sampled
-    f and to max(4K, 256) otherwise.
+    f and to max(4K, 256) otherwise. Samples so large that a coefficient
+    overflows a double raise EvaluationError.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
@@ -156,7 +157,13 @@ def fourier_coefficients(
         M = f.samples.size if f.samples is not None else max(4 * K, 256)
     if M < 2 * K + 2:
         raise ValueError(f"need M >= 2K + 2 = {2 * K + 2} grid points, got {M}")
-    return from_taylor(TaylorCoefficients(grid_coefficients(f.on_grid(M), K)))
+    values = f.on_grid(M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = grid_coefficients(values, K)
+    # finite c keeps alpha_0 = 2*Re c_0 finite too: it is the sample sum times 2/M
+    if not np.all(np.isfinite(c)):
+        raise EvaluationError(f"the coefficients of {f.name} overflow a double")
+    return from_taylor(TaylorCoefficients(c))
 
 
 def to_taylor(fc: FourierCoefficients) -> TaylorCoefficients:
@@ -170,12 +177,13 @@ def to_taylor(fc: FourierCoefficients) -> TaylorCoefficients:
 def from_taylor(tc: TaylorCoefficients) -> FourierCoefficients:
     """Inverse of the coefficient map: alpha_0 = 2*Re c_0, alpha_k = Re c_k, beta_k = -Im c_k.
 
-    A nonzero imaginary part of c_0 (above 1e-12) has no real function
+    A zero reads back as +0.0, never -0.0: Re c + 0.0 and 0.0 - Im c. A
+    nonzero imaginary part of c_0 (above 1e-12) has no real function
     counterpart and is rejected.
     """
     if abs(tc.c[0].imag) > _IMAG_TOL:
         raise ValueError(f"Im(c_0) = {float(tc.c[0].imag)!r} exceeds {_IMAG_TOL}; no real mean term")
-    return FourierCoefficients(2.0 * tc.c[0].real, tc.c[1:].real, -tc.c[1:].imag)
+    return FourierCoefficients(2.0 * tc.c[0].real + 0.0, tc.c[1:].real + 0.0, 0.0 - tc.c[1:].imag)
 
 
 def coefficients_by_cauchy(w, k: int, rho: float, M: int = 4096) -> complex:

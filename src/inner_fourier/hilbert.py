@@ -27,7 +27,7 @@ from .classify import classify_sequence
 from .coeffs import TaylorCoefficients
 from .errors import DivergenceWarning
 from .quadrature import circle_samples, phase_powers, power_series
-from .series import InnerAnalytic
+from .series import InnerAnalytic, truncation_bound
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,12 @@ def inner_product_disk(w1: InnerAnalytic, w2: InnerAnalytic, cfg: DiskProductCon
 
 
 def series_tail_bound(tc1: TaylorCoefficients, tc2: TaylorCoefficients, rho0: float) -> float:
-    """max_k |c1_k * c2_k| * rho0**(2(K+1)) / (1 - rho0**2); infinite at rho0 = 1."""
-    peak = float(np.max(np.abs(tc1.c) * np.abs(tc2.c)))
+    """max_{k<=K} |c1_k * c2_k| times ``truncation_bound(rho0**2, K)``, K the shorter cutoff; infinite at rho0 = 1."""
+    K = min(tc1.K, tc2.K)
+    peak = float(np.max(np.abs(tc1.c[: K + 1]) * np.abs(tc2.c[: K + 1])))
     if rho0 >= 1.0:
         return math.inf if peak > 0.0 else 0.0
-    K = min(tc1.K, tc2.K)
-    return peak * rho0 ** (2 * (K + 1)) / (1.0 - rho0 * rho0)
+    return peak * truncation_bound(rho0 * rho0, K)
 
 
 def _products_diverge_at_one(products: np.ndarray) -> bool:

@@ -18,12 +18,10 @@ zeta**(k-N) up to the aliasing (|z|/rho1)**M of its pole at z
 (``quadrature.check_aliasing``): each a ``quadrature.power_series`` over
 one FFT. ``quadrature.circle_samples`` refuses a w that aliases, and
 ``quadrature.check_amplification`` a sample rounding eps * max|w_j|
-amplified past 1/sqrt(eps) by A = (|z|/rho1)**N / rho1.
-``quadrature.circle_coefficients``, c^_k = F_k / (-rho1)**k, does not
-serve: the remainder needs all M entries, rho1**-k overflows for large
-k, and its M >= 2K + 2 rule would refuse N up to M. It serves the
-boundary partial sum on |z| = 1, the exterior case. Direct partial sums
-use ``power_series`` too, with its bound 2N * eps * sum |c_k| |z|**k.
+amplified past 1/sqrt(eps) by A = (|z|/rho1)**N / rho1. The boundary
+partial sum on |z| = 1 is the exterior case, |z| > rho1, of the same
+sum. Direct partial sums use ``power_series`` too, with its bound
+2N * eps * sum |c_k| |z|**k.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import TaylorCoefficients
-from .quadrature import _EPS, check_aliasing, check_amplification, circle_coefficients, circle_samples, power_series
+from .quadrature import _EPS, check_aliasing, check_amplification, circle_samples, power_series
 from .series import InnerAnalytic, PolarPoint
 
 _RADIUS_CLASH_TOL = 1e-12
@@ -68,9 +66,11 @@ def _circle_fft(w: InnerAnalytic, z: complex, N: int, rho1: float, M: int):
     """F = fft(w(z_j)) / M on the circle of radius rho1, zeta = -z/rho1, and the far-field bound of the sums."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    if N > M:
+        raise ValueError(f"{N} terms alias on {M} nodes; need M >= {N}")
     vals = circle_samples(w, rho1, M)
     log_zn = N * math.log(abs(z)) if z else -math.inf
-    amp = check_amplification(log_zn, N + 1, rho1, M, getattr(w, "pole_set", ()))
+    amp = check_amplification(log_zn, N + 1, rho1, M, w.pole_set)
     # Python scalars: numpy divides a complex by a real through its reciprocal, one rounding more
     zeta = -complex(z) / float(rho1)
     return np.fft.fft(vals) / M, zeta, _EPS * float(np.max(np.abs(vals))) * max(1.0, amp)
@@ -90,8 +90,6 @@ def contour_partial_sum(
         raise ValueError(f"need 0 < rho1 <= 1, got {rho1}")
     if abs(rho1 - z.rho) < _RADIUS_CLASH_TOL:
         raise ValueError(f"ill posed: |z| = rho1 = {rho1}; the identity needs |z| != rho1")
-    if N > M:
-        raise ValueError(f"{N} terms alias on {M} nodes; need M >= {N}")
     F, zeta, bound = _circle_fft(w, z.z, N, rho1, M)
     contour = complex(power_series(F[:N], zeta))
     direct = partial_sum(w.taylor(N), z, N)
@@ -115,8 +113,6 @@ def remainder(w: InnerAnalytic, z: PolarPoint, N: int, rho1: float, M: int = 409
         raise ValueError(f"need 0 < rho1 <= 1, got {rho1}")
     if z.rho >= rho1 - _RADIUS_CLASH_TOL:
         raise ValueError(f"remainder integral needs |z| < rho1, got |z|={z.rho}, rho1={rho1}")
-    if N > M:
-        raise ValueError(f"{N} terms alias on {M} nodes; need M >= {N}")
     check_aliasing(z.rho / rho1, M)
     F, zeta, _ = _circle_fft(w, z.z, N, rho1, M)
     if N == M:
@@ -129,17 +125,15 @@ def boundary_partial_sum(
 ) -> complex:
     """S_N at the boundary point exp(i*theta) from an integral over radius rho1 < 1.
 
-    The exterior case of the contour identity: ``quadrature.power_series``
-    over the first N trapezoid Cauchy coefficients
-    (``quadrature.circle_coefficients``) at z = exp(i*theta). A circle
-    whose aliasing scale (rho1/R)**M exceeds eps, or whose amplification
-    rho1**-(N-1) exceeds 1/sqrt(eps), is refused with ValueError naming
-    the M or the radii that pass; the value is never returned degraded. A
-    non-finite theta raises ValueError.
+    The exterior case of the contour identity: bit for bit the ``contour``
+    of ``contour_partial_sum`` at ``PolarPoint(1.0, theta)``, under its
+    rules. N > M, an aliasing scale (rho1/R)**M above eps and an
+    amplification rho1**-(N+1) above 1/sqrt(eps) raise ValueError naming
+    the M or the radii that pass; the value is never returned degraded.
+    Accuracy: the far-field bound eps * max|w_j| * rho1**-(N+1) of
+    ``PartialSumReport``. A non-finite theta raises ValueError.
     """
     if not 0.0 < rho1 < 1.0:
         raise ValueError(f"need 0 < rho1 < 1 strictly, got {rho1}")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    z = PolarPoint(1.0, theta).z
-    return complex(power_series(circle_coefficients(w, N - 1, rho1, M), z))
+    F, zeta, _ = _circle_fft(w, PolarPoint(1.0, theta).z, N, rho1, M)
+    return complex(power_series(F[:N], zeta))

@@ -40,7 +40,7 @@ Contour integrals over a circle |z| = rho <= 1 sample w through
 ``circle_samples``, at the nodes z_j = -rho * ``unit_phasors(M)``[j] of
 ``theta_grid(M)``; it returns the values alone, from ``w.circle(rho, M)``.
 A truncated series of degree K < M takes one length-M inverse FFT of
-c_k * (-rho)**k, zero-padded, with nothing to fold: the values at the
+c_k * (-rho)**k, ``_folded_sum`` with nothing to fold: the values at the
 exact nodes are within log2(M) * eps * sum |c_k| rho**k, no worse than
 ``power_series`` at the rounded nodes. Every contour routine, the
 completeness probe of ``basis`` too, runs its own quadrature on those
@@ -373,14 +373,12 @@ def check_circle(w, rho: float, m: int) -> None:
     outside it, exceeds eps raises ValueError, and so does a declared
     polynomial degree of w at or above m.
     """
-    degree = getattr(w, "degree", None)
-    if degree is not None and degree >= m:
-        raise ValueError(f"polynomial of degree {degree} aliases on {m} nodes; need M >= {degree + 1}")
-    poles = getattr(w, "pole_set", ())
-    for p in poles:
+    if w.degree is not None and w.degree >= m:
+        raise ValueError(f"polynomial of degree {w.degree} aliases on {m} nodes; need M >= {w.degree + 1}")
+    for p in w.pole_set:
         if abs(abs(p) - rho) < _POLE_CLASH_TOL:
             raise EvaluationError(f"pole at {p!r} lies on the integration circle of radius {rho}")
-    outside = [abs(p) for p in poles if abs(p) > rho]
+    outside = [abs(p) for p in w.pole_set if abs(p) > rho]
     if outside:
         check_aliasing(rho / min(outside), m)
 
@@ -390,8 +388,11 @@ def circle_samples(w, rho: float, m: int) -> np.ndarray:
 
     The nodes are z_j = -rho * ``unit_phasors(m)``[j]. A closed form is
     called at them, a truncated series takes one inverse FFT, and the
-    point mass its Herglotz form; each w says which in ``circle``.
+    point mass its Herglotz form; each w says which in ``circle``. A
+    radius that is not finite, or 0 or below, raises ValueError.
     """
+    if not math.isfinite(rho):
+        raise ValueError(f"circle radius must be finite, got {rho}")
     if rho <= 0.0:
         raise ValueError(f"circle radius must be positive, got {rho}")
     check_circle(w, rho, m)
@@ -410,7 +411,7 @@ def circle_coefficients(w, K: int, rho: float, m: int) -> np.ndarray:
     if not 0 <= K <= m // 2 - 1:
         raise ValueError(f"need 0 <= K and M >= 2K + 2, got K={K}, M={m}")
     vals = circle_samples(w, rho, m)
-    check_amplification(0.0, K, rho, m, getattr(w, "pole_set", ()))
+    check_amplification(0.0, K, rho, m, w.pole_set)
     return _from_minus_pi(np.fft.fft(vals), K) / (m * rho ** np.arange(K + 1.0))
 
 

@@ -29,7 +29,8 @@ import numpy as np
 
 from .coeffs import FourierCoefficients, TaylorCoefficients, to_taylor
 from .errors import EvaluationError, TruncationWarning
-from .quadrature import _POLE_CLASH_TOL, TWO_PI, check_circle, disk_points, grid_power_series, power_series, unit_phasors
+from .quadrature import _POLE_CLASH_TOL, TWO_PI, _folded_sum, check_circle, disk_points, grid_power_series
+from .quadrature import power_series, unit_phasors
 
 _POLE_TOL = 1e-12
 
@@ -132,7 +133,7 @@ class TaylorSeries(InnerAnalytic):
         return out
 
     def circle(self, rho: float, m: int):
-        """w at the m circle nodes: c_k * (-rho)**k zero-padded to length m, one inverse FFT.
+        """w at the m circle nodes: c_k * (-rho)**k summed by ``quadrature._folded_sum``, one inverse FFT.
 
         sum_k c_k * (-rho)**k * exp(2*pi*i*j*k/m) is the length-m inverse
         DFT without its 1/m. Degree K >= m would fold and is refused with
@@ -140,11 +141,9 @@ class TaylorSeries(InnerAnalytic):
         within log2(m) * eps * sum |c_k| rho**k.
         """
         check_circle(self, rho, m)
-        c = self.tc.c
-        terms = np.zeros(m, dtype=complex)
-        terms[: c.size] = c * rho ** np.arange(float(c.size))
-        terms[1 : c.size : 2] *= -1.0
-        return np.fft.ifft(terms, norm="forward")
+        terms = self.tc.c * rho ** np.arange(float(self.tc.c.size))
+        terms[1::2] *= -1.0
+        return _folded_sum(terms, m)
 
     def taylor(self, K: int) -> TaylorCoefficients:
         c = np.zeros(K + 1, dtype=complex)
@@ -305,9 +304,13 @@ def angular_derivative(tc: TaylorCoefficients) -> TaylorCoefficients:
     """Coefficients of i*z*w'(z): c_k -> i*k*c_k (the theta derivative).
 
     The result always vanishes at the origin, so it is a proper sequence.
+    A k*c_k that overflows a double raises EvaluationError.
     """
-    k = np.arange(tc.K + 1)
-    return TaylorCoefficients(1j * k * tc.c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = 1j * np.arange(tc.K + 1) * tc.c
+    if not np.all(np.isfinite(c)):
+        raise EvaluationError(f"the angular derivative k*c_k of c_0..c_{tc.K} overflows a double")
+    return TaylorCoefficients(c)
 
 
 def angular_primitive(tc: TaylorCoefficients) -> TaylorCoefficients:

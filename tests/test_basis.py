@@ -33,6 +33,15 @@ class TestResidueIdentity:
             for rho in (0.25, 0.5, 1.0):
                 assert abs(residue_identity_check(p, rho) - want) <= 1e-13
 
+    @pytest.mark.parametrize(
+        "rho, message",
+        [(math.nan, "need a finite rho, got nan"), (math.inf, "need a finite rho, got inf"), (0.0, "need rho > 0, got 0.0")],
+    )
+    def test_radius_that_is_no_circle_is_refused(self, rho, message):
+        with pytest.raises(ValueError) as exc:
+            residue_identity_check(2, rho)
+        assert str(exc.value) == message
+
 
 class TestFourierGram:
     def test_constant_entry(self):

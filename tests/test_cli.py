@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -69,6 +70,34 @@ class TestCoeffsCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["alpha"][1] == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("value", ["1.0", "0.0"], ids=["constant", "zero"])
+    def test_csv_zero_coefficients_print_without_sign(self, capsys, tmp_path, value):
+        # the coefficient files print a zero as "0.0", never "-0.0"
+        path = tmp_path / "s.csv"
+        path.write_text("theta,value\n" + "".join(f"{t!r},{value}\n" for t in theta_grid(64).tolist()))
+        code, out, _ = run(capsys, "coeffs", "--csv", str(path), "--K", "8")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["alpha0"] == 2.0 * float(value)
+        assert doc["alpha"] == doc["beta"] == [0.0] * 8
+        assert "-0.0" not in out
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--fn", "square"), "8dae4f0b6ac7bb49ed888340830f42e1f94b5432120773ce30b942a145a2b44f"),
+            (("--fn", "sawtooth"), "0412f5c7aa0ce4fdbbf333ad783b574b036c88a6181a66dccada68d1be393442"),
+            (("--fn", "poisson"), "ecc7ab758d23deb6f8dde482cec3ba541876cba7d3630ce1ac198775fbc27779"),
+            (("--fn", "poisson", "--theta1", "0.3"), "84a41d334455967bf7df1ce0011a4d5c3e6587239411e08e75dff2be8dc8c94a"),
+            (("--fn", "poisson", "--theta1=-3.14159"), "02419d4e2355de5d95050ecdf895ad2906508dfe4b06152c03e539906571f4a3"),
+        ],
+        ids=["square", "sawtooth", "poisson", "poisson-0.3", "poisson-near-seam"],
+    )
+    def test_catalog_output_bytes_are_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "coeffs", *argv, "--K", "64")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "argv",
@@ -360,6 +389,31 @@ def test_outputs_are_byte_identical_across_processes(tmp_path):
     coeffs_path.write_bytes(coeffs)
     sweep = ["reconstruct", "--coeffs", str(coeffs_path), "--thetas=-pi:pi:64", "--schedule", "1..14"]
     assert cli(*sweep) == cli(*sweep)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("coeffs", "--csv", "{csv}", "--K", "4"),
+            "error: the coefficients of {csv} overflow a double\n",
+        ),
+        (
+            ("coeffs", "--fn", "delta_derivative", "--order", "400", "--K", "400"),
+            "error: the angular derivative k*c_k of c_0..c_400 overflows a double\n",
+        ),
+    ],
+    ids=["csv", "delta_derivative"],
+)
+def test_overflow_is_one_error_line(tmp_path, argv, message):
+    # in a subprocess: pytest's error::RuntimeWarning filter would raise numpy's warnings inside main
+    csv = tmp_path / "big.csv"
+    csv.write_text("theta,value\n" + "".join(f"{t!r},1.7e308\n" for t in theta_grid(64).tolist()))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(inner_fourier.__file__)))
+    env.pop("PYTHONWARNINGS", None)
+    cmd = [sys.executable, "-m", "inner_fourier", *(a.format(csv=csv) for a in argv)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message.format(csv=csv))
 
 
 def test_one_parser_serves_every_call_after_a_usage_error():

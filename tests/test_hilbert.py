@@ -78,6 +78,17 @@ class TestSeriesProduct:
         tc = TaylorCoefficients(np.array([0.0, 1.0], dtype=complex))
         assert inner_product_series(tc, tc, 0.5).value == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("rho0, K1, K2", [(0.5, 8, 8), (0.9, 64, 16), (0.99, 200, 300)])
+    def test_tail_bound_is_the_geometric_tail_of_the_peak_product(self, rho0, K1, K2):
+        # max_k |c1_k * c2_k| * rho0**(2(K+1)) / (1 - rho0**2), K the shorter cutoff
+        rng = np.random.default_rng(K1)
+        tc1 = TaylorCoefficients(rng.standard_normal(K1 + 1) + 0j)
+        tc2 = TaylorCoefficients(1j * rng.standard_normal(K2 + 1))
+        n = min(K1, K2) + 1
+        peak = float(np.max(np.abs(tc1.c[:n]) * np.abs(tc2.c[:n])))
+        want = peak * rho0 ** (2 * n) / (1.0 - rho0 * rho0)
+        assert inner_product_series(tc1, tc2, rho0).tail_bound == pytest.approx(want, rel=1e-13)
+
     def test_point_mass_flagged_divergent_on_circle(self):
         tc = delta_inner(0.0).taylor(512)
         with pytest.warns(DivergenceWarning):

@@ -210,6 +210,33 @@ class TestBoundaryPartialSum:
         want = partial_sum(w.taylor(7), PolarPoint(1.0, 0.3), 8)
         assert abs(boundary_partial_sum(w, 0.3, 8, 0.9999, 360419) - want) < 1e-12
 
+    @pytest.mark.parametrize(
+        "w, theta, N, rho1, M",
+        [
+            (TaylorSeries(to_taylor(resolve("square").coefficients(300))), 0.6, 16, 0.9, 1024),
+            (TaylorSeries(to_taylor(resolve("square").coefficients(300))), -2.5, 200, 0.99, 4096),
+            (delta_inner(0.7), 0.3, 8, 0.8, 512),
+            (delta_inner(0.7), -math.pi, 100, 0.9, 4096),
+            (geometric_series(), 1.0, 1, 0.5, 64),
+            (geometric_series(), 3.0, 40, 0.95, 2048),
+        ],
+        ids=["series", "series-far", "delta", "delta-seam", "geometric-one-term", "geometric"],
+    )
+    def test_is_the_exterior_contour_value_bit_for_bit(self, w, theta, N, rho1, M):
+        want = contour_partial_sum(w, PolarPoint(1.0, theta), N, rho1, M).contour
+        got = boundary_partial_sum(w, theta, N, rho1, M)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, -2.0, math.pi - 0.01])
+    def test_polynomial_of_degree_below_m_within_the_far_field_bound(self, theta):
+        # degree 59 on 64 nodes: the circle rule admits it, and S_60 = (1 - z**60)/(1 - z)
+        w, N, rho1, M = TaylorSeries(TaylorCoefficients(np.ones(60, dtype=complex))), 60, 0.9, 64
+        z = PolarPoint(1.0, theta)
+        with mpmath.workdps(40):
+            zz = mpmath.mpc(z.z.real, z.z.imag)
+            want = complex(mpmath.fsum(zz**k for k in range(N)))
+        assert abs(boundary_partial_sum(w, theta, N, rho1, M) - want) <= _far_field_bound(w, z, N, rho1, M)
+
 
 def _needed_m(ratio: float) -> int:
     return math.ceil(math.log(np.finfo(float).eps) / math.log(ratio))
@@ -260,9 +287,9 @@ def test_polynomial_of_degree_m_refused(c0):
 
 
 # Roundoff amplification: a contour value carries the rounding of its
-# samples, about eps * max|w_j|, times rho**-k (Cauchy, boundary) or
-# (|z|/rho1)**N / rho1 (contour). Past 1/sqrt(eps) the value is refused,
-# and the message names the radii that pass both rules.
+# samples, about eps * max|w_j|, times rho**-k (Cauchy) or (|z|/rho1)**N
+# / rho1 (contour, and boundary at |z| = 1). Past 1/sqrt(eps) the value is
+# refused, and the message names the radii that pass both rules.
 EPS = np.finfo(float).eps
 THETA1 = 0.7
 
@@ -385,6 +412,7 @@ _CUBIC = TaylorSeries(TaylorCoefficients(np.array([1.0, 2.0, 3.0], dtype=complex
         (lambda: remainder(_CUBIC, PolarPoint(0.3, 0.0), 2, 1.5), "need 0 < rho1 <= 1"),
         (lambda: contour_partial_sum(_CUBIC, PolarPoint(0.3, 0.0), 65, 0.8, 64), "need M >= 65"),
         (lambda: remainder(_CUBIC, PolarPoint(0.3, 0.0), 65, 0.8, 64), "65 terms alias on 64 nodes; need M >= 65"),
+        (lambda: boundary_partial_sum(_CUBIC, 0.3, 65, 0.8, 64), "^65 terms alias on 64 nodes; need M >= 65$"),
     ],
     ids=[
         "contour_N0",
@@ -396,6 +424,7 @@ _CUBIC = TaylorSeries(TaylorCoefficients(np.array([1.0, 2.0, 3.0], dtype=complex
         "remainder_rho1_above_1",
         "contour_N_above_M",
         "remainder_N_above_M",
+        "boundary_N_above_M",
     ],
 )
 def test_kernel_arguments_outside_their_range_refused(call, match):

@@ -137,6 +137,38 @@ def test_series_circle_matches_mpmath_at_the_exact_nodes(c, rho, extra):
             assert abs(complex(exact) - v) <= bound
 
 
+@pytest.mark.parametrize("rho, m", [(0.3, 66), (0.9, 256), (1.0, 4096)])
+@pytest.mark.parametrize("size", [2, 17, 66], ids=["K1", "K16", "K65"])
+def test_series_circle_is_one_zero_padded_inverse_fft_bit_for_bit(size, rho, m):
+    # the reference: c_k * rho**k with odd k negated, zero-padded to m, one inverse FFT
+    rng = np.random.default_rng(size)
+    c = rng.standard_normal(min(size, m - 1)) + 1j * rng.standard_normal(min(size, m - 1))
+    terms = np.zeros(m, dtype=complex)
+    terms[: c.size] = c * rho ** np.arange(float(c.size))
+    terms[1 : c.size : 2] *= -1.0
+    want = np.fft.ifft(terms, norm="forward")
+    assert TaylorSeries(TaylorCoefficients(c)).circle(rho, m).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "w",
+    [
+        TaylorSeries(TaylorCoefficients(np.array([1.0, 2.0, 3.0], dtype=complex))),
+        delta_inner(0.7),
+        ClosedForm(lambda z: 1.0 / (1.0 - z), pole_set=(1.0,)),
+    ],
+    ids=["series", "point-mass", "geometric"],
+)
+def test_circle_radius_that_is_not_finite_is_refused(w, rho):
+    with pytest.raises(ValueError) as exc:
+        circle_samples(w, rho, 16)
+    assert str(exc.value) == f"circle radius must be finite, got {rho}"
+    with pytest.raises(ValueError) as exc:
+        circle_coefficients(w, 3, rho, 16)
+    assert str(exc.value) == f"circle radius must be finite, got {rho}"
+
+
 @pytest.mark.parametrize("K, m", [(5, 5), (8, 4)])
 def test_series_circle_with_degree_at_least_m_is_refused(K, m):
     w = TaylorSeries(TaylorCoefficients(np.ones(K + 1, dtype=complex)))

@@ -247,6 +247,13 @@ class TestAngularCalculus:
         tc = TaylorCoefficients(np.array([5.0, 0.0, 0.0], dtype=complex))
         assert np.all(angular_derivative(tc).c == 0.0)
 
+    def test_overflowing_derivative_is_refused_without_a_warning(self):
+        # pytest turns a RuntimeWarning into an error: the overflow is raised, not warned
+        tc = TaylorCoefficients(np.array([0.0, 1e308, 1e308], dtype=complex))
+        with pytest.raises(EvaluationError) as exc:
+            angular_derivative(tc)
+        assert str(exc.value) == "the angular derivative k*c_k of c_0..c_2 overflows a double"
+
     def test_primitive_of_rotated_identity(self):
         tc = TaylorCoefficients(np.array([0.0, 1.0j], dtype=complex))
         assert angular_primitive(tc).c[1] == 1.0 + 0.0j
