@@ -1,15 +1,15 @@
-"""Named periodic functions with known coefficient generators.
+"""Named periodic functions, each with a generator of its Taylor coefficients.
 
-Entries span the cases the library is exercised on: smooth functions
-(constant, single harmonics, and "poisson", the point mass seen at radius
-r: ``delta_inner(theta1).polar(theta, r).real`` sampled, its Taylor
-coefficients damped by r**k and read back by ``from_taylor``), functions
-with jump discontinuities (square, sawtooth: one builder from an odd
-function and its sine series) and the point mass and its derivatives,
-"delta" and "delta_derivative": one builder that applies
-``angular_derivative`` to ``delta_inner(theta1).taylor(K)``, with no
-pointwise samples. These three refuse theta1 outside [-pi, pi). Every
-generator refuses K < 1.
+``CatalogEntry.taylor(K)`` returns c_0..c_K of the entry's inner function;
+``coefficients(K)`` refuses K < 1 and reads them back by ``from_taylor``.
+Entries: trigonometric polynomials held as a ``TaylorSeries`` (zero, const,
+cos_k, sin_k), jump functions (square, sawtooth: one builder from an odd
+function and its sine series), the triangle, and the point mass from one
+builder: ``delta_inner(theta1).taylor(K)``, ``angular_derivative`` ``order``
+times, then damping by r**k. "delta" and "delta_derivative" are at r = 1,
+with no pointwise samples; "poisson" is the point mass seen at radius
+r < 1, sampled as ``delta_inner(theta1).polar(theta, r).real``. These three
+refuse theta1 outside [-pi, pi).
 
 Jump-discontinuous samplers return the midpoint of the one-sided limits
 at the jump angles, which is the value the damped sums converge to and
@@ -29,8 +29,8 @@ import numpy as np
 
 from .coeffs import FourierCoefficients, PeriodicFunction, TaylorCoefficients, from_taylor, to_taylor
 from .distributions import delta_inner
-from .quadrature import disk_points, power_series
-from .series import angular_derivative
+from .quadrature import disk_points
+from .series import TaylorSeries, angular_derivative
 
 _COS_SIN = re.compile(r"^(cos|sin)_(\d+)$")
 
@@ -39,12 +39,12 @@ _COS_SIN = re.compile(r"^(cos|sin)_(\d+)$")
 class CatalogEntry:
     id: str
     function: PeriodicFunction | None
-    known_coefficients: Callable[[int], FourierCoefficients]
+    taylor: Callable[[int], TaylorCoefficients]
 
     def coefficients(self, K: int) -> FourierCoefficients:
         if K < 1:
             raise ValueError(f"K must be >= 1, got {K}")
-        return self.known_coefficients(K)
+        return from_taylor(self.taylor(K))
 
 
 class UnknownCatalogId(ValueError):
@@ -60,65 +60,54 @@ def _jump_entry(id: str, f, beta) -> CatalogEntry:
     def fn(theta):
         return np.where(np.abs(np.abs(theta) - math.pi) < 1e-12, 0.0, f(theta))
 
-    def gen(K):
-        return FourierCoefficients(0.0, np.zeros(K), beta(np.arange(1, K + 1)))
+    def taylor(K):
+        return TaylorCoefficients(np.r_[0.0, -1j * beta(np.arange(1, K + 1))])
 
-    return CatalogEntry(id, PeriodicFunction.from_callable(id, fn), gen)
+    return CatalogEntry(id, PeriodicFunction.from_callable(id, fn), taylor)
 
 
 def _entry_triangle():
-    def gen(K):
+    def taylor(K):
         k = np.arange(1, K + 1)
-        alpha = (2.0 / (math.pi * k * k)) * ((-1.0) ** k - 1.0)
-        return FourierCoefficients(math.pi, alpha, np.zeros(K))
+        return TaylorCoefficients(np.r_[0.5 * math.pi, (2.0 / (math.pi * k * k)) * ((-1.0) ** k - 1.0)])
 
-    return CatalogEntry("triangle", PeriodicFunction.from_callable("triangle", np.abs), gen)
+    return CatalogEntry("triangle", PeriodicFunction.from_callable("triangle", np.abs), taylor)
 
 
-def _entry_point_mass(id: str, theta1: float, order: int) -> CatalogEntry:
-    """The order-th angular derivative of the point mass at theta1, from its exact Taylor coefficients."""
+def _entry_point_mass(id: str, theta1: float, order: int = 0, r: float = 1.0) -> CatalogEntry:
+    """The order-th angular derivative of the point mass at theta1, damped by r**k; sampled only for r < 1."""
     w = delta_inner(theta1)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
 
-    def gen(K):
+    def taylor(K):
         tc = w.taylor(K)
         for _ in range(order):
             tc = angular_derivative(tc)
-        return from_taylor(tc)
+        return TaylorCoefficients(tc.c * r ** np.arange(K + 1.0))
 
-    return CatalogEntry(id, None, gen)
+    function = PeriodicFunction.from_callable(id, lambda theta: w.polar(theta, r).real) if r < 1.0 else None
+    return CatalogEntry(id, function, taylor)
 
 
 def _entry_poisson(r: float = 0.5, theta1: float = 0.0):
     if not 0.0 <= r < 1.0:
         raise ValueError(f"poisson entry needs 0 <= r < 1, got {r}")
-    w = delta_inner(theta1)
-
-    def fn(theta):
-        return w.polar(theta, r).real
-
-    def gen(K):
-        return from_taylor(TaylorCoefficients(w.taylor(K).c * r ** np.arange(K + 1.0)))
-
-    return CatalogEntry("poisson", PeriodicFunction.from_callable("poisson", fn), gen)
+    return _entry_point_mass("poisson", theta1, r=r)
 
 
 def _trig_poly(id: str, fc: FourierCoefficients) -> CatalogEntry:
-    c = to_taylor(fc).c
+    w = TaylorSeries(to_taylor(fc))
 
     def fn(theta):
-        return power_series(c, disk_points(theta, 1.0)).real
+        return w(disk_points(theta, 1.0)).real
 
-    def gen(K):
+    def taylor(K):
         if K < fc.K:
             raise ValueError(f"{id} has degree {fc.K}; need K >= {fc.K}")
-        a, b = np.zeros(K), np.zeros(K)
-        a[: fc.K] = fc.alpha
-        b[: fc.K] = fc.beta
-        return FourierCoefficients(fc.alpha0, a, b)
+        return w.taylor(K)
 
-    return CatalogEntry(id, PeriodicFunction.from_callable(id, fn), gen)
+    return CatalogEntry(id, PeriodicFunction.from_callable(id, fn), taylor)
 
 
 def trig_poly_entry(alpha0: float, alpha, beta) -> CatalogEntry:
@@ -141,7 +130,7 @@ _BUILDERS = {
     "square": partial(_jump_entry, "square", np.sign, lambda k: 2.0 * (1.0 - (-1.0) ** k) / (math.pi * k)),
     "sawtooth": partial(_jump_entry, "sawtooth", lambda theta: theta, lambda k: 2.0 * (-1.0) ** (k + 1) / k),
     "triangle": _entry_triangle,
-    "delta": lambda theta1=0.0: _entry_point_mass("delta", theta1, 0),
+    "delta": lambda theta1=0.0: _entry_point_mass("delta", theta1),
     "delta_derivative": lambda theta1=0.0, order=1: _entry_point_mass("delta_derivative", theta1, order),
     "poisson": _entry_poisson,
 }

@@ -74,11 +74,15 @@ def family_magnitudes(p, b, K: int) -> np.ndarray:
     """|a_k| = k**p * b**k for k = 0..K, with the k = 0 entry set to 1.
 
     p and b are numbers, or arrays of one shape that give one row per
-    entry. Entries past the float range are inf or nan, without a warning.
+    entry. A p that is not finite, or a b outside [0, inf), raises
+    ValueError. Entries past the float range are inf or nan, without a
+    warning.
     """
     k = np.arange(K + 1, dtype=float)
     k[0] = 1.0
     p, b = np.asarray(p, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
+    if not (np.isfinite(p).all() and ((0.0 <= b) & (b < math.inf)).all()):
+        raise ValueError("the family k**p * b**k needs a finite p and 0 <= b < inf")
     with np.errstate(over="ignore", invalid="ignore"):
         return k**p * b ** np.arange(K + 1, dtype=float)
 
@@ -102,18 +106,23 @@ def _design(lo: int, hi: int) -> np.ndarray:
     return design
 
 
-def _magnitude_rows(fcs, K: int) -> np.ndarray:
-    """|c_k|, |alpha_k| and |beta_k| for k = 0..K of each sequence, in one array of shape (n, 3, K + 1).
+def _magnitude_rows(fcs, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """|c_k|, |alpha_k| and |beta_k| for k = 0..K of each sequence, shape (n, 3, K + 1), and their floors.
 
     c_0 = alpha_0/2 and beta_0 = 0; |c_k| = |alpha_k - i*beta_k| is
-    hypot(alpha_k, beta_k), bit for bit as ``abs(to_taylor(fc).c)``.
+    hypot(alpha_k, beta_k), bit for bit as ``abs(to_taylor(fc).c)``. Of
+    the floors, shape (n, 3), |c| has its own; |alpha| and |beta| share
+    the larger of theirs.
     """
     rows = np.zeros((len(fcs), 3, K + 1))
     for row, fc in zip(rows, fcs):
         row[1, 0], row[1, 1:], row[2, 1:] = fc.alpha0, fc.alpha, fc.beta
     np.hypot(rows[:, 1], rows[:, 2], out=rows[:, 0])
     rows[:, 0, 0] *= 0.5
-    return np.abs(rows, out=rows)
+    np.abs(rows, out=rows)
+    floors = _roundoff_floors(rows)
+    floors[:, 1:] = floors[:, 1:].max(axis=1, keepdims=True)
+    return rows, floors
 
 
 def _fit_rows(rows: np.ndarray, window: tuple[int, int], floors: np.ndarray) -> list[ClassificationReport]:
@@ -201,11 +210,10 @@ def classify_sequence(seq, window: tuple[int, int] | None = None) -> Classificat
     """
     if isinstance(seq, FourierCoefficients):
         window = window or _default_window(seq.K)
-        rows = _magnitude_rows([seq], seq.K)[0, 1:]
-        ra, rb = _fit_rows(rows, window, np.full(2, _roundoff_floors(rows).max()))
+        rows, floors = _magnitude_rows([seq], seq.K)
+        ra, rb = _fit_rows(rows[0, 1:], window, floors[0, 1:])
+        # a degenerate view never is the worse; when both are, max keeps ra on the tie
         worse = max((ra, rb), key=lambda r: r.fitted_rate if not r.degenerate else -math.inf)
-        if ra.degenerate and rb.degenerate:
-            worse = ra
         return ClassificationReport(
             ra.bounded and rb.bounded,
             worse.fitted_rate,
@@ -246,9 +254,7 @@ def equivalence_checks(fcs, window: tuple[int, int] | None = None) -> list[Equiv
     if not fcs:
         return []
     window = window or _default_window(Ks[0])
-    rows = _magnitude_rows(fcs, Ks[0])
-    floors = _roundoff_floors(rows)
-    floors[:, 1:] = floors[:, 1:].max(axis=1, keepdims=True)
+    rows, floors = _magnitude_rows(fcs, Ks[0])
     reps = _fit_rows(rows.reshape(-1, rows.shape[-1]), window, floors.ravel())
     out = []
     for c_view, a_view, b_view in zip(reps[0::3], reps[1::3], reps[2::3]):

@@ -198,8 +198,8 @@ class RhoSchedule:
             raise ValueError("all radii must lie in (0, 1)")
         if any(b <= a for a, b in zip(r, r[1:])):
             raise ValueError("radii must be strictly ascending")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         object.__setattr__(self, "rhos", r)
 
     def converged(self, values):
@@ -221,9 +221,9 @@ class RhoSchedule:
 
     @classmethod
     def geometric(cls, j_start: int = 1, j_stop: int = 14, tol: float = 1e-6) -> "RhoSchedule":
-        """rho_j = 1 - 2**(-j) for j = j_start..j_stop."""
-        if not 1 <= j_start < j_stop:
-            raise ValueError("need 1 <= j_start < j_stop")
+        """rho_j = 1 - 2**(-j) for j = j_start..j_stop <= 53: 1 - 2**-54 rounds to 1."""
+        if not 1 <= j_start < j_stop <= 53:
+            raise ValueError(f"need 1 <= j_start < j_stop <= 53, got {j_start}..{j_stop}")
         return cls(tuple(1.0 - 2.0 ** (-j) for j in range(j_start, j_stop + 1)), tol)
 
 

@@ -10,7 +10,16 @@ from conftest import (
     triangle_expr,
 )
 
-from inner_fourier import ClosedForm, UnknownCatalogId, catalog_ids, delta_inner, fourier_coefficients, resolve, to_taylor
+from inner_fourier import (
+    ClosedForm,
+    UnknownCatalogId,
+    catalog_ids,
+    delta_inner,
+    fourier_coefficients,
+    from_taylor,
+    resolve,
+    to_taylor,
+)
 from inner_fourier.quadrature import circle_coefficients, theta_grid
 
 # grid sizes M at which the trapezoid rule meets 1e-8; a trig polynomial of degree d takes 4*d + 256
@@ -85,6 +94,23 @@ def test_poisson_sampler_matches_mpmath_near_the_circle(theta):
     got = resolve("poisson", r=r, theta1=0.0).function.fn(np.array([theta]))[0]
     want = oracle_poisson_kernel(theta, 0.0, r)
     assert abs(got - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("name", [{"cos_<k>": "cos_3", "sin_<k>": "sin_5"}.get(i, i) for i in catalog_ids()])
+def test_coefficients_are_the_taylor_sequence_read_back(name):
+    # every entry generates Taylor coefficients; from_taylor is the one conversion
+    entry = resolve(name)
+    for K in (5, 64):
+        want, got = from_taylor(entry.taylor(K)), entry.coefficients(K)
+        assert got.alpha0 == want.alpha0
+        assert got.alpha.tobytes() == want.alpha.tobytes() and got.beta.tobytes() == want.beta.tobytes()
+
+
+@pytest.mark.parametrize("r", [1.0, -0.1, math.nan])
+def test_poisson_entry_refuses_a_radius_off_the_open_disk(r):
+    with pytest.raises(ValueError) as exc:
+        resolve("poisson", r=r)
+    assert str(exc.value) == f"poisson entry needs 0 <= r < 1, got {r}"
 
 
 def test_distribution_entries_have_no_sampler():

@@ -56,6 +56,18 @@ class TestClassifySequence:
         assert rep.bounded
         assert rep.fitted_power == pytest.approx(-1.0, abs=1e-3)
 
+    @pytest.mark.parametrize(
+        "p, b", [(0.0, -1.1), (math.nan, 1.0), (0.0, math.inf), (math.inf, 1.0), (0.0, [1.0, -0.5])]
+    )
+    def test_family_outside_its_range_is_refused(self, p, b):
+        with pytest.raises(ValueError) as exc:
+            family_magnitudes(p, b, 16)
+        assert str(exc.value) == "the family k**p * b**k needs a finite p and 0 <= b < inf"
+
+    def test_family_of_base_zero_is_degenerate_and_bounded(self):
+        rep = classify_sequence(family_magnitudes(0.0, 0.0, 64))
+        assert rep.bounded and rep.degenerate
+
     def test_family_grid_ground_truth(self):
         for p in GRID_P:
             for b in GRID_B:

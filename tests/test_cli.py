@@ -91,8 +91,23 @@ class TestCoeffsCommand:
             (("--fn", "poisson"), "ecc7ab758d23deb6f8dde482cec3ba541876cba7d3630ce1ac198775fbc27779"),
             (("--fn", "poisson", "--theta1", "0.3"), "84a41d334455967bf7df1ce0011a4d5c3e6587239411e08e75dff2be8dc8c94a"),
             (("--fn", "poisson", "--theta1=-3.14159"), "02419d4e2355de5d95050ecdf895ad2906508dfe4b06152c03e539906571f4a3"),
+            (("--fn", "zero"), "049dda68aabba7b4e1e48fe3c682a291395dd0e773d94af5ca9d41f7e4f97096"),
+            (("--fn", "const"), "aff4380203436548504ee76244783ef0b52bd69fc5782658b99c6f8b0af2d5a9"),
+            (("--fn", "cos_3"), "5bf750989ae2ee2e82ef82980d638fcf6705096da84f5c850b8e9c30d2a6344f"),
+            (("--fn", "sin_5"), "7462d24e704365a7d66bffa216b5467d50445ef89a446eb8695b44d8d8c11f19"),
+            (("--fn", "triangle"), "c58f99cf5e93f1bb9b30e055302ab76a3fea159023d7569b2ea168a7737b422c"),
+            (("--fn", "delta"), "7d5ebe45b661e2fad2c723322026ce37d4100eabea6d9538ada5fea4ec06c08c"),
+            (("--fn", "delta", "--theta1", "0.3"), "893c4eae33a0dd49481510e1eb941f3348b500eaac5eee932eb256c9c9b4e8f8"),
+            (("--fn", "delta", "--theta1=-3.14159"), "be8a91913729f0f3cba0ffcacb354494019c102397d429368309ad0dfd78ba6f"),
+            (("--fn", "delta_derivative", "--order", "1"), "c49f830da8304aaa7efc9b987ed168a30bcf48d14f7b725c643ca2e9d3483b98"),
+            (("--fn", "delta_derivative", "--order", "2"), "710d3a97e3c895346ff140c0e292f8182d9dd17c1d493754d1fb6cf8da920d4a"),
+            (("--fn", "delta_derivative", "--order", "5"), "70a8c5752fde786b4994f61c7020ec338e20914dbef9980a4b44af6d01bee3e9"),
         ],
-        ids=["square", "sawtooth", "poisson", "poisson-0.3", "poisson-near-seam"],
+        ids=[
+            "square", "sawtooth", "poisson", "poisson-0.3", "poisson-near-seam", "zero", "const", "cos_3", "sin_5",
+            "triangle", "delta", "delta-0.3", "delta-near-seam", "delta_derivative-1", "delta_derivative-2",
+            "delta_derivative-5",
+        ],
     )
     def test_catalog_output_bytes_are_pinned(self, capsys, argv, digest):
         code, out, _ = run(capsys, "coeffs", *argv, "--K", "64")
@@ -322,6 +337,32 @@ class TestInputErrors:
         assert main(["coeffs", "--fn", "square", "--K", "8", "--out", str(path)]) == 0
         self._one_line_usage_error(capsys, "reconstruct", "--coeffs", str(path), "--schedule", spec)
         assert "j1..j2" in run(capsys, "reconstruct", "--coeffs", str(path), "--schedule", spec)[2]
+
+    @pytest.mark.parametrize(
+        "extra, text",
+        [
+            (("--schedule", "1..3", "--tol", "inf"), "tol must be positive and finite, got inf"),
+            (("--schedule", "50..54"), "need 1 <= j_start < j_stop <= 53, got 50..54"),
+        ],
+        ids=["infinite_tol", "radius_rounds_to_one"],
+    )
+    def test_schedule_out_of_range_is_refused(self, capsys, tmp_path, extra, text):
+        # an infinite tol would mark every angle converged; 1 - 2**-54 rounds to 1
+        path = tmp_path / "c.json"
+        assert main(["coeffs", "--fn", "square", "--K", "8", "--out", str(path)]) == 0
+        code, out, err = run(capsys, "reconstruct", "--coeffs", str(path), *extra)
+        assert code == 2 and out == ""
+        assert err == f"error: {text}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--b", "-1.1", "--K", "512"), ("--p", "nan"), ("--b", "inf")],
+        ids=["negative_base", "nan_power", "infinite_base"],
+    )
+    def test_family_outside_its_range_is_refused(self, capsys, argv):
+        code, out, err = run(capsys, "verify", "--suite", "classify", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: the family k**p * b**k needs a finite p and 0 <= b < inf\n"
 
     def test_c_group_with_imaginary_mean_term(self, capsys, tmp_path):
         path = tmp_path / "c.json"

@@ -237,6 +237,17 @@ class TestSchedule:
         s = RhoSchedule.geometric(1, 3)
         assert s.rhos == (0.5, 0.75, 0.875)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            RhoSchedule((0.5, 0.9), tol=tol)
+
+    def test_geometric_stops_at_the_last_radius_below_one(self):
+        assert RhoSchedule.geometric(1, 53).rhos[-1] == 1.0 - 2.0**-53 < 1.0
+        with pytest.raises(ValueError) as exc:
+            RhoSchedule.geometric(50, 54)
+        assert str(exc.value) == "need 1 <= j_start < j_stop <= 53, got 50..54"
+
 
 class TestAngularCalculus:
     def test_derivative_of_identity(self):
