@@ -4,12 +4,14 @@
 ``coefficients(K)`` refuses K < 1 and reads them back by ``from_taylor``.
 Entries: trigonometric polynomials held as a ``TaylorSeries`` (zero, const,
 cos_k, sin_k), jump functions (square, sawtooth: one builder from an odd
-function and its sine series), the triangle, and the point mass from one
-builder: ``delta_inner(theta1).taylor(K)``, ``angular_derivative`` ``order``
-times, then damping by r**k. "delta" and "delta_derivative" are at r = 1,
-with no pointwise samples; "poisson" is the point mass seen at radius
-r < 1, sampled as ``delta_inner(theta1).polar(theta, r).real``. These three
-refuse theta1 outside [-pi, pi).
+function and its sine series), the triangle, and the point-mass family
+``delta_inner(theta1, order)``, one closed form for every derivative order
+(``distributions`` states its accuracy relative to |w| and the circle rule
+for its pole of order ``order`` + 1). "delta" and "delta_derivative" (order
+1 by default) are its ``taylor``, with no pointwise samples; "poisson" is
+the point mass at radius r < 1, damped by r**k and sampled as
+``delta_inner(theta1).polar(theta, r).real``. These refuse theta1 outside
+[-pi, pi).
 
 Jump-discontinuous samplers return the midpoint of the one-sided limits
 at the jump angles, which is the value the damped sums converge to and
@@ -30,7 +32,7 @@ import numpy as np
 from .coeffs import FourierCoefficients, PeriodicFunction, TaylorCoefficients, from_taylor, to_taylor
 from .distributions import delta_inner
 from .quadrature import disk_points
-from .series import TaylorSeries, angular_derivative
+from .series import TaylorSeries
 
 _COS_SIN = re.compile(r"^(cos|sin)_(\d+)$")
 
@@ -74,26 +76,12 @@ def _entry_triangle():
     return CatalogEntry("triangle", PeriodicFunction.from_callable("triangle", np.abs), taylor)
 
 
-def _entry_point_mass(id: str, theta1: float, order: int = 0, r: float = 1.0) -> CatalogEntry:
-    """The order-th angular derivative of the point mass at theta1, damped by r**k; sampled only for r < 1."""
-    w = delta_inner(theta1)
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-
-    def taylor(K):
-        tc = w.taylor(K)
-        for _ in range(order):
-            tc = angular_derivative(tc)
-        return TaylorCoefficients(tc.c * r ** np.arange(K + 1.0))
-
-    function = PeriodicFunction.from_callable(id, lambda theta: w.polar(theta, r).real) if r < 1.0 else None
-    return CatalogEntry(id, function, taylor)
-
-
 def _entry_poisson(r: float = 0.5, theta1: float = 0.0):
     if not 0.0 <= r < 1.0:
         raise ValueError(f"poisson entry needs 0 <= r < 1, got {r}")
-    return _entry_point_mass("poisson", theta1, r=r)
+    w = delta_inner(theta1)
+    function = PeriodicFunction.from_callable("poisson", lambda theta: w.polar(theta, r).real)
+    return CatalogEntry("poisson", function, lambda K: TaylorCoefficients(w.taylor(K).c * r ** np.arange(K + 1.0)))
 
 
 def _trig_poly(id: str, fc: FourierCoefficients) -> CatalogEntry:
@@ -130,8 +118,10 @@ _BUILDERS = {
     "square": partial(_jump_entry, "square", np.sign, lambda k: 2.0 * (1.0 - (-1.0) ** k) / (math.pi * k)),
     "sawtooth": partial(_jump_entry, "sawtooth", lambda theta: theta, lambda k: 2.0 * (-1.0) ** (k + 1) / k),
     "triangle": _entry_triangle,
-    "delta": lambda theta1=0.0: _entry_point_mass("delta", theta1),
-    "delta_derivative": lambda theta1=0.0, order=1: _entry_point_mass("delta_derivative", theta1, order),
+    "delta": lambda theta1=0.0: CatalogEntry("delta", None, delta_inner(theta1).taylor),
+    "delta_derivative": lambda theta1=0.0, order=1: CatalogEntry(
+        "delta_derivative", None, delta_inner(theta1, order).taylor
+    ),
     "poisson": _entry_poisson,
 }
 

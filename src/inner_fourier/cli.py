@@ -237,7 +237,10 @@ def _suite_classify():
 
 def _suite_family(p=0.0, b=1.0, K=4096):
     """``verify --suite classify`` given --p or --b: the one family |a_k| = k**p * b**k."""
-    rep = classify.classify_sequence(classify.family_magnitudes(p, b, K))
+    magnitudes = classify.family_magnitudes(p, b, K)
+    if not np.all(np.isfinite(magnitudes)):
+        raise ValueError(f"the family k**p * b**k overflows a double for k <= K at p={p:g}, b={b:g}, K={K}")
+    rep = classify.classify_sequence(magnitudes)
     print(
         f"family p={p:g} b={b:g}: bounded={'true' if rep.bounded else 'false'} "
         f"rate={rep.fitted_rate:.6g} power={rep.fitted_power:.6g}"

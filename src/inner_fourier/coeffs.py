@@ -147,8 +147,9 @@ def fourier_coefficients(
     Requires M >= 2K + 2 so that no retained harmonic is aliased. The
     result is exact to roundoff when f is a trigonometric polynomial of
     degree at most M - 1 - K. M defaults to the sample count of a sampled
-    f and to max(4K, 256) otherwise. Samples so large that a coefficient
-    overflows a double raise EvaluationError.
+    f and to max(4K, 256) otherwise. When the sums behind the coefficients
+    overflow, the transform is redone on the samples scaled by 1/M; a
+    coefficient that still overflows a double raises EvaluationError.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
@@ -160,14 +161,20 @@ def fourier_coefficients(
     values = f.on_grid(M)
     with np.errstate(over="ignore", invalid="ignore"):
         c = grid_coefficients(values, K)
-    # finite c keeps alpha_0 = 2*Re c_0 finite too: it is the sample sum times 2/M
-    if not np.all(np.isfinite(c)):
+        if not np.all(np.isfinite(c)):  # the unnormalised sums overflowed; the coefficients need not
+            c = grid_coefficients(values / M, K) * M
+        finite = np.all(np.isfinite(c)) and np.isfinite(2.0 * c[0].real)  # and alpha_0 = 2*Re c_0
+    if not finite:
         raise EvaluationError(f"the coefficients of {f.name} overflow a double")
     return from_taylor(TaylorCoefficients(c))
 
 
 def to_taylor(fc: FourierCoefficients) -> TaylorCoefficients:
-    """c_0 = alpha_0/2 and c_k = alpha_k - i*beta_k."""
+    """c_0 = alpha_0/2 and c_k = alpha_k - i*beta_k.
+
+    ``from_taylor`` reads every result back exactly but one: an odd
+    multiple of the smallest subnormal in alpha_0, whose half rounds.
+    """
     c = np.empty(fc.K + 1, dtype=complex)
     c[0] = 0.5 * fc.alpha0
     c[1:] = fc.alpha - 1j * fc.beta

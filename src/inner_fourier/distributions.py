@@ -1,30 +1,33 @@
-"""The point mass on the unit circle as one inner analytic function.
+"""The point mass on the unit circle and its angular derivatives, one family of inner analytic functions.
 
-The point mass at theta1 is w(z) = 1/(2*pi) - (1/pi) * z/(z - z1) =
-(1/(2*pi)) * (1 + u)/(1 - u), z1 = exp(i*theta1), u = z/z1; its real part
-at radius rho is the Poisson kernel. Its coefficients c_0 = 1/(2*pi),
-c_k = (cos(k*theta1) - i*sin(k*theta1))/pi do not decay: the rho = 1 series
-diverges everywhere, the damped sums converge for every rho < 1 and recover
-the point mass as rho -> 1 everywhere except at theta1. ``delta_inner(theta1)``
-is that one object: ``taylor(K)`` builds c_0..c_K, a point z takes the z
-formula, and ``polar``, called by the regulated sums and ``rho_limit``,
-takes the Herglotz form (phi = theta - theta1), in which nothing cancels;
-so does ``circle``, the samples of every contour integral and of
-``basis.completeness_probe``, on ``theta_grid(M)``:
+The point mass at theta1 is w_0 = (1 + u)/(2*pi*(1 - u)), u = z/z1, z1 =
+exp(i*theta1): c_0 = 1/(2*pi), c_k = exp(-i*k*theta1)/pi, and Re w_0 at
+radius rho is the Poisson kernel. The damped sums recover the point mass as
+rho -> 1 everywhere but at theta1, though the rho = 1 series diverges. Its
+m-th angular derivative, c_k -> (i*k)**m * c_k, is w_m = (i**m/pi) * u *
+A_m(u)/(1 - u)**(m + 1), A_m the Eulerian polynomial, with a pole of order
+m + 1 at z1. ``delta_inner(theta1, m)`` is that one object: ``taylor(K)``
+applies ``angular_derivative`` m times to c_0..c_K (the catalog's "delta",
+"delta_derivative" and, damped, "poisson"), and one evaluator serves a
+point, ``polar`` and ``circle``. It forms |1 - u|**2 = (1 - rho)**2 +
+4*rho*sin(phi/2)**2 and 1 - conj(u) = (1 - rho) + 2*rho*sin(phi/2)**2 +
+i*rho*sin(phi), phi = theta - theta1, where nothing cancels; order 0 is
+the Herglotz form ((1 - rho)*(1 + rho) + 2i*rho*sin(phi))/(2*pi*|1 - u|**2).
+At even m the root u = -1 of A_m is split off as 1 + u = (1 - rho) +
+2*rho*cos(phi/2)**2 + i*rho*sin(phi).
 
-    w = ((1 - rho)*(1 + rho) + 2i*rho*sin(phi)) / (2*pi*((1 - rho)**2 + 4*rho*sin(phi/2)**2)).
-
-Re w and |w| are within 1e-15 relative of w at the double phi for rho up to
-1 - 2**-30; the z formula loses about eps/(1 - rho). Both refuse a point
-within 1e-12 of z1. The Poisson kernel is
-``delta_inner(theta1).polar(theta, rho).real``, the only form of it here:
-the catalog's "poisson" entry samples it. The catalog's "delta_derivative"
-differentiates ``taylor(K)`` with ``angular_derivative``, which agrees with
-the distributional integration by parts formula (the tests' sympy oracle).
+The contract is relative to |w|, as Re w_m -> 0 off theta1 for m >= 1. At
+the double phi and rho, up to rho = 1 - 2**-30, Re w_0 and |w_0| are within
+1e-15 of w_0, and w_1..w_5 within 4e-15 of |w| (or the least subnormal),
+except within 2e-2 of a zero u = -a of A_m in the disk (a = 0.27 at order
+3, 0.10 at 4, 0.04 and 0.43 at 5), where the error is about eps*a/|u + a|
+of |w|. A point within 1e-12 of z1 is refused, and so is a circle on which
+the pole of order m + 1 aliases (``quadrature.check_circle``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -32,22 +35,30 @@ import numpy as np
 from .coeffs import TaylorCoefficients
 from .errors import EvaluationError
 from .quadrature import TWO_PI, theta_grid
-from .series import _POLE_TOL, ClosedForm, TaylorSeries, regulated_sum
+from .series import _POLE_TOL, InnerAnalytic, TaylorSeries, angular_derivative, regulated_sum
 
 
-class _PointMass(ClosedForm):
-    """The point mass at theta1 in [-pi, pi): the closed form w above, its coefficients and its polar form."""
+class _PointMass(InnerAnalytic):
+    """The order-th angular derivative of the point mass at theta1 in [-pi, pi): coefficients and one evaluator."""
 
-    def __init__(self, theta1: float):
+    def __init__(self, theta1: float, order: int):
         if not -math.pi <= theta1 < math.pi:
             raise ValueError(f"theta1 must lie in [-pi, pi), got {theta1}")
-        z1 = complex(math.cos(theta1), math.sin(theta1))
-        label = f"delta inner function (theta1={theta1})"
-        super().__init__(lambda z: 1.0 / TWO_PI - (z / (z - z1)) / math.pi, pole_set=(z1,), label=label)
-        self.theta1 = theta1
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
+        self.theta1, self.order, self.pole_order = theta1, order, order + 1
+        self.pole_set = (complex(math.cos(theta1), math.sin(theta1)),)
+        self.label = f"delta inner function (theta1={theta1}" + (f", order={order})" if order else ")")
+
+    @functools.cached_property
+    def _eulerian(self) -> np.ndarray:
+        """A_m's coefficients, the Eulerian numbers (a palindrome); at even m those of A_m/(1 + u)."""
+        m = self.order
+        a = [sum((-1) ** i * math.comb(m + 1, i) * (j + 1 - i) ** m for i in range(j + 1)) for j in range(m)]
+        return np.polydiv(a, [1.0, 1.0])[0] if m % 2 == 0 else np.array(a, dtype=float)
 
     def taylor(self, K: int) -> TaylorCoefficients:
-        """c_0 = 1/(2*pi) and c_k = (cos(k*theta1) - i*sin(k*theta1))/pi for k = 1..K."""
+        """c_0 = 1/(2*pi), c_k = (cos(k*theta1) - i*sin(k*theta1))/pi, then ``angular_derivative`` order times."""
         if K < 1:
             raise ValueError(f"K must be >= 1, got {K}")
         kt = np.arange(1, K + 1) * self.theta1
@@ -55,30 +66,49 @@ class _PointMass(ClosedForm):
         c.real[1:] = np.cos(kt) / math.pi
         # -sin, not 0 - sin: a zero beta_k = -Im c_k stays 0.0, never -0.0
         c.imag[1:] = -np.sin(kt) / math.pi
-        return TaylorCoefficients(c)
+        tc = TaylorCoefficients(c)
+        for _ in range(self.order):
+            tc = angular_derivative(tc)
+        return tc
+
+    def _at(self, phi, rho):
+        """w at u = rho*exp(i*phi), elementwise over the broadcast arrays phi and rho; a Python complex at one point."""
+        q = 1.0 - rho
+        s2 = np.sin(0.5 * phi) ** 2
+        den = s2 * (4.0 * rho) + q * q  # |1 - u|**2
+        if np.any(den < _POLE_TOL**2):
+            raise EvaluationError(f"{self.label} evaluated at pole {self.pole_set[0]!r}")
+        im = np.sin(phi) * rho
+        if not self.order:
+            w = q * (1.0 + rho) / (TWO_PI * den) + 1j * (im / (math.pi * den))
+        else:
+            u = rho * np.exp(1j * phi)
+            w = u * np.polyval(self._eulerian, u) * ((q + 2.0 * rho * s2 + 1j * im) / den) ** (self.order + 1)
+            if self.order % 2 == 0:
+                w = w * (q + 2.0 * rho * np.cos(0.5 * phi) ** 2 + 1j * im)
+            w = w * (1j**self.order / math.pi)
+        return complex(w) if np.ndim(w) == 0 else w
+
+    def __call__(self, z):
+        z = np.asarray(z, dtype=complex)
+        return self._at(np.angle(z) - self.theta1, np.abs(z))
 
     def polar(self, theta, rho):
-        """w in the Herglotz form on the theta x rho grid; non-finite angles raise ValueError."""
+        """w on the theta x rho grid; non-finite angles raise ValueError."""
         phi = np.asarray(theta, dtype=float) - self.theta1
         if not np.all(np.isfinite(phi)):
             raise ValueError("angles must be finite")
         rho = np.asarray(rho, dtype=float)
-        q = 1.0 - rho
-        # |1 - u|**2, the squared distance to the pole that __call__ measures
-        den = np.multiply.outer(np.sin(0.5 * phi) ** 2, 4.0 * rho) + q * q
-        if np.any(den < _POLE_TOL**2):
-            raise EvaluationError(f"{self.label} evaluated at pole {self.pole_set[0]!r}")
-        out = q * (1.0 + rho) / (TWO_PI * den) + 1j * (np.multiply.outer(np.sin(phi), rho) / (math.pi * den))
-        return complex(out) if out.ndim == 0 else out
+        return self._at(phi.reshape(phi.shape + (1,) * rho.ndim), rho)
 
     def circle(self, rho: float, m: int):
-        """w at the m circle nodes, in the Herglotz form on ``theta_grid(m)``."""
-        return self.polar(theta_grid(m), rho)
+        """w at the m circle nodes of ``theta_grid(m)``."""
+        return self._at(theta_grid(m) - self.theta1, float(rho))
 
 
-def delta_inner(theta1: float) -> ClosedForm:
-    """The point mass at theta1 in [-pi, pi), a ``ClosedForm`` with exact ``taylor`` and a Herglotz ``polar``."""
-    return _PointMass(theta1)
+def delta_inner(theta1: float, order: int = 0) -> InnerAnalytic:
+    """The order-th angular derivative of the point mass at theta1 in [-pi, pi), with exact ``taylor``."""
+    return _PointMass(theta1, order)
 
 
 def regulated_delta_on_grid(theta, theta1: float, rho: float, K: int) -> np.ndarray:

@@ -70,7 +70,7 @@ def _circle_fft(w: InnerAnalytic, z: complex, N: int, rho1: float, M: int):
         raise ValueError(f"{N} terms alias on {M} nodes; need M >= {N}")
     vals = circle_samples(w, rho1, M)
     log_zn = N * math.log(abs(z)) if z else -math.inf
-    amp = check_amplification(log_zn, N + 1, rho1, M, w.pole_set)
+    amp = check_amplification(log_zn, N + 1, rho1, M, w)
     # Python scalars: numpy divides a complex by a real through its reciprocal, one rounding more
     zeta = -complex(z) / float(rho1)
     return np.fft.fft(vals) / M, zeta, _EPS * float(np.max(np.abs(vals))) * max(1.0, amp)

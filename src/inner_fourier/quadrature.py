@@ -46,10 +46,12 @@ exact nodes are within log2(M) * eps * sum |c_k| rho**k, no worse than
 completeness probe of ``basis`` too, runs its own quadrature on those
 values. The M-node trapezoid rule aliases with error of order (rho/R)**M
 when w is analytic out to radius R (Trefethen & Weideman, SIAM Review
-2014). ``check_circle``, the one circle rule of ``circle_samples``,
-refuses a circle where that scale exceeds eps for R the nearest declared
-pole outside it, naming the smallest M that passes, and a circle within
-1e-9 of a declared pole. ``check_aliasing`` applies the same rule to a
+2014); a pole of order n + 1 at R, coefficients growing like k**n, scales
+that by max(1, (M*(1 - rho/R))**n / n!). ``check_circle``, the one circle
+rule of ``circle_samples``, refuses a circle where that scale exceeds eps
+for R the nearest declared pole outside it and n + 1 the ``pole_order`` of
+w, naming the smallest M that passes, and a circle within 1e-9 of a
+declared pole. ``check_aliasing`` applies the same rule to a
 pole of the integrand itself. The rule is exact for a polynomial of
 degree below M, which has nothing to alias; a w with a declared degree at
 or above M is refused, naming M = degree + 1.
@@ -335,18 +337,35 @@ def unit_phasors(m: int) -> np.ndarray:
     return table
 
 
-def check_aliasing(ratio: float, m: int) -> None:
-    """Refuse an m-node rule whose aliasing scale ratio**m exceeds eps; 0 <= ratio < 1."""
-    if ratio**m > _EPS:
-        need = math.ceil(math.log(_EPS) / math.log(ratio))
-        raise ValueError(f"aliasing scale {ratio:.6g}**M = {ratio**m:.3g} exceeds eps at M={m}; need M >= {need}")
+def _aliasing_scale(ratio: float, m: int, pole_order: int) -> float:
+    """ratio**m * max(1, (m*(1 - ratio))**n / n!), n = pole_order - 1: the first alias of coefficients ~ k**n."""
+    n = pole_order - 1
+    growth = n * math.log(m * (1.0 - ratio)) - math.lgamma(n + 1.0)
+    return math.exp(m * math.log(ratio) + growth) if growth > 0.0 else ratio**m
 
 
-def check_amplification(log_scale: float, power: int, rho: float, m: int, poles) -> float:
+def _aliasing_nodes(ratio: float, pole_order: int) -> int:
+    """The fewest nodes that pass: the simple pole's M, then steps that hold the growth term at its last value."""
+    need = math.ceil(math.log(_EPS) / math.log(ratio))
+    while pole_order > 1 and (scale := _aliasing_scale(ratio, need, pole_order)) > _EPS:
+        need += math.ceil(math.log(scale / _EPS) / -math.log(ratio))
+    return need
+
+
+def check_aliasing(ratio: float, m: int, pole_order: int = 1) -> None:
+    """Refuse an m-node rule whose ``_aliasing_scale`` exceeds eps, for a pole of that order at radius 1/ratio > 1."""
+    scale, n = _aliasing_scale(ratio, m, pole_order), pole_order - 1
+    if scale > _EPS:
+        form = f"{ratio:.6g}**M" + (f" * max(1, (M*(1 - ratio))**{n}/{n}!)" if n else "")
+        need = _aliasing_nodes(ratio, pole_order)
+        raise ValueError(f"aliasing scale {form} = {scale:.3g} exceeds eps at M={m}; need M >= {need}")
+
+
+def check_amplification(log_scale: float, power: int, rho: float, m: int, w) -> float:
     """Refuse a roundoff amplification A = exp(log_scale) * rho**-power above 1/sqrt(eps); return A.
 
     The ValueError names the radii that pass both this rule and the
-    aliasing rule for the given poles at m nodes, or, when no radius does,
+    aliasing rule for the poles of w at m nodes, or, when no radius does,
     the smallest M that opens that window.
     """
     log_amp = log_scale - power * math.log(rho)
@@ -354,15 +373,17 @@ def check_amplification(log_scale: float, power: int, rho: float, m: int, poles)
         return math.exp(log_amp)
     msg = f"roundoff amplification 10**{log_amp / math.log(10.0):.1f} exceeds 1/sqrt(eps) at radius {rho:.6g}"
     lo = math.exp((log_scale - _LOG_AMP_MAX) / power)
-    nearest = min((abs(p) for p in poles if abs(p) > rho), default=math.inf)
-    hi = min(1.0, nearest * _EPS ** (1.0 / m))
+    nearest = min((abs(p) for p in w.pole_set if abs(p) > rho), default=math.inf)
+    top = _EPS ** (1.0 / m)
+    for _ in range(64 if w.pole_order > 1 else 0):  # down to the largest ratio that passes, as in _aliasing_nodes
+        top *= (_EPS / _aliasing_scale(top, m, w.pole_order)) ** (1.0 / m)
+    hi = min(1.0, nearest * top)
     if lo <= hi:
         # rounded inward, so that both printed ends pass
         raise ValueError(f"{msg}; use a radius in [{math.ceil(lo * 1e6) / 1e6:.6f}, {math.floor(hi * 1e6) / 1e6:.6f}]")
     if lo >= min(1.0, nearest):
         raise ValueError(f"{msg}; no radius up to {min(1.0, nearest):.6g} passes")
-    need = math.ceil(math.log(_EPS) / math.log(lo / nearest))
-    raise ValueError(f"{msg}; no radius passes at M={m}; need M >= {need}")
+    raise ValueError(f"{msg}; no radius passes at M={m}; need M >= {_aliasing_nodes(lo / nearest, w.pole_order)}")
 
 
 def check_circle(w, rho: float, m: int) -> None:
@@ -370,8 +391,9 @@ def check_circle(w, rho: float, m: int) -> None:
 
     A declared pole of w within 1e-9 of the circle raises EvaluationError;
     a circle whose aliasing scale (rho/R)**m, R the nearest declared pole
-    outside it, exceeds eps raises ValueError, and so does a declared
-    polynomial degree of w at or above m.
+    outside it, times the growth term of ``w.pole_order``, exceeds eps
+    raises ValueError, and so does a declared polynomial degree of w at or
+    above m.
     """
     if w.degree is not None and w.degree >= m:
         raise ValueError(f"polynomial of degree {w.degree} aliases on {m} nodes; need M >= {w.degree + 1}")
@@ -380,7 +402,7 @@ def check_circle(w, rho: float, m: int) -> None:
             raise EvaluationError(f"pole at {p!r} lies on the integration circle of radius {rho}")
     outside = [abs(p) for p in w.pole_set if abs(p) > rho]
     if outside:
-        check_aliasing(rho / min(outside), m)
+        check_aliasing(rho / min(outside), m, w.pole_order)
 
 
 def circle_samples(w, rho: float, m: int) -> np.ndarray:
@@ -388,7 +410,7 @@ def circle_samples(w, rho: float, m: int) -> np.ndarray:
 
     The nodes are z_j = -rho * ``unit_phasors(m)``[j]. A closed form is
     called at them, a truncated series takes one inverse FFT, and the
-    point mass its Herglotz form; each w says which in ``circle``. A
+    point mass its one evaluator; each w says which in ``circle``. A
     radius that is not finite, or 0 or below, raises ValueError.
     """
     if not math.isfinite(rho):
@@ -411,7 +433,7 @@ def circle_coefficients(w, K: int, rho: float, m: int) -> np.ndarray:
     if not 0 <= K <= m // 2 - 1:
         raise ValueError(f"need 0 <= K and M >= 2K + 2, got K={K}, M={m}")
     vals = circle_samples(w, rho, m)
-    check_amplification(0.0, K, rho, m, w.pole_set)
+    check_amplification(0.0, K, rho, m, w)
     return _from_minus_pi(np.fft.fft(vals), K) / (m * rho ** np.arange(K + 1.0))
 
 

@@ -66,6 +66,13 @@ def oracle_poisson_kernel(theta: float, theta1: float, rho: float) -> float:
         return float((1 - r * r) / (2 * mpmath.pi * (1 - 2 * r * mpmath.cos(theta - theta1) + r * r)))
 
 
+def oracle_point_mass_derivative(theta: float, theta1: float, rho: float, m: int) -> mpmath.mpc:
+    """Order-m point mass i**m * Li_{-m}(u)/pi, u = rho*exp(i*(theta - theta1)), to 40 digits at the double angle."""
+    with mpmath.workdps(40):
+        u = mpmath.mpf(rho) * mpmath.expj(mpmath.mpf(theta - theta1))
+        return mpmath.mpc(0, 1) ** m * mpmath.polylog(-m, u) / mpmath.pi
+
+
 def oracle_poisson_integral(psi, theta1: float, rho: float) -> float:
     """Adaptive quadrature of psi against the closed-form Poisson kernel."""
 

@@ -53,14 +53,26 @@ def _delta_derivative_inner(theta1: float) -> ClosedForm:
 
 
 @pytest.mark.parametrize(
-    "name, inner",
-    [("delta", delta_inner), ("delta_derivative", _delta_derivative_inner)],
+    "name, params, inner",
+    [
+        ("delta", {}, delta_inner),
+        ("delta_derivative", {}, _delta_derivative_inner),
+        ("delta_derivative", {}, lambda theta1: delta_inner(theta1, 1)),
+        ("delta_derivative", {"order": 3}, lambda theta1: delta_inner(theta1, 3)),
+    ],
+    ids=[
+        "delta-delta_inner",
+        "delta_derivative-_delta_derivative_inner",
+        "delta_derivative-order1",
+        "delta_derivative-order3",
+    ],
 )
-def test_distribution_generator_agrees_with_cauchy_coefficients(name, inner):
-    # the paper defines these coefficients as Taylor coefficients of w, read on a circle rho < 1
+def test_distribution_generator_agrees_with_cauchy_coefficients(name, params, inner):
+    # the paper defines these coefficients as Taylor coefficients of w, read on a circle rho < 1;
+    # the hand-written derivative is the oracle that delta_inner(theta1, 1) must match
     theta1, K, rho, M = 0.7, 64, 0.9, 4096
     w = inner(theta1)
-    want = to_taylor(resolve(name, theta1=theta1).coefficients(K)).c
+    want = to_taylor(resolve(name, theta1=theta1, **params).coefficients(K)).c
     got = circle_coefficients(w, K, rho, M)
     bound = np.finfo(float).eps * float(np.max(np.abs(w(rho * np.exp(1j * theta_grid(M)))))) * rho**-K
     assert np.max(np.abs(got - want)) <= bound

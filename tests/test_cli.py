@@ -624,6 +624,20 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "PASS" not in out
 
+    @pytest.mark.parametrize(
+        "argv, family",
+        [
+            (("--b", "2"), "p=0, b=2, K=4096"),
+            (("--p", "1e300"), "p=1e+300, b=1, K=4096"),
+            (("--p", "200", "--b", "2", "--K", "64"), "p=200, b=2, K=64"),
+        ],
+        ids=["base", "power", "both"],
+    )
+    def test_classify_family_overflow_names_the_family(self, capsys, argv, family):
+        code, out, err = run(capsys, "verify", "--suite", "classify", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: the family k**p * b**k overflows a double for k <= K at {family}\n"
+
     def test_classify_suite_output_is_pinned(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "classify")
         assert code == 0

@@ -20,6 +20,7 @@ from inner_fourier import (
     to_taylor,
     trig_poly_entry,
 )
+from inner_fourier.quadrature import theta_grid
 
 
 @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
@@ -221,3 +222,24 @@ def test_coefficient_map_is_linear(data, K, a, b):
     want = a * to_taylor(f).c + b * to_taylor(g).c
     scale = abs(a) * np.abs(to_taylor(f).c) + abs(b) * np.abs(to_taylor(g).c)
     assert np.all(np.abs(to_taylor(combo).c - want) <= 4 * np.finfo(float).eps * scale)
+
+
+def test_coefficients_whose_unnormalised_sums_overflow_are_returned():
+    # the FFT sums 2a, but c_1 = (2/M) * sum f_j exp(-i*theta_j) = a*(i - 1) on the grid from -pi
+    a = 1.79e308
+    fc = fourier_coefficients(PeriodicFunction.from_samples([a, a, -a, -a]), 1)
+    assert fc.alpha0 == 0.0
+    assert to_taylor(fc).c[1] == complex(-a, a)
+
+
+def test_coefficient_past_the_double_range_is_still_refused():
+    a = 1.79e308
+    # alpha_0 = 2 * mean = 2a
+    with pytest.raises(EvaluationError, match="overflow a double"):
+        fourier_coefficients(PeriodicFunction.from_samples([a, a, a, a]), 1)
+    # a * sign(cos(theta_j)) on 8 nodes: alpha_1 = (1 + sqrt(2)) * a / 2 = 1.21a
+    samples = a * np.sign(np.round(np.cos(theta_grid(8)), 12))
+    with pytest.raises(EvaluationError, match="overflow a double"):
+        fourier_coefficients(PeriodicFunction.from_samples(samples), 1)
+    fc = fourier_coefficients(PeriodicFunction.from_samples(samples / 2.0), 1)
+    assert fc.alpha[0] == pytest.approx((1.0 + math.sqrt(2.0)) / 4.0 * a, rel=1e-15)

@@ -1,15 +1,23 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from conftest import oracle_delta_derivative_alpha, oracle_delta_derivative_beta, oracle_poisson_kernel
+from conftest import (
+    oracle_delta_derivative_alpha,
+    oracle_delta_derivative_beta,
+    oracle_point_mass_derivative,
+    oracle_poisson_kernel,
+)
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from inner_fourier import (
     EvaluationError,
+    RhoSchedule,
     TaylorSeries,
+    TruncationWarning,
     angular_derivative,
     completeness_probe,
     delta_inner,
@@ -17,6 +25,7 @@ from inner_fourier import (
     regulated_delta_on_grid,
     regulated_sum,
     resolve,
+    rho_limit,
     to_taylor,
     trig_poly_entry,
 )
@@ -260,3 +269,54 @@ def test_polar_refuses_the_pole_and_non_finite_angles():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="angles must be finite"):
             w.polar(np.array([0.0, bad]), 0.5)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@given(
+    theta1=st.floats(-math.pi, math.pi, exclude_max=True),
+    theta=st.floats(-20.0, 20.0),
+    rho=st.integers(1, 30).map(lambda j: 1.0 - 2.0**-j) | st.floats(0.0, 1.0 - 2.0**-30),
+)
+@example(theta1=0.7, theta=0.7 + 1e-6, rho=1.0 - 2.0**-30)  # beside the pole of order m + 1
+@example(theta1=0.7, theta=0.7 - 1e-6, rho=1.0 - 2.0**-30)
+@example(theta1=-math.pi, theta=1e-3, rho=1.0 - 2.0**-30)  # beside u = -1, where A_m vanishes at even m
+def test_derivative_polar_matches_mpmath_up_to_the_circle(order, theta1, theta, rho):
+    # relative to |w|: Re w of a derivative tends to 0 away from theta1; w ~ u near 0 may be subnormal
+    got = delta_inner(theta1, order).polar(theta, rho)
+    want = oracle_point_mass_derivative(theta, theta1, rho, order)
+    with mpmath.workdps(40):
+        assert abs(got - want) <= 4e-15 * abs(want) + 2.0**-1074
+
+
+@pytest.mark.parametrize("order, root", [(3, -0.2679491924311227), (4, -0.10102051443364381), (5, -0.4305753470999737)])
+@pytest.mark.parametrize("distance", [1e-2, 1e-4])
+def test_derivative_near_a_zero_inside_the_disk_within_eps_a_over_distance(order, root, distance):
+    # A_m vanishes at u = -a inside the disk; there the error is about eps * a / |u + a| of |w|
+    rho = -root + distance
+    got = delta_inner(0.0, order).polar(math.pi, rho)
+    want = oracle_point_mass_derivative(math.pi, 0.0, rho, order)
+    with mpmath.workdps(40):
+        assert abs(got - want) <= 4.0 * EPS * (-root / distance) * abs(want)
+
+
+@pytest.mark.parametrize("order", [1, 2, 5])
+def test_one_evaluator_serves_points_polar_and_circle(order):
+    w = delta_inner(-1.1, order)
+    m, rho = 64, 0.8
+    circle = w.circle(rho, m)
+    assert circle.tobytes() == w.polar(theta_grid(m), rho).tobytes()
+    np.testing.assert_allclose(w(rho * np.exp(1j * theta_grid(m))), circle, rtol=1e-14, atol=0)
+    assert w(0.0) == 0.0
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_derivative_rho_limit_has_no_cutoff(order):
+    # the closed form reaches rho = 1 - 2**-30 with no K-term series behind it
+    w = delta_inner(0.7, order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        res = rho_limit(w, 2.0, RhoSchedule.geometric(1, 30, 1e-9))
+    assert not res.truncation_suspect
+    want = oracle_point_mass_derivative(2.0, 0.7, 1.0 - 2.0**-30, order)
+    with mpmath.workdps(40):
+        assert abs(res.value - want.real) <= 4e-15 * abs(want)

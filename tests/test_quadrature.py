@@ -198,6 +198,52 @@ def test_point_mass_circle_samples_are_its_herglotz_form(rho, m):
     assert np.max(np.abs(got - w(-rho * unit_phasors(m)))) <= 1e-13 * np.max(np.abs(got))
 
 
+def test_pole_of_higher_order_aliasing_refused_naming_needed_m():
+    # the simple pole's rule, 0.991**4096 = 8.9e-17, accepts this circle, and c_0..c_40 come out 2e3x off
+    w = delta_inner(0.7, 5)
+    with pytest.raises(ValueError) as exc:
+        circle_coefficients(w, 40, 0.991, 4096)
+    assert str(exc.value) == (
+        "aliasing scale 0.991**M * max(1, (M*(1 - ratio))**5/5!) = 4.69e-11 exceeds eps at M=4096; need M >= 5628"
+    )
+    with pytest.raises(ValueError, match="need M >= 5628$"):
+        circle_coefficients(w, 40, 0.991, 5627)
+    circle_coefficients(w, 40, 0.991, 5628)
+    circle_coefficients(delta_inner(0.7), 40, 0.991, 4096)
+
+
+@pytest.mark.parametrize("M", [256, 1024, 4096])
+@pytest.mark.parametrize("order", range(6))
+def test_every_circle_the_rule_accepts_keeps_the_cauchy_contract(order, M):
+    # c_0..c_K of the order-m point mass within eps * max|w_j| * rho**-k on every circle both rules accept
+    w, K = delta_inner(0.7, order), 40
+    want = w.taylor(K).c
+    accepted = 0
+    for rho in np.linspace(0.6, 1.0, 200, endpoint=False).tolist():
+        try:
+            got = circle_coefficients(w, K, rho, M)
+        except ValueError:
+            continue
+        accepted += 1
+        scale = EPS * np.max(np.abs(circle_samples(w, rho, M))) * rho ** -np.arange(K + 1.0)
+        assert np.max(np.abs(got - want) / scale) <= 1.0
+    assert accepted >= 50
+
+
+def test_amplification_window_passes_the_aliasing_rule_of_a_higher_order_pole():
+    # the simple pole's window would end at eps**(1/4096) = 0.99124, which the order-6 pole aliases
+    w, K = delta_inner(0.7, 5), 64
+    with pytest.raises(ValueError) as exc:
+        circle_coefficients(w, K, 0.5, 4096)
+    assert str(exc.value).endswith("; use a radius in [0.754583, 0.987656]")
+    for rho in (0.754583, 0.987656):
+        got = circle_coefficients(w, K, rho, 4096)
+        scale = EPS * np.max(np.abs(circle_samples(w, rho, 4096))) * rho ** -np.arange(K + 1.0)
+        assert np.max(np.abs(got - w.taylor(K).c) / scale) <= 1.0
+    with pytest.raises(ValueError, match="aliasing scale"):
+        circle_coefficients(w, K, 0.987657, 4096)
+
+
 def _horner(c, z):
     """The reference loop: Horner's rule, one numpy step per coefficient."""
     c = np.asarray(c, dtype=complex)
