@@ -170,11 +170,7 @@ def fourier_coefficients(
 
 
 def to_taylor(fc: FourierCoefficients) -> TaylorCoefficients:
-    """c_0 = alpha_0/2 and c_k = alpha_k - i*beta_k.
-
-    ``from_taylor`` reads every result back exactly but one: an odd
-    multiple of the smallest subnormal in alpha_0, whose half rounds.
-    """
+    """c_0 = alpha_0/2, c_k = alpha_k - i*beta_k; ``from_taylor`` reads it back exactly but an odd subnormal alpha_0."""
     c = np.empty(fc.K + 1, dtype=complex)
     c[0] = 0.5 * fc.alpha0
     c[1:] = fc.alpha - 1j * fc.beta

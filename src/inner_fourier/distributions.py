@@ -2,27 +2,22 @@
 
 The point mass at theta1 is w_0 = (1 + u)/(2*pi*(1 - u)), u = z/z1, z1 =
 exp(i*theta1): c_0 = 1/(2*pi), c_k = exp(-i*k*theta1)/pi, and Re w_0 at
-radius rho is the Poisson kernel. The damped sums recover the point mass as
-rho -> 1 everywhere but at theta1, though the rho = 1 series diverges. Its
-m-th angular derivative, c_k -> (i*k)**m * c_k, is w_m = (i**m/pi) * u *
-A_m(u)/(1 - u)**(m + 1), A_m the Eulerian polynomial, with a pole of order
-m + 1 at z1. ``delta_inner(theta1, m)`` is that one object: ``taylor(K)``
-applies ``angular_derivative`` m times to c_0..c_K (the catalog's "delta",
-"delta_derivative" and, damped, "poisson"), and one evaluator serves a
-point, ``polar`` and ``circle``. It forms |1 - u|**2 = (1 - rho)**2 +
-4*rho*sin(phi/2)**2 and 1 - conj(u) = (1 - rho) + 2*rho*sin(phi/2)**2 +
-i*rho*sin(phi), phi = theta - theta1, where nothing cancels; order 0 is
-the Herglotz form ((1 - rho)*(1 + rho) + 2i*rho*sin(phi))/(2*pi*|1 - u|**2).
-At even m the root u = -1 of A_m is split off as 1 + u = (1 - rho) +
-2*rho*cos(phi/2)**2 + i*rho*sin(phi).
+radius rho is the Poisson kernel. Its m-th angular derivative, c_k times
+(i*k)**m, is w_m = (i**m/pi) * u * A_m(u)/(1 - u)**(m + 1), A_m the
+Eulerian polynomial. ``delta_inner(theta1, m)`` is that one object (the
+catalog's "delta", "delta_derivative" and, damped, "poisson"): ``taylor(K)``
+applies ``angular_derivative`` m times, and one evaluator serves a point,
+``polar`` and ``circle``. It forms |1 - u|**2, 1 - conj(u) and, split off
+A_m at even m, 1 + u from sin(phi/2)**2, cos(phi/2)**2 and sin(phi), phi =
+theta - theta1, where nothing cancels; order 0 is the Herglotz form.
 
-The contract is relative to |w|, as Re w_m -> 0 off theta1 for m >= 1. At
-the double phi and rho, up to rho = 1 - 2**-30, Re w_0 and |w_0| are within
-1e-15 of w_0, and w_1..w_5 within 4e-15 of |w| (or the least subnormal),
-except within 2e-2 of a zero u = -a of A_m in the disk (a = 0.27 at order
-3, 0.10 at 4, 0.04 and 0.43 at 5), where the error is about eps*a/|u + a|
-of |w|. A point within 1e-12 of z1 is refused, and so is a circle on which
-the pole of order m + 1 aliases (``quadrature.check_circle``).
+Accuracy is relative to |w|, as Re w_m -> 0 off theta1: up to rho = 1 -
+2**-30, w_0 is within 1e-15 and w_1..w_5 within 4e-15 of |w| (or the least
+subnormal) at the double phi and rho, except near a zero u = -a of A_m
+(a = 0.27 at order 3, 0.10 at 4, 0.04 and 0.43 at 5), where the error is
+about eps*a/|u + a| of |w|. A point within 1e-12 of z1, a value past the
+double range and a circle on which the pole of order m + 1 aliases
+(``quadrature.check_circle``) are refused.
 """
 
 from __future__ import annotations
@@ -55,7 +50,11 @@ class _PointMass(InnerAnalytic):
         """A_m's coefficients, the Eulerian numbers (a palindrome); at even m those of A_m/(1 + u)."""
         m = self.order
         a = [sum((-1) ** i * math.comb(m + 1, i) * (j + 1 - i) ** m for i in range(j + 1)) for j in range(m)]
-        return np.polydiv(a, [1.0, 1.0])[0] if m % 2 == 0 else np.array(a, dtype=float)
+        try:
+            a = np.array(a, dtype=float)
+        except OverflowError:
+            raise EvaluationError(f"the Eulerian numbers of order {m} overflow a double") from None
+        return np.polydiv(a, [1.0, 1.0])[0] if m % 2 == 0 else a
 
     def taylor(self, K: int) -> TaylorCoefficients:
         """c_0 = 1/(2*pi), c_k = (cos(k*theta1) - i*sin(k*theta1))/pi, then ``angular_derivative`` order times."""
@@ -83,10 +82,15 @@ class _PointMass(InnerAnalytic):
             w = q * (1.0 + rho) / (TWO_PI * den) + 1j * (im / (math.pi * den))
         else:
             u = rho * np.exp(1j * phi)
-            w = u * np.polyval(self._eulerian, u) * ((q + 2.0 * rho * s2 + 1j * im) / den) ** (self.order + 1)
-            if self.order % 2 == 0:
-                w = w * (q + 2.0 * rho * np.cos(0.5 * phi) ** 2 + 1j * im)
-            w = w * (1j**self.order / math.pi)
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = u * np.polyval(self._eulerian, u) * ((q + 2.0 * rho * s2 + 1j * im) / den) ** (self.order + 1)
+                if self.order % 2 == 0:
+                    w = w * (q + 2.0 * rho * np.cos(0.5 * phi) ** 2 + 1j * im)
+                w = w * (1j**self.order / math.pi)
+            finite = np.isfinite(w)
+            if not np.all(finite):
+                radius = float(np.broadcast_to(rho, np.shape(w))[~finite][0])
+                raise EvaluationError(f"{self.label} overflows a double at radius {radius!r}")
         return complex(w) if np.ndim(w) == 0 else w
 
     def __call__(self, z):

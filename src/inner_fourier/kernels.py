@@ -21,7 +21,9 @@ one FFT. ``quadrature.circle_samples`` refuses a w that aliases, and
 amplified past 1/sqrt(eps) by A = (|z|/rho1)**N / rho1. The boundary
 partial sum on |z| = 1 is the exterior case, |z| > rho1, of the same
 sum. Direct partial sums use ``power_series`` too, with its bound
-2N * eps * sum |c_k| |z|**k.
+2N * eps * sum |c_k| |z|**k. A w whose ``pole_order`` exceeds 1 is
+refused: no roundoff bound is stated for it, and ``delta_inner(0.7, 4)``
+measured 2.6 times the far-field bound.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ def _circle_fft(w: InnerAnalytic, z: complex, N: int, rho1: float, M: int):
         raise ValueError(f"N must be >= 1, got {N}")
     if N > M:
         raise ValueError(f"{N} terms alias on {M} nodes; need M >= {N}")
+    if w.pole_order > 1:
+        raise ValueError(f"{w.label} has a pole of order {w.pole_order}; the contour sums take simple poles only")
     vals = circle_samples(w, rho1, M)
     log_zn = N * math.log(abs(z)) if z else -math.inf
     amp = check_amplification(log_zn, N + 1, rho1, M, w)

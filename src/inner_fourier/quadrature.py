@@ -339,8 +339,8 @@ def unit_phasors(m: int) -> np.ndarray:
 
 def _aliasing_scale(ratio: float, m: int, pole_order: int) -> float:
     """ratio**m * max(1, (m*(1 - ratio))**n / n!), n = pole_order - 1: the first alias of coefficients ~ k**n."""
-    n = pole_order - 1
-    growth = n * math.log(m * (1.0 - ratio)) - math.lgamma(n + 1.0)
+    n, x = pole_order - 1, m * (1.0 - ratio)
+    growth = n * math.log(x) - math.lgamma(n + 1.0) if x > 1.0 else 0.0  # x**n/n! <= 1 for x <= 1
     return math.exp(m * math.log(ratio) + growth) if growth > 0.0 else ratio**m
 
 
@@ -350,6 +350,14 @@ def _aliasing_nodes(ratio: float, pole_order: int) -> int:
     while pole_order > 1 and (scale := _aliasing_scale(ratio, need, pole_order)) > _EPS:
         need += math.ceil(math.log(scale / _EPS) / -math.log(ratio))
     return need
+
+
+def _aliasing_top(m: int, pole_order: int) -> float:
+    """The largest ratio whose ``_aliasing_scale`` at m nodes is at most eps: eps**(1/m), or below it by bisection."""
+    lo, hi = 0.0, _EPS ** (1.0 / m)
+    while pole_order > 1 and lo < (mid := 0.5 * (lo + hi)) < hi:  # lo passes, hi fails; the scale rises here
+        lo, hi = (mid, hi) if _aliasing_scale(mid, m, pole_order) <= _EPS else (lo, mid)
+    return hi if pole_order == 1 else lo
 
 
 def check_aliasing(ratio: float, m: int, pole_order: int = 1) -> None:
@@ -374,10 +382,7 @@ def check_amplification(log_scale: float, power: int, rho: float, m: int, w) -> 
     msg = f"roundoff amplification 10**{log_amp / math.log(10.0):.1f} exceeds 1/sqrt(eps) at radius {rho:.6g}"
     lo = math.exp((log_scale - _LOG_AMP_MAX) / power)
     nearest = min((abs(p) for p in w.pole_set if abs(p) > rho), default=math.inf)
-    top = _EPS ** (1.0 / m)
-    for _ in range(64 if w.pole_order > 1 else 0):  # down to the largest ratio that passes, as in _aliasing_nodes
-        top *= (_EPS / _aliasing_scale(top, m, w.pole_order)) ** (1.0 / m)
-    hi = min(1.0, nearest * top)
+    hi = min(1.0, nearest * _aliasing_top(m, w.pole_order))
     if lo <= hi:
         # rounded inward, so that both printed ends pass
         raise ValueError(f"{msg}; use a radius in [{math.ceil(lo * 1e6) / 1e6:.6f}, {math.floor(hi * 1e6) / 1e6:.6f}]")

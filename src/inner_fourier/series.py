@@ -66,10 +66,9 @@ class InnerAnalytic:
     Instances are callables on complex points (scalars or arrays). The
     ``pole_set`` lists known poles, all on or outside the unit circle, so
     that contour routines can refuse circles through them and size their
-    aliasing, and ``pole_order`` bounds their order (1, simple, unless a
-    representation declares more); ``degree`` is the polynomial degree
-    when w is a polynomial, else None. ``taylor(K)`` returns the
-    coefficients c_0..c_K when the representation knows them. ``polar(theta, rho)`` is w on the
+    aliasing, and ``pole_order`` bounds their order (1 unless declared);
+    ``degree`` is the polynomial degree when w is a polynomial, else None.
+    ``taylor(K)`` returns c_0..c_K when known. ``polar(theta, rho)`` is w on the
     theta x rho grid of ``disk_points``, the one entry point of synthesis,
     and ``circle(rho, m)`` is w at the m nodes of a contour integral, the
     one entry point of ``quadrature.circle_samples``; a representation

@@ -320,3 +320,21 @@ def test_derivative_rho_limit_has_no_cutoff(order):
     want = oracle_point_mass_derivative(2.0, 0.7, 1.0 - 2.0**-30, order)
     with mpmath.workdps(40):
         assert abs(res.value - want.real) <= 4e-15 * abs(want)
+
+
+def test_derivative_past_the_double_range_refused_naming_order_and_radius():
+    # near theta1 at rho = 1 - 2**-30, |w_40| ~ 40!/|1 - u|**41 is far past the largest double
+    w = delta_inner(0.7, 40)
+    rho = 1.0 - 2.0**-30
+    want = rf"^delta inner function \(theta1=0.7, order=40\) overflows a double at radius {rho!r}$"
+    with pytest.raises(EvaluationError, match=want):
+        w.polar(np.array([0.1, 0.7]), np.array([0.5, rho]))
+    with pytest.raises(EvaluationError, match="order=40.*overflows a double at radius"):
+        w(rho * np.exp(0.7j))
+    assert np.all(np.isfinite(w.polar(0.7, 0.5)))
+
+
+def test_eulerian_numbers_past_the_double_range_refused():
+    with pytest.raises(EvaluationError, match="^the Eulerian numbers of order 200 overflow a double$"):
+        delta_inner(0.0, 200).polar(1.0, 0.5)
+    assert delta_inner(0.0, 200).taylor(4).K == 4

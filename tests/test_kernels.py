@@ -413,6 +413,10 @@ _CUBIC = TaylorSeries(TaylorCoefficients(np.array([1.0, 2.0, 3.0], dtype=complex
         (lambda: contour_partial_sum(_CUBIC, PolarPoint(0.3, 0.0), 65, 0.8, 64), "need M >= 65"),
         (lambda: remainder(_CUBIC, PolarPoint(0.3, 0.0), 65, 0.8, 64), "65 terms alias on 64 nodes; need M >= 65"),
         (lambda: boundary_partial_sum(_CUBIC, 0.3, 65, 0.8, 64), "^65 terms alias on 64 nodes; need M >= 65$"),
+        (
+            lambda: remainder(_CUBIC, PolarPoint(0.3, 0.0), 1, 0.8, 0),
+            r"^aliasing scale 0.375\*\*M = 1 exceeds eps at M=0; need M >= 37$",
+        ),
     ],
     ids=[
         "contour_N0",
@@ -425,11 +429,27 @@ _CUBIC = TaylorSeries(TaylorCoefficients(np.array([1.0, 2.0, 3.0], dtype=complex
         "contour_N_above_M",
         "remainder_N_above_M",
         "boundary_N_above_M",
+        "remainder_M0",
     ],
 )
 def test_kernel_arguments_outside_their_range_refused(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("order", range(1, 6))
+def test_contour_sums_refuse_a_pole_of_higher_order(order):
+    # the circle rule accepts this circle; the far-field bound does not hold there (2.6x at order 4)
+    w, z, rho1 = delta_inner(0.7, order), PolarPoint(0.7427383720105426, 0.8044609718452742), 0.7736421183014592
+    circle_samples(w, rho1, 256)
+    match = f"^delta inner function \\(theta1=0.7, order={order}\\) has a pole of order {order + 1}; "
+    for call in (
+        lambda: contour_partial_sum(w, z, 29, rho1, 256),
+        lambda: remainder(w, PolarPoint(0.5, 0.8), 29, rho1, 256),
+        lambda: boundary_partial_sum(w, 0.8, 29, rho1, 256),
+    ):
+        with pytest.raises(ValueError, match=match + "the contour sums take simple poles only$"):
+            call()
 
 
 # refusals of the amplification and aliasing rules, of N > M and of |z| = rho1

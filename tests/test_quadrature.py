@@ -28,6 +28,9 @@ from inner_fourier import (
 )
 from inner_fourier.quadrature import (
     TWO_PI,
+    _aliasing_scale,
+    _aliasing_top,
+    check_aliasing,
     circle_coefficients,
     circle_samples,
     disk_points,
@@ -242,6 +245,20 @@ def test_amplification_window_passes_the_aliasing_rule_of_a_higher_order_pole():
         assert np.max(np.abs(got - w.taylor(K).c) / scale) <= 1.0
     with pytest.raises(ValueError, match="aliasing scale"):
         circle_coefficients(w, K, 0.987657, 4096)
+
+
+@pytest.mark.parametrize("m", [64, 256, 4096])
+@pytest.mark.parametrize("pole_order", range(1, 7))
+def test_aliasing_top_is_the_last_ratio_that_passes(pole_order, m):
+    top = _aliasing_top(m, pole_order)
+    assert _aliasing_scale(top, m, pole_order) <= EPS < _aliasing_scale(math.nextafter(top, 1.0), m, pole_order)
+
+
+@pytest.mark.parametrize("pole_order", [1, 3])
+def test_no_nodes_refused_by_the_aliasing_rule(pole_order):
+    # M = 0 refused with the rule's message, as M*(1 - ratio) <= 1 leaves only ratio**M = 1
+    with pytest.raises(ValueError, match=r"^aliasing scale 0.5\*\*M.* = 1 exceeds eps at M=0; need M >= \d+$"):
+        check_aliasing(0.5, 0, pole_order)
 
 
 def _horner(c, z):
