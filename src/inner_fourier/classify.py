@@ -19,15 +19,8 @@ takes it as the keyword ``window=(lo, hi)``, both ends included, with
 1 <= lo and hi at most the last index; the default None is the trailing
 quarter (max(1, K // 4), K).
 
-Sequences are fitted as a stack of magnitude rows (``_fit_rows``). The
-above-roundoff masks of all rows come from one vector step, the rows are
-grouped by identical mask, and each group takes one ``np.linalg.lstsq``
-with one right-hand side per row, against a design (log k, k, 1) built
-once per window. A stack uses the masks that each row would use alone
-and refuses what fitting its rows one at a time would refuse, with the
-same message. A stack of one is the lone fit bit for bit; in a larger
-stack LAPACK may round differently, which moves a rate by tens of ulps
-and a power by about 3e-14 on the family k**5 * b**k.
+Sequences are fitted as a stack of magnitude rows, one least-squares
+solve per distinct above-roundoff mask (``_fit_rows``).
 """
 
 from __future__ import annotations
@@ -133,7 +126,9 @@ def _fit_rows(rows: np.ndarray, window: tuple[int, int], floors: np.ndarray) -> 
     rows that are fitted are grouped by their above-floor mask, and each
     group takes one least-squares solve with a column per row, so a
     stack costs one ``lstsq`` per distinct mask. A group of one is the
-    lone fit bit for bit; in a larger group LAPACK may round differently.
+    lone fit bit for bit; in a larger group LAPACK may round differently,
+    which moves a rate by tens of ulps and a power by about 3e-14 on the
+    family k**5 * b**k.
     """
     lo, hi = window
     if lo < 1:
@@ -202,11 +197,9 @@ def classify_sequence(seq, window: tuple[int, int] | None = None) -> Classificat
     degenerate. Any other window that spans fewer than 8 indices, and a
     window that holds a non-finite magnitude, raise ValueError.
 
-    The alpha and beta sequences are fitted as one stack of two rows,
-    one least-squares solve when their masks agree. Their masks and
-    refusals are those of fitting each alone, and their rates agree with
-    the lone fits to ulps (see the module docstring). A plain array or a
-    Taylor sequence is a stack of one and fits exactly as alone.
+    The alpha and beta sequences are fitted as one stack of two rows
+    (``_fit_rows``). A plain array or a Taylor sequence is a stack of one
+    and fits exactly as alone.
     """
     if isinstance(seq, FourierCoefficients):
         window = window or _default_window(seq.K)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -39,6 +40,10 @@ class _PointMass(InnerAnalytic):
     def __init__(self, theta1: float, order: int):
         if not -math.pi <= theta1 < math.pi:
             raise ValueError(f"theta1 must lie in [-pi, pi), got {theta1}")
+        try:
+            order = operator.index(order)
+        except TypeError:
+            raise ValueError(f"order must be an integer, got {order!r}") from None
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
         self.theta1, self.order, self.pole_order = theta1, order, order + 1

@@ -10,20 +10,20 @@ summing the finite geometric progression yields the two-term identity
 
 on any circle |z1| = rho1 != |z|. For |z| < rho1 the first term is the
 Cauchy value w(z) and the second the remainder R_N(z) = w(z) - S_N(z);
-for |z| > rho1 the first term vanishes. On the M nodes z_j = -rho1 *
-exp(2*pi*i*j/M) of the grid from -pi, with F = fft(w(z_j)) / M and
-zeta = -z/rho1, the trapezoid value of first - second is exactly
-sum_{k<N} F_k zeta**k, and that of second is zeta**N * sum_{N<=k<M} F_k
-zeta**(k-N) up to the aliasing (|z|/rho1)**M of its pole at z
-(``quadrature.check_aliasing``): each a ``quadrature.power_series`` over
-one FFT. ``quadrature.circle_samples`` refuses a w that aliases, and
-``quadrature.check_amplification`` a sample rounding eps * max|w_j|
-amplified past 1/sqrt(eps) by A = (|z|/rho1)**N / rho1. The boundary
-partial sum on |z| = 1 is the exterior case, |z| > rho1, of the same
-sum. Direct partial sums use ``power_series`` too, with its bound
-2N * eps * sum |c_k| |z|**k. A w whose ``pole_order`` exceeds 1 is
-refused: no roundoff bound is stated for it, and ``delta_inner(0.7, 4)``
-measured 2.6 times the far-field bound.
+for |z| > rho1 the first term vanishes. Under the M-node trapezoid rule,
+with c~_k the trapezoid Cauchy coefficients of w on the circle
+(``quadrature.circle_dft``), first - second is exactly the direct sum
+sum_{k<N} (c~_k * rho1**k) * (z/rho1)**k, and second is the same sum over
+N <= k < M, up to the aliasing (|z|/rho1)**M of its pole at z: each one
+``quadrature.power_series``. The boundary partial sum on |z| = 1 is the
+exterior case, |z| > rho1, of the same sum.
+
+The sample rounding eps * max|w_j|, amplified by A = (|z|/rho1)**N /
+rho1, is the far-field estimate of these sums' error; A above
+1/sqrt(eps) is refused. It is an estimate, not a bound: random sweeps
+exceed it up to 25 times where |z| is near rho1 and N is large, for
+simple poles and point masses alike. A w whose ``pole_order`` exceeds 1
+is refused, as no contract is stated for it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import TaylorCoefficients
-from .quadrature import _EPS, check_aliasing, check_amplification, circle_samples, power_series
+from .quadrature import _EPS, check_aliasing, check_amplification, circle_dft, circle_samples, power_series
 from .series import InnerAnalytic, PolarPoint
 
 _RADIUS_CLASH_TOL = 1e-12
@@ -44,10 +44,10 @@ _RADIUS_CLASH_TOL = 1e-12
 class PartialSumReport:
     """Direct and contour values of one partial sum, with their distance.
 
-    ``roundoff_bound`` bounds the error of ``contour``: eps * max|w_j| *
-    max(1, A), the sample rounding amplified by A = (|z|/rho1)**N / rho1.
-    ``discrepancy`` also carries the error of ``direct``, the
-    ``quadrature.power_series`` bound 2N * eps * sum_{k<N} |c_k| |z|**k.
+    ``roundoff_bound`` is the far-field estimate eps * max|w_j| * max(1, A)
+    of the error of ``contour``, not a bound: random sweeps exceed it up to
+    25 times. ``discrepancy`` also carries the error of ``direct``, which
+    ``quadrature.power_series`` bounds.
     """
 
     N: int
@@ -65,7 +65,7 @@ def partial_sum(tc: TaylorCoefficients, z: PolarPoint, N: int) -> complex:
 
 
 def _circle_fft(w: InnerAnalytic, z: complex, N: int, rho1: float, M: int):
-    """F = fft(w(z_j)) / M on the circle of radius rho1, zeta = -z/rho1, and the far-field bound of the sums."""
+    """c~_k * rho1**k for k < M on the circle of radius rho1, z/rho1, and the far-field estimate of the sums."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if N > M:
@@ -76,8 +76,7 @@ def _circle_fft(w: InnerAnalytic, z: complex, N: int, rho1: float, M: int):
     log_zn = N * math.log(abs(z)) if z else -math.inf
     amp = check_amplification(log_zn, N + 1, rho1, M, w)
     # Python scalars: numpy divides a complex by a real through its reciprocal, one rounding more
-    zeta = -complex(z) / float(rho1)
-    return np.fft.fft(vals) / M, zeta, _EPS * float(np.max(np.abs(vals))) * max(1.0, amp)
+    return circle_dft(vals) / M, complex(z) / float(rho1), _EPS * float(np.max(np.abs(vals))) * max(1.0, amp)
 
 
 def contour_partial_sum(
@@ -87,8 +86,9 @@ def contour_partial_sum(
 
     Requires rho1 != |z|: inside, the first contour term is w(z) and the
     difference of terms is S_N; outside, the first term vanishes and the
-    negated second is S_N. On M nodes both are sum_{k<N} F_k zeta**k; N > M
-    is refused, since c_k for k >= M aliases onto c_{k-M} * rho1**-M.
+    negated second is S_N. On M nodes both are the direct sum of the
+    trapezoid Cauchy coefficients; N > M is refused, since c~_k for k >= M
+    aliases onto c~_{k-M}.
     """
     if not 0.0 < rho1 <= 1.0:
         raise ValueError(f"need 0 < rho1 <= 1, got {rho1}")
@@ -103,15 +103,15 @@ def contour_partial_sum(
 def remainder(w: InnerAnalytic, z: PolarPoint, N: int, rho1: float, M: int = 4096) -> complex:
     """Contour value of R_N(z) = w(z) - S_N(z), valid for |z| < rho1 <= 1.
 
-    It decays like |z|**N. On M nodes it is zeta**N * sum_{N<=k<M} F_k
-    zeta**(k-N), 0 at N = M; N > M is refused. Accuracy: within the
-    far-field bound eps * max|w_j| * max(1, A) of ``PartialSumReport``,
+    It decays like |z|**N. On M nodes it is the sum of c~_k * z**k over
+    N <= k < M, 0 at N = M; N > M is refused. Accuracy: within the
+    far-field estimate eps * max|w_j| * max(1, A) of ``PartialSumReport``,
     which the bare value does not carry, times 1/(1 - |z|/rho1), the
     length of the tail. Measured for 1/(1 - z) and point masses: at most
-    0.40 of the far-field bound with |z| uniform up to the aliasing limit
-    (M <= 4096); on the ray to the pole near that limit, where the tail
-    is about M/36 terms, up to 17x it for M <= 4096 and 153x for M up
-    to 65536, and at most 0.29 of the stated bound.
+    0.40 of the far-field estimate with |z| uniform up to the aliasing
+    limit (M <= 4096); on the ray to the pole near that limit, where the
+    tail is about M/36 terms, up to 17x it for M <= 4096 and 153x for M
+    up to 65536, and at most 0.29 of the stated contract.
     """
     if not 0.0 < rho1 <= 1.0:
         raise ValueError(f"need 0 < rho1 <= 1, got {rho1}")
@@ -134,8 +134,9 @@ def boundary_partial_sum(
     rules. N > M, an aliasing scale (rho1/R)**M above eps and an
     amplification rho1**-(N+1) above 1/sqrt(eps) raise ValueError naming
     the M or the radii that pass; the value is never returned degraded.
-    Accuracy: the far-field bound eps * max|w_j| * rho1**-(N+1) of
-    ``PartialSumReport``. A non-finite theta raises ValueError.
+    Accuracy: about the far-field estimate eps * max|w_j| * rho1**-(N+1)
+    of ``PartialSumReport``, which random sweeps exceed up to 25 times. A
+    non-finite theta raises ValueError.
     """
     if not 0.0 < rho1 < 1.0:
         raise ValueError(f"need 0 < rho1 < 1 strictly, got {rho1}")

@@ -1,75 +1,24 @@
 """Uniform grids, trapezoidal quadrature and the spectral core.
 
-All integrals in this package are taken over [-pi, pi) on uniform grids.
-On a periodic domain the trapezoidal rule collapses to the plain average
-of the node values times the period; it is spectrally accurate for
-integrands analytic in a strip around the real axis, and it is exactly a
-discrete Fourier transform. Analysis (samples to coefficients) is
-therefore one real FFT, ``grid_coefficients``, with error a small multiple
-of eps * log2(M) times the largest sample.
+Every integral is a trapezoid sum on the grid theta_j = -pi + 2*pi*j/M of
+``theta_grid``. On a circle |z| = rho its nodes are z_j = rho *
+exp(i*theta_j) = -rho * exp(2*pi*i*j/M), so the DFT term k of the samples
+carries (-1)**k. Only this module knows that layout:
 
-Synthesis (coefficients to values of sum c_k z**k) has two evaluators.
-At arbitrary points, ``power_series`` groups the K+1 terms in blocks of
-b = isqrt(K+1) (Paterson & Stockmeyer, SIAM J. Comput. 1973): a table of
-z**0..z**b built by b row products, one matrix product for all block
-sums, and Horner's rule in z**b over the blocks, about 2*sqrt(K+1) numpy
-steps in place of K+1. Fewer than 16 terms, or a table of more than 2**13
-entries, take b = 1, which is Horner's rule. At one point (a 0-d z) the
-same blocks run in Python scalars: the table and Horner's rule are Python
-products and the block sums one matrix-vector product, so no step pays
-numpy's cost per call. Python's complex product is the plain
-four-multiply formula, where numpy's vector loop may fuse a multiply and
-an add, so a lone point is not bit for bit the same point inside an
-array; at a real z the products round alike in both. Either way the
-cost is O(K) per point, and the error is at most 2(K+1) * eps *
-sum |c_k| |z|**k for the floating-point z given: to first order each
-term passes through at most K + 2b + 2 roundings of at most sqrt(5)/2
-eps (the plain complex product's bound, above the fused one's), which
-stays inside the bound for every b >= 4. On a full-period uniform angle
-grid, theta_j = theta_0 + 2*pi*j/n for j = 0..n-1 to within 8 eps of the
-largest angle, ``grid_power_series`` folds c_k * rho**k * exp(i*k*theta_0)
-modulo n and takes one inverse FFT per radius, O(K + n log n), then
-moves each value from the exact angle theta_0 + 2*pi*j/n to the double
-theta_j given by a first-order correction from a second folded FFT. Its
-error at the angles given is at most (2K/n + 2 log2(n) + 4) * eps *
-sum |c_k| rho**k; the phase exp(i*k*theta_0) is an exact root-of-unity
-table entry times exp(i*k*s) with |s| <= pi/n, so it carries no error
-growing with k*|theta_0|. Any other angle array goes to ``power_series``.
+- analysis: ``grid_coefficients`` of real samples, and the trapezoid
+  Cauchy coefficients of w on a circle, ``circle_dft`` and
+  ``circle_coefficients``;
+- synthesis: ``power_series`` at any points, ``grid_power_series`` on a
+  full-period uniform grid and ``circle_series`` at the circle nodes;
+- the circle: ``circle_nodes``, ``circle_samples`` and the rules that
+  refuse a circle, ``check_circle``, ``check_aliasing`` and
+  ``check_amplification``;
+- exact phases: ``unit_phasors`` and ``phase_powers``.
 
-Contour integrals over a circle |z| = rho <= 1 sample w through
-``circle_samples``, at the nodes z_j = -rho * ``unit_phasors(M)``[j] of
-``theta_grid(M)``; it returns the values alone, from ``w.circle(rho, M)``.
-A truncated series of degree K < M takes one length-M inverse FFT of
-c_k * (-rho)**k, ``_folded_sum`` with nothing to fold: the values at the
-exact nodes are within log2(M) * eps * sum |c_k| rho**k, no worse than
-``power_series`` at the rounded nodes. Every contour routine, the
-completeness probe of ``basis`` too, runs its own quadrature on those
-values. The M-node trapezoid rule aliases with error of order (rho/R)**M
-when w is analytic out to radius R (Trefethen & Weideman, SIAM Review
-2014); a pole of order n + 1 at R, coefficients growing like k**n, scales
-that by max(1, (M*(1 - rho/R))**n / n!). ``check_circle``, the one circle
-rule of ``circle_samples``, refuses a circle where that scale exceeds eps
-for R the nearest declared pole outside it and n + 1 the ``pole_order`` of
-w, naming the smallest M that passes, and a circle within 1e-9 of a
-declared pole. ``check_aliasing`` applies the same rule to a
-pole of the integrand itself. The rule is exact for a polynomial of
-degree below M, which has nothing to alias; a w with a declared degree at
-or above M is refused, naming M = degree + 1.
-
-The trapezoid Cauchy coefficients c_0..c_K of w on such a circle all come
-from one complex FFT of the samples, ``circle_coefficients``;
-``grid_coefficients`` is its real rho = 1 case and shares its (-1)**k
-shift. Their error is of order eps * max|w_j| * rho**-k: the rounding of
-the samples, amplified by the division by rho**k. A second rule,
-``check_amplification``, refuses a contour value whose amplification A
-exceeds 1/sqrt(eps), where more than half the digits of max|w_j| are
-lost, and names the window of radii that passes both rules, or the M
-that opens it. ``circle_coefficients`` applies it with A = rho**-K.
-
-Results are bitwise reproducible for identical inputs. A compensated
-(exactly rounded) sum, ``compensated_csum``, serves only the residue
-identity of ``basis``, over the exact phase table of ``phase_powers``.
-Every other sum, the contour kernels' too, is a numpy sum, dot or FFT.
+Each function states its own error bound. Results are bitwise
+reproducible for identical inputs. A compensated (exactly rounded) sum,
+``compensated_csum``, serves only the residue identity of ``basis``;
+every other sum, the contour kernels' too, is a numpy sum, dot or FFT.
 """
 
 from __future__ import annotations
@@ -112,11 +61,10 @@ def trapezoid_periodic(values) -> float:
     return (TWO_PI / values.size) * float(np.sum(values))
 
 
-def _from_minus_pi(dft: np.ndarray, K: int) -> np.ndarray:
-    """DFT terms 0..K times (-1)**k, in place: sums against exp(-i*k*theta_j) on the grid that starts at -pi."""
-    c = dft[: K + 1]
-    c[1::2] *= -1.0
-    return c
+def _from_minus_pi(terms: np.ndarray) -> np.ndarray:
+    """terms[k] times (-1)**k, in place: the phase exp(i*k*theta_0) of index k on the grid that starts at -pi."""
+    terms[1::2] *= -1.0
+    return terms
 
 
 def grid_coefficients(values, K: int) -> np.ndarray:
@@ -124,8 +72,9 @@ def grid_coefficients(values, K: int) -> np.ndarray:
 
     c_0 = (1/M) sum f_j and c_k = (2/M) sum f_j exp(-i*k*theta_j), which is
     (2/M) * (-1)**k times the k-th DFT term because the grid starts at -pi.
+    Error a small multiple of eps * log2(M) times the largest sample.
     """
-    c = _from_minus_pi(np.fft.rfft(values), K) * (2.0 / len(values))
+    c = _from_minus_pi(np.fft.rfft(values)[: K + 1]) * (2.0 / len(values))
     c[0] *= 0.5
     return c
 
@@ -133,6 +82,7 @@ def grid_coefficients(values, K: int) -> np.ndarray:
 def power_series(c, z) -> np.ndarray:
     """sum_k c[k] * z**k at every point of the array z, by Horner's rule in z**b over blocks of b terms.
 
+    The blocks are those of Paterson & Stockmeyer (SIAM J. Comput. 1973):
     b = isqrt(K + 1) when that is at least 4 and b * z.size is at most
     ``_TABLE_ENTRIES``; otherwise b = 1, which is Horner's rule bit for
     bit. For b > 1 the block sums come from one table of z**0..z**b and
@@ -144,7 +94,10 @@ def power_series(c, z) -> np.ndarray:
     z, a Python or numpy scalar, takes the same steps in Python scalars
     (``_one_point``) and returns a 0-d array; at a complex z it may differ
     from the same point inside an array in the last bits. Error at most
-    2(K+1) * eps * sum |c_k| |z|**k for the floating-point z given.
+    2(K+1) * eps * sum |c_k| |z|**k for the floating-point z given: to
+    first order each term passes through at most K + 2b + 2 roundings of
+    at most sqrt(5)/2 eps, the plain complex product's bound, which stays
+    inside 2(K+1) eps for every b >= 4.
     """
     c = np.asarray(c, dtype=complex)
     z = np.asarray(z)
@@ -290,7 +243,10 @@ def grid_power_series(c, theta, rho):
     theta_0 + 2*pi*j/n; a second folded FFT of i*k times the same terms,
     times the offsets delta_j of the given angles, moves each value to the
     angle given. The phase exp(i*k*theta_0) is the exact table entry of
-    ``unit_phasors`` at k*q times exp(i*k*s) with |s| <= pi/n.
+    ``unit_phasors`` at k*q times exp(i*k*s) with |s| <= pi/n, so it
+    carries no error growing with k*|theta_0|. Error at the angles given
+    at most (2K/n + 2 log2(n) + 4) * eps * sum |c_k| rho**k, in
+    O(K + n log n) per radius.
     """
     grid = _full_period(theta)
     if grid is None:
@@ -394,11 +350,15 @@ def check_amplification(log_scale: float, power: int, rho: float, m: int, w) -> 
 def check_circle(w, rho: float, m: int) -> None:
     """Refuse the m-node trapezoid rule for w on the circle of radius rho when it would alias.
 
-    A declared pole of w within 1e-9 of the circle raises EvaluationError;
-    a circle whose aliasing scale (rho/R)**m, R the nearest declared pole
-    outside it, times the growth term of ``w.pole_order``, exceeds eps
-    raises ValueError, and so does a declared polynomial degree of w at or
-    above m.
+    The m-node rule aliases with error of order (rho/R)**m when w is
+    analytic out to radius R (Trefethen & Weideman, SIAM Review 2014); a
+    pole of order n + 1 at R, coefficients growing like k**n, scales that
+    by the growth term of ``_aliasing_scale``. A declared pole of w within
+    1e-9 of the circle raises EvaluationError. A scale above eps, for R the
+    nearest declared pole outside the circle and n + 1 = ``w.pole_order``,
+    raises ValueError naming the smallest m that passes. The rule is exact
+    for a polynomial of degree below m; a declared degree at or above m
+    raises ValueError naming degree + 1.
     """
     if w.degree is not None and w.degree >= m:
         raise ValueError(f"polynomial of degree {w.degree} aliases on {m} nodes; need M >= {w.degree + 1}")
@@ -410,13 +370,25 @@ def check_circle(w, rho: float, m: int) -> None:
         check_aliasing(rho / min(outside), m, w.pole_order)
 
 
-def circle_samples(w, rho: float, m: int) -> np.ndarray:
-    """w at the nodes rho*exp(i*theta_j) of the standard grid: ``w.circle(rho, m)`` after ``check_circle``.
+def circle_nodes(rho: float, m: int) -> np.ndarray:
+    """The m nodes z_j = rho*exp(i*theta_j) of ``theta_grid(m)`` on the circle: -rho * ``unit_phasors(m)``[j]."""
+    return -rho * unit_phasors(m)
 
-    The nodes are z_j = -rho * ``unit_phasors(m)``[j]. A closed form is
-    called at them, a truncated series takes one inverse FFT, and the
-    point mass its one evaluator; each w says which in ``circle``. A
-    radius that is not finite, or 0 or below, raises ValueError.
+
+def circle_series(c, rho: float, m: int) -> np.ndarray:
+    """sum_k c[k] * z_j**k at the m ``circle_nodes``: c_k * rho**k * (-1)**k, folded modulo m, one inverse FFT.
+
+    A degree K >= m folds; the caller refuses it first. Below m the values
+    are at the exact nodes, within log2(m) * eps * sum |c_k| rho**k.
+    """
+    return _folded_sum(_from_minus_pi(c * rho ** np.arange(float(len(c)))), m)
+
+
+def circle_samples(w, rho: float, m: int) -> np.ndarray:
+    """w at the m ``circle_nodes`` of radius rho: ``w.circle(rho, m)`` after ``check_circle``.
+
+    Each w says in ``circle`` how it is evaluated there. A radius that is
+    not finite, or 0 or below, raises ValueError.
     """
     if not math.isfinite(rho):
         raise ValueError(f"circle radius must be finite, got {rho}")
@@ -426,20 +398,30 @@ def circle_samples(w, rho: float, m: int) -> np.ndarray:
     return np.asarray(w.circle(rho, m), dtype=complex)
 
 
-def circle_coefficients(w, K: int, rho: float, m: int) -> np.ndarray:
-    """Trapezoid Cauchy coefficients c_0..c_K of w on the circle of radius rho, from one FFT.
+def circle_dft(vals) -> np.ndarray:
+    """One FFT of the m samples w_j at the ``circle_nodes``, term k times (-1)**k: entry k is m * c~_k * rho**k.
 
-    c_k = (1/m) sum_j w(z_j) z_j**-k at the nodes z_j = rho*exp(i*theta_j)
-    of the standard grid, that is (-1)**k times the k-th DFT term over
-    m * rho**k. The circle is checked by ``circle_samples``, and the
-    amplification rho**-K by ``check_amplification``; error of order
-    eps * max|w_j| * rho**-k.
+    c~_k = (1/m) sum_j w_j z_j**-k, for every k, are the trapezoid Cauchy
+    coefficients of w on the circle. Each entry is within about 6 *
+    log2(m) * eps * m * max|w_j| of the exact DFT of the samples given, the
+    2-norm bound of a radix-2 FFT (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, Theorem 24.2).
+    """
+    return _from_minus_pi(np.fft.fft(vals))
+
+
+def circle_coefficients(w, K: int, rho: float, m: int) -> np.ndarray:
+    """Trapezoid Cauchy coefficients c~_0..c~_K of w on the circle of radius rho: ``circle_dft`` over m * rho**k.
+
+    The circle is checked by ``circle_samples``, and the amplification
+    rho**-K by ``check_amplification``; error of order eps * max|w_j| *
+    rho**-k.
     """
     if not 0 <= K <= m // 2 - 1:
         raise ValueError(f"need 0 <= K and M >= 2K + 2, got K={K}, M={m}")
     vals = circle_samples(w, rho, m)
     check_amplification(0.0, K, rho, m, w)
-    return _from_minus_pi(np.fft.fft(vals), K) / (m * rho ** np.arange(K + 1.0))
+    return circle_dft(vals)[: K + 1] / (m * rho ** np.arange(K + 1.0))
 
 
 def phase_powers(m: int, p) -> np.ndarray:

@@ -29,8 +29,8 @@ import numpy as np
 
 from .coeffs import FourierCoefficients, TaylorCoefficients, to_taylor
 from .errors import EvaluationError, TruncationWarning
-from .quadrature import _POLE_CLASH_TOL, TWO_PI, _folded_sum, check_circle, disk_points, grid_power_series
-from .quadrature import power_series, unit_phasors
+from .quadrature import _POLE_CLASH_TOL, TWO_PI, check_circle, circle_nodes, circle_series, disk_points
+from .quadrature import grid_power_series, power_series
 
 _POLE_TOL = 1e-12
 
@@ -88,8 +88,8 @@ class InnerAnalytic:
         return self(disk_points(theta, rho))
 
     def circle(self, rho: float, m: int):
-        """w at the nodes z_j = -rho * ``unit_phasors(m)``[j], which are rho*exp(i*theta_j) on ``theta_grid(m)``."""
-        return self(-rho * unit_phasors(m))
+        """w at the m ``circle_nodes`` of radius rho."""
+        return self(circle_nodes(rho, m))
 
     def taylor(self, K: int) -> TaylorCoefficients:
         raise NotImplementedError(f"{self.label} has no coefficient generator")
@@ -98,14 +98,9 @@ class InnerAnalytic:
 class TaylorSeries(InnerAnalytic):
     """Truncated power series sum c_k z**k.
 
-    Points are evaluated by ``power_series`` (Horner's rule in z**b over
-    blocks of b = isqrt(K + 1) terms, or Horner's rule itself for few terms
-    or many points); one point returns a Python complex from the same
-    steps in Python scalars, which at a complex z may round differently
-    from that point inside an array, within the same bound. ``polar`` on
-    a full-period uniform angle grid is one folded inverse FFT per radius
-    (``grid_power_series``); ``circle`` is one inverse FFT with nothing to
-    fold.
+    Points are evaluated by ``power_series``, one point to a Python
+    complex; ``polar`` by ``grid_power_series`` where it applies, and
+    ``circle`` by ``circle_series``. Each states its error.
     """
 
     def __init__(self, tc: TaylorCoefficients):
@@ -134,17 +129,9 @@ class TaylorSeries(InnerAnalytic):
         return out
 
     def circle(self, rho: float, m: int):
-        """w at the m circle nodes: c_k * (-rho)**k summed by ``quadrature._folded_sum``, one inverse FFT.
-
-        sum_k c_k * (-rho)**k * exp(2*pi*i*j*k/m) is the length-m inverse
-        DFT without its 1/m. Degree K >= m would fold and is refused with
-        the text of ``check_circle``. The values are at the exact nodes,
-        within log2(m) * eps * sum |c_k| rho**k.
-        """
+        """``circle_series`` of c at the m circle nodes; a degree K >= m is refused by ``check_circle``."""
         check_circle(self, rho, m)
-        terms = self.tc.c * rho ** np.arange(float(self.tc.c.size))
-        terms[1::2] *= -1.0
-        return _folded_sum(terms, m)
+        return circle_series(self.tc.c, rho, m)
 
     def taylor(self, K: int) -> TaylorCoefficients:
         c = np.zeros(K + 1, dtype=complex)
@@ -259,10 +246,8 @@ def regulated_sum(w: InnerAnalytic | FourierCoefficients, theta, rho: float):
     """Re w(rho*exp(i*theta)) for 0 <= rho < 1, at one angle or an array of angles.
 
     For coefficients fc this is alpha_0/2 + sum rho**k [alpha_k cos(k theta)
-    + beta_k sin(k theta)], evaluated through ``w.polar``: for a series on
-    a full-period uniform angle grid by one folded inverse FFT, elsewhere
-    by ``power_series``, each within the bound stated in ``quadrature``. A
-    non-finite theta raises ValueError.
+    + beta_k sin(k theta)], evaluated through ``w.polar``. A non-finite
+    theta raises ValueError.
     """
     return _disk_values(w, theta, rho).real
 

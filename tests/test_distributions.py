@@ -338,3 +338,14 @@ def test_eulerian_numbers_past_the_double_range_refused():
     with pytest.raises(EvaluationError, match="^the Eulerian numbers of order 200 overflow a double$"):
         delta_inner(0.0, 200).polar(1.0, 0.5)
     assert delta_inner(0.0, 200).taylor(4).K == 4
+
+
+def test_order_that_is_not_an_integer_refused_where_it_is_given():
+    for make in (lambda: delta_inner(0.0, 1.5), lambda: resolve("delta_derivative", order=1.5)):
+        with pytest.raises(ValueError, match=r"^order must be an integer, got 1\.5$"):
+            make()
+    with pytest.raises(ValueError, match="^order must be >= 0, got -1$"):
+        delta_inner(0.0, -1)
+    w = delta_inner(0.0, np.int64(2))
+    assert type(w.order) is int and w.pole_order == 3
+    assert np.array_equal(w.taylor(6).c, delta_inner(0.0, 2).taylor(6).c)

@@ -496,3 +496,21 @@ def test_roundoff_bound_covers_a_point_near_the_circle():
     rep = contour_partial_sum(w, PolarPoint(0.99999, 0.0), 1, 1.0, 64)
     assert rep.roundoff_bound == EPS
     assert abs(rep.contour - 1j) <= rep.roundoff_bound
+
+
+@pytest.mark.xfail(strict=True, reason="roundoff_bound is an estimate, which a simple pole exceeds too")
+@pytest.mark.parametrize(
+    "rho1, M, N, z",
+    [
+        (0.10425322487045695, 256, 56, PolarPoint(0.03285510562187334, -0.3029039079950135)),  # 1.79x
+        (0.18169330261293384, 1024, 71, PolarPoint(0.020123241884282925, -0.0238213099475519)),  # 1.64x
+        (0.32073756895090155, 64, 31, PolarPoint(0.21393229097402988, -0.5770278477099753)),  # 1.36x
+    ],
+)
+def test_simple_pole_within_roundoff_bound(rho1, M, N, z):
+    rep = contour_partial_sum(geometric_series(), z, N, rho1, M)
+    # S_N of 1/(1 - z) is (1 - z**N)/(1 - z), to 50 digits
+    with mpmath.workdps(50):
+        zz = mpmath.mpc(z.z.real, z.z.imag)
+        exact = complex((1 - zz**N) / (1 - zz))
+    assert abs(rep.contour - exact) <= rep.roundoff_bound

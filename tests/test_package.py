@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,17 @@ def test_every_import_is_used(path):
             used |= set(ast.literal_eval(node.value))
     unused = {name: line for name, line in _bound_imports(tree).items() if name not in used}
     assert unused == {}, f"{path.name} imports names it never uses (name: line)"
+
+
+@pytest.mark.parametrize("path", sorted(Path(inner_fourier.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_function_crosses_modules(path):
+    # private constants such as _EPS may be shared; a private function stays in its module
+    crossing = [
+        f"{node.module}.{alias.name}: {node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+        and callable(getattr(importlib.import_module(f"inner_fourier.{node.module}"), alias.name))
+    ]
+    assert crossing == [], f"{path.name} imports private functions of its siblings"

@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 from inner_fourier import (
     ClosedForm,
     PeriodicFunction,
+    PolarPoint,
     TaylorCoefficients,
     TaylorSeries,
+    contour_partial_sum,
     delta_inner,
     fourier_coefficients,
 )
@@ -32,7 +34,9 @@ from inner_fourier.quadrature import (
     _aliasing_top,
     check_aliasing,
     circle_coefficients,
+    circle_dft,
     circle_samples,
+    circle_series,
     disk_points,
     grid_power_series,
     phase_powers,
@@ -472,3 +476,38 @@ def test_grid_synthesis_matches_mpmath_within_stated_bound(c, n, theta0, radii):
 def test_grid_synthesis_declines_other_angles(theta):
     assert grid_power_series(np.array([1.0, 2.0, 3.0]), theta, 0.5) is None
 
+
+
+def _random_series(K: int) -> TaylorSeries:
+    rng = np.random.default_rng(K)
+    return TaylorSeries(TaylorCoefficients(rng.standard_normal(K + 1) + 1j * rng.standard_normal(K + 1)))
+
+
+_GEOMETRIC = ClosedForm(
+    lambda z: 1.0 / (1.0 - z), pole_set=(1.0,), taylor_fn=lambda K: TaylorCoefficients(np.ones(K + 1, dtype=complex))
+)
+
+
+@pytest.mark.parametrize("w", [delta_inner(0.4), _GEOMETRIC, _random_series(60)], ids=["delta", "geometric", "series"])
+@pytest.mark.parametrize("rho, m, N", [(0.8, 256, 40), (0.6, 128, 30), (0.95, 1024, 30)])
+def test_circle_transforms_are_one_pair_under_every_contour_routine(w, rho, m, N):
+    # the Cauchy coefficients are the circle DFT over m * rho**k, bit for bit
+    k, powers = np.arange(N), rho ** np.arange(N + 0.0)
+    dft = circle_dft(circle_samples(w, rho, m))
+    got = circle_coefficients(w, N - 1, rho, m)
+    assert got.tobytes() == (dft[:N] / (m * powers)).tobytes()
+    # the DFT gives back the c_k * rho**k that circle_series summed, within the errors both state
+    scaled = np.zeros(m, dtype=complex)
+    scaled[:N] = w.taylor(N - 1).c * powers
+    values = circle_series(w.taylor(N - 1).c, rho, m)
+    series_err = math.log2(m) * EPS * math.fsum(np.abs(scaled))
+    dft_err = 6.0 * math.log2(m) * EPS * float(np.max(np.abs(values)))
+    assert np.max(np.abs(circle_dft(values) / m - scaled)) <= series_err + dft_err
+    # a contour sum is the direct sum of the trapezoid Cauchy coefficients: the power_series
+    # of c~_k * rho**k at z/rho against that of c~_k at z, within both power_series bounds
+    for z in (PolarPoint(0.5 * rho, 1.3), PolarPoint(min(1.0, 1.2 * rho), -2.0)):
+        contour = contour_partial_sum(w, z, N, rho, m).contour
+        direct = complex(power_series(got, z.z))
+        contour_terms = np.abs(dft[:N] / m) * (z.rho / rho) ** k
+        direct_terms = np.abs(got) * z.rho**k
+        assert abs(contour - direct) <= 2 * N * EPS * (math.fsum(contour_terms) + math.fsum(direct_terms))
