@@ -8,10 +8,11 @@ Three subcommands, each reading every option it accepts:
   refuses it.
 - ``reconstruct --coeffs PATH [--thetas lo:hi:n] (--rho R | --schedule
   j1..j2 [--tol T]) [--out PATH]`` sweeps the damped sums over a theta
-  grid and writes curve CSV; --tol with --rho is refused. The values come
-  from ``TaylorSeries.polar``: one folded inverse FFT per radius when the
-  grid spans one full period (the default -pi:pi:256), the blocked
-  ``quadrature.power_series`` on a partial arc.
+  grid and writes curve CSV; --tol with --rho is refused. --schedule goes
+  through ``series.rho_limit``, --rho through ``TaylorSeries.polar``; both
+  take one folded inverse FFT per radius when the grid spans one full
+  period (the default -pi:pi:256), the blocked ``quadrature.power_series``
+  on a partial arc.
 - ``verify --suite NAME [--K K] [--rho0 R] [--p P] [--b B]`` runs one
   verification suite and exits 1 on any tolerance violation. Each suite
   reads the options its function takes: ortho and complete --K, hilbert
@@ -48,7 +49,7 @@ from .fileio import (
     read_samples_csv,
     write_output,
 )
-from .series import ClosedForm, PolarPoint, RhoSchedule, TaylorSeries
+from .series import ClosedForm, PolarPoint, RhoSchedule, TaylorSeries, rho_limit
 
 _USAGE, _IO = 2, 3
 
@@ -117,16 +118,18 @@ def cmd_reconstruct(args) -> int:
             print(f"reconstruct: need 0 <= rho < 1, got {args.rho}", file=sys.stderr)
             return _USAGE
         rhos = np.array([args.rho])
+        values = TaylorSeries(tc).polar(thetas, rhos)
+        value, conjugate, converged = values.real, values.imag, None
     else:
         sched = _parse_schedule(args.schedule, args.tol)
-        sched.truncation_suspect(tc)
         rhos = np.array(sched.rhos)
+        res = rho_limit(TaylorSeries(tc), thetas, sched)
+        value, conjugate, converged = res.history, res.conjugate, res.converged
     # one row per (theta, rho), theta major; value and conjugate are Re and Im
-    values = TaylorSeries(tc).polar(thetas, rhos)
-    flags = np.full(values.shape, "", dtype=object)
-    if args.rho is None:
-        flags[:, -1] = np.where(sched.converged(values.real), "true", "false")
-    cols = [*np.meshgrid(thetas, rhos, indexing="ij"), values.real, values.imag, flags]
+    flags = np.full(value.shape, "", dtype=object)
+    if converged is not None:
+        flags[:, -1] = np.where(converged, "true", "false")
+    cols = [*np.meshgrid(thetas, rhos, indexing="ij"), value, conjugate, flags]
     header = ["theta", "rho", "value", "conjugate", "converged"]
     write_output(dumps_csv(header, [col.ravel() for col in cols]), args.out)
     return 0

@@ -92,10 +92,7 @@ class _PointMass(InnerAnalytic):
                 if self.order % 2 == 0:
                     w = w * (q + 2.0 * rho * np.cos(0.5 * phi) ** 2 + 1j * im)
                 w = w * (1j**self.order / math.pi)
-            finite = np.isfinite(w)
-            if not np.all(finite):
-                radius = float(np.broadcast_to(rho, np.shape(w))[~finite][0])
-                raise EvaluationError(f"{self.label} overflows a double at radius {radius!r}")
+            w = self._finite(w, rho)
         return complex(w) if np.ndim(w) == 0 else w
 
     def __call__(self, z):

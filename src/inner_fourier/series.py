@@ -9,10 +9,10 @@ z = rho*exp(i*theta), the real part of S is the damped trigonometric sum
 and the imaginary part is the conjugate sum with cos and sin exchanged
 (cos -> sin, sin -> -cos). Taking rho -> 1 from below recovers the
 function at every angle where the boundary behavior is regular, even when
-the plain (rho = 1) trigonometric series diverges. ``rho_limit`` realizes
-that limit along a finite radius schedule and reports convergence
-empirically; it does not classify the boundary singularity at the probed
-angle.
+the plain (rho = 1) trigonometric series diverges, and the imaginary part
+tends to its Fourier conjugate. ``rho_limit`` walks both along a finite
+radius schedule and reports convergence empirically; it does not classify
+the boundary singularity at the probed angle.
 
 The regulated sums and ``rho_limit`` evaluate any ``InnerAnalytic``: a
 truncated series, or a closed form such as the point mass, which has no
@@ -94,6 +94,14 @@ class InnerAnalytic:
     def taylor(self, K: int) -> TaylorCoefficients:
         raise NotImplementedError(f"{self.label} has no coefficient generator")
 
+    def _finite(self, w, rho):
+        """w when every value is finite; else EvaluationError naming the radius, broadcast to w, of the first that is not."""
+        finite = np.isfinite(w)
+        if not np.all(finite):
+            radius = float(np.broadcast_to(np.asarray(rho, dtype=float), np.shape(w))[~finite][0])
+            raise EvaluationError(f"{self.label} overflows at radius {radius!r}")
+        return w
+
 
 class TaylorSeries(InnerAnalytic):
     """Truncated power series sum c_k z**k.
@@ -122,11 +130,7 @@ class TaylorSeries(InnerAnalytic):
             out = grid_power_series(self.tc.c, theta, rho)
             if out is None:
                 out = super().polar(theta, rho)
-        finite = np.isfinite(out)
-        if not np.all(finite):
-            radius = float(np.broadcast_to(np.asarray(rho, dtype=float), np.shape(out))[~finite][0])
-            raise EvaluationError(f"{self.label} overflows at radius {radius!r}")
-        return out
+        return self._finite(out, rho)
 
     def circle(self, rho: float, m: int):
         """``circle_series`` of c at the m circle nodes; a degree K >= m is refused by ``check_circle``."""
@@ -145,7 +149,8 @@ class ClosedForm(InnerAnalytic):
 
     A pole inside the unit disk, |p| < 1 - 1e-9, raises ValueError; the
     tolerance admits poles on the circle that carry roundoff, such as
-    exp(i*theta1) computed from theta1.
+    exp(i*theta1) computed from theta1. A point within 1e-12 of a pole, or
+    a value past the double range, raises EvaluationError.
     """
 
     def __init__(self, fn, *, pole_set=(), taylor_fn=None, label="closed form"):
@@ -162,7 +167,8 @@ class ClosedForm(InnerAnalytic):
         for p in self.pole_set:
             if np.any(np.abs(zz - p) < _POLE_TOL):
                 raise EvaluationError(f"{self.label} evaluated at pole {p!r}")
-        out = np.asarray(self._fn(zz), dtype=complex)
+        with np.errstate(all="ignore"):
+            out = self._finite(np.asarray(self._fn(zz), dtype=complex), np.abs(zz))
         return complex(out) if zz.ndim == 0 else out
 
     def taylor(self, K: int) -> TaylorCoefficients:
@@ -190,23 +196,6 @@ class RhoSchedule:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         object.__setattr__(self, "rhos", r)
 
-    def converged(self, values):
-        """Whether the last two values along the last (radius) axis differ by less than tol."""
-        return np.abs(np.diff(values)[..., -1]) < self.tol
-
-    def truncation_suspect(self, tc: TaylorCoefficients) -> bool:
-        """Whether the cutoff of c_0..c_K may dominate tol at the last radius; warns when it does.
-
-        ``truncation_bound`` is scaled by the largest |c_k| over K/2 <= k <= K,
-        a window that the square wave's zero even-index coefficients leave full.
-        """
-        scale = float(np.max(np.abs(tc.c[(tc.K + 1) // 2 :])))
-        bound = scale * truncation_bound(self.rhos[-1], tc.K)
-        if bound > self.tol:
-            msg = f"K={tc.K} truncation bound {bound:.3g} exceeds schedule tol {self.tol:.3g}"
-            warnings.warn(f"{msg} at rho={self.rhos[-1]}", TruncationWarning, stacklevel=3)
-        return bound > self.tol
-
     @classmethod
     def geometric(cls, j_start: int = 1, j_stop: int = 14, tol: float = 1e-6) -> "RhoSchedule":
         """rho_j = 1 - 2**(-j) for j = j_start..j_stop <= 53: 1 - 2**-54 rounds to 1."""
@@ -217,18 +206,13 @@ class RhoSchedule:
 
 @dataclass(frozen=True)
 class RhoLimitResult:
-    """Outcome of a radius-schedule evaluation.
+    """Outcome of ``rho_limit``, which states what each field holds."""
 
-    ``converged`` holds when the last two schedule values differ by less
-    than the schedule tolerance; non convergence is reported, never
-    raised. ``truncation_suspect`` flags radii where the K-term cutoff may
-    dominate the tolerance.
-    """
-
-    value: float
-    converged: bool
-    history: tuple[float, ...]
+    value: float | np.ndarray
+    converged: bool | np.ndarray
+    history: tuple[float, ...] | np.ndarray
     truncation_suspect: bool
+    conjugate: tuple[float, ...] | np.ndarray
 
 
 def _inner(w: InnerAnalytic | FourierCoefficients) -> InnerAnalytic:
@@ -267,23 +251,37 @@ def truncation_bound(rho: float, K: int) -> float:
     return rho ** (K + 1) / (1.0 - rho)
 
 
-def rho_limit(
-    w: InnerAnalytic | FourierCoefficients, theta: float, sched: RhoSchedule
-) -> RhoLimitResult:
-    """Evaluate Re w(rho*exp(i*theta)) along a radius schedule.
+def rho_limit(w: InnerAnalytic | FourierCoefficients, theta, sched: RhoSchedule) -> RhoLimitResult:
+    """w(rho*exp(i*theta)) along a radius schedule, at one angle or an array of angles.
 
-    The returned value is the evaluation at the last radius; the full
-    history is kept for diagnostics. All radii are evaluated in one call
-    of ``w.polar``; a non-finite theta raises ValueError.
-    ``truncation_suspect`` (and its warning) weighs a series' cutoff by its
-    coefficients and is False for a closed form.
+    All radii are evaluated in one call of ``w.polar``; a non-finite theta
+    raises ValueError. ``history`` holds Re w and ``conjugate`` Im w at each
+    radius, ``value`` Re w at the last; ``converged`` holds when the last
+    two values differ by less than ``sched.tol`` (reported, never raised).
+    At an array of angles each is a per-angle array, radius last, with
+    ``history`` and ``conjugate`` the two views of one complex array; at one
+    angle they are floats, a bool and tuples. ``truncation_suspect``, with
+    one warning per call, holds when a series' cutoff may dominate tol at
+    the last radius: ``truncation_bound`` scaled by the largest |c_k| over
+    K/2 <= k <= K, a window that the square wave's zero even-index
+    coefficients leave full. It is False for a closed form.
     """
     w = _inner(w)
-    values = w.polar(theta, sched.rhos).real
-    history = tuple(values.tolist())
-    converged = bool(sched.converged(values))
-    suspect = isinstance(w, TaylorSeries) and sched.truncation_suspect(w.tc)
-    return RhoLimitResult(history[-1], converged, history, suspect)
+    suspect = False
+    if isinstance(w, TaylorSeries):
+        tc, rho = w.tc, sched.rhos[-1]
+        bound = float(np.max(np.abs(tc.c[(tc.K + 1) // 2 :]))) * truncation_bound(rho, tc.K)
+        suspect = bound > sched.tol
+        if suspect:
+            msg = f"K={tc.K} truncation bound {bound:.3g} exceeds schedule tol {sched.tol:.3g} at rho={rho}"
+            warnings.warn(msg, TruncationWarning, stacklevel=2)
+    values = w.polar(theta, sched.rhos)
+    history, conjugate = values.real, values.imag
+    converged = np.abs(history[..., -1] - history[..., -2]) < sched.tol
+    if np.ndim(theta) == 0:
+        history, conjugate = tuple(history.tolist()), tuple(conjugate.tolist())
+        return RhoLimitResult(history[-1], bool(converged), history, suspect, conjugate)
+    return RhoLimitResult(history[..., -1], converged, history, suspect, conjugate)
 
 
 def angular_derivative(tc: TaylorCoefficients) -> TaylorCoefficients:

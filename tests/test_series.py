@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from inner_fourier import (
+    ClosedForm,
     EvaluationError,
     FourierCoefficients,
     PolarPoint,
@@ -85,6 +86,9 @@ class TestRegulatedSum:
             conjugate_sum(fc, theta, 0.5)
         with pytest.raises(ValueError, match="finite"):
             rho_limit(fc, theta, RhoSchedule.geometric(1, 4))
+        for w in (fc, delta_inner(0.7)):
+            with pytest.raises(ValueError, match="finite"):
+                rho_limit(w, np.array([0.0, theta, 1.0]), RhoSchedule.geometric(1, 4))
         with pytest.raises(ValueError, match="finite"):
             PolarPoint(0.5, theta)
 
@@ -138,6 +142,19 @@ def test_overflow_is_refused_at_its_radius(theta):
     with pytest.raises(EvaluationError, match="overflows at radius 0.95"):
         rho_limit(w, 0.0, RhoSchedule((0.1, 0.95)))
     assert np.all(np.isfinite(w.polar(theta, 0.1)))
+
+
+def test_overflowing_closed_form_is_refused_at_its_radius():
+    # pytest turns a RuntimeWarning into an error: the overflow is raised, not warned
+    w = ClosedForm(lambda z: np.exp(1.0 / (1.0 - z)), pole_set=(1.0,))
+    # exp(2**j) on the ray theta = 0 is 2.3e222 at j = 9 and past the double range at j = 10
+    with pytest.raises(EvaluationError, match=rf"^closed form overflows at radius {1.0 - 2.0**-10!r}$"):
+        rho_limit(w, 0.0, RhoSchedule.geometric(1, 30))
+    pole40 = ClosedForm(lambda z: 1.0 / (1.0 - z) ** 40, pole_set=(1.0,))
+    rho = 1.0 - 2.0**-30
+    with pytest.raises(EvaluationError, match=rf"^closed form overflows at radius {rho!r}$"):
+        regulated_sum(pole40, np.array([0.0, 1.0]), rho)
+    assert np.isfinite(regulated_sum(pole40, 1.0, rho))
 
 
 def test_poisson_closed_form_within_truncation(rng):
@@ -203,10 +220,14 @@ class TestRhoLimit:
             assert not res.truncation_suspect
 
     def test_truncation_warning_condition(self):
+        # one warning per call, at one angle or at 64
         fc = resolve("delta").coefficients(50)
-        with pytest.warns(TruncationWarning):
-            res = rho_limit(fc, 2.0, RhoSchedule.geometric(1, 12, tol=1e-6))
-        assert res.truncation_suspect
+        for theta in (2.0, np.linspace(-math.pi, math.pi, 64, endpoint=False)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                res = rho_limit(fc, theta, RhoSchedule.geometric(1, 12, tol=1e-6))
+            assert [type(w.message) for w in caught] == [TruncationWarning]
+            assert res.truncation_suspect
 
     def test_truncation_bound_scales_with_the_coefficients(self):
         # |c_k| = k**3 / pi: a unit-coefficient bound (6.2e-13) would pass a cutoff that
@@ -220,6 +241,47 @@ class TestRhoLimit:
         assert "truncation bound 0.00169 " in str(caught[0].message)
         longer = rho_limit(resolve("delta_derivative", order=3).coefficients(8192), 1.0, sched)
         assert abs(res.value - longer.value) > sched.tol
+
+
+@pytest.mark.filterwarnings("ignore::inner_fourier.errors.TruncationWarning")
+class TestRhoLimitOnAngleArrays:
+    SCHED = RhoSchedule.geometric(1, 8, tol=1e-3)
+
+    @pytest.mark.parametrize("w", [resolve("square").coefficients(64), delta_inner(0.7)], ids=["series", "point_mass"])
+    def test_partial_arc_equals_the_scalar_calls_bit_for_bit(self, w):
+        thetas = np.linspace(-3.0, 3.0, 41)
+        res = rho_limit(w, thetas, self.SCHED)
+        each = [rho_limit(w, float(t), self.SCHED) for t in thetas]
+        assert res.history.shape == res.conjugate.shape == (thetas.size, len(self.SCHED.rhos))
+        assert res.history.tobytes() == np.array([r.history for r in each]).tobytes()
+        assert res.conjugate.tobytes() == np.array([r.conjugate for r in each]).tobytes()
+        assert res.value.tobytes() == np.array([r.value for r in each]).tobytes()
+        assert res.converged.tolist() == [r.converged for r in each]
+        assert res.truncation_suspect == each[0].truncation_suspect
+
+    def test_full_period_agrees_with_the_scalar_calls(self):
+        fc = resolve("square").coefficients(64)
+        thetas = np.linspace(-math.pi, math.pi, 40, endpoint=False) + 0.3
+        res = rho_limit(fc, thetas, self.SCHED)
+        each = [rho_limit(fc, float(t), self.SCHED) for t in thetas]
+        for got, want in ((res.history, [r.history for r in each]), (res.conjugate, [r.conjugate for r in each])):
+            want = np.array(want)
+            np.testing.assert_allclose(got, want, rtol=0, atol=8 * EPS * np.max(np.abs(want)))
+        assert res.value.tolist() == res.history[:, -1].tolist()
+        assert res.converged.tolist() == [r.converged for r in each]
+
+    @pytest.mark.parametrize("theta", [0.7, np.linspace(-3.0, 3.0, 5), np.linspace(-math.pi, math.pi, 8, endpoint=False)])
+    def test_conjugate_is_the_conjugate_sum_at_each_radius(self, theta):
+        fc = _fc(alpha0=0.5, alpha=(1.0, -0.25), beta=(0.5,))
+        res = rho_limit(fc, theta, self.SCHED)
+        want = np.stack([conjugate_sum(fc, theta, rho) for rho in self.SCHED.rhos], axis=-1)
+        np.testing.assert_allclose(res.conjugate, want, rtol=0, atol=8 * EPS * np.max(np.abs(want)))
+
+    def test_scalar_angle_keeps_the_scalar_types(self):
+        res = rho_limit(_fc(alpha=(1.0,)), 0.5, self.SCHED)
+        assert type(res.value) is float and type(res.converged) is bool and type(res.truncation_suspect) is bool
+        assert type(res.history) is type(res.conjugate) is tuple
+        assert all(type(v) is float for v in res.history + res.conjugate)
 
 
 class TestSchedule:
