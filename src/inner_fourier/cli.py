@@ -8,7 +8,8 @@ Three subcommands, each reading every option it accepts:
   refuses it.
 - ``reconstruct --coeffs PATH [--thetas lo:hi:n] (--rho R | --schedule
   j1..j2 [--tol T]) [--out PATH]`` sweeps the damped sums over a theta
-  grid and writes curve CSV; --tol with --rho is refused. --schedule goes
+  grid and writes curve CSV through ``fileio.dumps_curve``, whose module
+  states the format; --tol with --rho is refused. --schedule goes
   through ``series.rho_limit``, --rho through ``TaylorSeries.polar``; both
   take one folded inverse FFT per radius when the grid spans one full
   period (the default -pi:pi:256), the blocked ``quadrature.power_series``
@@ -43,7 +44,7 @@ from .distributions import delta_inner
 from .errors import EvaluationError
 from .fileio import (
     coefficients_payload,
-    dumps_csv,
+    dumps_curve,
     dumps_json,
     read_coefficients_json,
     read_samples_csv,
@@ -119,19 +120,12 @@ def cmd_reconstruct(args) -> int:
             return _USAGE
         rhos = np.array([args.rho])
         values = TaylorSeries(tc).polar(thetas, rhos)
-        value, conjugate, converged = values.real, values.imag, None
+        text = dumps_curve(thetas, rhos, values.real, values.imag)
     else:
         sched = _parse_schedule(args.schedule, args.tol)
-        rhos = np.array(sched.rhos)
         res = rho_limit(TaylorSeries(tc), thetas, sched)
-        value, conjugate, converged = res.history, res.conjugate, res.converged
-    # one row per (theta, rho), theta major; value and conjugate are Re and Im
-    flags = np.full(value.shape, "", dtype=object)
-    if converged is not None:
-        flags[:, -1] = np.where(converged, "true", "false")
-    cols = [*np.meshgrid(thetas, rhos, indexing="ij"), value, conjugate, flags]
-    header = ["theta", "rho", "value", "conjugate", "converged"]
-    write_output(dumps_csv(header, [col.ravel() for col in cols]), args.out)
+        text = dumps_curve(thetas, np.array(sched.rhos), res.history, res.conjugate, res.converged)
+    write_output(text, args.out)
     return 0
 
 

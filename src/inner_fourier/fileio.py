@@ -10,17 +10,21 @@ Coefficient JSON carries the real triple as {"K", "alpha0", "alpha",
 hold both key groups if c is exactly ``to_taylor`` of the triple, and a
 "K" key must be an integer, not a bool, equal to the harmonic count of
 the arrays. Either group alone reads as the same ``FourierCoefficients``;
-every entry must be a JSON number. Sample CSV is two columns
-"theta,value" with a required header, on the uniform grid starting at
--pi, and finite values.
+every entry must be a JSON number, and "alpha0" one number. Sample CSV
+is "theta,value" with a required header, on the uniform grid starting at
+-pi, and finite values; columns after value are ignored.
+
+Curve CSV (``dumps_curve``) has a header naming its columns theta, rho,
+value, conjugate and converged, then one angle-major row per (angle,
+radius): value and conjugate are Re w and Im w at rho*exp(i*theta), and
+converged is "true" or "false" at each angle's last radius when a radius
+schedule was walked, empty elsewhere.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
-import math
 import sys
 from contextlib import contextmanager
 
@@ -68,6 +72,8 @@ def parse_coefficients(doc: dict) -> FourierCoefficients:
         raise ValueError("coefficient JSON must be an object")
     fc = tc = None
     if "alpha" in doc:
+        if isinstance(doc.get("alpha0"), list):
+            raise ValueError(f"coefficient JSON key 'alpha0' must be one number, got {doc['alpha0']!r}")
         alpha, alpha0, beta = _numbers(doc, "alpha", "alpha0", "beta")
         fc = FourierCoefficients(alpha0.item(), alpha, beta)
     if "c_re" in doc:
@@ -103,7 +109,7 @@ def read_coefficients_json(path) -> FourierCoefficients:
 
 
 def read_samples_csv(path) -> PeriodicFunction:
-    """Load "theta,value" rows into a uniform-grid sampled function; a refusal names the file."""
+    """Load "theta,value" rows (later columns ignored) into a uniform-grid sampled function; a refusal names the file."""
     with _reading(path) as fp:
         rows = list(csv.reader(fp))
         if not rows or [c.strip() for c in rows[0][:2]] != ["theta", "value"]:
@@ -121,42 +127,22 @@ def read_samples_csv(path) -> PeriodicFunction:
         return PeriodicFunction.from_samples(vals, name=str(path))
 
 
-def _cells(column) -> list:
-    """The cells of one column; a float64 column that repeats values holds each one's repr, formatted once."""
-    col = np.asarray(column)
-    if col.dtype != np.float64:
-        cells = col.tolist()
-        bad = [v for v in cells if isinstance(v, float) and not math.isfinite(v)]
-    else:
-        # distinct by bits, so that -0.0 keeps its own cell "-0.0"
-        bits = col.view(np.int64).tolist()
-        distinct = dict.fromkeys(bits)
-        if 2 * len(distinct) <= len(bits):
-            values = np.array(list(distinct), dtype=np.int64).view(np.float64).tolist()
-            text = dict(zip(distinct, map(repr, values)))
-            cells = list(map(text.__getitem__, bits))
-        else:
-            # mostly distinct values: csv.writer writes each float's repr as it goes, without holding the text
-            cells = col.tolist()
-        bad = col[~np.isfinite(col)].tolist()
+def dumps_curve(theta, rho, value, conjugate, converged=None) -> str:
+    """Curve CSV of the (angles x radii) arrays value = Re w and conjugate = Im w over the axes theta and rho.
+
+    Both are written as computed, so -0.0 keeps its sign; converged holds one bool per angle, or None.
+    """
+    bad = [x for a in (theta, rho, value, conjugate) for x in a[~np.isfinite(a)].tolist()]
     if bad:
         raise ValueError(f"cannot serialize non finite value {bad[0]!r}")
-    return cells
-
-
-def dumps_csv(header: list[str], columns) -> str:
-    """One row per index of the equal-length columns of floats or strings, under header.
-
-    A float is written as its repr, which is what ``csv.writer`` writes for
-    it; a float64 column that repeats values formats each distinct value
-    once.
-    """
-    cols = [_cells(col) for col in columns]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*cols))
-    return buf.getvalue()
+    radii = list(map(repr, rho.tolist()))
+    flags = [""] * len(theta) if converged is None else ["true" if c else "false" for c in converged.tolist()]
+    lines = ["theta,rho,value,conjugate,converged"]
+    for t, vs, cs, flag in zip(map(repr, theta.tolist()), value.tolist(), conjugate.tolist(), flags):
+        rows = [f"{t},{r},{v!r},{c!r}," for r, v, c in zip(radii, vs, cs)]
+        rows[-1] += flag
+        lines += rows
+    return "\n".join(lines) + "\n"
 
 
 def write_output(text: str, path) -> None:

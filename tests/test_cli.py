@@ -294,6 +294,34 @@ class TestReconstructCommand:
         assert [r[2] for r in rows] == [repr(v) for v in want.real.tolist()]
         assert [r[3] for r in rows] == [repr(v) for v in want.imag.tolist()]
 
+    @pytest.mark.filterwarnings("ignore::inner_fourier.errors.TruncationWarning")
+    @pytest.mark.parametrize(
+        "name, flags, argv, digest",
+        [
+            ("square", {}, ["--schedule", "1..12"], "1cac53daf45b7b1b9f6d87e3cbc2b63a6e497c86a07ab838f0fa2547898bbfe5"),
+            ("delta", {}, ["--thetas=0:2pi:64", "--rho", "0.9"], "a920f3363f4847fb6f5c32704bfb38e525480460a8f9d4d1fe11cb83c34d4397"),
+            (
+                "triangle",
+                {},
+                ["--thetas=0:1:17", "--schedule", "3..8", "--tol", "1e-3"],
+                "1cc6be8294d187727b90f94a3ef1a4488ba6d2a9d20c2689df670b63e4065921",
+            ),
+            # three value cells print as -0.0
+            (
+                "delta_derivative",
+                {"order": 2},
+                ["--thetas=-3:2:7", "--rho", "0"],
+                "471e3be5cecb13059f2826cd9e8420df0f861c89b42a9a7333c2588a5fea7969",
+            ),
+        ],
+        ids=["square-schedule", "delta-shifted-period", "triangle-arc", "delta_derivative-2-signed-zeros"],
+    )
+    def test_curve_output_bytes_are_pinned(self, capsys, tmp_path, name, flags, argv, digest):
+        path = self._coeff_file(capsys, tmp_path, name, 64, **flags)
+        code, out, _ = run(capsys, "reconstruct", "--coeffs", str(path), *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_radius_domain_error(self, capsys, tmp_path):
         path = self._coeff_file(capsys, tmp_path, "zero", 8)
         code, _, err = run(

@@ -13,7 +13,7 @@ from inner_fourier import FourierCoefficients, to_taylor
 from inner_fourier.cli import main
 from inner_fourier.fileio import (
     coefficients_payload,
-    dumps_csv,
+    dumps_curve,
     dumps_json,
     parse_coefficients,
     read_coefficients_json,
@@ -27,6 +27,10 @@ def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
+def _curve(theta, rho, value, conjugate, converged=None) -> str:
+    return dumps_curve(*(np.array(a, dtype=float) for a in (theta, rho, value, conjugate)), converged)
+
+
 @given(st.floats(allow_nan=False, allow_infinity=False))
 @example(-0.0)
 @example(5e-324)
@@ -35,17 +39,20 @@ def _bits(x: float) -> bytes:
 @example(-1.7976931348623157e308)
 def test_floats_read_back_bitwise(x):
     (from_json,) = json.loads(dumps_json([x]))
-    from_csv = float(dumps_csv(["x"], [[x]]).splitlines()[1])
+    cells = _curve([x], [x], [[x]], [[x]]).splitlines()[1].split(",")
     assert _bits(from_json) == _bits(x)
-    assert _bits(from_csv) == _bits(x)
+    assert cells[4] == "" and all(_bits(float(c)) == _bits(x) for c in cells[:4])
 
 
+@pytest.mark.parametrize("where", range(4), ids=["theta", "rho", "value", "conjugate"])
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
-def test_non_finite_floats_refused(x):
+def test_non_finite_floats_refused(x, where):
     with pytest.raises(ValueError):
         dumps_json({"a": [1.0, x]})
-    with pytest.raises(ValueError):
-        dumps_csv(["a", "b"], [[1.0, 2.0], [0.5, x]])
+    arrays = [[1.0, 2.0], [0.5], [[0.5], [1.5]], [[0.5], [1.5]]]
+    arrays[where] = [[0.5], [x]] if where >= 2 else [0.5, x]
+    with pytest.raises(ValueError, match=f"^cannot serialize non finite value {x!r}$"):
+        _curve(*arrays)
 
 
 def test_json_emitter_is_valid_json():
@@ -129,28 +136,42 @@ _CELL_FLOATS = st.sampled_from([0.0, -0.0, 0.1, -2.5, 1e-300, 5e-324, 1.79769313
 )
 
 
-@given(data=st.data(), rows=st.integers(0, 40))
-def test_curve_csv_equals_csv_writer_over_repr_cells(data, rows):
+@given(data=st.data(), n=st.integers(1, 8), m=st.integers(1, 6))
+def test_curve_csv_equals_csv_writer_over_repr_cells(data, n, m):
     pool = data.draw(st.lists(_CELL_FLOATS, min_size=1, max_size=5), label="pool")  # few values: repeats
-    pick = st.lists(st.sampled_from(pool), min_size=rows, max_size=rows)
-    words = st.lists(st.sampled_from(["", "true", "false", "a,b", 'q"']), min_size=rows, max_size=rows)
-    columns = [np.array(data.draw(pick), dtype=float), np.array(data.draw(pick), dtype=float)]
-    columns.append(np.array(data.draw(words), dtype=object))
+    theta, rho = (np.array(data.draw(st.lists(_CELL_FLOATS, min_size=k, max_size=k))) for k in (n, m))
+    cells = st.lists(st.sampled_from(pool), min_size=n * m, max_size=n * m)
+    value, conjugate = (np.array(data.draw(cells)).reshape(n, m) for _ in range(2))
+    converged = data.draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n).map(np.array), label="converged")
+    flags = np.full((n, m), "", dtype=object)
+    if converged is not None:
+        flags[:, -1] = np.where(converged, "true", "false")
+    columns = [*np.meshgrid(theta, rho, indexing="ij"), value, conjugate]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "y", "flag"])
-    writer.writerows(zip(*[[repr(v) if isinstance(v, float) else v for v in col.tolist()] for col in columns]))
-    assert dumps_csv(["x", "y", "flag"], columns) == buf.getvalue()
+    writer.writerow(["theta", "rho", "value", "conjugate", "converged"])
+    cells = [[repr(v) for v in col.ravel().tolist()] for col in columns]
+    writer.writerows(zip(*cells, flags.ravel().tolist()))
+    assert dumps_curve(theta, rho, value, conjugate, converged) == buf.getvalue()
 
 
 def test_curve_csv_keeps_the_sign_of_zero():
-    assert dumps_csv(["x"], [np.array([0.0, -0.0, 0.0, -0.0])]) == "x\n0.0\n-0.0\n0.0\n-0.0\n"
+    zeros = [[0.0, -0.0], [-0.0, 0.0]]
+    assert _curve([-0.0, 0.0], [0.0, -0.0], zeros, zeros[::-1]) == (
+        "theta,rho,value,conjugate,converged\n"
+        "-0.0,0.0,0.0,-0.0,\n-0.0,-0.0,-0.0,0.0,\n0.0,0.0,-0.0,0.0,\n0.0,-0.0,0.0,-0.0,\n"
+    )
 
 
 def test_curve_csv_formatting(tmp_path):
     path = tmp_path / "curve.csv"
-    write_output(dumps_csv(["theta", "value", "flag"], [[0.5], [1.0 / 3.0], ["true"]]), path)
-    assert path.read_text() == "theta,value,flag\n0.5,0.3333333333333333,true\n"
+    value = [[1.0 / 3.0, 2.0], [0.1, -1e-300]]
+    write_output(_curve([0.5, 1.5], [0.25, 0.75], value, [[0.0] * 2] * 2, np.array([True, False])), path)
+    assert path.read_text() == (
+        "theta,rho,value,conjugate,converged\n"
+        "0.5,0.25,0.3333333333333333,0.0,\n0.5,0.75,2.0,0.0,true\n"
+        "1.5,0.25,0.1,0.0,\n1.5,0.75,-1e-300,0.0,false\n"
+    )
 
 @pytest.mark.parametrize(
     "doc, match",
@@ -202,6 +223,11 @@ _BAD_COEFFICIENT_FILES = {
     ),
     "bool_K": (b'{"K": true, "alpha0": 1.0, "alpha": [1.0], "beta": [0.0]}', "coefficient JSON key 'K' must be an integer, got True"),
     "wrong_K": (b'{"K": 3, "alpha0": 1.0, "alpha": [1.0], "beta": [0.0]}', "coefficient JSON says K = 3 but holds 1 harmonics"),
+    "list_alpha0": (b'{"alpha0": [1.0], "alpha": [1.0], "beta": [0.0]}', "coefficient JSON key 'alpha0' must be one number, got [1.0]"),
+    "two_alpha0": (
+        b'{"alpha0": [1.0, 2.0], "alpha": [1.0], "beta": [0.0]}',
+        "coefficient JSON key 'alpha0' must be one number, got [1.0, 2.0]",
+    ),
 }
 
 

@@ -84,11 +84,13 @@ class TestRegulatedSum:
             regulated_sum(fc, theta, 0.5)
         with pytest.raises(ValueError, match="finite"):
             conjugate_sum(fc, theta, 0.5)
-        with pytest.raises(ValueError, match="finite"):
+        # rho_limit weighs a series' K = 1 cutoff, and warns, before it reads the angle
+        with pytest.raises(ValueError, match="finite"), pytest.warns(TruncationWarning):
             rho_limit(fc, theta, RhoSchedule.geometric(1, 4))
-        for w in (fc, delta_inner(0.7)):
-            with pytest.raises(ValueError, match="finite"):
-                rho_limit(w, np.array([0.0, theta, 1.0]), RhoSchedule.geometric(1, 4))
+        with pytest.raises(ValueError, match="finite"), pytest.warns(TruncationWarning):
+            rho_limit(fc, np.array([0.0, theta, 1.0]), RhoSchedule.geometric(1, 4))
+        with pytest.raises(ValueError, match="finite"):
+            rho_limit(delta_inner(0.7), np.array([0.0, theta, 1.0]), RhoSchedule.geometric(1, 4))
         with pytest.raises(ValueError, match="finite"):
             PolarPoint(0.5, theta)
 
@@ -139,7 +141,7 @@ def test_overflow_is_refused_at_its_radius(theta):
     w = TaylorSeries(TaylorCoefficients(np.full(5, 1e308 - 1e308j)))
     with pytest.raises(EvaluationError, match=r"taylor series \(K=4\) overflows at radius 0.9$"):
         w.polar(theta, [0.1, 0.9])
-    with pytest.raises(EvaluationError, match="overflows at radius 0.95"):
+    with pytest.raises(EvaluationError, match="overflows at radius 0.95"), pytest.warns(TruncationWarning):
         rho_limit(w, 0.0, RhoSchedule((0.1, 0.95)))
     assert np.all(np.isfinite(w.polar(theta, 0.1)))
 
