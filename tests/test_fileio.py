@@ -140,9 +140,10 @@ _CELL_FLOATS = st.sampled_from([0.0, -0.0, 0.1, -2.5, 1e-300, 5e-324, 1.79769313
 def test_curve_csv_equals_csv_writer_over_repr_cells(data, n, m):
     pool = data.draw(st.lists(_CELL_FLOATS, min_size=1, max_size=5), label="pool")  # few values: repeats
     theta, rho = (np.array(data.draw(st.lists(_CELL_FLOATS, min_size=k, max_size=k))) for k in (n, m))
-    cells = st.lists(st.sampled_from(pool), min_size=n * m, max_size=n * m)
-    value, conjugate = (np.array(data.draw(cells)).reshape(n, m) for _ in range(2))
-    converged = data.draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n).map(np.array), label="converged")
+    pick = st.lists(st.sampled_from(pool), min_size=n * m, max_size=n * m)
+    value, conjugate = (np.array(data.draw(pick)).reshape(n, m) for _ in range(2))
+    flag = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+    converged = data.draw(st.none() | flag, label="converged")
     flags = np.full((n, m), "", dtype=object)
     if converged is not None:
         flags[:, -1] = np.where(converged, "true", "false")
