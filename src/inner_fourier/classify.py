@@ -19,8 +19,10 @@ takes it as the keyword ``window=(lo, hi)``, both ends included, with
 1 <= lo and hi at most the last index; the default None is the trailing
 quarter (max(1, K // 4), K).
 
-Sequences are fitted as a stack of magnitude rows, one least-squares
-solve per distinct above-roundoff mask (``_fit_rows``).
+Sequences are fitted as a stack of magnitude rows (``_fit_rows``): the
+rows are grouped by their above-roundoff mask in row order, with one
+least-squares solve per distinct mask, and a group of one is the lone
+fit bit for bit.
 """
 
 from __future__ import annotations
@@ -123,12 +125,12 @@ def _fit_rows(rows: np.ndarray, window: tuple[int, int], floors: np.ndarray) -> 
 
     Refusals are those of fitting the rows one at a time, in row order:
     the first row that a lone fit would refuse raises its message. The
-    rows that are fitted are grouped by their above-floor mask, and each
-    group takes one least-squares solve with a column per row, so a
-    stack costs one ``lstsq`` per distinct mask. A group of one is the
-    lone fit bit for bit; in a larger group LAPACK may round differently,
-    which moves a rate by tens of ulps and a power by about 3e-14 on the
-    family k**5 * b**k.
+    rows that are fitted are grouped by their above-floor mask in one
+    pass in row order, and each group takes one least-squares solve with
+    a column per member, so a stack costs one ``lstsq`` per distinct
+    mask. A group of one is the lone fit bit for bit; in a larger group
+    LAPACK may round differently, which moves a rate by tens of ulps and
+    a power by about 3e-14 on the family k**5 * b**k.
     """
     lo, hi = window
     if lo < 1:
@@ -157,23 +159,13 @@ def _fit_rows(rows: np.ndarray, window: tuple[int, int], floors: np.ndarray) -> 
         )
     power = np.zeros(len(rows))
     rate = np.zeros(len(rows))
-    fit = np.flatnonzero(~degenerate)
-    if fit.size:
-        design = _design(lo, hi)
-        masks = nz[fit]
-        if (masks == masks[0]).all():
-            # one mask, as for a lone row: grouping would cost more than the solve
-            groups = [fit]
-        else:
-            # one byte string per mask; np.unique(axis=0) on the boolean masks is several times slower
-            packed = np.packbits(masks, axis=1)
-            keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-            _, group, sizes = np.unique(keys, return_inverse=True, return_counts=True)
-            groups = np.split(fit[np.argsort(group, kind="stable")], np.cumsum(sizes)[:-1])
-        for members in groups:
-            mask = nz[members[0]]
-            sol = np.linalg.lstsq(design[mask], np.log(m[members][:, mask]).T, rcond=None)[0]
-            power[members], rate[members] = sol[0], sol[1]
+    groups: dict[bytes, list[int]] = {}
+    for i in np.flatnonzero(~degenerate).tolist():
+        groups.setdefault(nz[i].tobytes(), []).append(i)
+    for members in groups.values():
+        mask = nz[members[0]]
+        sol = np.linalg.lstsq(_design(lo, hi)[mask], np.log(m[members][:, mask]).T, rcond=None)[0]
+        power[members], rate[members] = sol[0], sol[1]
     sparse = count < 0.5 * width
     return [
         ClassificationReport(True, 0.0, 0.0, window, False, True)

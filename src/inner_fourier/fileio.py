@@ -10,9 +10,10 @@ Coefficient JSON carries the real triple as {"K", "alpha0", "alpha",
 hold both key groups if c is exactly ``to_taylor`` of the triple, and a
 "K" key must be an integer, not a bool, equal to the harmonic count of
 the arrays. Either group alone reads as the same ``FourierCoefficients``;
-every entry must be a JSON number, and "alpha0" one number. Sample CSV
-is "theta,value" with a required header, on the uniform grid starting at
--pi, and finite values; columns after value are ignored.
+every entry must be a JSON number, "alpha0" one number, and "c_re" and
+"c_im" two lists of one length. Sample CSV is "theta,value" with a
+required header, on the uniform grid starting at -pi, and finite values;
+columns after value are ignored.
 
 Curve CSV (``dumps_curve``) has a header naming its columns theta, rho,
 value, conjugate and converged, then one angle-major row per (angle,
@@ -78,6 +79,9 @@ def parse_coefficients(doc: dict) -> FourierCoefficients:
         fc = FourierCoefficients(alpha0.item(), alpha, beta)
     if "c_re" in doc:
         c_re, c_im = _numbers(doc, "c_re", "c_im")
+        if c_re.ndim == 0 or c_re.shape != c_im.shape:
+            held = " and ".join(f"a list of {x.size}" if x.ndim else f"the number {x.item()!r}" for x in (c_re, c_im))
+            raise ValueError(f"coefficient JSON keys 'c_re' and 'c_im' must be lists of one length, got {held}")
         tc = TaylorCoefficients(c_re + 1j * c_im)
     if fc is None and tc is None:
         raise ValueError("no coefficient keys found (expected alpha/beta or c_re/c_im)")

@@ -145,6 +145,8 @@ def taylor_gram(Kmax: int, cfg: DiskProductConfig) -> GramReport:
     if cfg.M < 4 * Kmax + 2:
         raise ValueError(f"need M >= 4*Kmax + 2 = {4 * Kmax + 2}, got {cfg.M}")
     k = np.arange(Kmax + 1)
+    # numpy refuses a table it cannot hold here, before the phase table is built; the untouched probe costs no memory
+    np.empty((Kmax + 1, cfg.M), dtype=complex)
     v = cfg.rho0 ** k.astype(float)[:, None] * phase_powers(cfg.M, k)
     prod = (v.conj() @ v.T) / cfg.M
     return GramReport.of(prod.real, cfg.rho0 ** (2.0 * k), float(np.max(np.abs(prod.imag))))

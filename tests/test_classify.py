@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -228,20 +229,25 @@ def reference_fit(mags, window, floor):
     return rate, power, np.count_nonzero(nz) < 0.5 * k.size
 
 
+def batch_mix_stack():
+    """The |c|, |alpha| and |beta| rows of ``batch_mix()``, with the floors ``equivalence_checks`` gives them."""
+    rows, floors = [], []
+    for fc in batch_mix():
+        c = np.abs(to_taylor(fc).c)
+        a, b = np.abs(np.r_[fc.alpha0, fc.alpha]), np.abs(np.r_[0.0, fc.beta])
+        ab_floor = 64 * np.finfo(float).eps * max(a.max(), b.max())
+        rows += [c, a, b]
+        floors += [64 * np.finfo(float).eps * c.max(), ab_floor, ab_floor]
+    return rows, floors
+
+
 class TestBatchedFit:
     def test_batch_equals_one_by_one(self):
         fcs = batch_mix()
         assert equivalence_checks(fcs) == [equivalence_check(fc) for fc in fcs]
 
     def test_rates_match_per_row_lstsq(self):
-        fcs = batch_mix()
-        rows, floors = [], []
-        for fc in fcs:
-            c = np.abs(to_taylor(fc).c)
-            a, b = np.abs(np.r_[fc.alpha0, fc.alpha]), np.abs(np.r_[0.0, fc.beta])
-            ab_floor = 64 * np.finfo(float).eps * max(a.max(), b.max())
-            rows += [c, a, b]
-            floors += [64 * np.finfo(float).eps * c.max(), ab_floor, ab_floor]
+        rows, floors = batch_mix_stack()
         window = (128, 512)
         reports = _fit_rows(np.array(rows), window, np.array(floors))
         kinds = {"degenerate": 0, "full": 0, "partial": 0, "sparse": 0}
@@ -257,6 +263,14 @@ class TestBatchedFit:
             n = np.count_nonzero(row[128:] > floor)
             kinds["sparse" if sparse else "full" if n == 385 else "partial"] += 1
         assert all(kinds.values()), kinds
+
+    def test_stack_of_many_masks_is_pinned_bit_for_bit(self):
+        rows, floors = map(np.array, batch_mix_stack())
+        masks = rows[:, 128:] > floors[:, None]
+        assert (len(rows), len({mask.tobytes() for mask in masks})) == (102, 27)
+        reports = _fit_rows(rows, (128, 512), floors)
+        text = "\n".join(f"{rep.fitted_rate.hex()} {rep.fitted_power.hex()}" for rep in reports)
+        assert hashlib.sha256(text.encode()).hexdigest() == "6e9e78d4cc02b6c518893a2bd8fc32d29c4963dda241536520600b137f1da0b1"
 
     def test_fourier_view_is_its_two_rows(self):
         for fc in batch_mix():

@@ -615,9 +615,10 @@ class TestVerifyCommand:
         for c in checks:
             assert float(line.match(c).group(3)) <= float(line.match(c).group(4))
 
-    def test_size_numpy_cannot_allocate_is_a_usage_error(self, capsys):
+    @pytest.mark.parametrize("suite", ["ortho", "hilbert"])
+    def test_size_numpy_cannot_allocate_is_a_usage_error(self, capsys, suite):
         # the Gram basis for K = 1e8 needs 568 PiB, which numpy refuses before touching any memory
-        code, out, err = run(capsys, "verify", "--suite", "ortho", "--K", "100000000")
+        code, out, err = run(capsys, "verify", "--suite", suite, "--K", "100000000")
         assert code == 2 and out == ""
         assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
 

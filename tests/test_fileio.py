@@ -229,6 +229,18 @@ _BAD_COEFFICIENT_FILES = {
         b'{"alpha0": [1.0, 2.0], "alpha": [1.0], "beta": [0.0]}',
         "coefficient JSON key 'alpha0' must be one number, got [1.0, 2.0]",
     ),
+    "short_c_im": (
+        b'{"c_re": [0.0, 1.0, 2.0], "c_im": [0.0]}',
+        "coefficient JSON keys 'c_re' and 'c_im' must be lists of one length, got a list of 3 and a list of 1",
+    ),
+    "unequal_c_lists": (
+        b'{"c_re": [0.0, 1.0, 2.0], "c_im": [0.0, 0.0]}',
+        "coefficient JSON keys 'c_re' and 'c_im' must be lists of one length, got a list of 3 and a list of 2",
+    ),
+    "number_c_re": (
+        b'{"c_re": 0.5, "c_im": [0.0, 1.0]}',
+        "coefficient JSON keys 'c_re' and 'c_im' must be lists of one length, got the number 0.5 and a list of 2",
+    ),
 }
 
 
