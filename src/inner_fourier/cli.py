@@ -43,9 +43,8 @@ from .coeffs import FourierCoefficients, TaylorCoefficients, fourier_coefficient
 from .distributions import delta_inner
 from .errors import EvaluationError
 from .fileio import (
-    coefficients_payload,
+    dumps_coefficients,
     dumps_curve,
-    dumps_json,
     read_coefficients_json,
     read_samples_csv,
     write_output,
@@ -101,7 +100,7 @@ def cmd_coeffs(args) -> int:
         fc = resolve(args.fn, **params).coefficients(args.K)
     else:
         fc = fourier_coefficients(read_samples_csv(args.csv), args.K)
-    write_output(dumps_json(coefficients_payload(fc)), args.out)
+    write_output(dumps_coefficients(fc), args.out)
     return 0
 
 

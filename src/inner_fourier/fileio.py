@@ -3,7 +3,8 @@
 Every float is written as its shortest exact repr (``0.1``, not
 ``0.10000000000000001``), which reads back as the same double, in a fixed
 order, so identical inputs give identical bytes. A non-finite float
-raises ValueError.
+raises ValueError: ``dumps_curve`` refuses it, and ``FourierCoefficients``
+refuses it before ``dumps_coefficients`` can see it.
 
 Coefficient JSON carries the real triple as {"K", "alpha0", "alpha",
 "beta"} and the complex sequence as {"K", "c_re", "c_im"}; one file may
@@ -13,7 +14,10 @@ the arrays. Either group alone reads as the same ``FourierCoefficients``;
 every entry must be a JSON number, "alpha0" one number, and "c_re" and
 "c_im" two lists of one length. Sample CSV is "theta,value" with a
 required header, on the uniform grid starting at -pi, and finite values;
-columns after value are ignored.
+columns after value are ignored. Rows end in LF, CRLF or CR, blank rows
+are skipped, and a cell may be double-quoted and padded with spaces. A
+cell is a decimal number that ``float`` reads, written in ASCII and
+without underscores: ``1_0`` and non-ASCII digits are refused.
 
 Curve CSV (``dumps_curve``) has a header naming its columns theta, rho,
 value, conjugate and converged, then one angle-major row per (angle,
@@ -27,30 +31,13 @@ from __future__ import annotations
 import csv
 import json
 import sys
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
 
 from .coeffs import FourierCoefficients, PeriodicFunction, TaylorCoefficients, from_taylor, to_taylor
 from .quadrature import theta_grid
-
-
-def dumps_json(obj) -> str:
-    """Serialize with the standard library; a non-finite float raises ValueError."""
-    return json.dumps(obj, allow_nan=False) + "\n"
-
-
-def coefficients_payload(fc: FourierCoefficients) -> dict:
-    """Both key groups of fc: the real triple and its Taylor form c = ``to_taylor(fc)``."""
-    c = to_taylor(fc).c
-    return {
-        "K": fc.K,
-        "alpha0": float(fc.alpha0),
-        "alpha": fc.alpha.tolist(),
-        "beta": fc.beta.tolist(),
-        "c_re": c.real.tolist(),
-        "c_im": c.imag.tolist(),
-    }
 
 
 def _numbers(doc: dict, *keys: str) -> list[np.ndarray]:
@@ -115,20 +102,41 @@ def read_coefficients_json(path) -> FourierCoefficients:
 def read_samples_csv(path) -> PeriodicFunction:
     """Load "theta,value" rows (later columns ignored) into a uniform-grid sampled function; a refusal names the file."""
     with _reading(path) as fp:
-        rows = list(csv.reader(fp))
-        if not rows or [c.strip() for c in rows[0][:2]] != ["theta", "value"]:
+        header = next(csv.reader(fp), [])
+        if [c.strip() for c in header[:2]] != ["theta", "value"]:
             raise ValueError("expected header 'theta,value'")
-        body = [r for r in rows[1:] if r]
+        with warnings.catch_warnings():
+            # a body without rows is refused below by its count
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            body = np.loadtxt(fp, delimiter=",", usecols=(0, 1), comments=None, quotechar='"', ndmin=2)
         if len(body) < 2:
             raise ValueError("need at least 2 sample rows")
-        if any(len(r) < 2 for r in body):
-            raise ValueError("every sample row needs two columns, theta and value")
-        theta = np.array([float(r[0]) for r in body])
-        vals = np.array([float(r[1]) for r in body])
+        theta, vals = body.T
         # written so that a NaN angle fails the comparison and is refused
         if not np.all(np.abs(theta - theta_grid(theta.size)) <= 1e-9):
             raise ValueError("samples are not on the uniform grid starting at -pi")
         return PeriodicFunction.from_samples(vals, name=str(path))
+
+
+def dumps_coefficients(fc: FourierCoefficients) -> str:
+    """Coefficient JSON of fc with both key groups: the real triple and its Taylor form c = ``to_taylor(fc)``.
+
+    ``to_taylor`` gives |Re c_k| = |alpha_k| and |Im c_k| = |beta_k| bit for bit (k >= 1), so the repr of each
+    magnitude is formatted once and each entry takes its own sign. Only the sign of a zero can differ between
+    the groups: alpha_k = -0.0 with a negative beta_k, or beta_k = -0.0, has Re c_k = +0.0.
+    """
+    c = to_taylor(fc).c
+    c0 = complex(c[0])
+    alpha, beta = (list(map(repr, np.abs(a).tolist())) for a in (fc.alpha, fc.beta))
+
+    def signed(mags, x):
+        return ", ".join([f"-{m}" if neg else m for m, neg in zip(mags, np.signbit(x).tolist())])
+
+    return (
+        f'{{"K": {fc.K}, "alpha0": {float(fc.alpha0)!r}, '
+        f'"alpha": [{signed(alpha, fc.alpha)}], "beta": [{signed(beta, fc.beta)}], '
+        f'"c_re": [{c0.real!r}, {signed(alpha, c.real[1:])}], "c_im": [{c0.imag!r}, {signed(beta, c.imag[1:])}]}}\n'
+    )
 
 
 def dumps_curve(theta, rho, value, conjugate, converged=None) -> str:

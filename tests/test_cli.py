@@ -115,6 +115,28 @@ class TestCoeffsCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
+        "wave, amp, shift, digest",
+        [
+            ("square", 1.5, -0.25, "43cbf1da4c414f26fb1cdc7223e51debae7760e28b564b0c256d31bcfb5496b0"),
+            ("sawtooth", 0.75, 0.3, "1f38182e4d93d68b567a9acca4ecb93cf820744411672c06de475465c837fdbe"),
+            ("triangle", 2.0, -1.1, "f5422ef05a2dcd5a7f43716b84231deac0dac0c3091105577fab88f02b25276e"),
+        ],
+        ids=["square", "sawtooth", "triangle"],
+    )
+    def test_csv_output_bytes_are_pinned(self, capsys, tmp_path, wave, amp, shift, digest):
+        # samples with the midpoint at each jump, as repr cells: the pins cover the reader and the writer
+        theta = theta_grid(256)
+        samples = {"square": np.sign(theta), "sawtooth": theta.copy(), "triangle": np.abs(theta)}[wave]
+        if wave != "triangle":
+            samples[0] = 0.0
+        path = tmp_path / f"{wave}.csv"
+        rows = zip(theta.tolist(), (amp * samples + shift).tolist())
+        path.write_text("theta,value\n" + "".join(f"{t!r},{v!r}\n" for t, v in rows))
+        code, out, _ = run(capsys, "coeffs", "--csv", str(path), "--K", "64")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("--fn", "square", "--theta1", "1"),
@@ -402,13 +424,20 @@ class TestInputErrors:
         path.write_text("theta,value\n-3.141592653589793,1.0\n0.0\n")
         self._one_line_usage_error(capsys, "coeffs", "--csv", str(path), "--K", "1")
 
-    @pytest.mark.parametrize("rows", ["-3.141592653589793,abc\n0.0,1.0\n", "abc,1.0\n0.0,1.0\n"], ids=["value", "theta"])
-    def test_sample_cell_that_is_not_a_number_names_the_file(self, capsys, tmp_path, rows):
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("-3.141592653589793,abc\n0.0,1.0\n", "could not convert string 'abc' to float64 at row 0, column 2."),
+            ("abc,1.0\n0.0,1.0\n", "could not convert string 'abc' to float64 at row 0, column 1."),
+        ],
+        ids=["value", "theta"],
+    )
+    def test_sample_cell_that_is_not_a_number_names_the_file(self, capsys, tmp_path, rows, message):
         path = tmp_path / "s.csv"
         path.write_text("theta,value\n" + rows)
         code, out, err = run(capsys, "coeffs", "--csv", str(path), "--K", "0")
         assert code == 2 and out == ""
-        assert err == f"error: {path}: could not convert string to float: 'abc'\n"
+        assert err == f"error: {path}: {message}\n"
 
     def test_coefficient_file_that_is_not_json_names_the_file(self, capsys, tmp_path):
         path = tmp_path / "c.json"

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,8 @@ from hypothesis import strategies as st
 from inner_fourier import FourierCoefficients, to_taylor
 from inner_fourier.cli import main
 from inner_fourier.fileio import (
-    coefficients_payload,
+    dumps_coefficients,
     dumps_curve,
-    dumps_json,
     parse_coefficients,
     read_coefficients_json,
     read_samples_csv,
@@ -31,6 +31,19 @@ def _curve(theta, rho, value, conjugate, converged=None) -> str:
     return dumps_curve(*(np.array(a, dtype=float) for a in (theta, rho, value, conjugate)), converged)
 
 
+def _payload(fc: FourierCoefficients) -> dict:
+    """Both key groups of fc as Python floats, in the order the coefficient writer emits them."""
+    c = to_taylor(fc).c
+    return {
+        "K": fc.K,
+        "alpha0": float(fc.alpha0),
+        "alpha": fc.alpha.tolist(),
+        "beta": fc.beta.tolist(),
+        "c_re": c.real.tolist(),
+        "c_im": c.imag.tolist(),
+    }
+
+
 @given(st.floats(allow_nan=False, allow_infinity=False))
 @example(-0.0)
 @example(5e-324)
@@ -38,36 +51,68 @@ def _curve(theta, rho, value, conjugate, converged=None) -> str:
 @example(1.7976931348623157e308)
 @example(-1.7976931348623157e308)
 def test_floats_read_back_bitwise(x):
-    (from_json,) = json.loads(dumps_json([x]))
+    doc = json.loads(dumps_coefficients(FourierCoefficients(x, [x], [x])))
     cells = _curve([x], [x], [[x]], [[x]]).splitlines()[1].split(",")
-    assert _bits(from_json) == _bits(x)
+    assert all(_bits(v) == _bits(x) for v in (doc["alpha0"], *doc["alpha"], *doc["beta"]))
     assert cells[4] == "" and all(_bits(float(c)) == _bits(x) for c in cells[:4])
+
+
+_COEFFICIENT_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    alpha0=_COEFFICIENT_FLOATS,
+    pairs=st.lists(st.tuples(_COEFFICIENT_FLOATS, _COEFFICIENT_FLOATS), min_size=1, max_size=8),
+)
+@example(alpha0=0.0, pairs=[(0.0, 0.0)])
+@example(alpha0=-0.0, pairs=[(-0.0, -0.0)])
+@example(alpha0=5e-324, pairs=[(5e-324, -5e-324), (-5e-324, 5e-324)])
+@example(alpha0=2.2250738585072014e-308, pairs=[(2.2250738585072014e-308, -2.2250738585072014e-308)])
+@example(alpha0=1.7976931348623157e308, pairs=[(1.7976931348623157e308, -1.7976931348623157e308)])
+@example(alpha0=-1.7976931348623157e308, pairs=[(-1.7976931348623157e308, 1.7976931348623157e308)])
+@example(alpha0=1.5, pairs=[(-0.0, -2.5)])  # Re c_1 = +0.0 although alpha_1 = -0.0
+@example(alpha0=1.5, pairs=[(-0.0, -2.5), (-0.0, 2.5), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
+def test_coefficient_writer_equals_json_dumps(alpha0, pairs):
+    fc = FourierCoefficients(alpha0, [a for a, _ in pairs], [b for _, b in pairs])
+    assert dumps_coefficients(fc) == json.dumps(_payload(fc), allow_nan=False) + "\n"
 
 
 @pytest.mark.parametrize("where", range(4), ids=["theta", "rho", "value", "conjugate"])
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
 def test_non_finite_floats_refused(x, where):
-    with pytest.raises(ValueError):
-        dumps_json({"a": [1.0, x]})
     arrays = [[1.0, 2.0], [0.5], [[0.5], [1.5]], [[0.5], [1.5]]]
     arrays[where] = [[0.5], [x]] if where >= 2 else [0.5, x]
     with pytest.raises(ValueError, match=f"^cannot serialize non finite value {x!r}$"):
         _curve(*arrays)
 
 
+@pytest.mark.parametrize("where", ["alpha0", "alpha", "beta"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_coefficients_refused_before_the_writer(x, where):
+    # the coefficient writer never sees a non-finite entry: the type refuses it
+    args = {"alpha0": 1.0, "alpha": [1.0, 2.0], "beta": [0.5, 1.5]}
+    args[where] = x if where == "alpha0" else [0.5, x]
+    with pytest.raises(ValueError, match="^coefficients must be finite$"):
+        FourierCoefficients(**args)
+
+
 def test_json_emitter_is_valid_json():
-    doc = {"a": 1, "b": [0.5, 2.0, -1e-9], "c": "x\"y", "d": True, "e": None}
-    parsed = json.loads(dumps_json(doc))
-    assert parsed["b"] == [0.5, 2.0, -1e-9]
-    assert parsed["c"] == 'x"y'
-    assert dumps_json({"K": 2, "b": [0.1, -0.0]}) == '{"K": 2, "b": [0.1, -0.0]}\n'
+    text = dumps_coefficients(FourierCoefficients(0.2, [0.1, -0.0], [0.5, -1e-9]))
+    parsed = json.loads(text)
+    assert parsed["beta"] == [0.5, -1e-9]
+    assert text == (
+        '{"K": 2, "alpha0": 0.2, "alpha": [0.1, -0.0], "beta": [0.5, -1e-09], '
+        '"c_re": [0.1, 0.1, 0.0], "c_im": [0.0, -0.5, 1e-09]}\n'
+    )
 
 
 def test_coefficient_payload_roundtrip(tmp_path, rng):
     fc = FourierCoefficients(1.25, rng.standard_normal(5), rng.standard_normal(5))
     tc = to_taylor(fc)
     path = tmp_path / "c.json"
-    write_output(dumps_json(coefficients_payload(fc)), path)
+    write_output(dumps_coefficients(fc), path)
     fc2 = read_coefficients_json(path)
     assert fc2.alpha0 == fc.alpha0
     assert np.array_equal(fc2.alpha, fc.alpha)
@@ -77,7 +122,7 @@ def test_coefficient_payload_roundtrip(tmp_path, rng):
 
 def test_partial_payloads():
     fc = FourierCoefficients(2.0, np.zeros(2), np.zeros(2))
-    doc = coefficients_payload(fc)
+    doc = json.loads(dumps_coefficients(fc))
     del doc["c_re"], doc["c_im"]
     fc2 = parse_coefficients(doc)
     assert fc2.alpha0 == 2.0
@@ -254,19 +299,86 @@ def test_coefficient_file_refusal_names_the_file(tmp_path, content, message):
 
 
 _BAD_SAMPLE_FILES = {
-    "text_value": (b"theta,value\n-3.141592653589793,abc\n0.0,1.0\n", "could not convert string to float: 'abc'"),
-    "text_theta": (b"theta,value\nabc,1.0\n0.0,1.0\n", "could not convert string to float: 'abc'"),
-    "empty_cell": (b"theta,value\n-3.141592653589793,\n0.0,1.0\n", "could not convert string to float: ''"),
+    "text_value": (
+        b"theta,value\n-3.141592653589793,abc\n0.0,1.0\n",
+        "could not convert string 'abc' to float64 at row 0, column 2.",
+    ),
+    "text_theta": (b"theta,value\nabc,1.0\n0.0,1.0\n", "could not convert string 'abc' to float64 at row 0, column 1."),
+    "empty_cell": (
+        b"theta,value\n-3.141592653589793,\n0.0,1.0\n",
+        "could not convert string '' to float64 at row 0, column 2.",
+    ),
     "not_utf8": (b"theta,value\n\xff,1.0\n", "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
     "no_header": (b"", "expected header 'theta,value'"),
-    "one_column": (b"theta,value\n-3.141592653589793,1.0\n0.0\n", "every sample row needs two columns, theta and value"),
+    "one_column": (b"theta,value\n-3.141592653589793,1.0\n0.0\n", "invalid column index 1 at row 2 with 1 columns"),
+    "whitespace_row": (
+        b"theta,value\n-3.141592653589793,1.0\n  \n0.0,2.0\n",
+        "could not convert string '  ' to float64 at row 1, column 1.",
+    ),
+    "comment_row": (
+        b"theta,value\n# samples\n-3.141592653589793,1.0\n0.0,2.0\n",
+        "could not convert string '# samples' to float64 at row 0, column 1.",
+    ),
+    "header_only": (b"theta,value\n", "need at least 2 sample rows"),
+    "header_and_blank_rows": (b"theta,value\n\n\r\n", "need at least 2 sample rows"),
+    "one_row": (b"theta,value\n-3.141592653589793,1.0\n", "need at least 2 sample rows"),
+    # float() reads both of these; the sample grammar does not
+    "underscore": (
+        b"theta,value\n-3.141592653589793,1_0\n0.0,2.0\n",
+        "could not convert string '1_0' to float64 at row 0, column 2.",
+    ),
+    "non_ascii_digit": (
+        "theta,value\n-3.141592653589793,\u0661.5\n0.0,2.0\n".encode(),
+        "could not convert string '\u0661.5' to float64 at row 0, column 2.",
+    ),
 }
 
 
 @pytest.mark.parametrize("content, message", _BAD_SAMPLE_FILES.values(), ids=_BAD_SAMPLE_FILES.keys())
-def test_sample_file_refusal_names_the_file(tmp_path, content, message):
+def test_sample_file_refusal_names_the_file(tmp_path, capsys, content, message):
     path = tmp_path / "s.csv"
     path.write_bytes(content)
-    with pytest.raises(ValueError) as exc:
-        read_samples_csv(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError) as exc:
+            read_samples_csv(path)
+        code = main(["coeffs", "--csv", str(path), "--K", "1"])
     assert str(exc.value) == f"{path}: {message}"
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {path}: {message}\n")
+    assert caught == []
+
+
+_T = [repr(t) for t in theta_grid(4).tolist()]
+_GOOD_SAMPLE_FILES = {
+    "crlf": f"theta,value\r\n{_T[0]},1.0\r\n{_T[1]},-2.5\r\n{_T[2]},0.5\r\n{_T[3]},3.0\r\n",
+    "lone_cr": f"theta,value\r{_T[0]},1.0\r{_T[1]},-2.5\r{_T[2]},0.5\r{_T[3]},3.0\r",
+    "blank_rows": f"theta,value\n\n{_T[0]},1.0\n\n\n{_T[1]},-2.5\n\r\n{_T[2]},0.5\n{_T[3]},3.0\n\n",
+    "extra_columns": f"theta,value,note\n{_T[0]},1.0,a\n{_T[1]},-2.5,b\n{_T[2]},0.5,c\n{_T[3]},3.0,d\n",
+    "ragged_extra_columns": f"theta,value\n{_T[0]},1.0,a,b\n{_T[1]},-2.5\n{_T[2]},0.5,\n{_T[3]},3.0,x,,y,z\n",
+    "double_quoted": f'"theta","value"\n"{_T[0]}","1.0"\n{_T[1]},"-2.5"\n"{_T[2]}",0.5\n{_T[3]},3.0\n',
+    "spaces": f" theta , value\n {_T[0]} , 1.0 \n{_T[1]},\t-2.5\n{_T[2]}  ,0.5\t\n{_T[3]}, 3.0\n",
+    "no_final_newline": f"theta,value\n{_T[0]},1.0\n{_T[1]},-2.5\n{_T[2]},0.5\n{_T[3]},3.0",
+    "seventeen_digits": (
+        f"theta,value\n{_T[0]},0.10000000000000001\n{_T[1]},-2.9999999999999996\n"
+        f"{_T[2]},1.2345678901234567e-300\n{_T[3]},4.9406564584124654e-324\n"
+    ),
+    "halfway_and_long_digits": (
+        "theta,value\n-3.14159265358979323846264338327950288,2.2250738585072011e-308\n"
+        f"{_T[1]},0.1000000000000000055511151231257827\n"
+        f"{_T[2]},1.00000000000000011102230246251565404236316680908203125\n"
+        f"{_T[3]},9007199254740993\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", _GOOD_SAMPLE_FILES.values(), ids=_GOOD_SAMPLE_FILES.keys())
+def test_sample_file_reads_as_float_reads_its_cells(tmp_path, text):
+    # the oracle: float() of the value cell of every non-blank csv row after the header
+    want = [float(row[1]) for row in list(csv.reader(io.StringIO(text, newline="")))[1:] if row]
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = read_samples_csv(path).samples.tolist()
+    assert [_bits(x) for x in got] == [_bits(x) for x in want] and len(want) == 4
+    assert caught == []
