@@ -57,7 +57,6 @@ from .series import (
     TaylorSeries,
     angular_derivative,
     angular_primitive,
-    conjugate_sum,
     regulated_sum,
     rho_limit,
     truncation_bound,
@@ -93,7 +92,6 @@ __all__ = [
     "classify_sequence",
     "coefficients_by_cauchy",
     "completeness_probe",
-    "conjugate_sum",
     "contour_partial_sum",
     "convergence_radius_check",
     "delta_inner",

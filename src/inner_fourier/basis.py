@@ -49,10 +49,6 @@ class GramReport:
         off_err = max(float(np.max(np.abs(g - np.diag(diag)))), leak)
         return cls(g.shape[0], off_err, diag_err, g)
 
-    @property
-    def passed(self) -> bool:
-        return self.max_offdiag_error <= 1e-12 and self.max_diag_error <= 1e-12
-
 
 def residue_identity_check(p: int, rho: float) -> complex:
     """Contour quadrature of (1/(2*pi*i)) * loop of z**(p-1) dz at radius rho.

@@ -65,7 +65,7 @@ def _jump_entry(id: str, f, beta) -> CatalogEntry:
     def taylor(K):
         return TaylorCoefficients(np.r_[0.0, -1j * beta(np.arange(1, K + 1))])
 
-    return CatalogEntry(id, PeriodicFunction.from_callable(id, fn), taylor)
+    return CatalogEntry(id, PeriodicFunction(id, fn=fn), taylor)
 
 
 def _entry_triangle():
@@ -73,14 +73,14 @@ def _entry_triangle():
         k = np.arange(1, K + 1)
         return TaylorCoefficients(np.r_[0.5 * math.pi, (2.0 / (math.pi * k * k)) * ((-1.0) ** k - 1.0)])
 
-    return CatalogEntry("triangle", PeriodicFunction.from_callable("triangle", np.abs), taylor)
+    return CatalogEntry("triangle", PeriodicFunction("triangle", fn=np.abs), taylor)
 
 
 def _entry_poisson(r: float = 0.5, theta1: float = 0.0):
     if not 0.0 <= r < 1.0:
         raise ValueError(f"poisson entry needs 0 <= r < 1, got {r}")
     w = delta_inner(theta1)
-    function = PeriodicFunction.from_callable("poisson", lambda theta: w.polar(theta, r).real)
+    function = PeriodicFunction("poisson", fn=lambda theta: w.polar(theta, r).real)
     return CatalogEntry("poisson", function, lambda K: TaylorCoefficients(w.taylor(K).c * r ** np.arange(K + 1.0)))
 
 
@@ -95,7 +95,7 @@ def _trig_poly(id: str, fc: FourierCoefficients) -> CatalogEntry:
             raise ValueError(f"{id} has degree {fc.K}; need K >= {fc.K}")
         return w.taylor(K)
 
-    return CatalogEntry(id, PeriodicFunction.from_callable(id, fn), taylor)
+    return CatalogEntry(id, PeriodicFunction(id, fn=fn), taylor)
 
 
 def trig_poly_entry(alpha0: float, alpha, beta) -> CatalogEntry:

@@ -41,7 +41,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PeriodicFunction:
-    """A real function on [-pi, pi): a callable or a uniform sample grid."""
+    """A real function on [-pi, pi): ``PeriodicFunction(name, fn=callable)`` or ``PeriodicFunction(name, samples=grid)``.
+
+    The samples are on the uniform grid from -pi, copied and read-only.
+    """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray] | None = None
@@ -57,14 +60,6 @@ class PeriodicFunction:
             if not np.all(np.isfinite(s)):
                 raise ValueError("sample values must be finite")
             object.__setattr__(self, "samples", _readonly(s))
-
-    @classmethod
-    def from_callable(cls, name, fn) -> "PeriodicFunction":
-        return cls(name=name, fn=fn)
-
-    @classmethod
-    def from_samples(cls, values, name="samples") -> "PeriodicFunction":
-        return cls(name=name, samples=np.asarray(values, dtype=float))
 
     def on_grid(self, m: int) -> np.ndarray:
         """Values at the m uniform grid angles; non-finite values raise EvaluationError.
@@ -133,10 +128,6 @@ class TaylorCoefficients:
     @property
     def K(self) -> int:
         return self.c.size - 1
-
-    @classmethod
-    def zeros(cls, K: int) -> "TaylorCoefficients":
-        return cls(np.zeros(K + 1, dtype=complex))
 
 
 def fourier_coefficients(

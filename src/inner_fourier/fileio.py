@@ -115,7 +115,7 @@ def read_samples_csv(path) -> PeriodicFunction:
         # written so that a NaN angle fails the comparison and is refused
         if not np.all(np.abs(theta - theta_grid(theta.size)) <= 1e-9):
             raise ValueError("samples are not on the uniform grid starting at -pi")
-        return PeriodicFunction.from_samples(vals, name=str(path))
+        return PeriodicFunction(str(path), samples=vals)
 
 
 def dumps_coefficients(fc: FourierCoefficients) -> str:

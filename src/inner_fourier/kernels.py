@@ -42,7 +42,7 @@ _RADIUS_CLASH_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PartialSumReport:
-    """Direct and contour values of one partial sum, with their distance.
+    """Direct and contour values of the partial sum S_N(z) a caller asked for, with their distance.
 
     ``roundoff_bound`` is the far-field estimate eps * max|w_j| * max(1, A)
     of the error of ``contour``, not a bound: random sweeps exceed it up to
@@ -50,7 +50,6 @@ class PartialSumReport:
     ``quadrature.power_series`` bounds.
     """
 
-    N: int
     direct: complex
     contour: complex
     discrepancy: float
@@ -97,7 +96,7 @@ def contour_partial_sum(
     F, zeta, bound = _circle_fft(w, z.z, N, rho1, M)
     contour = complex(power_series(F[:N], zeta))
     direct = partial_sum(w.taylor(N), z, N)
-    return PartialSumReport(N, direct, contour, abs(direct - contour), bound)
+    return PartialSumReport(direct, contour, abs(direct - contour), bound)
 
 
 def remainder(w: InnerAnalytic, z: PolarPoint, N: int, rho1: float, M: int = 4096) -> complex:

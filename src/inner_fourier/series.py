@@ -10,11 +10,13 @@ and the imaginary part is the conjugate sum with cos and sin exchanged
 (cos -> sin, sin -> -cos). Taking rho -> 1 from below recovers the
 function at every angle where the boundary behavior is regular, even when
 the plain (rho = 1) trigonometric series diverges, and the imaginary part
-tends to its Fourier conjugate. ``rho_limit`` walks both along a finite
-radius schedule and reports convergence empirically; it does not classify
-the boundary singularity at the probed angle.
+tends to its Fourier conjugate. ``regulated_sum`` is the real part at one
+radius and ``w.polar(theta, rho).imag`` the conjugate sum; ``rho_limit``
+walks both along a finite radius schedule and reports convergence
+empirically; it does not classify the boundary singularity at the probed
+angle.
 
-The regulated sums and ``rho_limit`` evaluate any ``InnerAnalytic``: a
+``regulated_sum`` and ``rho_limit`` evaluate any ``InnerAnalytic``: a
 truncated series, or a closed form such as the point mass, which has no
 cutoff. Coefficients fc are read as ``TaylorSeries(to_taylor(fc))``.
 """
@@ -220,12 +222,6 @@ def _inner(w: InnerAnalytic | FourierCoefficients) -> InnerAnalytic:
     return TaylorSeries(to_taylor(w)) if isinstance(w, FourierCoefficients) else w
 
 
-def _disk_values(w: InnerAnalytic | FourierCoefficients, theta, rho: float):
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"need 0 <= rho < 1, got {rho}")
-    return _inner(w).polar(theta, rho)
-
-
 def regulated_sum(w: InnerAnalytic | FourierCoefficients, theta, rho: float):
     """Re w(rho*exp(i*theta)) for 0 <= rho < 1, at one angle or an array of angles.
 
@@ -233,17 +229,9 @@ def regulated_sum(w: InnerAnalytic | FourierCoefficients, theta, rho: float):
     + beta_k sin(k theta)], evaluated through ``w.polar``. A non-finite
     theta raises ValueError.
     """
-    return _disk_values(w, theta, rho).real
-
-
-def conjugate_sum(w: InnerAnalytic | FourierCoefficients, theta, rho: float):
-    """Im w(rho*exp(i*theta)) for 0 <= rho < 1, at one angle or an array of angles.
-
-    For coefficients fc this is sum rho**k [alpha_k sin(k theta) - beta_k
-    cos(k theta)]; its rho -> 1 limit is the Fourier conjugate of the
-    function behind fc.
-    """
-    return _disk_values(w, theta, rho).imag
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"need 0 <= rho < 1, got {rho}")
+    return _inner(w).polar(theta, rho).real
 
 
 def truncation_bound(rho: float, K: int) -> float:

@@ -70,7 +70,7 @@ def test_quadrature_point_precondition():
 
 
 def test_singular_point_on_grid_raises():
-    f = PeriodicFunction.from_callable("recip", lambda t: 1.0 / t)
+    f = PeriodicFunction("recip", fn=lambda t: 1.0 / t)
     with np.errstate(divide="ignore"), pytest.raises(EvaluationError, match="non finite"):
         f.on_grid(64)  # even grid hits theta = 0
     vals = f.on_grid(63)  # odd grid avoids it
@@ -78,7 +78,7 @@ def test_singular_point_on_grid_raises():
 
 
 def test_sampled_function_requires_matching_grid():
-    f = PeriodicFunction.from_samples(np.ones(32))
+    f = PeriodicFunction("samples", samples=np.ones(32))
     with pytest.raises(ValueError, match="32"):
         fourier_coefficients(f, 4, 64)
     fc = fourier_coefficients(f, 4, 32)
@@ -148,10 +148,10 @@ def test_linearity_on_shared_grids(rng):
     f = resolve("triangle").function.on_grid(M)
     g = resolve("cos_2").function.on_grid(M)
     a, b = 1.7, -0.4
-    combo = PeriodicFunction.from_samples(a * f + b * g)
+    combo = PeriodicFunction("samples", samples=a * f + b * g)
     fc = fourier_coefficients(combo, K, M)
-    ff = fourier_coefficients(PeriodicFunction.from_samples(f), K, M)
-    fg = fourier_coefficients(PeriodicFunction.from_samples(g), K, M)
+    ff = fourier_coefficients(PeriodicFunction("samples", samples=f), K, M)
+    fg = fourier_coefficients(PeriodicFunction("samples", samples=g), K, M)
     assert fc.alpha0 == pytest.approx(a * ff.alpha0 + b * fg.alpha0, abs=1e-13)
     assert np.allclose(fc.alpha, a * ff.alpha + b * fg.alpha, atol=1e-13)
     assert np.allclose(fc.beta, a * ff.beta + b * fg.beta, atol=1e-13)
@@ -227,7 +227,7 @@ def test_coefficient_map_is_linear(data, K, a, b):
 def test_coefficients_whose_unnormalised_sums_overflow_are_returned():
     # the FFT sums 2a, but c_1 = (2/M) * sum f_j exp(-i*theta_j) = a*(i - 1) on the grid from -pi
     a = 1.79e308
-    fc = fourier_coefficients(PeriodicFunction.from_samples([a, a, -a, -a]), 1)
+    fc = fourier_coefficients(PeriodicFunction("samples", samples=[a, a, -a, -a]), 1)
     assert fc.alpha0 == 0.0
     assert to_taylor(fc).c[1] == complex(-a, a)
 
@@ -236,10 +236,10 @@ def test_coefficient_past_the_double_range_is_still_refused():
     a = 1.79e308
     # alpha_0 = 2 * mean = 2a
     with pytest.raises(EvaluationError, match="overflow a double"):
-        fourier_coefficients(PeriodicFunction.from_samples([a, a, a, a]), 1)
+        fourier_coefficients(PeriodicFunction("samples", samples=[a, a, a, a]), 1)
     # a * sign(cos(theta_j)) on 8 nodes: alpha_1 = (1 + sqrt(2)) * a / 2 = 1.21a
     samples = a * np.sign(np.round(np.cos(theta_grid(8)), 12))
     with pytest.raises(EvaluationError, match="overflow a double"):
-        fourier_coefficients(PeriodicFunction.from_samples(samples), 1)
-    fc = fourier_coefficients(PeriodicFunction.from_samples(samples / 2.0), 1)
+        fourier_coefficients(PeriodicFunction("samples", samples=samples), 1)
+    fc = fourier_coefficients(PeriodicFunction("samples", samples=samples / 2.0), 1)
     assert fc.alpha[0] == pytest.approx((1.0 + math.sqrt(2.0)) / 4.0 * a, rel=1e-15)

@@ -149,7 +149,7 @@ class TestNorm:
             assert norm_disk(monomial(3), DiskProductConfig(rho0, 256)) == pytest.approx(rho0**3)
 
     def test_zero_function(self):
-        assert norm_disk(TaylorSeries(TaylorCoefficients.zeros(4)), DiskProductConfig(0.5, 128)) == 0.0
+        assert norm_disk(TaylorSeries(TaylorCoefficients(np.zeros(5))), DiskProductConfig(0.5, 128)) == 0.0
 
 
 class TestTaylorGram:

@@ -75,7 +75,7 @@ def test_analysis_matches_direct_trapezoid_sums(m, data):
     f = np.array(
         data.draw(st.lists(st.floats(-1e6, 1e6), min_size=m, max_size=m), label="samples")
     )
-    fc = fourier_coefficients(PeriodicFunction.from_samples(f), K)
+    fc = fourier_coefficients(PeriodicFunction("samples", samples=f), K)
     alpha0, alpha, beta = direct_trapezoid(f, K)
     tol = 4.0 * EPS * math.log2(m) * float(np.max(np.abs(f)))
     assert abs(fc.alpha0 - alpha0) <= tol

@@ -18,9 +18,9 @@ from inner_fourier import (
     TruncationWarning,
     angular_derivative,
     angular_primitive,
-    conjugate_sum,
     delta_inner,
     fourier_coefficients,
+    from_taylor,
     regulated_sum,
     resolve,
     rho_limit,
@@ -38,16 +38,27 @@ def _fc(alpha0=0.0, alpha=(), beta=(), K=None):
     return FourierCoefficients(alpha0, a, b)
 
 
+def _fsum_conjugate(fc, theta, rho):
+    """The conjugate sum rho**k (alpha_k sin k theta - beta_k cos k theta) over k = 1..K by math.fsum, at each angle."""
+
+    def one(t):
+        pairs = zip(fc.alpha.tolist(), fc.beta.tolist())
+        return math.fsum(rho**k * (a * math.sin(k * t) - b * math.cos(k * t)) for k, (a, b) in enumerate(pairs, 1))
+
+    return one(float(theta)) if np.ndim(theta) == 0 else np.array([one(t) for t in np.asarray(theta).tolist()])
+
+
 class TestEvalInner:
     def test_constant_series(self):
         w = TaylorSeries(TaylorCoefficients(np.array([1.0, 0.0], dtype=complex)))
         assert regulated_sum(w, 2.0, 0.3) == pytest.approx(1.0)
-        assert conjugate_sum(w, 2.0, 0.3) == 0.0
+        assert w.polar(2.0, 0.3).imag == _fsum_conjugate(from_taylor(w.tc), 2.0, 0.3) == 0.0
 
     def test_identity_series(self):
         w = TaylorSeries(TaylorCoefficients(np.array([0.0, 1.0], dtype=complex)))
         assert regulated_sum(w, math.pi / 2, 0.5) == pytest.approx(0.0, abs=1e-16)
-        assert conjugate_sum(w, math.pi / 2, 0.5) == pytest.approx(0.5)
+        assert w.polar(math.pi / 2, 0.5).imag == pytest.approx(_fsum_conjugate(from_taylor(w.tc), math.pi / 2, 0.5))
+        assert _fsum_conjugate(from_taylor(w.tc), math.pi / 2, 0.5) == 0.5
 
     def test_point_mass_at_origin(self):
         assert regulated_sum(delta_inner(0.0), 1.3, 0.0) == pytest.approx(1 / (2 * math.pi))
@@ -57,7 +68,9 @@ class TestEvalInner:
         with pytest.raises(ValueError, match="rho < 1"):
             regulated_sum(w, 0.0, 1.0)
         with pytest.raises(ValueError, match="rho < 1"):
-            conjugate_sum(delta_inner(0.0), 0.0, 1.0)
+            regulated_sum(delta_inner(0.0), 0.0, 1.0)
+        with pytest.raises(ValueError, match="rho < 1"):
+            regulated_sum(delta_inner(0.0), np.array([0.0, 1.0]), -0.5)
 
 
 class TestRegulatedSum:
@@ -83,7 +96,7 @@ class TestRegulatedSum:
         with pytest.raises(ValueError, match="finite"):
             regulated_sum(fc, theta, 0.5)
         with pytest.raises(ValueError, match="finite"):
-            conjugate_sum(fc, theta, 0.5)
+            regulated_sum(delta_inner(0.7), np.array([0.0, theta]), 0.5)
         # rho_limit weighs a series' K = 1 cutoff, and warns, before it reads the angle
         with pytest.raises(ValueError, match="finite"), pytest.warns(TruncationWarning):
             rho_limit(fc, theta, RhoSchedule.geometric(1, 4))
@@ -96,14 +109,21 @@ class TestRegulatedSum:
 
 
 class TestConjugateSum:
+    """Im w at rho*exp(i*theta) against the sum of rho**k (alpha_k sin k theta - beta_k cos k theta)."""
+
     def test_cosine_conjugates_to_sine(self):
-        assert conjugate_sum(_fc(alpha=(1.0,)), math.pi / 2, 0.9) == pytest.approx(0.9)
+        fc = _fc(alpha=(1.0,))
+        assert TaylorSeries(to_taylor(fc)).polar(math.pi / 2, 0.9).imag == pytest.approx(_fsum_conjugate(fc, math.pi / 2, 0.9))
+        assert _fsum_conjugate(fc, math.pi / 2, 0.9) == pytest.approx(0.9)
 
     def test_constant_has_zero_conjugate(self):
-        assert conjugate_sum(_fc(alpha0=2.0, K=3), 0.7, 0.9) == 0.0
+        fc = _fc(alpha0=2.0, K=3)
+        assert TaylorSeries(to_taylor(fc)).polar(0.7, 0.9).imag == _fsum_conjugate(fc, 0.7, 0.9) == 0.0
 
     def test_sine_conjugates_to_negative_cosine(self):
-        assert conjugate_sum(_fc(beta=(1.0,)), 0.0, 0.5) == pytest.approx(-0.5)
+        fc = _fc(beta=(1.0,))
+        assert TaylorSeries(to_taylor(fc)).polar(0.0, 0.5).imag == pytest.approx(_fsum_conjugate(fc, 0.0, 0.5))
+        assert _fsum_conjugate(fc, 0.0, 0.5) == -0.5
 
 
 def test_sums_match_series_evaluation(rng):
@@ -117,21 +137,26 @@ def test_sums_match_series_evaluation(rng):
         w = TaylorSeries(to_taylor(fc))(PolarPoint(rho, theta).z)
         scale = max(1.0, abs(w))
         assert abs(regulated_sum(fc, theta, rho) - w.real) < 1e-12 * scale
-        assert abs(conjugate_sum(fc, theta, rho) - w.imag) < 1e-12 * scale
+        assert abs(_fsum_conjugate(fc, theta, rho) - w.imag) < 1e-12 * scale
 
 
 @pytest.mark.parametrize("w", [_fc(alpha0=0.5, alpha=(1.0, -0.25), beta=(0.5,)), delta_inner(0.7)])
 def test_sums_on_an_angle_array_equal_the_scalar_calls(w):
     rho = 0.9
+    series = isinstance(w, FourierCoefficients)
+    # the point mass's terms past k = 400 are below rho**400 / pi < 2e-19
+    fc, inner = (w, TaylorSeries(to_taylor(w))) if series else (from_taylor(w.taylor(400)), w)
     # a partial arc (power_series for a series) and a full period (the folded FFT)
     for thetas in (np.linspace(-3.0, 3.0, 41), np.linspace(-math.pi, math.pi, 40, endpoint=False) + 0.3):
-        for f in (regulated_sum, conjugate_sum):
-            got = f(w, thetas, rho)
-            want = np.array([f(w, float(t), rho) for t in thetas])
-            assert got.shape == thetas.shape
-            # numpy's vectorised complex product may round differently from its
-            # one-element path, so the two agree to a few ulps, not bitwise
-            np.testing.assert_allclose(got, want, rtol=0, atol=8 * EPS * np.max(np.abs(want)))
+        got = regulated_sum(w, thetas, rho)
+        want = np.array([regulated_sum(w, float(t), rho) for t in thetas])
+        assert got.shape == thetas.shape
+        # numpy's vectorised complex product may round differently from its
+        # one-element path, so the two agree to a few ulps, not bitwise
+        np.testing.assert_allclose(got, want, rtol=0, atol=8 * EPS * np.max(np.abs(want)))
+        got, want = inner.polar(thetas, rho).imag, _fsum_conjugate(fc, thetas, rho)
+        assert got.shape == thetas.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=8 * EPS * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize(
@@ -276,7 +301,7 @@ class TestRhoLimitOnAngleArrays:
     def test_conjugate_is_the_conjugate_sum_at_each_radius(self, theta):
         fc = _fc(alpha0=0.5, alpha=(1.0, -0.25), beta=(0.5,))
         res = rho_limit(fc, theta, self.SCHED)
-        want = np.stack([conjugate_sum(fc, theta, rho) for rho in self.SCHED.rhos], axis=-1)
+        want = np.stack([_fsum_conjugate(fc, theta, rho) for rho in self.SCHED.rhos], axis=-1)
         np.testing.assert_allclose(res.conjugate, want, rtol=0, atol=8 * EPS * np.max(np.abs(want)))
 
     def test_scalar_angle_keeps_the_scalar_types(self):
