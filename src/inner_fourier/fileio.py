@@ -30,9 +30,11 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import sys
 import warnings
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -85,12 +87,27 @@ def parse_coefficients(doc: dict) -> FourierCoefficients:
 
 @contextmanager
 def _reading(path):
-    """The text file at path, open for reading; a ValueError raised inside names the file."""
+    """The text file at path, open for reading; a ValueError raised inside names the file, and a bad byte its line."""
     with open(path, "r", encoding="utf-8", newline="") as fp:
         try:
             yield fp
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {_undecodable(path, exc)}") from None
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _undecodable(path, exc: UnicodeDecodeError) -> str:
+    """exc restated at its line and offset in the file at path; the text layer counts within the block it decoded."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        # a line ends at LF, CRLF or CR; the bad byte is on the line after the last end before it
+        at, reason = whole.start, whole.reason
+        line = len((data[:at] + b".").splitlines())
+        return f"'utf-8' codec can't decode byte 0x{data[at]:02x} on line {line} at offset {at}: {reason}"
+    return str(exc)
 
 
 def read_coefficients_json(path) -> FourierCoefficients:
@@ -99,16 +116,45 @@ def read_coefficients_json(path) -> FourierCoefficients:
         return parse_coefficients(json.load(fp))
 
 
+def _cells(rows) -> np.ndarray:
+    """The first two cells of each CSV row in rows, a file or a list of lines, as floats; blank rows are skipped."""
+    with warnings.catch_warnings():
+        # a body without rows is refused by its caller
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(rows, delimiter=",", usecols=(0, 1), comments=None, quotechar='"', ndmin=2)
+
+
+def _bad_line(fp, exc: ValueError) -> str:
+    """exc, numpy's refusal of the rows after fp's header, restated at the first line that it refuses alone."""
+    fp.seek(0)
+    reader = csv.reader(fp)
+    next(reader)
+    for n, line in enumerate(fp, reader.line_num + 1):
+        try:
+            _cells([line])
+        except ValueError as bad:
+            # numpy counts rows from the line after the header and skips blank ones
+            msg, named = re.subn(r"\bat row \d+", f"at line {n}", str(bad))
+            return msg if named else f"line {n}: {msg}"
+    return str(exc)
+
+
 def read_samples_csv(path) -> PeriodicFunction:
-    """Load "theta,value" rows (later columns ignored) into a uniform-grid sampled function; a refusal names the file."""
+    """Load "theta,value" rows (later columns ignored) into a uniform-grid sampled function.
+
+    A refusal names the file, and a row or byte it cannot read names its
+    line: the header is line 1, and blank lines count.
+    """
     with _reading(path) as fp:
         header = next(csv.reader(fp), [])
         if [c.strip() for c in header[:2]] != ["theta", "value"]:
             raise ValueError("expected header 'theta,value'")
-        with warnings.catch_warnings():
-            # a body without rows is refused below by its count
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            body = np.loadtxt(fp, delimiter=",", usecols=(0, 1), comments=None, quotechar='"', ndmin=2)
+        try:
+            body = _cells(fp)
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:
+            raise ValueError(_bad_line(fp, exc)) from None
         if len(body) < 2:
             raise ValueError("need at least 2 sample rows")
         theta, vals = body.T

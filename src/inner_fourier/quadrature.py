@@ -354,8 +354,9 @@ def check_circle(w, rho: float, m: int) -> None:
     analytic out to radius R (Trefethen & Weideman, SIAM Review 2014); a
     pole of order n + 1 at R, coefficients growing like k**n, scales that
     by the growth term of ``_aliasing_scale``. A declared pole of w within
-    1e-9 of the circle raises EvaluationError. A scale above eps, for R the
-    nearest declared pole outside the circle and n + 1 = ``w.pole_order``,
+    1e-9 of the circle raises EvaluationError, and one inside it ValueError:
+    the sums would hold its residue, not w's coefficients. A scale above
+    eps, for R the nearest declared pole and n + 1 = ``w.pole_order``,
     raises ValueError naming the smallest m that passes. The rule is exact
     for a polynomial of degree below m; a declared degree at or above m
     raises ValueError naming degree + 1.
@@ -365,9 +366,10 @@ def check_circle(w, rho: float, m: int) -> None:
     for p in w.pole_set:
         if abs(abs(p) - rho) < _POLE_CLASH_TOL:
             raise EvaluationError(f"pole at {p!r} lies on the integration circle of radius {rho}")
-    outside = [abs(p) for p in w.pole_set if abs(p) > rho]
-    if outside:
-        check_aliasing(rho / min(outside), m, w.pole_order)
+        if abs(p) < rho:
+            raise ValueError(f"the circle of radius {rho} encloses the pole at {p!r}")
+    if w.pole_set:
+        check_aliasing(rho / min(map(abs, w.pole_set)), m, w.pole_order)
 
 
 def circle_nodes(rho: float, m: int) -> np.ndarray:

@@ -67,8 +67,8 @@ class InnerAnalytic:
 
     Instances are callables on complex points (scalars or arrays). The
     ``pole_set`` lists known poles, all on or outside the unit circle, so
-    that contour routines can refuse circles through them and size their
-    aliasing, and ``pole_order`` bounds their order (1 unless declared);
+    that contour routines can refuse circles through or around them and
+    size their aliasing, and ``pole_order`` bounds their order (1 unless declared);
     ``degree`` is the polynomial degree when w is a polynomial, else None.
     ``taylor(K)`` returns c_0..c_K when known. ``polar(theta, rho)`` is w on the
     theta x rho grid of ``disk_points``, the one entry point of synthesis,
@@ -110,7 +110,8 @@ class TaylorSeries(InnerAnalytic):
 
     Points are evaluated by ``power_series``, one point to a Python
     complex; ``polar`` by ``grid_power_series`` where it applies, and
-    ``circle`` by ``circle_series``. Each states its error.
+    ``circle`` by ``circle_series``. Each states its error. A value past
+    the double range raises EvaluationError naming its radius.
     """
 
     def __init__(self, tc: TaylorCoefficients):
@@ -118,21 +119,24 @@ class TaylorSeries(InnerAnalytic):
         self.degree = tc.K
         self.label = f"taylor series (K={tc.K})"
 
-    def __call__(self, z):
-        out = power_series(self.tc.c, z)
+    def _sum(self, z, rho):
+        """``power_series`` of c at z, checked by ``_finite`` against the radii rho of z."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._finite(power_series(self.tc.c, z), rho)
         return complex(out) if out.ndim == 0 else out
 
+    def __call__(self, z):
+        return self._sum(z, np.abs(z))
+
     def polar(self, theta, rho):
-        """w on the theta x rho grid; a non-finite value raises EvaluationError naming its radius.
+        """w on the theta x rho grid.
 
         On a full-period uniform theta grid the values come from
         ``grid_power_series``, elsewhere from ``power_series`` bit for bit.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             out = grid_power_series(self.tc.c, theta, rho)
-            if out is None:
-                out = super().polar(theta, rho)
-        return self._finite(out, rho)
+        return self._sum(disk_points(theta, rho), rho) if out is None else self._finite(out, rho)
 
     def circle(self, rho: float, m: int):
         """``circle_series`` of c at the m circle nodes; a degree K >= m is refused by ``check_circle``."""

@@ -427,8 +427,8 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "rows, message",
         [
-            ("-3.141592653589793,abc\n0.0,1.0\n", "could not convert string 'abc' to float64 at row 0, column 2."),
-            ("abc,1.0\n0.0,1.0\n", "could not convert string 'abc' to float64 at row 0, column 1."),
+            ("-3.141592653589793,abc\n0.0,1.0\n", "could not convert string 'abc' to float64 at line 2, column 2."),
+            ("abc,1.0\n0.0,1.0\n", "could not convert string 'abc' to float64 at line 2, column 1."),
         ],
         ids=["value", "theta"],
     )

@@ -256,7 +256,10 @@ def test_numpy_scalars_in_a_document_are_numbers():
 
 _BAD_COEFFICIENT_FILES = {
     "not_json": (b"not json", "Expecting value: line 1 column 1 (char 0)"),
-    "not_utf8": (b'{"K": 1, "alpha0": \xff}', "'utf-8' codec can't decode byte 0xff in position 19: invalid start byte"),
+    "not_utf8": (
+        b'{"K": 1, "alpha0": \xff}',
+        "'utf-8' codec can't decode byte 0xff on line 1 at offset 19: invalid start byte",
+    ),
     "not_an_object": (b"[1.0, 2.0]", "coefficient JSON must be an object"),
     "no_keys": (b'{"K": 1}', "no coefficient keys found (expected alpha/beta or c_re/c_im)"),
     "missing_key": (b'{"alpha0": 0.5, "alpha": [1, 0]}', "coefficient JSON has 'alpha' but lacks 'beta'"),
@@ -301,23 +304,23 @@ def test_coefficient_file_refusal_names_the_file(tmp_path, content, message):
 _BAD_SAMPLE_FILES = {
     "text_value": (
         b"theta,value\n-3.141592653589793,abc\n0.0,1.0\n",
-        "could not convert string 'abc' to float64 at row 0, column 2.",
+        "could not convert string 'abc' to float64 at line 2, column 2.",
     ),
-    "text_theta": (b"theta,value\nabc,1.0\n0.0,1.0\n", "could not convert string 'abc' to float64 at row 0, column 1."),
+    "text_theta": (b"theta,value\nabc,1.0\n0.0,1.0\n", "could not convert string 'abc' to float64 at line 2, column 1."),
     "empty_cell": (
         b"theta,value\n-3.141592653589793,\n0.0,1.0\n",
-        "could not convert string '' to float64 at row 0, column 2.",
+        "could not convert string '' to float64 at line 2, column 2.",
     ),
-    "not_utf8": (b"theta,value\n\xff,1.0\n", "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
+    "not_utf8": (b"theta,value\n\xff,1.0\n", "'utf-8' codec can't decode byte 0xff on line 2 at offset 12: invalid start byte"),
     "no_header": (b"", "expected header 'theta,value'"),
-    "one_column": (b"theta,value\n-3.141592653589793,1.0\n0.0\n", "invalid column index 1 at row 2 with 1 columns"),
+    "one_column": (b"theta,value\n-3.141592653589793,1.0\n0.0\n", "invalid column index 1 at line 3 with 1 columns"),
     "whitespace_row": (
         b"theta,value\n-3.141592653589793,1.0\n  \n0.0,2.0\n",
-        "could not convert string '  ' to float64 at row 1, column 1.",
+        "could not convert string '  ' to float64 at line 3, column 1.",
     ),
     "comment_row": (
         b"theta,value\n# samples\n-3.141592653589793,1.0\n0.0,2.0\n",
-        "could not convert string '# samples' to float64 at row 0, column 1.",
+        "could not convert string '# samples' to float64 at line 2, column 1.",
     ),
     "header_only": (b"theta,value\n", "need at least 2 sample rows"),
     "header_and_blank_rows": (b"theta,value\n\n\r\n", "need at least 2 sample rows"),
@@ -325,11 +328,11 @@ _BAD_SAMPLE_FILES = {
     # float() reads both of these; the sample grammar does not
     "underscore": (
         b"theta,value\n-3.141592653589793,1_0\n0.0,2.0\n",
-        "could not convert string '1_0' to float64 at row 0, column 2.",
+        "could not convert string '1_0' to float64 at line 2, column 2.",
     ),
     "non_ascii_digit": (
         "theta,value\n-3.141592653589793,\u0661.5\n0.0,2.0\n".encode(),
-        "could not convert string '\u0661.5' to float64 at row 0, column 2.",
+        "could not convert string '\u0661.5' to float64 at line 2, column 2.",
     ),
 }
 
@@ -346,6 +349,39 @@ def test_sample_file_refusal_names_the_file(tmp_path, capsys, content, message):
     assert str(exc.value) == f"{path}: {message}"
     assert (code, *capsys.readouterr()) == (2, "", f"error: {path}: {message}\n")
     assert caught == []
+
+
+def _deep_bad_byte() -> tuple[bytes, str]:
+    """A 1024-row sample file with 0xff at offset 20000, and the refusal naming that byte's line."""
+    rows = "".join(f"{t!r},{math.cos(t)!r}\n" for t in theta_grid(1024).tolist())
+    data = bytearray(f"theta,value\n{rows}".encode())
+    data[20000] = 0xFF
+    line = data[:20000].count(b"\n") + 1
+    return bytes(data), f"'utf-8' codec can't decode byte 0xff on line {line} at offset 20000: invalid start byte"
+
+
+_SAMPLE_FILE_LINES = {
+    # numpy counts rows from the line after the header, skipping blank lines
+    "cell_after_blank_lines": (
+        b"theta,value\r\n\r\n-3.141592653589793,1.0\r\n\n0.0,abc\r\n",
+        "could not convert string 'abc' to float64 at line 5, column 2.",
+    ),
+    "one_column_after_a_blank_line": (
+        b"theta,value\r-3.141592653589793,1.0\r\r0.0\r",
+        "invalid column index 1 at line 4 with 1 columns",
+    ),
+    # the text layer counts from the start of the 8 KiB block it decoded
+    "bad_byte_past_the_first_block": _deep_bad_byte(),
+}
+
+
+@pytest.mark.parametrize("content, message", _SAMPLE_FILE_LINES.values(), ids=_SAMPLE_FILE_LINES.keys())
+def test_sample_file_refusal_names_the_line_of_the_file(tmp_path, content, message):
+    path = tmp_path / "s.csv"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as exc:
+        read_samples_csv(path)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 _T = [repr(t) for t in theta_grid(4).tolist()]

@@ -176,6 +176,31 @@ def test_circle_radius_that_is_not_finite_is_refused(w, rho):
     assert str(exc.value) == f"circle radius must be finite, got {rho}"
 
 
+@pytest.mark.parametrize(
+    "w, pole",
+    [
+        (delta_inner(0.7), complex(math.cos(0.7), math.sin(0.7))),
+        (ClosedForm(lambda z: 1.0 / (1.0 - z), pole_set=(1.0,)), 1 + 0j),
+    ],
+    ids=["point-mass", "geometric"],
+)
+def test_circle_that_encloses_a_declared_pole_is_refused(w, pole):
+    # the sums would hold the residue: the point mass's c_0 read -1/(2*pi) at radius 1.5, not +1/(2*pi)
+    for call in (lambda: circle_samples(w, 1.5, 64), lambda: circle_coefficients(w, 3, 1.5, 64)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"the circle of radius 1.5 encloses the pole at {pole!r}"
+
+
+def test_series_without_poles_takes_a_circle_past_the_unit_circle():
+    c = np.arange(1.0, 5.0) + 0j
+    w = TaylorSeries(TaylorCoefficients(c))
+    got = circle_coefficients(w, 3, 1.5, 64)
+    # the contract: eps * max|w_j| * rho**-k
+    bound = EPS * np.max(np.abs(circle_samples(w, 1.5, 64))) * 1.5 ** -np.arange(4.0)
+    assert np.all(np.abs(got - c) <= bound)
+
+
 @pytest.mark.parametrize("K, m", [(5, 5), (8, 4)])
 def test_series_circle_with_degree_at_least_m_is_refused(K, m):
     w = TaylorSeries(TaylorCoefficients(np.ones(K + 1, dtype=complex)))

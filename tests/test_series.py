@@ -171,6 +171,17 @@ def test_overflow_is_refused_at_its_radius(theta):
     assert np.all(np.isfinite(w.polar(theta, 0.1)))
 
 
+@pytest.mark.parametrize(
+    "z", [1e300, 1e300j, np.array([0.5, 1e300]), np.array([[0.5], [-1e300]])], ids=["real", "imaginary", "array", "column"]
+)
+def test_series_value_past_the_double_range_is_refused_at_its_radius(z):
+    # pytest turns a RuntimeWarning into an error: the overflow is raised, not warned
+    w = TaylorSeries(TaylorCoefficients(np.ones(20)))
+    with pytest.raises(EvaluationError, match=r"^taylor series \(K=19\) overflows at radius 1e\+300$"):
+        w(z)
+    assert w(0.5) == pytest.approx(2.0 - 0.5**19)
+
+
 def test_overflowing_closed_form_is_refused_at_its_radius():
     # pytest turns a RuntimeWarning into an error: the overflow is raised, not warned
     w = ClosedForm(lambda z: np.exp(1.0 / (1.0 - z)), pole_set=(1.0,))
