@@ -301,6 +301,15 @@ def test_coefficient_file_refusal_names_the_file(tmp_path, content, message):
     assert str(exc.value) == f"{path}: {message}"
 
 
+def _deep_bad_byte() -> tuple[bytes, str]:
+    """A 1024-row sample file with 0xff at offset 20000, and the refusal naming that byte's line."""
+    rows = "".join(f"{t!r},{math.cos(t)!r}\n" for t in theta_grid(1024).tolist())
+    data = bytearray(f"theta,value\n{rows}".encode())
+    data[20000] = 0xFF
+    line = data[:20000].count(b"\n") + 1
+    return bytes(data), f"'utf-8' codec can't decode byte 0xff on line {line} at offset 20000: invalid start byte"
+
+
 _BAD_SAMPLE_FILES = {
     "text_value": (
         b"theta,value\n-3.141592653589793,abc\n0.0,1.0\n",
@@ -334,6 +343,17 @@ _BAD_SAMPLE_FILES = {
         "theta,value\n-3.141592653589793,\u0661.5\n0.0,2.0\n".encode(),
         "could not convert string '\u0661.5' to float64 at line 2, column 2.",
     ),
+    # numpy counts rows from the line after the header and skips blank ones; the file's lines count both
+    "cell_after_blank_lines": (
+        b"theta,value\r\n\r\n-3.141592653589793,1.0\r\n\n0.0,abc\r\n",
+        "could not convert string 'abc' to float64 at line 5, column 2.",
+    ),
+    "one_column_after_a_blank_line": (
+        b"theta,value\r-3.141592653589793,1.0\r\r0.0\r",
+        "invalid column index 1 at line 4 with 1 columns",
+    ),
+    # the text layer counts from the start of the 8 KiB block it decoded
+    "bad_byte_past_the_first_block": _deep_bad_byte(),
 }
 
 
@@ -349,39 +369,6 @@ def test_sample_file_refusal_names_the_file(tmp_path, capsys, content, message):
     assert str(exc.value) == f"{path}: {message}"
     assert (code, *capsys.readouterr()) == (2, "", f"error: {path}: {message}\n")
     assert caught == []
-
-
-def _deep_bad_byte() -> tuple[bytes, str]:
-    """A 1024-row sample file with 0xff at offset 20000, and the refusal naming that byte's line."""
-    rows = "".join(f"{t!r},{math.cos(t)!r}\n" for t in theta_grid(1024).tolist())
-    data = bytearray(f"theta,value\n{rows}".encode())
-    data[20000] = 0xFF
-    line = data[:20000].count(b"\n") + 1
-    return bytes(data), f"'utf-8' codec can't decode byte 0xff on line {line} at offset 20000: invalid start byte"
-
-
-_SAMPLE_FILE_LINES = {
-    # numpy counts rows from the line after the header, skipping blank lines
-    "cell_after_blank_lines": (
-        b"theta,value\r\n\r\n-3.141592653589793,1.0\r\n\n0.0,abc\r\n",
-        "could not convert string 'abc' to float64 at line 5, column 2.",
-    ),
-    "one_column_after_a_blank_line": (
-        b"theta,value\r-3.141592653589793,1.0\r\r0.0\r",
-        "invalid column index 1 at line 4 with 1 columns",
-    ),
-    # the text layer counts from the start of the 8 KiB block it decoded
-    "bad_byte_past_the_first_block": _deep_bad_byte(),
-}
-
-
-@pytest.mark.parametrize("content, message", _SAMPLE_FILE_LINES.values(), ids=_SAMPLE_FILE_LINES.keys())
-def test_sample_file_refusal_names_the_line_of_the_file(tmp_path, content, message):
-    path = tmp_path / "s.csv"
-    path.write_bytes(content)
-    with pytest.raises(ValueError) as exc:
-        read_samples_csv(path)
-    assert str(exc.value) == f"{path}: {message}"
 
 
 _T = [repr(t) for t in theta_grid(4).tolist()]
