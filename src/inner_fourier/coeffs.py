@@ -41,7 +41,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PeriodicFunction:
-    """A real function on [-pi, pi): ``PeriodicFunction(name, fn=callable)`` or ``PeriodicFunction(name, samples=grid)``.
+    """A real function on [-pi, pi): ``PeriodicFunction(name, fn=f)`` or ``PeriodicFunction(name, samples=s)``.
 
     The samples are on the uniform grid from -pi, copied and read-only.
     """

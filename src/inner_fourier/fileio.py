@@ -124,18 +124,32 @@ def _cells(rows) -> np.ndarray:
         return np.loadtxt(rows, delimiter=",", usecols=(0, 1), comments=None, quotechar='"', ndmin=2)
 
 
+def _refusal(rows) -> ValueError | None:
+    """The ValueError with which ``_cells`` refuses rows, or None."""
+    try:
+        _cells(rows)
+    except ValueError as exc:
+        return exc
+    return None
+
+
 def _bad_line(fp, exc: ValueError) -> str:
     """exc, numpy's refusal of the rows after fp's header, restated at the first line that it refuses alone."""
     fp.seek(0)
     reader = csv.reader(fp)
     next(reader)
-    for n, line in enumerate(fp, reader.line_num + 1):
-        try:
-            _cells([line])
-        except ValueError as bad:
-            # numpy counts rows from the line after the header and skips blank ones
-            msg, named = re.subn(r"\bat row \d+", f"at line {n}", str(bad))
-            return msg if named else f"line {n}: {msg}"
+    lines, first = fp.readlines(), reader.line_num + 1
+    # one call per block of lines finds the block refused, then one call per line the line
+    for start in range(0, len(lines), 1024):
+        block = lines[start : start + 1024]
+        if _refusal(block) is None:
+            continue
+        for n, line in enumerate(block, first + start):
+            bad = _refusal([line])
+            if bad:
+                # numpy counts rows from the line after the header and skips blank ones
+                msg, named = re.subn(r"\bat row \d+", f"at line {n}", str(bad))
+                return msg if named else f"line {n}: {msg}"
     return str(exc)
 
 

@@ -301,10 +301,12 @@ def test_coefficient_file_refusal_names_the_file(tmp_path, content, message):
     assert str(exc.value) == f"{path}: {message}"
 
 
+_ROWS = [f"{t!r},{math.cos(t)!r}\n" for t in theta_grid(1024).tolist()]
+
+
 def _deep_bad_byte() -> tuple[bytes, str]:
     """A 1024-row sample file with 0xff at offset 20000, and the refusal naming that byte's line."""
-    rows = "".join(f"{t!r},{math.cos(t)!r}\n" for t in theta_grid(1024).tolist())
-    data = bytearray(f"theta,value\n{rows}".encode())
+    data = bytearray(f"theta,value\n{''.join(_ROWS)}".encode())
     data[20000] = 0xFF
     line = data[:20000].count(b"\n") + 1
     return bytes(data), f"'utf-8' codec can't decode byte 0xff on line {line} at offset 20000: invalid start byte"
@@ -315,12 +317,18 @@ _BAD_SAMPLE_FILES = {
         b"theta,value\n-3.141592653589793,abc\n0.0,1.0\n",
         "could not convert string 'abc' to float64 at line 2, column 2.",
     ),
-    "text_theta": (b"theta,value\nabc,1.0\n0.0,1.0\n", "could not convert string 'abc' to float64 at line 2, column 1."),
+    "text_theta": (
+        b"theta,value\nabc,1.0\n0.0,1.0\n",
+        "could not convert string 'abc' to float64 at line 2, column 1.",
+    ),
     "empty_cell": (
         b"theta,value\n-3.141592653589793,\n0.0,1.0\n",
         "could not convert string '' to float64 at line 2, column 2.",
     ),
-    "not_utf8": (b"theta,value\n\xff,1.0\n", "'utf-8' codec can't decode byte 0xff on line 2 at offset 12: invalid start byte"),
+    "not_utf8": (
+        b"theta,value\n\xff,1.0\n",
+        "'utf-8' codec can't decode byte 0xff on line 2 at offset 12: invalid start byte",
+    ),
     "no_header": (b"", "expected header 'theta,value'"),
     "one_column": (b"theta,value\n-3.141592653589793,1.0\n0.0\n", "invalid column index 1 at line 3 with 1 columns"),
     "whitespace_row": (
@@ -351,6 +359,10 @@ _BAD_SAMPLE_FILES = {
     "one_column_after_a_blank_line": (
         b"theta,value\r-3.141592653589793,1.0\r\r0.0\r",
         "invalid column index 1 at line 4 with 1 columns",
+    ),
+    "cell_past_a_thousand_lines": (
+        f"theta,value\n{''.join(_ROWS[:1000])}\n{''.join(_ROWS[1000:])}0.0,abc\n".encode(),
+        "could not convert string 'abc' to float64 at line 1027, column 2.",
     ),
     # the text layer counts from the start of the 8 KiB block it decoded
     "bad_byte_past_the_first_block": _deep_bad_byte(),
