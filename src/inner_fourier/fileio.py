@@ -15,9 +15,13 @@ every entry must be a JSON number, "alpha0" one number, and "c_re" and
 "c_im" two lists of one length. Sample CSV is "theta,value" with a
 required header, on the uniform grid starting at -pi, and finite values;
 columns after value are ignored. Rows end in LF, CRLF or CR, blank rows
-are skipped, and a cell may be double-quoted and padded with spaces. A
-cell is a decimal number that ``float`` reads, written in ASCII and
-without underscores: ``1_0`` and non-ASCII digits are refused.
+are skipped, and a cell may be double-quoted and padded with spaces; a
+quoted cell may span lines. A cell is a decimal number that ``float``
+reads, written in ASCII and without underscores: ``1_0`` and non-ASCII
+digits are refused. Each input is read once, so a pipe such as /dev/stdin
+reads as a file does. A refusal names the file, a bad byte its line and
+offset, and a bad row the line where the row starts: the header is line
+1, and blank lines count.
 
 Curve CSV (``dumps_curve``) has a header naming its columns theta, rho,
 value, conjugate and converged, then one angle-major row per (angle,
@@ -29,12 +33,12 @@ schedule was walked, empty elsewhere.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 import sys
 import warnings
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 
@@ -85,90 +89,81 @@ def parse_coefficients(doc: dict) -> FourierCoefficients:
     return fc
 
 
-@contextmanager
-def _reading(path):
-    """The text file at path, open for reading; a ValueError raised inside names the file, and a bad byte its line."""
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        try:
-            yield fp
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {_undecodable(path, exc)}") from None
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-
-def _undecodable(path, exc: UnicodeDecodeError) -> str:
-    """exc restated at its line and offset in the file at path; the text layer counts within the block it decoded."""
-    data = Path(path).read_bytes()
+def _text(path) -> str:
+    """The file at path, read once and decoded as UTF-8; a bad byte raises ValueError naming its line and offset."""
+    with open(path, "rb") as fp:
+        data = fp.read()
     try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as whole:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
         # a line ends at LF, CRLF or CR; the bad byte is on the line after the last end before it
-        at, reason = whole.start, whole.reason
-        line = len((data[:at] + b".").splitlines())
-        return f"'utf-8' codec can't decode byte 0x{data[at]:02x} on line {line} at offset {at}: {reason}"
-    return str(exc)
+        line = len((data[: exc.start] + b".").splitlines())
+        where = f"byte 0x{data[exc.start]:02x} on line {line} at offset {exc.start}"
+        raise ValueError(f"'utf-8' codec can't decode {where}: {exc.reason}") from None
+
+
+@contextmanager
+def _naming(path):
+    """A ValueError or csv.Error raised inside, restated as a ValueError that names the file at path."""
+    try:
+        yield
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_coefficients_json(path) -> FourierCoefficients:
     """``parse_coefficients`` of the JSON file at path; a refusal names the file."""
-    with _reading(path) as fp:
-        return parse_coefficients(json.load(fp))
+    with _naming(path):
+        return parse_coefficients(json.loads(_text(path)))
 
 
-def _cells(rows) -> np.ndarray:
-    """The first two cells of each CSV row in rows, a file or a list of lines, as floats; blank rows are skipped."""
+def _cells(lines) -> np.ndarray:
+    """The first two cells of each CSV row in lines as floats; blank rows are skipped."""
     with warnings.catch_warnings():
         # a body without rows is refused by its caller
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(rows, delimiter=",", usecols=(0, 1), comments=None, quotechar='"', ndmin=2)
+        return np.loadtxt(lines, delimiter=",", usecols=(0, 1), comments=None, quotechar='"', ndmin=2)
 
 
-def _refusal(rows) -> ValueError | None:
-    """The ValueError with which ``_cells`` refuses rows, or None."""
+def _refusal(lines) -> ValueError | None:
+    """The ValueError with which ``_cells`` refuses lines, or None."""
     try:
-        _cells(rows)
+        _cells(lines)
     except ValueError as exc:
         return exc
     return None
 
 
-def _bad_line(fp, exc: ValueError) -> str:
-    """exc, numpy's refusal of the rows after fp's header, restated at the first line that it refuses alone."""
-    fp.seek(0)
-    reader = csv.reader(fp)
-    next(reader)
-    lines, first = fp.readlines(), reader.line_num + 1
-    # one call per block of lines finds the block refused, then one call per line the line
-    for start in range(0, len(lines), 1024):
-        block = lines[start : start + 1024]
-        if _refusal(block) is None:
+def _bad_row(lines, reader, exc: ValueError) -> str:
+    """exc restated at the line where the first CSV record after reader's header that numpy refuses alone starts."""
+    cuts = [reader.line_num, *(reader.line_num for _ in reader)]  # record j is lines[cuts[j] : cuts[j + 1]]
+    # one call per block of records finds the block refused, then one call per record the record
+    for start in range(0, len(cuts) - 1, 1024):
+        block = cuts[start : start + 1025]
+        if _refusal(lines[block[0] : block[-1]]) is None:
             continue
-        for n, line in enumerate(block, first + start):
-            bad = _refusal([line])
+        for a, b in zip(block, block[1:]):
+            bad = _refusal(lines[a:b])
             if bad:
-                # numpy counts rows from the line after the header and skips blank ones
-                msg, named = re.subn(r"\bat row \d+", f"at line {n}", str(bad))
-                return msg if named else f"line {n}: {msg}"
+                # numpy counts rows from the first line it is given and skips blank ones; lines[a] is line a + 1
+                msg, named = re.subn(r"\bat row \d+", f"at line {a + 1}", str(bad))
+                return msg if named else f"line {a + 1}: {msg}"
     return str(exc)
 
 
 def read_samples_csv(path) -> PeriodicFunction:
-    """Load "theta,value" rows (later columns ignored) into a uniform-grid sampled function.
-
-    A refusal names the file, and a row or byte it cannot read names its
-    line: the header is line 1, and blank lines count.
-    """
-    with _reading(path) as fp:
-        header = next(csv.reader(fp), [])
+    """Load "theta,value" rows (later columns ignored) into a uniform-grid sampled function."""
+    with _naming(path):
+        # the lines end where the text layer ends them with newline="": at LF, CRLF or CR
+        lines = io.StringIO(_text(path), newline="").readlines()
+        reader = csv.reader(lines)
+        header = next(reader, [])
         if [c.strip() for c in header[:2]] != ["theta", "value"]:
             raise ValueError("expected header 'theta,value'")
         try:
-            body = _cells(fp)
-        except UnicodeDecodeError:
-            raise
+            body = _cells(lines[reader.line_num :])
         except ValueError as exc:
-            raise ValueError(_bad_line(fp, exc)) from None
+            raise ValueError(_bad_row(lines, reader, exc)) from None
         if len(body) < 2:
             raise ValueError("need at least 2 sample rows")
         theta, vals = body.T

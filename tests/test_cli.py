@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -58,6 +59,12 @@ class TestCoeffsCommand:
     def test_missing_csv_file(self, capsys):
         code, _, err = run(capsys, "coeffs", "--csv", "/nonexistent/x.csv", "--K", "4")
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [("coeffs", "--K", "4", "--csv"), ("reconstruct", "--rho", "0.5", "--coeffs")])
+    @pytest.mark.parametrize("target, errno_", [("missing.csv", errno.ENOENT), ("", errno.EISDIR)], ids=["missing", "directory"])
+    def test_unreadable_input_exits_three(self, capsys, tmp_path, argv, target, errno_):
+        path = str(tmp_path / target)
+        assert run(capsys, *argv, path) == (3, "", f"i/o error: [Errno {errno_}] {os.strerror(errno_)}: {path!r}\n")
 
     def test_csv_input(self, capsys, tmp_path):
         m = 64

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import os
+import re
 import struct
 import warnings
 
@@ -312,6 +314,14 @@ def _deep_bad_byte() -> tuple[bytes, str]:
     return bytes(data), f"'utf-8' codec can't decode byte 0xff on line {line} at offset 20000: invalid start byte"
 
 
+def _quoted_row_across_the_block_edge() -> bytes:
+    """A 2048-row sample file whose row on lines 1025-1026 holds a quoted cell with a line end inside."""
+    theta = theta_grid(2048).tolist()
+    rows = [f"{t!r},{math.cos(t)!r}\n" for t in theta]
+    rows[1023] = f'{theta[1023]!r},"1.0\n2"\n'
+    return f"theta,value\n{''.join(rows)}".encode()
+
+
 _BAD_SAMPLE_FILES = {
     "text_value": (
         b"theta,value\n-3.141592653589793,abc\n0.0,1.0\n",
@@ -366,11 +376,34 @@ _BAD_SAMPLE_FILES = {
     ),
     # the text layer counts from the start of the 8 KiB block it decoded
     "bad_byte_past_the_first_block": _deep_bad_byte(),
+    # numpy reads a quoted cell across a line end; the row is named at the line where it starts
+    "quoted_cell_across_lines": (
+        b'theta,value\n-3.141592653589793,"1.0\n2"\n0.0,1.0\n',
+        "could not convert string '1.0\\n2' to float64 at line 2, column 2.",
+    ),
+    "quoted_row_across_the_block_edge": (
+        _quoted_row_across_the_block_edge(),
+        "could not convert string '1.0\\n2' to float64 at line 1025, column 2.",
+    ),
+    "oversized_quoted_header": (b'"' + b"0" * 131073 + b"\n", "field larger than field limit (131072)"),
 }
 
+# each cell and row case again with its line ends written as CRLF and as CR; a bad byte's offset would move
+_NEWLINES = {"crlf": (b"\r\n", "\\r\\n"), "cr": (b"\r", "\\r")}
+_SAMPLE_REFUSALS = [pytest.param(c, m, None, id=k) for k, (c, m) in _BAD_SAMPLE_FILES.items()] + [
+    pytest.param(c, m, n, id=f"{k}-{n}")
+    for k, (c, m) in _BAD_SAMPLE_FILES.items()
+    if "codec" not in m
+    for n in _NEWLINES
+]
 
-@pytest.mark.parametrize("content, message", _BAD_SAMPLE_FILES.values(), ids=_BAD_SAMPLE_FILES.keys())
-def test_sample_file_refusal_names_the_file(tmp_path, capsys, content, message):
+
+@pytest.mark.parametrize("content, message, newline", _SAMPLE_REFUSALS)
+def test_sample_file_refusal_names_the_file(tmp_path, capsys, content, message, newline):
+    if newline:
+        # CRLF and CR each end one line, and a quoted cell keeps the line end it holds
+        end, escaped = _NEWLINES[newline]
+        content, message = re.sub(rb"\r\n|\r|\n", end, content), message.replace("\\n", escaped)
     path = tmp_path / "s.csv"
     path.write_bytes(content)
     with warnings.catch_warnings(record=True) as caught:
@@ -381,6 +414,31 @@ def test_sample_file_refusal_names_the_file(tmp_path, capsys, content, message):
     assert str(exc.value) == f"{path}: {message}"
     assert (code, *capsys.readouterr()) == (2, "", f"error: {path}: {message}\n")
     assert caught == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+@pytest.mark.parametrize(
+    "read, content, message",
+    [
+        (read_samples_csv, *_BAD_SAMPLE_FILES["text_value"]),
+        (read_samples_csv, *_BAD_SAMPLE_FILES["bad_byte_past_the_first_block"]),
+        (read_coefficients_json, *_BAD_COEFFICIENT_FILES["not_utf8"]),
+    ],
+    ids=["bad_cell", "bad_byte", "bad_coefficient_byte"],
+)
+def test_a_pipe_is_refused_as_a_file_is(read, content, message):
+    # a pipe can be read only once: naming a bad cell or byte must not read it again
+    assert len(content) < 2**16  # the pipe holds it all, so the write does not block
+    r, w = os.pipe()
+    try:
+        os.write(w, content)
+        os.close(w)
+        path = f"/dev/fd/{r}"
+        with pytest.raises(ValueError) as exc:
+            read(path)
+    finally:
+        os.close(r)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 _T = [repr(t) for t in theta_grid(4).tolist()]
