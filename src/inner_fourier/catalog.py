@@ -24,7 +24,7 @@ import inspect
 import math
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -84,16 +84,17 @@ def _entry_poisson(r: float = 0.5, theta1: float = 0.0):
     return CatalogEntry("poisson", function, lambda K: TaylorCoefficients(w.taylor(K).c * r ** np.arange(K + 1.0)))
 
 
-def _trig_poly(id: str, fc: FourierCoefficients) -> CatalogEntry:
-    w = TaylorSeries(to_taylor(fc))
+def _trig_poly(id: str, degree: int, coefficients: Callable[[], FourierCoefficients]) -> CatalogEntry:
+    """The trigonometric polynomial coefficients() of the given degree; its series is built on first use."""
+    series = cache(lambda: TaylorSeries(to_taylor(coefficients())))
 
     def fn(theta):
-        return w(disk_points(theta, 1.0)).real
+        return series()(disk_points(theta, 1.0)).real
 
     def taylor(K):
-        if K < fc.K:
-            raise ValueError(f"{id} has degree {fc.K}; need K >= {fc.K}")
-        return w.taylor(K)
+        if K < degree:
+            raise ValueError(f"{id} has degree {degree}; need K >= {degree}")
+        return series().taylor(K)
 
     return CatalogEntry(id, PeriodicFunction(id, fn=fn), taylor)
 
@@ -101,19 +102,22 @@ def _trig_poly(id: str, fc: FourierCoefficients) -> CatalogEntry:
 def trig_poly_entry(alpha0: float, alpha, beta) -> CatalogEntry:
     """A trigonometric polynomial from explicit coefficient arrays."""
     fc = FourierCoefficients(alpha0, np.asarray(alpha, float), np.asarray(beta, float))
-    return _trig_poly("trig_poly", fc)
+    return _trig_poly("trig_poly", fc.K, lambda: fc)
 
 
 def _entry_harmonic(kind: str, k: int) -> CatalogEntry:
-    unit = np.zeros(k)
-    unit[k - 1] = 1.0
-    alpha, beta = (unit, np.zeros(k)) if kind == "cos" else (np.zeros(k), unit)
-    return _trig_poly(f"{kind}_{k}", FourierCoefficients(0.0, alpha, beta))
+    def coefficients():
+        unit = np.zeros(k)
+        unit[k - 1] = 1.0
+        alpha, beta = (unit, np.zeros(k)) if kind == "cos" else (np.zeros(k), unit)
+        return FourierCoefficients(0.0, alpha, beta)
+
+    return _trig_poly(f"{kind}_{k}", k, coefficients)
 
 
 _BUILDERS = {
-    "zero": partial(_trig_poly, "zero", FourierCoefficients.zeros(1)),
-    "const": partial(_trig_poly, "const", FourierCoefficients(2.0, np.zeros(1), np.zeros(1))),
+    "zero": partial(_trig_poly, "zero", 1, partial(FourierCoefficients.zeros, 1)),
+    "const": partial(_trig_poly, "const", 1, partial(FourierCoefficients, 2.0, np.zeros(1), np.zeros(1))),
     # sign(theta) is the midpoint 0 at its other jump, theta = 0
     "square": partial(_jump_entry, "square", np.sign, lambda k: 2.0 * (1.0 - (-1.0) ** k) / (math.pi * k)),
     "sawtooth": partial(_jump_entry, "sawtooth", lambda theta: theta, lambda k: 2.0 * (-1.0) ** (k + 1) / k),

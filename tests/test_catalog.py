@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,19 @@ def test_unknown_id():
         resolve("parabola")
     with pytest.raises(UnknownCatalogId):
         resolve("cos_0")
+
+
+@pytest.mark.parametrize("name", ["cos_2000000", "sin_2000000"])
+def test_harmonic_above_K_is_refused_before_its_series_is_built(name):
+    # building the 2,000,001-entry series first took about 94 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{name} has degree 2000000; need K >= 2000000$"):
+            resolve(name).coefficients(3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_id_listing():
