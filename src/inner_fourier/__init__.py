@@ -12,7 +12,7 @@ verifies numerically.
 from __future__ import annotations
 
 from .basis import GramReport, completeness_probe, fourier_gram, residue_identity_check
-from .catalog import CatalogEntry, UnknownCatalogId, catalog_ids, resolve, trig_poly_entry
+from .catalog import CatalogEntry, catalog_ids, resolve, trig_poly_entry
 from .classify import (
     ClassificationReport,
     EquivalenceReport,
@@ -84,7 +84,6 @@ __all__ = [
     "TaylorCoefficients",
     "TaylorSeries",
     "TruncationWarning",
-    "UnknownCatalogId",
     "angular_derivative",
     "angular_primitive",
     "boundary_partial_sum",

@@ -7,8 +7,10 @@ residue identity
 
     (1/(2*pi*i)) * loop of z**(p-1) dz = 1 if p == 0 else 0
 
-on any circle centered at the origin. Completeness is probed by
-integrating a test function psi against Re w(rho*exp(i*theta)) for any
+on any circle centered at the origin. ``fourier_gram`` reads cos(k*theta)
+and sin(k*theta) on the grid as the parts of z**k in the exact table of
+``quadrature.phase_powers``, as the residue identity does. Completeness is
+probed by integrating a test function psi against Re w(rho*exp(i*theta)) for any
 inner analytic kernel w, sampled by ``quadrature.circle_samples`` under
 its circle rule (``completeness_probe``). With the point mass as kernel
 this is the Poisson integral of psi, which tends to psi(theta1) as
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import PeriodicFunction
-from .quadrature import circle_samples, compensated_csum, phase_powers, theta_grid, trapezoid_periodic
+from .quadrature import circle_samples, compensated_csum, phase_powers, trapezoid_periodic
 from .series import InnerAnalytic
 
 
@@ -82,8 +84,9 @@ def fourier_gram(K: int) -> GramReport:
         raise ValueError(f"K must be >= 1, got {K}")
     M = 4 * K + 2
     b = np.empty((2 * K + 1, M))  # first, so that numpy refuses a size it cannot hold before any work
-    kt = np.multiply.outer(np.arange(1, K + 1), theta_grid(M), out=b[K + 1 :])
-    b[0], b[1 : K + 1], b[K + 1 :] = 1.0, np.cos(kt), np.sin(kt)
+    z = phase_powers(M, np.arange(1, K + 1))  # exp(i*k*theta_j): cos(k*theta_j) + i*sin(k*theta_j)
+    b[0], b[1 : K + 1], b[K + 1 :] = 1.0, z.real, z.imag
+    del z  # the product below needs b alone
     return GramReport.of((2.0 / M) * (b @ b.T), np.r_[2.0, np.ones(2 * K)])
 
 

@@ -49,13 +49,6 @@ class CatalogEntry:
         return from_taylor(self.taylor(K))
 
 
-class UnknownCatalogId(ValueError):
-    """A catalog id that names no entry; the message lists the known ids."""
-
-    def __init__(self, name: str):
-        super().__init__(f"unknown catalog id {name!r}; known: {', '.join(catalog_ids())}")
-
-
 def _jump_entry(id: str, f, beta) -> CatalogEntry:
     """An odd function f with a jump at the +-pi seam, sampled as 0 there, and its sine series beta(k)."""
 
@@ -116,7 +109,7 @@ def _entry_harmonic(kind: str, k: int) -> CatalogEntry:
 
 
 _BUILDERS = {
-    "zero": partial(_trig_poly, "zero", 1, partial(FourierCoefficients.zeros, 1)),
+    "zero": partial(_trig_poly, "zero", 1, partial(FourierCoefficients, 0.0, np.zeros(1), np.zeros(1))),
     "const": partial(_trig_poly, "const", 1, partial(FourierCoefficients, 2.0, np.zeros(1), np.zeros(1))),
     # sign(theta) is the midpoint 0 at its other jump, theta = 0
     "square": partial(_jump_entry, "square", np.sign, lambda k: 2.0 * (1.0 - (-1.0) ** k) / (math.pi * k)),
@@ -137,8 +130,8 @@ def catalog_ids() -> tuple[str, ...]:
 def resolve(name: str, **params) -> CatalogEntry:
     """Look up a catalog entry by id, e.g. "square", "delta" or "cos_3".
 
-    A parameter the entry does not take, such as theta1 for "square",
-    raises ValueError.
+    An unknown id raises ValueError listing the known ids, and so does a
+    parameter the entry does not take, such as theta1 for "square".
     """
     m = _COS_SIN.match(name)
     if m and int(m.group(2)) >= 1:
@@ -146,7 +139,7 @@ def resolve(name: str, **params) -> CatalogEntry:
     else:
         builder = _BUILDERS.get(name)
     if builder is None:
-        raise UnknownCatalogId(name)
+        raise ValueError(f"unknown catalog id {name!r}; known: {', '.join(catalog_ids())}")
     unknown = sorted(params.keys() - inspect.signature(builder).parameters.keys())
     if unknown:
         raise ValueError(f"catalog entry {name!r} takes no parameter {', '.join(unknown)}")

@@ -106,10 +106,6 @@ class FourierCoefficients:
     def K(self) -> int:
         return self.alpha.size
 
-    @classmethod
-    def zeros(cls, K: int) -> "FourierCoefficients":
-        return cls(0.0, np.zeros(K), np.zeros(K))
-
 
 @dataclass(frozen=True, eq=False)
 class TaylorCoefficients:

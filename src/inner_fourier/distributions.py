@@ -6,10 +6,11 @@ radius rho is the Poisson kernel. Its m-th angular derivative, c_k times
 (i*k)**m, is w_m = (i**m/pi) * u * A_m(u)/(1 - u)**(m + 1), A_m the
 Eulerian polynomial. ``delta_inner(theta1, m)`` is that one object (the
 catalog's "delta", "delta_derivative" and, damped, "poisson"): ``taylor(K)``
-applies ``angular_derivative`` m times, and one evaluator serves a point,
-``polar`` and ``circle``. It forms |1 - u|**2, 1 - conj(u) and, split off
-A_m at even m, 1 + u from sin(phi/2)**2, cos(phi/2)**2 and sin(phi), phi =
-theta - theta1, where nothing cancels; order 0 is the Herglotz form.
+applies ``angular_derivative`` m times in bounded work, and one evaluator
+serves a point, ``polar`` and ``circle``. It forms |1 - u|**2, 1 - conj(u)
+and, split off A_m at even m, 1 + u from sin(phi/2)**2, cos(phi/2)**2 and
+sin(phi), phi = theta - theta1, where nothing cancels; order 0 is the
+Herglotz form.
 
 Accuracy is relative to |w|, as Re w_m -> 0 off theta1: up to rho = 1 -
 2**-30, w_0 is within 1e-15 and w_1..w_5 within 4e-15 of |w| (or the least
@@ -17,7 +18,8 @@ subnormal) at the double phi and rho, except near a zero u = -a of A_m
 (a = 0.27 at order 3, 0.10 at 4, 0.04 and 0.43 at 5), where the error is
 about eps*a/|u + a| of |w|. A point within 1e-12 of z1, a value past the
 double range and a circle on which the pole of order m + 1 aliases
-(``quadrature.check_circle``) are refused.
+(``quadrature.check_circle``) are refused, as is evaluation at m >= 172,
+where the Eulerian numbers overflow a double.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 
 import numpy as np
 
@@ -53,12 +56,12 @@ class _PointMass(InnerAnalytic):
     @functools.cached_property
     def _eulerian(self) -> np.ndarray:
         """A_m's coefficients, the Eulerian numbers (a palindrome); at even m those of A_m/(1 + u)."""
-        m = self.order
-        a = [sum((-1) ** i * math.comb(m + 1, i) * (j + 1 - i) ** m for i in range(j + 1)) for j in range(m)]
-        try:
-            a = np.array(a, dtype=float)
-        except OverflowError:
-            raise EvaluationError(f"the Eulerian numbers of order {m} overflow a double") from None
+        m, a = self.order, [1]
+        for n in range(2, m + 1):  # A(n, j) = (j + 1) A(n - 1, j) + (n - j) A(n - 1, j - 1), in exact integers
+            a = [(j + 1) * x + (n - j) * y for j, (x, y) in enumerate(zip(a + [0], [0] + a))]
+            if max(a) > sys.float_info.max:  # the largest entry grows with n: order 172 is the first refused
+                raise EvaluationError(f"the Eulerian numbers of order {m} overflow a double")
+        a = np.array(a, dtype=float)
         return np.polydiv(a, [1.0, 1.0])[0] if m % 2 == 0 else a
 
     def taylor(self, K: int) -> TaylorCoefficients:
@@ -71,7 +74,9 @@ class _PointMass(InnerAnalytic):
         # -sin, not 0 - sin: a zero beta_k = -Im c_k stays 0.0, never -0.0
         c.imag[1:] = -np.sin(kt) / math.pi
         tc = TaylorCoefficients(c)
-        for _ in range(self.order):
+        # K >= 2 overflows within about 1,100 passes; at K = 1 each pass after the first is an exact quarter turn
+        passes = self.order if K > 1 or self.order <= 4 else (self.order - 1) % 4 + 1
+        for _ in range(passes):
             tc = angular_derivative(tc)
         return tc
 
@@ -92,8 +97,7 @@ class _PointMass(InnerAnalytic):
                 if self.order % 2 == 0:
                     w = w * (q + 2.0 * rho * np.cos(0.5 * phi) ** 2 + 1j * im)
                 w = w * (1j**self.order / math.pi)
-            w = self._finite(w, rho)
-        return complex(w) if np.ndim(w) == 0 else w
+        return self._finite(w, rho)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -109,7 +113,7 @@ class _PointMass(InnerAnalytic):
 
     def circle(self, rho: float, m: int):
         """w at the m circle nodes of ``theta_grid(m)``."""
-        return self._at(theta_grid(m) - self.theta1, float(rho))
+        return self.polar(theta_grid(m), rho)
 
 
 def delta_inner(theta1: float, order: int = 0) -> InnerAnalytic:

@@ -11,14 +11,15 @@ Coefficient JSON carries the real triple as {"K", "alpha0", "alpha",
 hold both key groups if c is exactly ``to_taylor`` of the triple, and a
 "K" key must be an integer, not a bool, equal to the harmonic count of
 the arrays. Either group alone reads as the same ``FourierCoefficients``;
-every entry must be a JSON number, "alpha0" one number, and "c_re" and
-"c_im" two lists of one length. Sample CSV is "theta,value" with a
+every entry must be a JSON number that a double holds, "alpha0" one
+number, and "c_re" and "c_im" two lists of one length; JSON nested past
+the recursion limit is refused. Sample CSV is "theta,value" with a
 required header, on the uniform grid starting at -pi, and finite values;
-columns after value are ignored. Rows end in LF, CRLF or CR, blank rows
-are skipped, and a cell may be double-quoted and padded with spaces; a
-quoted cell may span lines. A cell is a decimal number that ``float``
-reads, written in ASCII and without underscores: ``1_0`` and non-ASCII
-digits are refused. Each input is read once, so a pipe such as /dev/stdin
+columns after value are ignored. Rows end in LF, CRLF or CR, where the
+file's bytes are split; blank rows are skipped, and a cell may be
+double-quoted and padded with spaces; a quoted cell may span lines. A
+cell is a decimal number that ``float`` reads, written in ASCII and
+without underscores: ``1_0`` and non-ASCII digits are refused. Each input is read once, so a pipe such as /dev/stdin
 reads as a file does. A refusal names the file, a bad byte its line and
 offset, and a bad row the line where the row starts: the header is line
 1, and blank lines count.
@@ -33,7 +34,6 @@ schedule was walked, empty elsewhere.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import re
 import sys
@@ -89,32 +89,33 @@ def parse_coefficients(doc: dict) -> FourierCoefficients:
     return fc
 
 
-def _text(path) -> str:
-    """The file at path, read once and decoded as UTF-8; a bad byte raises ValueError naming its line and offset."""
+def _utf8(path) -> bytes:
+    """The bytes of the file at path, read once; a byte outside UTF-8 raises ValueError naming its line and offset."""
     with open(path, "rb") as fp:
         data = fp.read()
     try:
-        return data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # a line ends at LF, CRLF or CR; the bad byte is on the line after the last end before it
         line = len((data[: exc.start] + b".").splitlines())
         where = f"byte 0x{data[exc.start]:02x} on line {line} at offset {exc.start}"
         raise ValueError(f"'utf-8' codec can't decode {where}: {exc.reason}") from None
+    return data
 
 
 @contextmanager
 def _naming(path):
-    """A ValueError or csv.Error raised inside, restated as a ValueError that names the file at path."""
+    """A ValueError, csv.Error, OverflowError or RecursionError raised inside, restated as a ValueError naming path."""
     try:
         yield
-    except (ValueError, csv.Error) as exc:
+    except (ValueError, csv.Error, OverflowError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
 def read_coefficients_json(path) -> FourierCoefficients:
     """``parse_coefficients`` of the JSON file at path; a refusal names the file."""
     with _naming(path):
-        return parse_coefficients(json.loads(_text(path)))
+        return parse_coefficients(json.loads(_utf8(path).decode("utf-8")))
 
 
 def _cells(lines) -> np.ndarray:
@@ -122,7 +123,7 @@ def _cells(lines) -> np.ndarray:
     with warnings.catch_warnings():
         # a body without rows is refused by its caller
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(lines, delimiter=",", usecols=(0, 1), comments=None, quotechar='"', ndmin=2)
+        return np.loadtxt(lines, delimiter=",", usecols=(0, 1), comments=None, quotechar='"', ndmin=2, encoding="utf-8")
 
 
 def _refusal(lines) -> ValueError | None:
@@ -154,9 +155,9 @@ def _bad_row(lines, reader, exc: ValueError) -> str:
 def read_samples_csv(path) -> PeriodicFunction:
     """Load "theta,value" rows (later columns ignored) into a uniform-grid sampled function."""
     with _naming(path):
-        # the lines end where the text layer ends them with newline="": at LF, CRLF or CR
-        lines = io.StringIO(_text(path), newline="").readlines()
-        reader = csv.reader(lines)
+        # bytes end lines at LF, CRLF and CR only, bytes that UTF-8 never puts inside a character
+        lines = _utf8(path).splitlines(keepends=True)
+        reader = csv.reader(line.decode("utf-8") for line in lines)
         header = next(reader, [])
         if [c.strip() for c in header[:2]] != ["theta", "value"]:
             raise ValueError("expected header 'theta,value'")

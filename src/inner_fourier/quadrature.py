@@ -434,5 +434,6 @@ def phase_powers(m: int, p) -> np.ndarray:
     the table.
     """
     p = np.asarray(p)[..., None]
-    tab = unit_phasors(m)
-    return np.where(p % 2, -1.0, 1.0) * tab[(p * np.arange(m)) % m]
+    out = unit_phasors(m)[(p * np.arange(m)) % m]
+    out *= np.where(p % 2, -1.0, 1.0)  # in place, so that the lookup is the one complex table built
+    return out

@@ -97,12 +97,12 @@ class InnerAnalytic:
         raise NotImplementedError(f"{self.label} has no coefficient generator")
 
     def _finite(self, w, rho):
-        """w when every value is finite; else EvaluationError naming the radius, broadcast to w, of the first that is not."""
+        """w, a Python complex at one point, when finite; else EvaluationError naming its first overflow's radius."""
         finite = np.isfinite(w)
         if not np.all(finite):
             radius = float(np.broadcast_to(np.asarray(rho, dtype=float), np.shape(w))[~finite][0])
             raise EvaluationError(f"{self.label} overflows at radius {radius!r}")
-        return w
+        return complex(w) if np.ndim(w) == 0 else w
 
 
 class TaylorSeries(InnerAnalytic):
@@ -122,8 +122,7 @@ class TaylorSeries(InnerAnalytic):
     def _sum(self, z, rho):
         """``power_series`` of c at z, checked by ``_finite`` against the radii rho of z."""
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self._finite(power_series(self.tc.c, z), rho)
-        return complex(out) if out.ndim == 0 else out
+            return self._finite(power_series(self.tc.c, z), rho)
 
     def __call__(self, z):
         return self._sum(z, np.abs(z))
@@ -174,8 +173,7 @@ class ClosedForm(InnerAnalytic):
             if np.any(np.abs(zz - p) < _POLE_TOL):
                 raise EvaluationError(f"{self.label} evaluated at pole {p!r}")
         with np.errstate(all="ignore"):
-            out = self._finite(np.asarray(self._fn(zz), dtype=complex), np.abs(zz))
-        return complex(out) if zz.ndim == 0 else out
+            return self._finite(np.asarray(self._fn(zz), dtype=complex), np.abs(zz))
 
     def taylor(self, K: int) -> TaylorCoefficients:
         if self._taylor_fn is None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,24 @@ class TestFourierGram:
         g = fourier_gram(128)
         assert g.max_diag_error <= 1e-12
         assert g.max_offdiag_error <= 1e-12
+
+    def test_k128_within_two_units_of_eps(self):
+        # the cos and sin rows are the parts of the exact phase table; np.cos and np.sin of k*theta_j gave
+        # 1.4e-14 off and 8.0e-15 on the diagonal
+        g = fourier_gram(128)
+        assert g.max_offdiag_error <= 2e-15
+        assert g.max_diag_error <= 2e-15
+
+    def test_k128_traced_peak(self):
+        # the basis, the phase table and its index: no second K x M table lives beside them
+        fourier_gram(128)
+        tracemalloc.start()
+        try:
+            fourier_gram(128)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.53 * 2**20
 
     def test_symmetric(self):
         g = fourier_gram(16)

@@ -141,7 +141,7 @@ class TestEquivalence:
         assert not rep.c_bounded and not rep.ab_bounded and rep.agree
 
     def test_zero_sequences_agree(self):
-        fc = FourierCoefficients.zeros(64)
+        fc = FourierCoefficients(0.0, np.zeros(64), np.zeros(64))
         rep = equivalence_check(fc)
         assert rep.c_bounded and rep.ab_bounded and rep.agree
 
@@ -211,7 +211,7 @@ def batch_mix(K=512) -> list[FourierCoefficients]:
     # b = 0.9 falls below 64 eps of its peak inside the window [128, 512], at an index set by
     # the phase; a fit over another row's mask would take in the noise beyond that index
     fcs += [rotated_family(p, 0.9, K, phase) for p in (0.0, 1.0, 5.0) for phase in (0.05, 0.7, 1.5, -3.0)]
-    fcs += [FourierCoefficients.zeros(K), FourierCoefficients(1.0, np.zeros(K), np.zeros(K))]
+    fcs += [FourierCoefficients(0.0, np.zeros(K), np.zeros(K)), FourierCoefficients(1.0, np.zeros(K), np.zeros(K))]
     fcs += [FourierCoefficients(0.0, sparse, np.zeros(K)), FourierCoefficients(0.0, sparse, -2.0 * sparse)]
     return fcs
 
@@ -307,7 +307,7 @@ class TestBatchedFit:
 
     def test_mixed_K_is_refused_in_one_line(self):
         with pytest.raises(ValueError) as exc:
-            equivalence_checks([FourierCoefficients.zeros(64), FourierCoefficients.zeros(128)])
+            equivalence_checks([FourierCoefficients(0.0, np.zeros(K), np.zeros(K)) for K in (64, 128)])
         assert str(exc.value) == "equivalence_checks needs one K for every sequence, got K = 64, 128"
 
     def test_batch_raises_its_first_refusal(self):

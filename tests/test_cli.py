@@ -715,8 +715,8 @@ class TestVerifyCommand:
 
     SUITE_OUTPUT = {
         "ortho": (
-            "gram_offdiag: PASS (max_error=2.3e-15, tol=1e-12)\n"
-            "gram_diag: PASS (max_error=1.11e-15, tol=1e-12)\n"
+            "gram_offdiag: PASS (max_error=2.7e-16, tol=1e-12)\n"
+            "gram_diag: PASS (max_error=4.44e-16, tol=1e-12)\n"
             "residue_identity: PASS (max_error=0, tol=1e-13)\n"
         ),
         "kernels": (

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import mpmath
@@ -13,6 +16,7 @@ from conftest import (
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import inner_fourier
 from inner_fourier import (
     EvaluationError,
     RhoSchedule,
@@ -338,6 +342,39 @@ def test_eulerian_numbers_past_the_double_range_refused():
     with pytest.raises(EvaluationError, match="^the Eulerian numbers of order 200 overflow a double$"):
         delta_inner(0.0, 200).polar(1.0, 0.5)
     assert delta_inner(0.0, 200).taylor(4).K == 4
+
+
+def _run_python(*argv: str) -> subprocess.CompletedProcess:
+    # a timeout of a few seconds: the work that these tests bound took minutes to hours
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(inner_fourier.__file__)))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=10)
+
+
+def test_eulerian_overflow_is_refused_before_the_numbers_are_summed():
+    # the inclusion-exclusion sum took 266 s at order 2000 before finding the overflow
+    code = (
+        "from inner_fourier import EvaluationError, delta_inner\n"
+        "try:\n"
+        "    delta_inner(0.0, 2000).polar(0.5, 0.5)\n"
+        "except EvaluationError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert _run_python("-c", code).stdout == "the Eulerian numbers of order 2000 overflow a double\n"
+
+
+def test_first_harmonic_derivative_repeats_with_period_four():
+    # at K = 1 nothing overflows, and one pass per order made order 10**6 take 12 s
+    for theta1 in (0.0, -math.pi, 0.5 * math.pi, -0.5 * math.pi, 0.7, -2.3, 3.0):
+        for order in range(41):
+            tc = delta_inner(theta1).taylor(1)
+            for _ in range(order):
+                tc = angular_derivative(tc)
+            assert delta_inner(theta1, order).taylor(1).c.tobytes() == tc.c.tobytes()
+    argv = ("-m", "inner_fourier", "coeffs", "--fn", "delta_derivative", "--K", "1", "--order")
+    runs = [_run_python(*argv, order) for order in ("1000000000", "4")]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_order_that_is_not_an_integer_refused_where_it_is_given():

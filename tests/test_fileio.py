@@ -256,6 +256,7 @@ def test_numpy_scalars_in_a_document_are_numbers():
     assert fc.alpha0 == 1.0 and fc.alpha.tolist() == [0.5, 2.0] and fc.beta.tolist() == [0.0, 1.0]
 
 
+_HUGE_INT = b"1" + b"0" * 400  # an integer past the double range
 _BAD_COEFFICIENT_FILES = {
     "not_json": (b"not json", "Expecting value: line 1 column 1 (char 0)"),
     "not_utf8": (
@@ -291,16 +292,25 @@ _BAD_COEFFICIENT_FILES = {
         b'{"c_re": 0.5, "c_im": [0.0, 1.0]}',
         "coefficient JSON keys 'c_re' and 'c_im' must be lists of one length, got the number 0.5 and a list of 2",
     ),
+    "deep_nesting": (
+        b"[" * 100_000,
+        "maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+    ),
+    "huge_int_alpha": (b'{"alpha0": 0, "alpha": [%s], "beta": [0]}' % _HUGE_INT, "int too large to convert to float"),
+    "huge_int_alpha0": (b'{"alpha0": %s, "alpha": [0], "beta": [0]}' % _HUGE_INT, "int too large to convert to float"),
+    "huge_int_c_re": (b'{"c_re": [0, %s], "c_im": [0, 0]}' % _HUGE_INT, "int too large to convert to float"),
 }
 
 
 @pytest.mark.parametrize("content, message", _BAD_COEFFICIENT_FILES.values(), ids=_BAD_COEFFICIENT_FILES.keys())
-def test_coefficient_file_refusal_names_the_file(tmp_path, content, message):
+def test_coefficient_file_refusal_names_the_file(tmp_path, capsys, content, message):
     path = tmp_path / "c.json"
     path.write_bytes(content)
     with pytest.raises(ValueError) as exc:
         read_coefficients_json(path)
     assert str(exc.value) == f"{path}: {message}"
+    code = main(["reconstruct", "--coeffs", str(path), "--rho", "0.5", "--thetas=0:1:2"])
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {path}: {message}\n")
 
 
 _ROWS = [f"{t!r},{math.cos(t)!r}\n" for t in theta_grid(1024).tolist()]

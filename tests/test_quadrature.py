@@ -454,6 +454,19 @@ def test_unit_phasors_are_shared_and_read_only(m):
         assert np.array_equal(table[m // 2 :], -table[: m // 2])
 
 
+# the (m, p) of the residue identity, the ortho and witness Fourier Grams, and the hilbert and witness Taylor Grams
+@pytest.mark.parametrize(
+    "m, p",
+    [(64, np.arange(-8, 9)), (130, np.arange(1, 33)), (514, np.arange(1, 129)), (256, np.arange(17)), (514, np.arange(129))],
+    ids=["residue", "ortho_gram", "witness_gram", "hilbert_gram", "witness_taylor_gram"],
+)
+def test_phase_powers_is_the_signed_table_lookup(m, p):
+    want = np.where(p[:, None] % 2, -1.0, 1.0) * unit_phasors(m)[(p[:, None] * np.arange(m)) % m]
+    assert phase_powers(m, p).tobytes() == want.tobytes()
+    for q in p.tolist():
+        assert phase_powers(m, q).tobytes() == want[p.tolist().index(q)].tobytes()
+
+
 def test_synthesis_shapes_follow_the_theta_by_rho_grid():
     c = np.array([1.0, 2.0, 3.0])
     assert power_series(c, disk_points(0.3, 0.5)).shape == ()
