@@ -20,6 +20,7 @@ rho -> 1 at continuity points.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,13 @@ def residue_identity_check(p: int, rho: float) -> complex:
     radius. The M = max(64, 4|p| + 8) nodes keep the table divisible by 4
     and the integrand power is evaluated through the exact root of unity
     table, so the cancellation survives the rho**p scaling even for
-    strongly negative p. A rho that is not finite, or 0 or below, raises
-    ValueError.
+    strongly negative p. A p that is not an integer (numpy integers are),
+    and a rho that is not finite, or 0 or below, raise ValueError.
     """
+    try:
+        p = operator.index(p)
+    except TypeError:
+        raise ValueError(f"p must be an integer, got {p!r}") from None
     if not math.isfinite(rho):
         raise ValueError(f"need a finite rho, got {rho}")
     if rho <= 0.0:

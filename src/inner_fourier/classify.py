@@ -14,10 +14,11 @@ semantics adopted here fits
 by least squares over an index window and declares the sequence bounded
 when the fitted rate does not exceed 1e-3. Adversarial sequences that turn
 exponential beyond the window are necessarily misclassified; the window is
-the caller's statement of how far the prefix is trusted. Every classifier
-takes it as the keyword ``window=(lo, hi)``, both ends included, with
-1 <= lo and hi at most the last index; the default None is the trailing
-quarter (max(1, K // 4), K).
+the caller's statement of how far the prefix is trusted.
+``classify_sequence`` takes it as the keyword ``window=(lo, hi)``, both
+ends included, with 1 <= lo and hi at most the last index; the default
+None, and the window of ``equivalence_checks``, is the trailing quarter
+(max(1, K // 4), K).
 
 Sequences are fitted as a stack of magnitude rows (``_fit_rows``): the
 rows are grouped by their above-roundoff mask in row order, with one
@@ -69,10 +70,12 @@ def family_magnitudes(p, b, K: int) -> np.ndarray:
     """|a_k| = k**p * b**k for k = 0..K, with the k = 0 entry set to 1.
 
     p and b are numbers, or arrays of one shape that give one row per
-    entry. A p that is not finite, or a b outside [0, inf), raises
-    ValueError. Entries past the float range are inf or nan, without a
-    warning.
+    entry. A K below 0, a p that is not finite, or a b outside [0, inf),
+    raises ValueError. Entries past the float range are inf or nan,
+    without a warning.
     """
+    if K < 0:
+        raise ValueError(f"K must be >= 0, got {K}")
     k = np.arange(K + 1, dtype=float)
     k[0] = 1.0
     p, b = np.asarray(p, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
@@ -215,22 +218,22 @@ def classify_sequence(seq, window: tuple[int, int] | None = None) -> Classificat
     return _fit_rows(mags[None, :], window, _roundoff_floors(mags)[None])[0]
 
 
-def equivalence_checks(fcs, window: tuple[int, int] | None = None) -> list[EquivalenceReport]:
+def equivalence_checks(fcs) -> list[EquivalenceReport]:
     """Boundedness of |c_k| versus boundedness of (alpha_k, beta_k), for sequences of one K.
 
     Since |c_k|**2 = alpha_k**2 + beta_k**2, either both views are
     exponentially bounded or neither is; the two classifications are
     expected to agree. The |c_k| view is ``classify_sequence`` of
-    ``to_taylor(fc)`` and the other is ``classify_sequence(fc)``, but all
-    3n magnitude rows of the n sequences (|c| with its own roundoff
-    floor, |alpha| and |beta| with their shared one) are fitted in one
-    stack: one least-squares solve per distinct mask instead of three
-    per sequence. The masks and refusals are those of the one-by-one
-    fits, and a refusal raises the message of the first sequence that
-    would raise alone. The fitted rates agree with the one-by-one fits
-    to ulps, so a classification could differ only for a rate within
-    ulps of the 1e-3 tolerance. A batch whose sequences differ in K is
-    refused.
+    ``to_taylor(fc)`` and the other is ``classify_sequence(fc)``, both on
+    the default trailing-quarter window, but all 3n magnitude rows of the
+    n sequences (|c| with its own roundoff floor, |alpha| and |beta| with
+    their shared one) are fitted in one stack: one least-squares solve
+    per distinct mask instead of three per sequence. The masks and
+    refusals are those of the one-by-one fits, and a refusal raises the
+    message of the first sequence that would raise alone. The fitted
+    rates agree with the one-by-one fits to ulps, so a classification
+    could differ only for a rate within ulps of the 1e-3 tolerance. A
+    batch whose sequences differ in K is refused.
     """
     fcs = list(fcs)
     Ks = sorted({fc.K for fc in fcs})
@@ -238,9 +241,8 @@ def equivalence_checks(fcs, window: tuple[int, int] | None = None) -> list[Equiv
         raise ValueError(f"equivalence_checks needs one K for every sequence, got K = {', '.join(map(str, Ks))}")
     if not fcs:
         return []
-    window = window or _default_window(Ks[0])
     rows, floors = _magnitude_rows(fcs, Ks[0])
-    reps = _fit_rows(rows.reshape(-1, rows.shape[-1]), window, floors.ravel())
+    reps = _fit_rows(rows.reshape(-1, rows.shape[-1]), _default_window(Ks[0]), floors.ravel())
     out = []
     for c_view, a_view, b_view in zip(reps[0::3], reps[1::3], reps[2::3]):
         ab_bounded = a_view.bounded and b_view.bounded
@@ -248,9 +250,9 @@ def equivalence_checks(fcs, window: tuple[int, int] | None = None) -> list[Equiv
     return out
 
 
-def equivalence_check(fc: FourierCoefficients, window: tuple[int, int] | None = None) -> EquivalenceReport:
+def equivalence_check(fc: FourierCoefficients) -> EquivalenceReport:
     """``equivalence_checks`` of the one sequence fc."""
-    return equivalence_checks([fc], window)[0]
+    return equivalence_checks([fc])[0]
 
 
 def convergence_radius_check(tc: TaylorCoefficients, rho: float) -> TailEstimate:

@@ -24,6 +24,11 @@ All output is deterministic: fixed evaluation order, fixed seeds, every
 float printed as its shortest exact repr, so a file reads back as the
 same doubles and identical inputs give identical bytes. Exit codes: 0
 success, 1 verification failure, 2 usage error, 3 I/O error.
+
+Every refusal, argparse's own included, is one stderr line
+``error: <reason>`` with exit 2, and an I/O refusal is one line
+``i/o error: <reason>`` with exit 3; ``main`` alone writes them. Only
+--help prints usage.
 """
 
 from __future__ import annotations
@@ -94,8 +99,7 @@ def _parse_schedule(spec: str, tol: float | None) -> RhoSchedule:
 def cmd_coeffs(args) -> int:
     params = {k: getattr(args, k) for k in ("theta1", "order") if getattr(args, k) is not None}
     if (args.fn is None) == (args.csv is None) or (args.csv is not None and params):
-        print("coeffs: provide exactly one of --fn or --csv; --theta1 and --order need --fn", file=sys.stderr)
-        return _USAGE
+        raise ValueError("provide exactly one of --fn or --csv; --theta1 and --order need --fn")
     if args.fn is not None:
         fc = resolve(args.fn, **params).coefficients(args.K)
     else:
@@ -106,17 +110,14 @@ def cmd_coeffs(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     if (args.rho is None) == (args.schedule is None):
-        print("reconstruct: provide exactly one of --rho or --schedule", file=sys.stderr)
-        return _USAGE
+        raise ValueError("provide exactly one of --rho or --schedule")
     if args.rho is not None and args.tol is not None:
-        print("reconstruct: --tol is read only with --schedule", file=sys.stderr)
-        return _USAGE
+        raise ValueError("--tol is read only with --schedule")
     tc = to_taylor(read_coefficients_json(args.coeffs))
     thetas = _parse_theta_grid(args.thetas)
     if args.rho is not None:
         if not 0.0 <= args.rho < 1.0:
-            print(f"reconstruct: need 0 <= rho < 1, got {args.rho}", file=sys.stderr)
-            return _USAGE
+            raise ValueError(f"need 0 <= rho < 1, got {args.rho}")
         rhos = np.array([args.rho])
         values = TaylorSeries(tc).polar(thetas, rhos)
         text = dumps_curve(thetas, rhos, values.real, values.imag)
@@ -277,15 +278,13 @@ _SUITES = {
 def cmd_verify(args) -> int:
     given = {k: getattr(args, k) for k in ("K", "rho0", "p", "b") if getattr(args, k) is not None}
     if given.get("K", 1) < 1:
-        print(f"verify: K must be >= 1, got {args.K}", file=sys.stderr)
-        return _USAGE
+        raise ValueError(f"K must be >= 1, got {args.K}")
     suite = _SUITES[args.suite]
     if suite is _suite_classify and given.keys() & {"p", "b"}:
         suite = _suite_family
     unread = [f"--{k}" for k in given if k not in inspect.signature(suite).parameters]
     if unread:
-        print(f"verify: --suite {args.suite} does not read {', '.join(unread)}", file=sys.stderr)
-        return _USAGE
+        raise ValueError(f"--suite {args.suite} does not read {', '.join(unread)}")
     failed = []
     for name, err, tol in suite(**given):
         ok = err <= tol
@@ -296,9 +295,16 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals raise ValueError for ``main`` to print; its subparsers share the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.lru_cache(maxsize=1)  # parse_args leaves the parser as it was, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="inner-fourier", description=__doc__.splitlines()[0])
+    ap = _Parser(prog="inner-fourier", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("coeffs", help="compute coefficients of a catalog function or CSV samples")
@@ -338,11 +344,11 @@ def _glue_thetas(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_glue_thetas(sys.argv[1:] if argv is None else argv))
     with warnings.catch_warnings():
         # one stderr line per warning, instead of Python's two naming this file
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
+            args = build_parser().parse_args(_glue_thetas(sys.argv[1:] if argv is None else argv))
             return args.func(args)
         # a MemoryError is numpy refusing an array size, such as the Gram basis of a huge verify --K
         except (ValueError, EvaluationError, MemoryError) as exc:

@@ -43,6 +43,16 @@ class TestResidueIdentity:
             residue_identity_check(2, rho)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, "2"])
+    def test_power_that_is_no_integer_is_refused(self, p):
+        with pytest.raises(ValueError) as exc:
+            residue_identity_check(p, 0.5)
+        assert str(exc.value) == f"p must be an integer, got {p!r}"
+
+    def test_numpy_integer_power_is_read(self):
+        assert residue_identity_check(np.int64(0), 0.5) == residue_identity_check(0, 0.5)
+        assert residue_identity_check(np.int32(-3), 0.5) == residue_identity_check(-3, 0.5)
+
 
 class TestFourierGram:
     def test_constant_entry(self):

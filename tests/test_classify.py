@@ -65,6 +65,12 @@ class TestClassifySequence:
             family_magnitudes(p, b, 16)
         assert str(exc.value) == "the family k**p * b**k needs a finite p and 0 <= b < inf"
 
+    def test_family_of_negative_size_is_refused(self):
+        with pytest.raises(ValueError) as exc:
+            family_magnitudes(0.0, 1.0, -1)
+        assert str(exc.value) == "K must be >= 0, got -1"
+        assert family_magnitudes(0.0, 1.0, 0).tolist() == [1.0]
+
     def test_family_of_base_zero_is_degenerate_and_bounded(self):
         rep = classify_sequence(family_magnitudes(0.0, 0.0, 64))
         assert rep.bounded and rep.degenerate
@@ -337,10 +343,10 @@ class TestBatchedFit:
         with pytest.raises(ValueError) as exc:
             classify_sequence(mags, window)
         assert str(exc.value) == text
-        if mags.size > 7 and np.all(np.isfinite(mags)):
-            # a batch raises the message of its first member that a lone check refuses
+        if window is None and mags.size > 7 and np.all(np.isfinite(mags)):
+            # a batch, fitted on the default window, raises the message of its first member that a lone check refuses
             bad = FourierCoefficients(0.0, mags[1:], np.zeros(mags.size - 1))
             good = rotated_family(1.0, 1.0, mags.size - 1, 0.4)
             with pytest.raises(ValueError) as exc:
-                equivalence_checks([good, bad, good], window)
+                equivalence_checks([good, bad, good])
             assert str(exc.value) == text

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import hashlib
 import json
@@ -157,9 +158,8 @@ class TestCoeffsCommand:
         assert err.count("\n") == 1 and ("theta1" in err or "order" in err)
 
     def test_no_quadrature_size_option(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["coeffs", "--fn", "square", "--K", "8", "--M", "8"])
-        assert exc.value.code == 2
+        code, out, err = run(capsys, "coeffs", "--fn", "square", "--K", "8", "--M", "8")
+        assert (code, out, err) == (2, "", "error: unrecognized arguments: --M 8\n")
 
     @pytest.mark.parametrize(
         "name, option, params",
@@ -297,15 +297,18 @@ class TestReconstructCommand:
         assert converged("--tol", "5") == ["true", "true"]
 
     @pytest.mark.parametrize(
-        "argv",
-        [["--rho", "0.5", "--tol", "5"], ["--rho", "0.5", "--schedule", "1..4"], []],
+        "argv, text",
+        [
+            (["--rho", "0.5", "--tol", "5"], "--tol is read only with --schedule"),
+            (["--rho", "0.5", "--schedule", "1..4"], "provide exactly one of --rho or --schedule"),
+            ([], "provide exactly one of --rho or --schedule"),
+        ],
         ids=["tol_with_rho", "rho_and_schedule", "neither"],
     )
-    def test_radius_options_misused_are_refused(self, capsys, tmp_path, argv):
+    def test_radius_options_misused_are_refused(self, capsys, tmp_path, argv, text):
         path = self._coeff_file(capsys, tmp_path, "square", 8)
         code, out, err = run(capsys, "reconstruct", "--coeffs", str(path), "--thetas=0:1:2", *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("reconstruct: ") and err.count("\n") == 1
+        assert (code, out, err) == (2, "", f"error: {text}\n")
 
     @pytest.mark.filterwarnings("ignore::inner_fourier.errors.TruncationWarning")
     def test_partial_arc_is_power_series_bit_for_bit(self, capsys, tmp_path):
@@ -521,23 +524,109 @@ def test_overflow_is_one_error_line(tmp_path, argv, message):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message.format(csv=csv))
 
 
+def _choice_refusal(option, value, choices):
+    # whether argparse quotes the choices depends on the Python release (3.13.0 does, 3.13.13 does not)
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    probe.add_argument(option, choices=choices)
+    with pytest.raises(argparse.ArgumentError) as exc:
+        probe.parse_args([option, value])
+    return str(exc.value)
+
+
+# every kind of usage refusal, argparse's own included: argv ({dir} holds the files that
+# _refusal_inputs writes) and the reason main prints as its one stderr line
+REFUSALS = {
+    "unknown_option": (("verify", "--suite", "ortho", "--tol", "1"), "unrecognized arguments: --tol 1"),
+    "bad_int": (("coeffs", "--fn", "square", "--K", "x"), "argument --K: invalid int value: 'x'"),
+    "missing_option": (("coeffs", "--fn", "square"), "the following arguments are required: --K"),
+    "bad_choice": (
+        ("verify", "--suite", "nope"),
+        _choice_refusal("--suite", "nope", ["classify", "complete", "hilbert", "kernels", "ortho"]),
+    ),
+    "no_command": ((), "the following arguments are required: command"),
+    "fn_and_csv": (
+        ("coeffs", "--fn", "square", "--csv", "{dir}/s.csv", "--K", "4"),
+        "provide exactly one of --fn or --csv; --theta1 and --order need --fn",
+    ),
+    "rho_and_schedule": (
+        ("reconstruct", "--coeffs", "{dir}/square.json", "--rho", "0.5", "--schedule", "1..4"),
+        "provide exactly one of --rho or --schedule",
+    ),
+    "tol_with_rho": (
+        ("reconstruct", "--coeffs", "{dir}/square.json", "--rho", "0.5", "--tol", "5"),
+        "--tol is read only with --schedule",
+    ),
+    "rho_one": (("reconstruct", "--coeffs", "{dir}/square.json", "--rho", "1"), "need 0 <= rho < 1, got 1.0"),
+    "verify_K_zero": (("verify", "--suite", "ortho", "--K", "0"), "K must be >= 1, got 0"),
+    "unread_option": (("verify", "--suite", "kernels", "--K", "5"), "--suite kernels does not read --K"),
+    "alpha_beta_lengths": (
+        ("reconstruct", "--coeffs", "{dir}/lengths.json", "--rho", "0.5"),
+        "{dir}/lengths.json: alpha and beta must be 1d arrays of equal length",
+    ),
+    "empty_alpha_beta": (
+        ("reconstruct", "--coeffs", "{dir}/empty.json", "--rho", "0.5"),
+        "{dir}/empty.json: need K >= 1 harmonic coefficients",
+    ),
+    "one_entry_c": (
+        ("reconstruct", "--coeffs", "{dir}/one.json", "--rho", "0.5"),
+        "{dir}/one.json: need coefficients c_0..c_K with K >= 1",
+    ),
+    "nan_c_re": (
+        ("reconstruct", "--coeffs", "{dir}/nan.json", "--rho", "0.5"),
+        "{dir}/nan.json: coefficients must be finite",
+    ),
+    "csv_K_zero": (("coeffs", "--csv", "{dir}/s.csv", "--K", "0"), "K must be >= 1, got 0"),
+    "thetas_two_fields": (
+        ("reconstruct", "--coeffs", "{dir}/square.json", "--rho", "0.5", "--thetas=0:1"),
+        "theta grid spec must be lo:hi:n, got '0:1'",
+    ),
+}
+
+
+def _refusal_inputs(tmp_path):
+    assert main(["coeffs", "--fn", "square", "--K", "8", "--out", str(tmp_path / "square.json")]) == 0
+    (tmp_path / "s.csv").write_text("theta,value\n" + "".join(f"{t!r},1.0\n" for t in theta_grid(4).tolist()))
+    docs = {
+        "lengths": {"K": 2, "alpha0": 0.5, "alpha": [1.0, 0.0], "beta": [0.0]},
+        "empty": {"K": 0, "alpha0": 0.5, "alpha": [], "beta": []},
+        "one": {"K": 0, "c_re": [1.0], "c_im": [0.0]},
+        "nan": {"K": 1, "c_re": [math.nan, 1.0], "c_im": [0.0, 0.0]},
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("argv, text", REFUSALS.values(), ids=REFUSALS.keys())
+def test_every_refusal_is_one_error_line(capsys, tmp_path, argv, text):
+    _refusal_inputs(tmp_path)
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {text.format(dir=tmp_path)}\n")
+
+
+@pytest.mark.parametrize("argv, usage", [(("--help",), "inner-fourier [-h]"), (("verify", "--help"), "inner-fourier verify [-h]")])
+def test_help_alone_prints_usage(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 0 and out.err == ""
+    assert out.out.startswith(f"usage: {usage} ")
+
+
 def test_one_parser_serves_every_call_after_a_usage_error():
     assert cli.build_parser() is cli.build_parser()
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(inner_fourier.__file__)))
     after_error = (
         "import sys\n"
         "from inner_fourier.cli import main\n"
-        "try:\n"
-        "    main(['verify', '--suite', 'ortho', '--tol', '1'])\n"
-        "    raise AssertionError('no usage error')\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 2\n"
+        "assert main(['verify', '--suite', 'ortho', '--tol', '1']) == 2\n"
         "sys.exit(main(['verify', '--suite', 'ortho']))\n"
     )
-    runs = [
-        subprocess.run([sys.executable, *cmd], env=env, capture_output=True, check=True).stdout
+    procs = [
+        subprocess.run([sys.executable, *cmd], env=env, capture_output=True, check=True)
         for cmd in (["-c", after_error], ["-m", "inner_fourier", "verify", "--suite", "ortho"])
     ]
+    assert procs[0].stderr == b"error: unrecognized arguments: --tol 1\n" and procs[1].stderr == b""
+    runs = [proc.stdout for proc in procs]
     assert runs[0] == runs[1]
     assert runs[0].endswith(b"all checks passed\n")
 
@@ -569,22 +658,20 @@ def test_every_float_token_is_its_shortest_repr(tmp_path):
 
 class TestVerifyCommand:
     def test_no_tolerance_option(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "ortho", "--tol", "1"])
-        assert exc.value.code == 2
+        code, out, err = run(capsys, "verify", "--suite", "ortho", "--tol", "1")
+        assert (code, out, err) == (2, "", "error: unrecognized arguments: --tol 1\n")
 
     @pytest.mark.parametrize("option", [("--M", "64"), ("--out", "sweep.csv")])
     def test_removed_options_refused(self, capsys, option):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "kernels", *option])
-        assert exc.value.code == 2
+        code, out, err = run(capsys, "verify", "--suite", "kernels", *option)
+        assert (code, out, err) == (2, "", f"error: unrecognized arguments: {' '.join(option)}\n")
 
     @pytest.mark.parametrize("suite", ["ortho", "complete", "hilbert", "classify"])
     @pytest.mark.parametrize("K", ["0", "-3"])
     def test_nonpositive_K_is_a_usage_error(self, capsys, suite, K):
         code, out, err = run(capsys, "verify", "--suite", suite, "--K", K)
         assert code == 2
-        assert err == f"verify: K must be >= 1, got {K}\n"
+        assert err == f"error: K must be >= 1, got {K}\n"
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -625,7 +712,7 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--suite", suite, *option)
         assert code == 2
         assert out == ""
-        assert err == f"verify: --suite {suite} does not read {option[-2]}\n"
+        assert err == f"error: --suite {suite} does not read {option[-2]}\n"
 
     @pytest.mark.parametrize(
         "argv, names",

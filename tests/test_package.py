@@ -56,6 +56,19 @@ def test_no_private_function_crosses_modules(path):
     assert crossing == [], f"{path.name} imports private functions of its siblings"
 
 
+def test_only_main_writes_to_stderr():
+    # every CLI refusal is one line that main prints and exits on; no command prints its own
+    tree = ast.parse((Path(inner_fourier.__file__).parent / "cli.py").read_text())
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = set(map(id, ast.walk(main)))
+    outside = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "stderr" and id(node) not in in_main
+    ]
+    assert outside == [], "cli.py writes to sys.stderr outside main (lines)"
+
+
 def _names_read(path: Path) -> set[str]:
     """Every name and attribute that the module at path reads."""
     nodes = list(ast.walk(ast.parse(path.read_text())))
