@@ -20,12 +20,12 @@ rho -> 1 at continuity points.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coeffs import PeriodicFunction
+from .errors import count
 from .quadrature import circle_samples, compensated_csum, phase_powers, trapezoid_periodic
 from .series import InnerAnalytic
 
@@ -63,10 +63,7 @@ def residue_identity_check(p: int, rho: float) -> complex:
     strongly negative p. A p that is not an integer (numpy integers are),
     and a rho that is not finite, or 0 or below, raise ValueError.
     """
-    try:
-        p = operator.index(p)
-    except TypeError:
-        raise ValueError(f"p must be an integer, got {p!r}") from None
+    p = count("p", p)
     if not math.isfinite(rho):
         raise ValueError(f"need a finite rho, got {rho}")
     if rho <= 0.0:
@@ -85,8 +82,7 @@ def fourier_gram(K: int) -> GramReport:
     elements. Basis ordering is constant first, then cosines by k, then
     sines by k.
     """
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    K = count("K", K, 1)
     M = 4 * K + 2
     b = np.empty((2 * K + 1, M))  # first, so that numpy refuses a size it cannot hold before any work
     z = phase_powers(M, np.arange(1, K + 1))  # exp(i*k*theta_j): cos(k*theta_j) + i*sin(k*theta_j)

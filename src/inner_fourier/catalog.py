@@ -31,6 +31,7 @@ import numpy as np
 
 from .coeffs import FourierCoefficients, PeriodicFunction, TaylorCoefficients, from_taylor, to_taylor
 from .distributions import delta_inner
+from .errors import count
 from .quadrature import disk_points
 from .series import TaylorSeries
 
@@ -44,9 +45,7 @@ class CatalogEntry:
     taylor: Callable[[int], TaylorCoefficients]
 
     def coefficients(self, K: int) -> FourierCoefficients:
-        if K < 1:
-            raise ValueError(f"K must be >= 1, got {K}")
-        return from_taylor(self.taylor(K))
+        return from_taylor(self.taylor(count("K", K, 1)))
 
 
 def _jump_entry(id: str, f, beta) -> CatalogEntry:
@@ -56,14 +55,14 @@ def _jump_entry(id: str, f, beta) -> CatalogEntry:
         return np.where(np.abs(np.abs(theta) - math.pi) < 1e-12, 0.0, f(theta))
 
     def taylor(K):
-        return TaylorCoefficients(np.r_[0.0, -1j * beta(np.arange(1, K + 1))])
+        return TaylorCoefficients(np.r_[0.0, -1j * beta(np.arange(1, count("K", K, 1) + 1))])
 
     return CatalogEntry(id, PeriodicFunction(id, fn=fn), taylor)
 
 
 def _entry_triangle():
     def taylor(K):
-        k = np.arange(1, K + 1)
+        k = np.arange(1, count("K", K, 1) + 1)
         return TaylorCoefficients(np.r_[0.5 * math.pi, (2.0 / (math.pi * k * k)) * ((-1.0) ** k - 1.0)])
 
     return CatalogEntry("triangle", PeriodicFunction("triangle", fn=np.abs), taylor)

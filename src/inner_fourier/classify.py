@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import FourierCoefficients, TaylorCoefficients
+from .errors import count
 
 _MIN_FIT_POINTS = 8
 _RATE_TOL = 1e-3
@@ -74,8 +75,7 @@ def family_magnitudes(p, b, K: int) -> np.ndarray:
     raises ValueError. Entries past the float range are inf or nan,
     without a warning.
     """
-    if K < 0:
-        raise ValueError(f"K must be >= 0, got {K}")
+    K = count("K", K, 0)
     k = np.arange(K + 1, dtype=float)
     k[0] = 1.0
     p, b = np.asarray(p, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
@@ -136,6 +136,7 @@ def _fit_rows(rows: np.ndarray, window: tuple[int, int], floors: np.ndarray) -> 
     a power by about 3e-14 on the family k**5 * b**k.
     """
     lo, hi = window
+    lo, hi = window = count("lo", lo), count("hi", hi)
     if lo < 1:
         raise ValueError(f"fit window {window} starts at k = {lo}; need k >= 1")
     # (lo, lo - 1) holds no index, as the default (1, 0) of K = 0 does; an earlier end is a mistake
@@ -147,10 +148,10 @@ def _fit_rows(rows: np.ndarray, window: tuple[int, int], floors: np.ndarray) -> 
     width = m.shape[1]
     finite = np.isfinite(m).all(axis=1)
     nz = m > floors[:, None]
-    count = np.count_nonzero(nz, axis=1)
+    nonzeros = np.count_nonzero(nz, axis=1)
     # an empty window ends in no nonzero magnitude, so it is degenerate too
-    degenerate = (count < _MIN_FIT_POINTS) & ~nz[:, -1:].any(axis=1)
-    refused = ~finite | (~degenerate & ((width < _MIN_FIT_POINTS) | (count < _MIN_FIT_POINTS)))
+    degenerate = (nonzeros < _MIN_FIT_POINTS) & ~nz[:, -1:].any(axis=1)
+    refused = ~finite | (~degenerate & ((width < _MIN_FIT_POINTS) | (nonzeros < _MIN_FIT_POINTS)))
     if refused.any():
         i = int(np.argmax(refused))
         if not finite[i]:
@@ -158,7 +159,7 @@ def _fit_rows(rows: np.ndarray, window: tuple[int, int], floors: np.ndarray) -> 
         if width < _MIN_FIT_POINTS:
             raise ValueError(f"fit window {window} spans {width} indices; need {_MIN_FIT_POINTS}")
         raise ValueError(
-            f"only {count[i]} magnitudes above roundoff in window {window}; need {_MIN_FIT_POINTS}"
+            f"only {nonzeros[i]} magnitudes above roundoff in window {window}; need {_MIN_FIT_POINTS}"
         )
     power = np.zeros(len(rows))
     rate = np.zeros(len(rows))
@@ -169,7 +170,7 @@ def _fit_rows(rows: np.ndarray, window: tuple[int, int], floors: np.ndarray) -> 
         mask = nz[members[0]]
         sol = np.linalg.lstsq(_design(lo, hi)[mask], np.log(m[members][:, mask]).T, rcond=None)[0]
         power[members], rate[members] = sol[0], sol[1]
-    sparse = count < 0.5 * width
+    sparse = nonzeros < 0.5 * width
     return [
         ClassificationReport(True, 0.0, 0.0, window, False, True)
         if degenerate[i]

@@ -46,7 +46,7 @@ from . import basis, classify, hilbert, kernels
 from .catalog import catalog_ids, resolve
 from .coeffs import FourierCoefficients, TaylorCoefficients, fourier_coefficients, to_taylor
 from .distributions import delta_inner
-from .errors import EvaluationError
+from .errors import EvaluationError, count
 from .fileio import (
     dumps_coefficients,
     dumps_curve,
@@ -277,8 +277,7 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     given = {k: getattr(args, k) for k in ("K", "rho0", "p", "b") if getattr(args, k) is not None}
-    if given.get("K", 1) < 1:
-        raise ValueError(f"K must be >= 1, got {args.K}")
+    count("K", given.get("K", 1), 1)
     suite = _SUITES[args.suite]
     if suite is _suite_classify and given.keys() & {"p", "b"}:
         suite = _suite_family

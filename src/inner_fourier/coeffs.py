@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import EvaluationError, count
 from .quadrature import circle_coefficients, grid_coefficients, theta_grid
 
 _IMAG_TOL = 1e-12
@@ -138,8 +138,7 @@ def fourier_coefficients(
     overflow, the transform is redone on the samples scaled by 1/M; a
     coefficient that still overflows a double raises EvaluationError.
     """
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    K = count("K", K, 1)
     if M is None:
         # max(4K, 256) is comfortably past the aliasing bound 2K + 2
         M = f.samples.size if f.samples is not None else max(4 * K, 256)

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
 
 import numpy as np
 
 from .coeffs import TaylorCoefficients
-from .errors import EvaluationError
+from .errors import EvaluationError, count
 from .quadrature import TWO_PI, theta_grid
 from .series import _POLE_TOL, InnerAnalytic, TaylorSeries, angular_derivative, regulated_sum
 
@@ -43,12 +42,7 @@ class _PointMass(InnerAnalytic):
     def __init__(self, theta1: float, order: int):
         if not -math.pi <= theta1 < math.pi:
             raise ValueError(f"theta1 must lie in [-pi, pi), got {theta1}")
-        try:
-            order = operator.index(order)
-        except TypeError:
-            raise ValueError(f"order must be an integer, got {order!r}") from None
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
+        order = count("order", order, 0)
         self.theta1, self.order, self.pole_order = theta1, order, order + 1
         self.pole_set = (complex(math.cos(theta1), math.sin(theta1)),)
         self.label = f"delta inner function (theta1={theta1}" + (f", order={order})" if order else ")")
@@ -66,8 +60,7 @@ class _PointMass(InnerAnalytic):
 
     def taylor(self, K: int) -> TaylorCoefficients:
         """c_0 = 1/(2*pi), c_k = (cos(k*theta1) - i*sin(k*theta1))/pi, then ``angular_derivative`` order times."""
-        if K < 1:
-            raise ValueError(f"K must be >= 1, got {K}")
+        K = count("K", K, 1)
         kt = np.arange(1, K + 1) * self.theta1
         c = np.full(K + 1, 1.0 / TWO_PI, dtype=complex)
         c.real[1:] = np.cos(kt) / math.pi

@@ -25,7 +25,7 @@ import numpy as np
 from .basis import GramReport
 from .classify import classify_sequence
 from .coeffs import TaylorCoefficients
-from .errors import DivergenceWarning
+from .errors import DivergenceWarning, count
 from .quadrature import circle_samples, phase_powers, power_series
 from .series import InnerAnalytic, truncation_bound
 
@@ -40,8 +40,7 @@ class DiskProductConfig:
     def __post_init__(self):
         if not 0.0 < self.rho0 <= 1.0:
             raise ValueError(f"need 0 < rho0 <= 1, got {self.rho0}")
-        if self.M < 64:
-            raise ValueError(f"need M >= 64 quadrature points, got {self.M}")
+        object.__setattr__(self, "M", count("M", self.M, 64))
 
 
 @dataclass(frozen=True)
@@ -140,8 +139,7 @@ def taylor_gram(Kmax: int, cfg: DiskProductConfig) -> GramReport:
     the exact phase table, and the matrix is their grid Gram V^H V / M;
     its imaginary part is folded into both error figures.
     """
-    if Kmax < 1:
-        raise ValueError(f"Kmax must be >= 1, got {Kmax}")
+    Kmax = count("Kmax", Kmax, 1)
     if cfg.M < 4 * Kmax + 2:
         raise ValueError(f"need M >= 4*Kmax + 2 = {4 * Kmax + 2}, got {cfg.M}")
     k = np.arange(Kmax + 1)

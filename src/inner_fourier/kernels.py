@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import TaylorCoefficients
+from .errors import count
 from .quadrature import _EPS, check_aliasing, check_amplification, circle_dft, circle_samples, power_series
 from .series import InnerAnalytic, PolarPoint
 
@@ -58,6 +59,7 @@ class PartialSumReport:
 
 def partial_sum(tc: TaylorCoefficients, z: PolarPoint, N: int) -> complex:
     """The first N terms at any finite point, by ``quadrature.power_series``."""
+    N = count("N", N)
     if not 1 <= N <= tc.K + 1:
         raise ValueError(f"need 1 <= N <= K + 1 = {tc.K + 1}, got N={N}")
     return complex(power_series(tc.c[:N], z.z))
@@ -65,8 +67,7 @@ def partial_sum(tc: TaylorCoefficients, z: PolarPoint, N: int) -> complex:
 
 def _circle_fft(w: InnerAnalytic, z: complex, N: int, rho1: float, M: int):
     """c~_k * rho1**k for k < M on the circle of radius rho1, z/rho1, and the far-field estimate of the sums."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    N, M = count("N", N, 1), count("M", M)
     if N > M:
         raise ValueError(f"{N} terms alias on {M} nodes; need M >= {N}")
     if w.pole_order > 1:
@@ -116,7 +117,7 @@ def remainder(w: InnerAnalytic, z: PolarPoint, N: int, rho1: float, M: int = 409
         raise ValueError(f"need 0 < rho1 <= 1, got {rho1}")
     if z.rho >= rho1 - _RADIUS_CLASH_TOL:
         raise ValueError(f"remainder integral needs |z| < rho1, got |z|={z.rho}, rho1={rho1}")
-    check_aliasing(z.rho / rho1, M)
+    check_aliasing(z.rho / rho1, count("M", M))
     F, zeta, _ = _circle_fft(w, z.z, N, rho1, M)
     if N == M:
         return 0j

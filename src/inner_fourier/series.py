@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import FourierCoefficients, TaylorCoefficients, to_taylor
-from .errors import EvaluationError, TruncationWarning
+from .errors import EvaluationError, TruncationWarning, count
 from .quadrature import _POLE_CLASH_TOL, TWO_PI, check_circle, circle_nodes, circle_series, disk_points
 from .quadrature import grid_power_series, power_series
 
@@ -143,6 +143,7 @@ class TaylorSeries(InnerAnalytic):
         return circle_series(self.tc.c, rho, m)
 
     def taylor(self, K: int) -> TaylorCoefficients:
+        K = count("K", K, 1)
         c = np.zeros(K + 1, dtype=complex)
         n = min(K, self.tc.K) + 1
         c[:n] = self.tc.c[:n]
@@ -152,19 +153,23 @@ class TaylorSeries(InnerAnalytic):
 class ClosedForm(InnerAnalytic):
     """A closed-form inner analytic function with a declared pole set.
 
-    A pole inside the unit disk, |p| < 1 - 1e-9, raises ValueError; the
-    tolerance admits poles on the circle that carry roundoff, such as
-    exp(i*theta1) computed from theta1. A point within 1e-12 of a pole, or
-    a value past the double range, raises EvaluationError.
+    A pole that is not finite, or inside the unit disk, |p| < 1 - 1e-9,
+    raises ValueError; the tolerance admits poles on the circle that carry
+    roundoff, such as exp(i*theta1) computed from theta1. A point within
+    1e-12 of a pole, or a value past the double range, raises
+    EvaluationError.
     """
 
     def __init__(self, fn, *, pole_set=(), taylor_fn=None, label="closed form"):
         self._fn = fn
         self._taylor_fn = taylor_fn
         self.pole_set = tuple(complex(p) for p in pole_set)
-        inside = [p for p in self.pole_set if abs(p) < 1.0 - _POLE_CLASH_TOL]
-        if inside:
-            raise ValueError(f"{label} declares pole {inside[0]!r} inside the unit disk")
+        for p in self.pole_set:
+            # a NaN pole would fail every comparison of the circle rule and switch it off
+            if not math.isfinite(abs(p)):
+                raise ValueError(f"{label} declares pole {p!r}, which is not finite")
+            if abs(p) < 1.0 - _POLE_CLASH_TOL:
+                raise ValueError(f"{label} declares pole {p!r} inside the unit disk")
         self.label = label
 
     def __call__(self, z):
@@ -203,6 +208,7 @@ class RhoSchedule:
     @classmethod
     def geometric(cls, j_start: int = 1, j_stop: int = 14, tol: float = 1e-6) -> "RhoSchedule":
         """rho_j = 1 - 2**(-j) for j = j_start..j_stop <= 53: 1 - 2**-54 rounds to 1."""
+        j_start, j_stop = count("j_start", j_start), count("j_stop", j_stop)
         if not 1 <= j_start < j_stop <= 53:
             raise ValueError(f"need 1 <= j_start < j_stop <= 53, got {j_start}..{j_stop}")
         return cls(tuple(1.0 - 2.0 ** (-j) for j in range(j_start, j_stop + 1)), tol)

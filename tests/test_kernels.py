@@ -41,6 +41,18 @@ def test_pole_inside_disk_refused():
         ClosedForm(lambda z: 1.0 / (1.0 - 2.0 * z), pole_set=(0.5,))
 
 
+@pytest.mark.parametrize("pole", [math.nan, complex(1.0, math.nan), math.inf, complex(0.0, -math.inf)])
+def test_non_finite_pole_refused(pole):
+    # a NaN first in the pole set made the circle rule's nearest pole NaN, which passes every check:
+    # c_3 of 1/(1 - z) read 156.74 on 64 nodes at rho = 0.9999, where the finite pole set is refused
+    with pytest.raises(ValueError) as exc:
+        ClosedForm(lambda z: 1.0 / (1.0 - z), pole_set=(pole, 1.0))
+    assert str(exc.value) == f"closed form declares pole {complex(pole)!r}, which is not finite"
+    with pytest.raises(ValueError) as exc:
+        coefficients_by_cauchy(ClosedForm(lambda z: 1.0 / (1.0 - z), pole_set=(1.0,)), 3, 0.9999, 64)
+    assert str(exc.value) == "aliasing scale 0.9999**M = 0.994 exceeds eps at M=64; need M >= 360419"
+
+
 def test_poles_on_circle_with_roundoff_accepted():
     # exp(i*theta1) computed from theta1 = -0.36 has modulus 1 - 1.1e-16
     assert abs(delta_inner(-0.36).pole_set[0]) < 1.0
