@@ -40,7 +40,6 @@ _COS_SIN = re.compile(r"^(cos|sin)_(\d+)$")
 
 @dataclass(frozen=True, eq=False)
 class CatalogEntry:
-    id: str
     function: PeriodicFunction | None
     taylor: Callable[[int], TaylorCoefficients]
 
@@ -57,7 +56,7 @@ def _jump_entry(id: str, f, beta) -> CatalogEntry:
     def taylor(K):
         return TaylorCoefficients(np.r_[0.0, -1j * beta(np.arange(1, count("K", K, 1) + 1))])
 
-    return CatalogEntry(id, PeriodicFunction(id, fn=fn), taylor)
+    return CatalogEntry(PeriodicFunction(id, fn=fn), taylor)
 
 
 def _entry_triangle():
@@ -65,7 +64,7 @@ def _entry_triangle():
         k = np.arange(1, count("K", K, 1) + 1)
         return TaylorCoefficients(np.r_[0.5 * math.pi, (2.0 / (math.pi * k * k)) * ((-1.0) ** k - 1.0)])
 
-    return CatalogEntry("triangle", PeriodicFunction("triangle", fn=np.abs), taylor)
+    return CatalogEntry(PeriodicFunction("triangle", fn=np.abs), taylor)
 
 
 def _entry_poisson(r: float = 0.5, theta1: float = 0.0):
@@ -73,7 +72,7 @@ def _entry_poisson(r: float = 0.5, theta1: float = 0.0):
         raise ValueError(f"poisson entry needs 0 <= r < 1, got {r}")
     w = delta_inner(theta1)
     function = PeriodicFunction("poisson", fn=lambda theta: w.polar(theta, r).real)
-    return CatalogEntry("poisson", function, lambda K: TaylorCoefficients(w.taylor(K).c * r ** np.arange(K + 1.0)))
+    return CatalogEntry(function, lambda K: TaylorCoefficients(w.taylor(K).c * r ** np.arange(K + 1.0)))
 
 
 def _trig_poly(id: str, degree: int, coefficients: Callable[[], FourierCoefficients]) -> CatalogEntry:
@@ -88,7 +87,7 @@ def _trig_poly(id: str, degree: int, coefficients: Callable[[], FourierCoefficie
             raise ValueError(f"{id} has degree {degree}; need K >= {degree}")
         return series().taylor(K)
 
-    return CatalogEntry(id, PeriodicFunction(id, fn=fn), taylor)
+    return CatalogEntry(PeriodicFunction(id, fn=fn), taylor)
 
 
 def trig_poly_entry(alpha0: float, alpha, beta) -> CatalogEntry:
@@ -114,10 +113,8 @@ _BUILDERS = {
     "square": partial(_jump_entry, "square", np.sign, lambda k: 2.0 * (1.0 - (-1.0) ** k) / (math.pi * k)),
     "sawtooth": partial(_jump_entry, "sawtooth", lambda theta: theta, lambda k: 2.0 * (-1.0) ** (k + 1) / k),
     "triangle": _entry_triangle,
-    "delta": lambda theta1=0.0: CatalogEntry("delta", None, delta_inner(theta1).taylor),
-    "delta_derivative": lambda theta1=0.0, order=1: CatalogEntry(
-        "delta_derivative", None, delta_inner(theta1, order).taylor
-    ),
+    "delta": lambda theta1=0.0: CatalogEntry(None, delta_inner(theta1).taylor),
+    "delta_derivative": lambda theta1=0.0, order=1: CatalogEntry(None, delta_inner(theta1, order).taylor),
     "poisson": _entry_poisson,
 }
 

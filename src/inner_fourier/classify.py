@@ -47,23 +47,20 @@ class ClassificationReport:
     fitted_rate: float
     fitted_power: float
     window: tuple[int, int]
-    sparsity_flag: bool = False
     degenerate: bool = False
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
     c_bounded: bool
-    ab_bounded: bool
     agree: bool
 
 
 @dataclass(frozen=True)
 class TailEstimate:
-    """Dyadic gaps |S_2N - S_N| at one radius and the implied decay rate."""
+    """The decay rate of the dyadic gaps |S_2N - S_N| at one radius; None when no two adjacent gaps are nonzero."""
 
     rho: float
-    gaps: tuple[tuple[int, float], ...]
     rate: float | None
 
 
@@ -170,11 +167,10 @@ def _fit_rows(rows: np.ndarray, window: tuple[int, int], floors: np.ndarray) -> 
         mask = nz[members[0]]
         sol = np.linalg.lstsq(_design(lo, hi)[mask], np.log(m[members][:, mask]).T, rcond=None)[0]
         power[members], rate[members] = sol[0], sol[1]
-    sparse = nonzeros < 0.5 * width
     return [
-        ClassificationReport(True, 0.0, 0.0, window, False, True)
+        ClassificationReport(True, 0.0, 0.0, window, degenerate=True)
         if degenerate[i]
-        else ClassificationReport(bool(rate[i] <= _RATE_TOL), float(rate[i]), float(power[i]), window, bool(sparse[i]))
+        else ClassificationReport(bool(rate[i] <= _RATE_TOL), float(rate[i]), float(power[i]), window)
         for i in range(len(rows))
     ]
 
@@ -208,7 +204,6 @@ def classify_sequence(seq, window: tuple[int, int] | None = None) -> Classificat
             worse.fitted_rate,
             worse.fitted_power,
             window,
-            ra.sparsity_flag or rb.sparsity_flag,
             ra.degenerate and rb.degenerate,
         )
     if isinstance(seq, TaylorCoefficients):
@@ -244,11 +239,10 @@ def equivalence_checks(fcs) -> list[EquivalenceReport]:
         return []
     rows, floors = _magnitude_rows(fcs, Ks[0])
     reps = _fit_rows(rows.reshape(-1, rows.shape[-1]), _default_window(Ks[0]), floors.ravel())
-    out = []
-    for c_view, a_view, b_view in zip(reps[0::3], reps[1::3], reps[2::3]):
-        ab_bounded = a_view.bounded and b_view.bounded
-        out.append(EquivalenceReport(c_view.bounded, ab_bounded, c_view.bounded == ab_bounded))
-    return out
+    return [
+        EquivalenceReport(c_view.bounded, c_view.bounded == (a_view.bounded and b_view.bounded))
+        for c_view, a_view, b_view in zip(reps[0::3], reps[1::3], reps[2::3])
+    ]
 
 
 def equivalence_check(fc: FourierCoefficients) -> EquivalenceReport:
@@ -278,4 +272,4 @@ def convergence_radius_check(tc: TaylorCoefficients, rho: float) -> TailEstimate
     for prev, cur in zip(gaps, gaps[1:]):
         if prev[1] > 0.0 and cur[1] > 0.0:
             rate = (cur[1] / prev[1]) ** (1.0 / prev[0])
-    return TailEstimate(float(rho), tuple(gaps), rate)
+    return TailEstimate(float(rho), rate)

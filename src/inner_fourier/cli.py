@@ -193,7 +193,7 @@ def _suite_hilbert(K=16, rho0=0.5):
     g1 = hilbert.taylor_gram(K, hilbert.DiskProductConfig(1.0, cfg.M))
     yield "taylor_gram_identity", float(np.max(np.abs(g1.matrix - np.eye(K + 1)))), 1e-12
     rng = np.random.default_rng(20260810)
-    worst = herm = 0.0
+    worst = 0.0
     min_norm = math.inf
     for _ in range(100):
         kk = int(rng.integers(2, 65))
@@ -203,12 +203,9 @@ def _suite_hilbert(K=16, rho0=0.5):
         w1, w2 = TaylorSeries(t1), TaylorSeries(t2)
         cfg_r = hilbert.DiskProductConfig(0.8, max(4 * kk + 4, 64))
         a = hilbert.inner_product_disk(w1, w2, cfg_r)
-        b = hilbert.inner_product_series(t1, t2, 0.8)
-        worst = max(worst, abs(a - b.value) - b.tail_bound)
-        herm = max(herm, abs(a - hilbert.inner_product_disk(w2, w1, cfg_r).conjugate()))
+        worst = max(worst, abs(a - hilbert.inner_product_series(t1, t2, 0.8).value))
         min_norm = min(min_norm, hilbert.norm_disk(w1, cfg_r))
     yield "contour_vs_series", worst, 1e-11
-    yield "hermitian_symmetry", herm, 1e-13
     yield "positivity_margin", max(0.0, 1e-6 - min_norm), 0.0
 
 

@@ -326,6 +326,26 @@ def test_derivative_rho_limit_has_no_cutoff(order):
         assert abs(res.value - want.real) <= 4e-15 * abs(want)
 
 
+_BOUNDARY_THETAS = np.array([0.5, 1.0, 2.5])
+
+
+@pytest.mark.parametrize(
+    "order, boundary",
+    [(0, lambda theta: -0.5 / np.tan(theta / 2)), (1, lambda theta: 0.25 / np.sin(theta / 2) ** 2)],
+    ids=["delta", "delta_derivative"],
+)
+def test_conjugate_point_mass_reaches_its_non_integrable_boundary_value(order, boundary):
+    # -pi * Im of the point mass and of its derivative at 0 tend to -cot(theta/2)/2 and
+    # 1/(4 sin**2(theta/2)), neither integrable at 0; both have zero slope in rho at rho = 1,
+    # so at rho = 1 - 2**-30 the Abel distance is about 2**-60, far below eps
+    w = delta_inner(0.0, order)
+    want = boundary(_BOUNDARY_THETAS)
+    direct = w.polar(_BOUNDARY_THETAS, 1.0 - 2.0**-30).imag
+    limit = rho_limit(w, _BOUNDARY_THETAS, RhoSchedule.geometric(1, 30)).conjugate[..., -1]
+    for got in (direct, limit):
+        np.testing.assert_allclose(-math.pi * got, want, rtol=4 * EPS, atol=0)
+
+
 def test_derivative_past_the_double_range_refused_naming_order_and_radius():
     # near theta1 at rho = 1 - 2**-30, |w_40| ~ 40!/|1 - u|**41 is far past the largest double
     w = delta_inner(0.7, 40)

@@ -131,7 +131,7 @@ class TestSeriesProduct:
         assert res.divergent
 
     def test_matches_contour_value(self, rng):
-        worst = -math.inf
+        worst = 0.0
         for _ in range(30):
             K = int(rng.integers(2, 65))
             t1 = TaylorCoefficients(rng.uniform(-1, 1, K + 1) + 1j * rng.uniform(-1, 1, K + 1))
@@ -139,7 +139,7 @@ class TestSeriesProduct:
             cfg = DiskProductConfig(0.8, max(4 * K + 4, 64))
             a = inner_product_disk(TaylorSeries(t1), TaylorSeries(t2), cfg)
             res = inner_product_series(t1, t2, 0.8)
-            worst = max(worst, abs(a - res.value) - res.tail_bound)
+            worst = max(worst, abs(a - res.value))
         assert worst <= 1e-11
 
 

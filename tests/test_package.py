@@ -1,5 +1,8 @@
 import ast
+import dataclasses
 import importlib
+import pkgutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +10,18 @@ import pytest
 
 import inner_fourier
 from inner_fourier import (
+    CatalogEntry,
+    ClassificationReport,
     DiskProductConfig,
+    EquivalenceReport,
+    FourierCoefficients,
+    GramReport,
+    PartialSumReport,
+    PeriodicFunction,
     PolarPoint,
+    RhoLimitResult,
     RhoSchedule,
+    SeriesProductResult,
     TaylorCoefficients,
     TaylorSeries,
     classify_sequence,
@@ -29,6 +41,7 @@ from inner_fourier import (
     taylor_gram,
     to_taylor,
 )
+from inner_fourier.classify import TailEstimate
 from inner_fourier.quadrature import theta_grid
 
 
@@ -122,6 +135,56 @@ _READ = set().union(*map(_names_read, _READERS))
 )
 def test_every_export_has_a_reader(name):
     assert name in _READ, f"{name} is exported but no src module, bench script or acceptance test reads it"
+
+
+# what a routine returns: each field needs a reader outside the module that defines it
+_RESULT_TYPES = (
+    ClassificationReport,
+    EquivalenceReport,
+    TailEstimate,
+    SeriesProductResult,
+    PartialSumReport,
+    RhoLimitResult,
+    GramReport,
+    CatalogEntry,
+)
+# what a caller builds and hands in; its fields are read by the routines that take it
+_INPUT_TYPES = (PeriodicFunction, FourierCoefficients, TaylorCoefficients, PolarPoint, RhoSchedule, DiskProductConfig)
+# an estimate whose reader is still to come; when it lands, the mark goes
+_WAITING = {
+    "PartialSumReport.roundoff_bound": "waits for one stated contract for every contour sum",
+    "RhoLimitResult.truncation_suspect": "waits for the extrapolated Abel limit with its error estimate",
+}
+# attribute reads only: the builtin id(...) is no read of a field named id
+_ATTRIBUTES_READ = {
+    path: {n.attr for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Attribute)} for path in _READERS
+}
+
+
+def _field_case(cls, field: dataclasses.Field):
+    key = f"{cls.__name__}.{field.name}"
+    marks = [pytest.mark.xfail(reason=_WAITING[key], strict=True)] if key in _WAITING else []
+    return pytest.param(cls, field.name, id=key, marks=marks)
+
+
+@pytest.mark.parametrize("cls, field", [_field_case(cls, f) for cls in _RESULT_TYPES for f in dataclasses.fields(cls)])
+def test_every_result_field_has_a_reader(cls, field):
+    home = Path(sys.modules[cls.__module__].__file__)
+    read = set().union(*(attrs for path, attrs in _ATTRIBUTES_READ.items() if path != home))
+    assert field in read, f"no src module but {home.name}, bench script or acceptance test reads {field}"
+
+
+def test_every_dataclass_is_a_gated_result_or_an_input():
+    # a new dataclass is classified before it lands: a result gets the field gate above
+    submodules = pkgutil.iter_modules(inner_fourier.__path__)
+    modules = [inner_fourier, *(importlib.import_module(f"inner_fourier.{m.name}") for m in submodules)]
+    found = {
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__.startswith("inner_fourier")
+    }
+    assert sorted(cls.__name__ for cls in found) == sorted(cls.__name__ for cls in _RESULT_TYPES + _INPUT_TYPES)
 
 
 def test_operator_index_is_read_only_by_errors():
