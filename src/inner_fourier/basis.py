@@ -39,7 +39,6 @@ class GramReport:
     product is folded into both.
     """
 
-    size: int
     max_offdiag_error: float
     max_diag_error: float
     matrix: np.ndarray
@@ -50,7 +49,7 @@ class GramReport:
         diag = np.diag(g)
         diag_err = max(float(np.max(np.abs(diag - expected))), leak)
         off_err = max(float(np.max(np.abs(g - np.diag(diag)))), leak)
-        return cls(g.shape[0], off_err, diag_err, g)
+        return cls(off_err, diag_err, g)
 
 
 def residue_identity_check(p: int, rho: float) -> complex:

@@ -83,6 +83,7 @@ def _trig_poly(id: str, degree: int, coefficients: Callable[[], FourierCoefficie
         return series()(disk_points(theta, 1.0)).real
 
     def taylor(K):
+        K = count("K", K)
         if K < degree:
             raise ValueError(f"{id} has degree {degree}; need K >= {degree}")
         return series().taylor(K)

@@ -56,14 +56,6 @@ class EquivalenceReport:
     agree: bool
 
 
-@dataclass(frozen=True)
-class TailEstimate:
-    """The decay rate of the dyadic gaps |S_2N - S_N| at one radius; None when no two adjacent gaps are nonzero."""
-
-    rho: float
-    rate: float | None
-
-
 def family_magnitudes(p, b, K: int) -> np.ndarray:
     """|a_k| = k**p * b**k for k = 0..K, with the k = 0 entry set to 1.
 
@@ -250,13 +242,14 @@ def equivalence_check(fc: FourierCoefficients) -> EquivalenceReport:
     return equivalence_checks([fc])[0]
 
 
-def convergence_radius_check(tc: TaylorCoefficients, rho: float) -> TailEstimate:
-    """Numerical Cauchy-property check of the partial sums inside the disk.
+def convergence_radius_check(tc: TaylorCoefficients, rho: float) -> float | None:
+    """Numerical Cauchy-property check of the partial sums inside the disk: the rate of their dyadic gaps.
 
     Expects a bounded-classified sequence. At rho < 1 the dyadic gaps
-    |S_2N - S_N| at z = rho shrink geometrically; the reported rate (gap
-    ratio to the power 1/N) approaches rho itself, the polynomial factor
-    washing out in the exponent.
+    |S_2N - S_N| at z = rho shrink geometrically; the returned rate, the
+    last gap ratio to the power 1/N, approaches rho itself, the polynomial
+    factor washing out in the exponent. None when no two adjacent gaps
+    are nonzero.
     """
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"need 0 <= rho < 1, got {rho}")
@@ -272,4 +265,4 @@ def convergence_radius_check(tc: TaylorCoefficients, rho: float) -> TailEstimate
     for prev, cur in zip(gaps, gaps[1:]):
         if prev[1] > 0.0 and cur[1] > 0.0:
             rate = (cur[1] / prev[1]) ** (1.0 / prev[0])
-    return TailEstimate(float(rho), rate)
+    return rate

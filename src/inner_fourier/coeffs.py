@@ -67,6 +67,7 @@ class PeriodicFunction:
         Sampled functions are bound to their own grid: m must equal the
         sample count.
         """
+        m = count("m", m)
         if self.samples is not None:
             if m != self.samples.size:
                 raise ValueError(
@@ -142,6 +143,7 @@ def fourier_coefficients(
     if M is None:
         # max(4K, 256) is comfortably past the aliasing bound 2K + 2
         M = f.samples.size if f.samples is not None else max(4 * K, 256)
+    M = count("m", M)
     if M < 2 * K + 2:
         raise ValueError(f"need M >= 2K + 2 = {2 * K + 2} grid points, got {M}")
     values = f.on_grid(M)

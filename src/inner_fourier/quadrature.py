@@ -421,7 +421,7 @@ def circle_coefficients(w, K: int, rho: float, m: int) -> np.ndarray:
     rho**-K by ``check_amplification``; error of order eps * max|w_j| *
     rho**-k.
     """
-    K = count("K", K)
+    K, m = count("K", K), count("m", m)
     if not 0 <= K <= m // 2 - 1:
         raise ValueError(f"need 0 <= K and M >= 2K + 2, got K={K}, M={m}")
     vals = circle_samples(w, rho, m)

@@ -10,6 +10,7 @@ import sys
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import oracle_poisson_kernel
@@ -21,7 +22,6 @@ from inner_fourier import (
     RhoSchedule,
     TaylorCoefficients,
     TaylorSeries,
-    angular_derivative,
     classify_sequence,
     completeness_probe,
     contour_partial_sum,
@@ -230,8 +230,7 @@ def test_criterion_7_classification():
             disagreements += 1
 
     k = np.arange(1025, dtype=float)
-    est = convergence_radius_check(TaylorCoefficients((k**2).astype(complex)), 0.9)
-    tail_err = abs(est.rate - 0.9)
+    tail_err = abs(convergence_radius_check(TaylorCoefficients((k**2).astype(complex)), 0.9) - 0.9)
     ok = grid_errors == 0 and disagreements == 0 and tail_err <= 0.05
     _report(
         7,
@@ -260,7 +259,9 @@ def test_criterion_8_hilbert():
         a = inner_product_disk(w1, w2, cfg)
         res = inner_product_series(t1, t2, rho0)
         pair_worst = max(pair_worst, abs(a - res.value) - res.tail_bound)
-        herm_worst = max(herm_worst, abs(a - inner_product_disk(w2, w1, cfg).conjugate()))
+        # (w2|w1) on twice the nodes: on the same nodes np.vdot makes the two exact conjugates
+        swapped = inner_product_disk(w2, w1, DiskProductConfig(rho0, 2 * cfg.M))
+        herm_worst = max(herm_worst, abs(a - swapped.conjugate()))
         min_norm = min(min_norm, norm_disk(w1, cfg))
     for rho0 in (0.3, 0.7, 1.0):
         min_norm = min(
@@ -288,18 +289,15 @@ def test_criterion_8_hilbert():
 
 
 def test_criterion_9_cross_module_and_cli():
-    exact = True
+    # c_k of the n-th derivative of the point mass at theta1 is (i*k)**n * exp(-i*k*theta1)/pi, in 40 digits;
+    # the worst error is 7.8 eps of k**n/pi (the rounding of k*theta1), so 64 eps leaves 8x
+    mpmath.mp.dps = 40
+    k = np.arange(1, 65)
+    derivative_err = 0.0
     for n in range(1, 6):
-        direct = resolve("delta_derivative", theta1=0.33, order=n).coefficients(64)
-        tc = delta_inner(0.33).taylor(64)
-        for _ in range(n):
-            tc = angular_derivative(tc)
-        chained = from_taylor(tc)
-        exact = exact and (
-            direct.alpha0 == chained.alpha0
-            and np.array_equal(direct.alpha, chained.alpha)
-            and np.array_equal(direct.beta, chained.beta)
-        )
+        got = to_taylor(resolve("delta_derivative", theta1=0.33, order=n).coefficients(64)).c
+        want = np.array([complex((1j * j) ** n * mpmath.exp(-1j * j * mpmath.mpf(0.33)) / mpmath.pi) for j in k])
+        derivative_err = max(derivative_err, abs(got[0]), float(np.max(np.abs(got[1:] - want) / k**n)) * math.pi)
 
     failures = []
     for suite in ("ortho", "complete", "kernels", "hilbert", "classify"):
@@ -312,10 +310,46 @@ def test_criterion_9_cross_module_and_cli():
             failures.append(f"{suite} (exit {proc.returncode}): {proc.stdout + proc.stderr}")
 
     elapsed = time.perf_counter() - _T0
-    ok = exact and not failures and elapsed <= 180.0
+    ok = derivative_err <= 64 * np.finfo(float).eps and not failures and elapsed <= 180.0
     _report(
         9,
         "cross-module-and-cli",
         ok,
-        f"derivative_exact={exact}, suite_failures={failures or 'none'}, elapsed={elapsed:.1f}s",
+        f"derivative_err={derivative_err:.3g}, suite_failures={failures or 'none'}, elapsed={elapsed:.1f}s",
+    )
+
+
+# worst |probe - rho**k * k**m * cos(k*theta1 - m*pi/2)| / k**m over k = 1..8, cos and sin, measured: (rho, M) -> by m
+_FUNCTIONAL_WORST = {
+    (0.5, 256): (6.3e-17, 5.6e-17, 2.3e-16, 1.2e-16),
+    (0.9, 1024): (3.4e-16, 7.8e-16, 7.2e-15, 1.7e-13),
+}
+
+
+def test_criterion_10_extension():
+    # the m-th derivative of the point mass, damped to radius rho, takes psi to (-1)**m times the m-th derivative
+    # of its Poisson integral at theta1: rho**k * k**m * cos(k*theta1 - m*pi/2) for psi = cos(k*theta), and the
+    # sine for sin(k*theta); each tolerance is 10x its measured worst
+    theta1 = 0.7
+    excess = 0.0
+    for (rho, M), worst in _FUNCTIONAL_WORST.items():
+        for m in range(4):
+            w = delta_inner(theta1, m)
+            for k in range(1, 9):
+                phase = k * theta1 - m * math.pi / 2
+                for kind, want in (("cos", math.cos(phase)), ("sin", math.sin(phase))):
+                    got = completeness_probe(resolve(f"{kind}_{k}").function, w, rho, M)
+                    excess = max(excess, abs(got - rho**k * k**m * want) / k**m / (10 * worst[m]))
+    # c_k of the m-th derivative is (i*k)**m * exp(-i*k*theta1)/pi: polynomial growth of power m
+    power_err = 0.0
+    growth_ok = True
+    for m in range(4):
+        rep = classify_sequence(delta_inner(theta1, m).taylor(4096))
+        growth_ok = growth_ok and rep.bounded and not rep.degenerate
+        power_err = max(power_err, abs(rep.fitted_power - m))
+    _report(
+        10,
+        "extension",
+        excess <= 1.0 and growth_ok and power_err <= 1e-9,
+        f"functional_excess={excess:.3g}, power_err={power_err:.3g}",
     )

@@ -67,7 +67,7 @@ class TestFourierGram:
 
     def test_bounds_at_k64(self):
         g = fourier_gram(64)
-        assert g.size == 129
+        assert g.matrix.shape == (129, 129)
         assert g.max_diag_error <= 1e-12
         assert g.max_offdiag_error <= 1e-12
 
@@ -105,7 +105,7 @@ class TestFourierGram:
         assert plain.max_diag_error == pytest.approx(2e-13, rel=1e-3)
         leaky = GramReport.of(g, np.array([2.0, 1.0]), leak=3e-13)
         assert (leaky.max_offdiag_error, leaky.max_diag_error) == (3e-13, 3e-13)
-        assert leaky.size == 2
+        assert leaky.matrix is g
         large = GramReport.of(g, np.array([2.0, 1.0]), leak=1e-9)
         assert (large.max_offdiag_error, large.max_diag_error) == (1e-9, 1e-9)
 
