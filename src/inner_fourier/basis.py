@@ -19,13 +19,12 @@ rho -> 1 at continuity points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coeffs import PeriodicFunction
-from .errors import count
+from .errors import count, real
 from .quadrature import circle_samples, compensated_csum, phase_powers, trapezoid_periodic
 from .series import InnerAnalytic
 
@@ -62,11 +61,7 @@ def residue_identity_check(p: int, rho: float) -> complex:
     strongly negative p. A p that is not an integer (numpy integers are),
     and a rho that is not finite, or 0 or below, raise ValueError.
     """
-    p = count("p", p)
-    if not math.isfinite(rho):
-        raise ValueError(f"need a finite rho, got {rho}")
-    if rho <= 0.0:
-        raise ValueError(f"need rho > 0, got {rho}")
+    p, rho = count("p", p), real("rho", rho, "(0, inf)")
     M = max(64, 4 * abs(p) + 8)
     # z^p on the circle: rho^p times the exact phase table
     s = compensated_csum(phase_powers(M, p))
@@ -102,9 +97,8 @@ def completeness_probe(psi: PeriodicFunction, kernel: InnerAnalytic, rho: float,
     is sampled on the nodes of ``theta_grid(M)`` by
     ``quadrature.circle_samples``, under its circle rule: a kernel of
     degree >= M, a pole on the circle of radius rho and an aliasing scale
-    (rho/R)**M above eps are refused. rho outside [0, 1) raises
-    ValueError, and so does rho = 0, which is no circle.
+    (rho/R)**M above eps are refused. rho outside (0, 1) raises
+    ValueError: rho = 0 is no circle.
     """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"need 0 <= rho < 1, got {rho}")
+    rho = real("rho", rho, "(0, 1)")
     return trapezoid_periodic(psi.on_grid(M) * circle_samples(kernel, rho, M).real)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .coeffs import FourierCoefficients, PeriodicFunction, TaylorCoefficients, from_taylor, to_taylor
 from .distributions import delta_inner
-from .errors import count
+from .errors import count, real
 from .quadrature import disk_points
 from .series import TaylorSeries
 
@@ -68,8 +68,7 @@ def _entry_triangle():
 
 
 def _entry_poisson(r: float = 0.5, theta1: float = 0.0):
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"poisson entry needs 0 <= r < 1, got {r}")
+    r = real("r", r, "[0, 1)")
     w = delta_inner(theta1)
     function = PeriodicFunction("poisson", fn=lambda theta: w.polar(theta, r).real)
     return CatalogEntry(function, lambda K: TaylorCoefficients(w.taylor(K).c * r ** np.arange(K + 1.0)))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import FourierCoefficients, TaylorCoefficients
-from .errors import count
+from .errors import count, real
 
 _MIN_FIT_POINTS = 8
 _RATE_TOL = 1e-3
@@ -251,8 +251,7 @@ def convergence_radius_check(tc: TaylorCoefficients, rho: float) -> float | None
     factor washing out in the exponent. None when no two adjacent gaps
     are nonzero.
     """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"need 0 <= rho < 1, got {rho}")
+    rho = real("rho", rho, "[0, 1)")
     terms = tc.c * rho ** np.arange(tc.K + 1, dtype=float)
     gaps: list[tuple[int, float]] = []
     n = 1

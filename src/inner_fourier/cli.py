@@ -17,8 +17,12 @@ Three subcommands, each reading every option it accepts:
 - ``verify --suite NAME [--K K] [--rho0 R] [--p P] [--b B]`` runs one
   verification suite and exits 1 on any tolerance violation. Each suite
   reads the options its function takes: ortho and complete --K, hilbert
-  --K and --rho0, kernels and classify none; --p or --b makes classify
-  check one family, which reads --p, --b and --K. It refuses the rest.
+  --K and --rho0, kernels, classify and extend none; --p or --b makes
+  classify check one family, which reads --p, --b and --K. It refuses the
+  rest. The suites are ortho, complete, kernels, hilbert, classify and
+  extend, which checks the point mass and its derivatives as
+  distributions: as functionals, by their boundary values and growth,
+  and along the angular primitive chain.
 
 All output is deterministic: fixed evaluation order, fixed seeds, every
 float printed as its shortest exact repr, so a file reads back as the
@@ -46,7 +50,7 @@ from . import basis, classify, hilbert, kernels
 from .catalog import catalog_ids, resolve
 from .coeffs import FourierCoefficients, TaylorCoefficients, fourier_coefficients, to_taylor
 from .distributions import delta_inner
-from .errors import EvaluationError, count
+from .errors import EvaluationError, count, real
 from .fileio import (
     dumps_coefficients,
     dumps_curve,
@@ -54,7 +58,8 @@ from .fileio import (
     read_samples_csv,
     write_output,
 )
-from .series import ClosedForm, PolarPoint, RhoSchedule, TaylorSeries, rho_limit
+from .quadrature import _EPS
+from .series import ClosedForm, PolarPoint, RhoSchedule, TaylorSeries, angular_primitive, rho_limit
 
 _USAGE, _IO = 2, 3
 
@@ -116,9 +121,7 @@ def cmd_reconstruct(args) -> int:
     tc = to_taylor(read_coefficients_json(args.coeffs))
     thetas = _parse_theta_grid(args.thetas)
     if args.rho is not None:
-        if not 0.0 <= args.rho < 1.0:
-            raise ValueError(f"need 0 <= rho < 1, got {args.rho}")
-        rhos = np.array([args.rho])
+        rhos = np.array([real("rho", args.rho, "[0, 1)")])
         values = TaylorSeries(tc).polar(thetas, rhos)
         text = dumps_curve(thetas, rhos, values.real, values.imag)
     else:
@@ -261,6 +264,53 @@ def _random_families(rng, n: int, K: int) -> list[FourierCoefficients]:
     return [FourierCoefficients(float(a0), a, bb) for a0, a, bb in zip(alpha0, alpha, beta)]
 
 
+# the point mass and its derivatives m = 0..3 at theta1 = 0.7 as functionals at (rho, M): the worst
+# |probe - rho**k * k**m * cos|sin(k*theta1 - m*pi/2)| / k**m over k = 1..8, measured, by m; each tolerance is 10x
+_FUNCTIONAL_WORST = {
+    (0.5, 256): (6.3e-17, 5.6e-17, 2.3e-16, 1.2e-16),
+    (0.9, 1024): (3.4e-16, 7.8e-16, 7.2e-15, 1.7e-13),
+}
+
+
+def _suite_extend():
+    """The point mass at theta1 and its angular derivatives, the singular distributions of the extension.
+
+    Records, each with its measured worst: the functionals, one per (rho, M, m), within 10x the table above; the
+    boundary values -pi * Im w of delta(.; 0) and delta'(.; 0) at rho = 1 - 2**-30, -cot(theta/2)/2 and
+    1/(4 sin**2(theta/2)), relative 4.4e-16 against 4 eps; the ambiguity, |Re w| there, which is the Abel distance
+    1.30 (m = 0) and 5.09 (m = 1) times 1 - rho at theta = 0.5, against 10 * (1 - rho); the growth, a fitted power
+    within 4.9e-15 of m, against 1e-9; and the primitive chain, angular_primitive of order m + 1 against order m,
+    relative 2.1e-16 against 4 eps.
+    """
+    theta1 = 0.7
+    for (rho, M), worsts in _FUNCTIONAL_WORST.items():
+        for m, worst in enumerate(worsts):
+            w, err = delta_inner(theta1, m), 0.0
+            for k in range(1, 9):
+                phase = k * theta1 - m * math.pi / 2
+                for kind, want in (("cos", math.cos(phase)), ("sin", math.sin(phase))):
+                    got = basis.completeness_probe(resolve(f"{kind}_{k}").function, w, rho, M)
+                    err = max(err, abs(got - rho**k * k**m * want) / k**m)
+            yield f"functional_m{m}_rho{round(100 * rho)}", err, 10 * worst
+    thetas, sched = np.array([0.5, 1.0, 2.5]), RhoSchedule.geometric(1, 30)
+    boundary = ambiguity = 0.0
+    for m, want in enumerate((-0.5 / np.tan(thetas / 2), 0.25 / np.sin(thetas / 2) ** 2)):
+        res = rho_limit(delta_inner(0.0, m), thetas, sched)
+        boundary = max(boundary, float(np.max(np.abs(-math.pi * res.conjugate[:, -1] - want) / np.abs(want))))
+        ambiguity = max(ambiguity, float(np.max(np.abs(res.value))))
+    yield "boundary_value", boundary, 4 * _EPS
+    yield "ambiguity", ambiguity, 10 * (1.0 - sched.rhos[-1])
+    power_err = chain = 0.0
+    for m in range(4):
+        rep = classify.classify_sequence(delta_inner(theta1, m).taylor(4096))
+        power_err = max(power_err, abs(rep.fitted_power - m) if rep.bounded and not rep.degenerate else math.inf)
+        want = delta_inner(theta1, m).taylor(64).c[1:]
+        got = angular_primitive(delta_inner(theta1, m + 1).taylor(64)).c[1:]
+        chain = max(chain, float(np.max(np.abs(got - want) / np.abs(want))))
+    yield "growth_power", power_err, 1e-9
+    yield "primitive_chain", chain, 4 * _EPS
+
+
 # each suite yields (name, max_error, tol) records; its keyword parameters are the options it reads
 _SUITES = {
     "ortho": _suite_ortho,
@@ -268,6 +318,7 @@ _SUITES = {
     "kernels": _suite_kernels,
     "hilbert": _suite_hilbert,
     "classify": _suite_classify,
+    "extend": _suite_extend,
 }
 
 

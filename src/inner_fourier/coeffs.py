@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, count
+from .errors import EvaluationError, count, real
 from .quadrature import circle_coefficients, grid_coefficients, theta_grid
 
 _IMAG_TOL = 1e-12
@@ -98,7 +98,7 @@ class FourierCoefficients:
             raise ValueError("alpha and beta must be 1d arrays of equal length")
         if a.size < 1:
             raise ValueError("need K >= 1 harmonic coefficients")
-        if not (np.isfinite(self.alpha0) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(self.alpha0) and np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "alpha", _readonly(a))
         object.__setattr__(self, "beta", _readonly(b))
@@ -118,7 +118,7 @@ class TaylorCoefficients:
         c = np.array(self.c, dtype=complex)
         if c.ndim != 1 or c.size < 2:
             raise ValueError("need coefficients c_0..c_K with K >= 1")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "c", _readonly(c))
 
@@ -187,6 +187,5 @@ def coefficients_by_cauchy(w, k: int, rho: float, M: int = 4096) -> complex:
     rho**-k above 1/sqrt(eps) are refused, naming the radii or the M that
     pass.
     """
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"need 0 < rho <= 1, got {rho}")
+    rho = real("rho", rho, "(0, 1]")
     return complex(circle_coefficients(w, k, rho, M)[k])

@@ -25,7 +25,7 @@ import numpy as np
 from .basis import GramReport
 from .classify import classify_sequence
 from .coeffs import TaylorCoefficients
-from .errors import DivergenceWarning, count
+from .errors import DivergenceWarning, count, real
 from .quadrature import circle_samples, phase_powers, power_series
 from .series import InnerAnalytic, truncation_bound
 
@@ -38,8 +38,7 @@ class DiskProductConfig:
     M: int = 2048
 
     def __post_init__(self):
-        if not 0.0 < self.rho0 <= 1.0:
-            raise ValueError(f"need 0 < rho0 <= 1, got {self.rho0}")
+        object.__setattr__(self, "rho0", real("rho0", self.rho0, "(0, 1]"))
         object.__setattr__(self, "M", count("M", self.M, 64))
 
 
@@ -108,8 +107,7 @@ def inner_product_series(
     bound. At rho0 = 1 with non decaying coefficient products the partial
     value is returned with the divergent flag set and a warning emitted.
     """
-    if not 0.0 < rho0 <= 1.0:
-        raise ValueError(f"need 0 < rho0 <= 1, got {rho0}")
+    rho0 = real("rho0", rho0, "(0, 1]")
     n = min(tc1.K, tc2.K) + 1
     value = complex(power_series(np.conj(tc1.c[:n]) * tc2.c[:n], rho0 * rho0))
     divergent = False

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import TaylorCoefficients
-from .errors import count
+from .errors import count, real
 from .quadrature import _EPS, check_aliasing, check_amplification, circle_dft, circle_samples, power_series
 from .series import InnerAnalytic, PolarPoint
 
@@ -90,8 +90,7 @@ def contour_partial_sum(
     trapezoid Cauchy coefficients; N > M is refused, since c~_k for k >= M
     aliases onto c~_{k-M}.
     """
-    if not 0.0 < rho1 <= 1.0:
-        raise ValueError(f"need 0 < rho1 <= 1, got {rho1}")
+    rho1 = real("rho1", rho1, "(0, 1]")
     if abs(rho1 - z.rho) < _RADIUS_CLASH_TOL:
         raise ValueError(f"ill posed: |z| = rho1 = {rho1}; the identity needs |z| != rho1")
     F, zeta, bound = _circle_fft(w, z.z, N, rho1, M)
@@ -113,8 +112,7 @@ def remainder(w: InnerAnalytic, z: PolarPoint, N: int, rho1: float, M: int = 409
     tail is about M/36 terms, up to 17x it for M <= 4096 and 153x for M
     up to 65536, and at most 0.29 of the stated contract.
     """
-    if not 0.0 < rho1 <= 1.0:
-        raise ValueError(f"need 0 < rho1 <= 1, got {rho1}")
+    rho1 = real("rho1", rho1, "(0, 1]")
     if z.rho >= rho1 - _RADIUS_CLASH_TOL:
         raise ValueError(f"remainder integral needs |z| < rho1, got |z|={z.rho}, rho1={rho1}")
     check_aliasing(z.rho / rho1, count("M", M))
@@ -138,7 +136,6 @@ def boundary_partial_sum(
     of ``PartialSumReport``, which random sweeps exceed up to 25 times. A
     non-finite theta raises ValueError.
     """
-    if not 0.0 < rho1 < 1.0:
-        raise ValueError(f"need 0 < rho1 < 1 strictly, got {rho1}")
+    rho1 = real("rho1", rho1, "(0, 1)")
     F, zeta, _ = _circle_fft(w, PolarPoint(1.0, theta).z, N, rho1, M)
     return complex(power_series(F[:N], zeta))

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import EvaluationError, count
+from .errors import EvaluationError, count, real
 
 TWO_PI = 2.0 * math.pi
 _TWO_PI_TAIL = 2.4492935982947064e-16  # 2*pi - TWO_PI, to double precision
@@ -393,11 +393,7 @@ def circle_samples(w, rho: float, m: int) -> np.ndarray:
     Each w says in ``circle`` how it is evaluated there. A radius that is
     not finite, or 0 or below, raises ValueError.
     """
-    if not math.isfinite(rho):
-        raise ValueError(f"circle radius must be finite, got {rho}")
-    if rho <= 0.0:
-        raise ValueError(f"circle radius must be positive, got {rho}")
-    m = count("m", m, 1)
+    rho, m = real("rho", rho, "(0, inf)"), count("m", m, 1)
     check_circle(w, rho, m)
     return np.asarray(w.circle(rho, m), dtype=complex)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import FourierCoefficients, TaylorCoefficients, to_taylor
-from .errors import EvaluationError, TruncationWarning, count
+from .errors import EvaluationError, TruncationWarning, count, real
 from .quadrature import _POLE_CLASH_TOL, TWO_PI, check_circle, circle_nodes, circle_series, disk_points
 from .quadrature import grid_power_series, power_series
 
@@ -51,8 +51,7 @@ class PolarPoint:
     theta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.rho) and self.rho >= 0.0):
-            raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
+        object.__setattr__(self, "rho", real("rho", self.rho, "[0, inf)"))
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
         object.__setattr__(self, "theta", _wrap_angle(self.theta))
@@ -194,16 +193,13 @@ class RhoSchedule:
     tol: float = 1e-6
 
     def __post_init__(self):
-        r = tuple(float(x) for x in self.rhos)
+        r = tuple(real(f"rhos[{j}]", x, "(0, 1)") for j, x in enumerate(self.rhos))
         if len(r) < 2:
             raise ValueError("schedule needs at least 2 radii")
-        if any(not 0.0 < x < 1.0 for x in r):
-            raise ValueError("all radii must lie in (0, 1)")
         if any(b <= a for a, b in zip(r, r[1:])):
             raise ValueError("radii must be strictly ascending")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         object.__setattr__(self, "rhos", r)
+        object.__setattr__(self, "tol", real("tol", self.tol, "(0, inf)"))
 
     @classmethod
     def geometric(cls, j_start: int = 1, j_stop: int = 14, tol: float = 1e-6) -> "RhoSchedule":
@@ -237,9 +233,7 @@ def regulated_sum(w: InnerAnalytic | FourierCoefficients, theta, rho: float):
     + beta_k sin(k theta)], evaluated through ``w.polar``. A non-finite
     theta raises ValueError.
     """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"need 0 <= rho < 1, got {rho}")
-    return _inner(w).polar(theta, rho).real
+    return _inner(w).polar(theta, real("rho", rho, "[0, 1)")).real
 
 
 def truncation_bound(rho: float, K: int) -> float:

@@ -36,7 +36,7 @@ class TestResidueIdentity:
 
     @pytest.mark.parametrize(
         "rho, message",
-        [(math.nan, "need a finite rho, got nan"), (math.inf, "need a finite rho, got inf"), (0.0, "need rho > 0, got 0.0")],
+        [(math.nan, "need 0 < rho < inf, got nan"), (math.inf, "need 0 < rho < inf, got inf"), (0.0, "need 0 < rho < inf, got 0.0")],
     )
     def test_radius_that_is_no_circle_is_refused(self, rho, message):
         with pytest.raises(ValueError) as exc:
@@ -184,11 +184,11 @@ class TestCompletenessProbe:
     def test_radius_one_is_refused(self, kernel):
         with pytest.raises(ValueError) as exc:
             completeness_probe(resolve("const").function, kernel, 1.0, 4096)
-        assert str(exc.value) == "need 0 <= rho < 1, got 1.0"
+        assert str(exc.value) == "need 0 < rho < 1, got 1.0"
 
     @pytest.mark.parametrize("kernel", [delta_inner(0.7), _series_kernel(0.7, 8)], ids=["exact", "series"])
     def test_radius_zero_is_no_circle(self, kernel):
-        # the kernel is sampled by circle_samples, which needs a circle
+        # the kernel is sampled on a circle, and rho = 0 is none
         with pytest.raises(ValueError) as exc:
             completeness_probe(resolve("const").function, kernel, 0.0, 4096)
-        assert str(exc.value) == "circle radius must be positive, got 0.0"
+        assert str(exc.value) == "need 0 < rho < 1, got 0.0"

@@ -122,7 +122,7 @@ def test_coefficients_are_the_taylor_sequence_read_back(name):
 def test_poisson_entry_refuses_a_radius_off_the_open_disk(r):
     with pytest.raises(ValueError) as exc:
         resolve("poisson", r=r)
-    assert str(exc.value) == f"poisson entry needs 0 <= r < 1, got {r}"
+    assert str(exc.value) == f"need 0 <= r < 1, got {r}"
 
 
 def test_distribution_entries_have_no_sampler():

@@ -401,7 +401,7 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "extra, text",
         [
-            (("--schedule", "1..3", "--tol", "inf"), "tol must be positive and finite, got inf"),
+            (("--schedule", "1..3", "--tol", "inf"), "need 0 < tol < inf, got inf"),
             (("--schedule", "50..54"), "need 1 <= j_start < j_stop <= 53, got 50..54"),
         ],
         ids=["infinite_tol", "radius_rounds_to_one"],
@@ -541,7 +541,7 @@ REFUSALS = {
     "missing_option": (("coeffs", "--fn", "square"), "the following arguments are required: --K"),
     "bad_choice": (
         ("verify", "--suite", "nope"),
-        _choice_refusal("--suite", "nope", ["classify", "complete", "hilbert", "kernels", "ortho"]),
+        _choice_refusal("--suite", "nope", ["classify", "complete", "extend", "hilbert", "kernels", "ortho"]),
     ),
     "no_command": ((), "the following arguments are required: command"),
     "fn_and_csv": (
@@ -666,7 +666,7 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--suite", "kernels", *option)
         assert (code, out, err) == (2, "", f"error: unrecognized arguments: {' '.join(option)}\n")
 
-    @pytest.mark.parametrize("suite", ["ortho", "complete", "hilbert", "classify"])
+    @pytest.mark.parametrize("suite", ["ortho", "complete", "hilbert", "classify", "extend"])
     @pytest.mark.parametrize("K", ["0", "-3"])
     def test_nonpositive_K_is_a_usage_error(self, capsys, suite, K):
         code, out, err = run(capsys, "verify", "--suite", suite, "--K", K)
@@ -706,6 +706,8 @@ class TestVerifyCommand:
             ("hilbert", ("--b", "2")),
             ("classify", ("--K", "64")),
             ("classify", ("--p", "1", "--rho0", "0.3")),
+            ("extend", ("--K", "5")),
+            ("extend", ("--rho0", "0.3")),
         ],
     )
     def test_option_the_suite_does_not_read_is_refused(self, capsys, suite, option):
@@ -721,6 +723,11 @@ class TestVerifyCommand:
             (["complete"], ["unit_mass", "poisson_eigenrelation", "zero_coefficient_probe"]),
             (["kernels"], ["contour_polynomial", "contour_delta", "remainder_closed_form", "remainder_slope"]),
             (["classify"], ["family_grid", "equivalence_agreement", "tail_ratio"]),
+            (
+                ["extend"],
+                [*(f"functional_m{m}_rho{r}" for r in (50, 90) for m in range(4)),
+                 "boundary_value", "ambiguity", "growth_power", "primitive_chain"],
+            ),
             (
                 ["hilbert", "--rho0", "0.37", "--K", "8"],
                 ["taylor_gram_offdiag", "taylor_gram_diag", "taylor_gram_identity",
@@ -823,6 +830,20 @@ class TestVerifyCommand:
             "unit_mass: PASS (max_error=2.22e-16, tol=1e-12)\n"
             "poisson_eigenrelation: PASS (max_error=1.11e-16, tol=1e-10)\n"
             "zero_coefficient_probe: PASS (max_error=1.55e-16, tol=1e-10)\n"
+        ),
+        "extend": (
+            "functional_m0_rho50: PASS (max_error=6.25e-17, tol=6.3e-16)\n"
+            "functional_m1_rho50: PASS (max_error=5.55e-17, tol=5.6e-16)\n"
+            "functional_m2_rho50: PASS (max_error=2.22e-16, tol=2.3e-15)\n"
+            "functional_m3_rho50: PASS (max_error=1.11e-16, tol=1.2e-15)\n"
+            "functional_m0_rho90: PASS (max_error=3.33e-16, tol=3.4e-15)\n"
+            "functional_m1_rho90: PASS (max_error=7.77e-16, tol=7.8e-15)\n"
+            "functional_m2_rho90: PASS (max_error=7.11e-15, tol=7.2e-14)\n"
+            "functional_m3_rho90: PASS (max_error=1.64e-13, tol=1.7e-12)\n"
+            "boundary_value: PASS (max_error=4.35e-16, tol=8.88178e-16)\n"
+            "ambiguity: PASS (max_error=4.74e-09, tol=9.31323e-09)\n"
+            "growth_power: PASS (max_error=4.88e-15, tol=1e-09)\n"
+            "primitive_chain: PASS (max_error=2.07e-16, tol=8.88178e-16)\n"
         ),
     }
 

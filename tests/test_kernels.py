@@ -209,7 +209,7 @@ class TestBoundaryPartialSum:
             assert abs(got - want) < bound
 
     def test_strict_radius_bound(self):
-        with pytest.raises(ValueError, match="strict"):
+        with pytest.raises(ValueError, match=r"^need 0 < rho1 < 1, got 1.0$"):
             boundary_partial_sum(monomial(1), 0.0, 2, 1.0)
 
     def test_nan_angle_rejected(self):

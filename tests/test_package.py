@@ -1,8 +1,11 @@
+import argparse
 import ast
 import dataclasses
 import importlib
+import math
 import pkgutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -25,24 +28,31 @@ from inner_fourier import (
     SeriesProductResult,
     TaylorCoefficients,
     TaylorSeries,
+    boundary_partial_sum,
     classify_sequence,
     coefficients_by_cauchy,
     completeness_probe,
     contour_partial_sum,
+    convergence_radius_check,
     delta_inner,
     family_magnitudes,
     fourier_coefficients,
     fourier_gram,
     inner_product_disk,
+    inner_product_series,
     partial_sum,
     regulated_delta_on_grid,
+    regulated_sum,
     remainder,
     residue_identity_check,
     resolve,
     taylor_gram,
     to_taylor,
 )
-from inner_fourier.quadrature import theta_grid
+from inner_fourier.cli import cmd_reconstruct
+from inner_fourier.errors import real
+from inner_fourier.fileio import dumps_coefficients
+from inner_fourier.quadrature import circle_samples, theta_grid
 
 
 def test_imported_names_are_the_export_list():
@@ -123,16 +133,7 @@ _READERS = [
 _READ = set().union(*map(_names_read, _READERS))
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        # angular_primitive waits for its caller, the log atom's exact angular primitive; then this mark goes
-        pytest.param(name, marks=pytest.mark.xfail(reason="no reader yet", strict=True))
-        if name == "angular_primitive"
-        else name
-        for name in inner_fourier.__all__
-    ],
-)
+@pytest.mark.parametrize("name", inner_fourier.__all__)
 def test_every_export_has_a_reader(name):
     assert name in _READ, f"{name} is exported but no src module, bench script or acceptance test reads it"
 
@@ -316,3 +317,74 @@ _NUMPY_COUNTS = {
 @pytest.mark.parametrize("call", _NUMPY_COUNTS.values(), ids=_NUMPY_COUNTS.keys())
 def test_numpy_integer_counts_read_as_python_ints(call):
     assert np.asarray(call(np.int64)).tobytes() == np.asarray(call(int)).tobytes()
+
+
+def _reconstruct_at(rho):
+    """``inner-fourier reconstruct --rho rho`` on the square wave's coefficients, past argparse's float()."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "square.json")
+        path.write_text(dumps_coefficients(resolve("square").coefficients(8)))
+        args = argparse.Namespace(coeffs=str(path), thetas="-pi:pi:8", rho=rho, schedule=None, tol=None, out=None)
+        return cmd_reconstruct(args)
+
+
+# each scalar radius or tolerance a caller gives: the call, its name, its interval, a value inside and one outside
+_RADII = {
+    "residue_identity_check": (lambda x: residue_identity_check(1, x), "rho", "0 < rho < inf", 0.5, -0.5),
+    "completeness_probe": (lambda x: completeness_probe(_SQUARE, _DELTA, x, 128), "rho", "0 < rho < 1", 0.5, 1.5),
+    "poisson r": (lambda x: resolve("poisson", r=x).taylor(8).c, "r", "0 <= r < 1", 0.5, 1.5),
+    "convergence_radius_check": (lambda x: convergence_radius_check(_W.tc, x), "rho", "0 <= rho < 1", 0.5, 1.5),
+    "reconstruct --rho": (_reconstruct_at, "rho", "0 <= rho < 1", 0.5, 1.5),
+    "coefficients_by_cauchy": (lambda x: coefficients_by_cauchy(_DELTA, 2, x, 256), "rho", "0 < rho <= 1", 0.75, 1.5),
+    "DiskProductConfig": (lambda x: DiskProductConfig(x, 256), "rho0", "0 < rho0 <= 1", 0.5, 1.5),
+    "inner_product_series": (lambda x: inner_product_series(_W.tc, _W.tc, x).value, "rho0", "0 < rho0 <= 1", 0.5, 1.5),
+    "contour_partial_sum": (
+        lambda x: contour_partial_sum(_DELTA, _Z, 4, x, 256).contour, "rho1", "0 < rho1 <= 1", 0.75, 1.5
+    ),
+    "remainder": (lambda x: remainder(_DELTA, _Z, 4, x, 256), "rho1", "0 < rho1 <= 1", 0.75, 1.5),
+    "boundary_partial_sum": (lambda x: boundary_partial_sum(_DELTA, 0.1, 4, x, 256), "rho1", "0 < rho1 < 1", 0.75, 1.5),
+    "circle_samples": (lambda x: circle_samples(_W, x, 64), "rho", "0 < rho < inf", 0.5, -0.5),
+    "PolarPoint": (lambda x: PolarPoint(x, 0.1), "rho", "0 <= rho < inf", 0.5, -0.5),
+    "RhoSchedule rhos": (lambda x: RhoSchedule((x, 0.9)), "rhos[0]", "0 < rhos[0] < 1", 0.5, 1.5),
+    "RhoSchedule tol": (lambda x: RhoSchedule((0.5, 0.9), x), "tol", "0 < tol < inf", 0.5, -0.5),
+    "regulated_sum": (lambda x: regulated_sum(_W, np.array([0.1, 0.2]), x), "rho", "0 <= rho < 1", 0.5, 1.5),
+}
+# each value that is not one real number inside any interval; the sites' own outside values join them
+_NOT_A_RADIUS = {"str": "0.5", "complex": 0.5 + 0.5j, "array": np.array([0.5]), "nan": math.nan, "inf": math.inf}
+
+
+@pytest.mark.parametrize("kind", [*_NOT_A_RADIUS, "outside"])
+@pytest.mark.parametrize("site", _RADII)
+def test_a_radius_that_is_not_one_real_number_is_refused(site, kind):
+    # a str or a complex leaked a TypeError from the comparisons errors.real replaced, and a one-element array was kept
+    call, name, need, _, outside = _RADII[site]
+    value = _NOT_A_RADIUS.get(kind, outside)
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    if kind == "array":
+        assert str(exc.value) == f"{name} must be a real number, got an array of shape (1,)"
+    elif kind in ("str", "complex"):
+        assert str(exc.value) == f"{name} must be a real number, got {value!r}"
+    else:
+        assert str(exc.value) == f"need {need}, got {value}"
+
+
+def _bits(out):
+    """The bytes of a returned number or array, or of each field of a returned dataclass."""
+    if dataclasses.is_dataclass(out):
+        return [_bits(getattr(out, f.name)) for f in dataclasses.fields(out)]
+    return np.asarray(out).tobytes()
+
+
+@pytest.mark.parametrize("site", _RADII)
+def test_numpy_radii_read_as_python_floats(site):
+    call, _, _, inside, _ = _RADII[site]
+    want = _bits(call(inside))
+    for numpy_value in (np.float64(inside), np.float32(inside), np.array(inside)):
+        assert _bits(call(numpy_value)) == want
+
+
+def test_a_real_past_the_double_range_is_refused():
+    with pytest.raises(ValueError) as exc:
+        real("rho", 10**400, "(0, inf)")
+    assert str(exc.value) == "rho is past the double range"

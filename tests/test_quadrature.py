@@ -170,10 +170,10 @@ def test_series_circle_is_one_zero_padded_inverse_fft_bit_for_bit(size, rho, m):
 def test_circle_radius_that_is_not_finite_is_refused(w, rho):
     with pytest.raises(ValueError) as exc:
         circle_samples(w, rho, 16)
-    assert str(exc.value) == f"circle radius must be finite, got {rho}"
+    assert str(exc.value) == f"need 0 < rho < inf, got {rho}"
     with pytest.raises(ValueError) as exc:
         circle_coefficients(w, 3, rho, 16)
-    assert str(exc.value) == f"circle radius must be finite, got {rho}"
+    assert str(exc.value) == f"need 0 < rho < inf, got {rho}"
 
 
 @pytest.mark.parametrize(

@@ -344,7 +344,7 @@ class TestSchedule:
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
     def test_tol_must_be_positive_and_finite(self, tol):
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
+        with pytest.raises(ValueError, match=r"^need 0 < tol < inf, got "):
             RhoSchedule((0.5, 0.9), tol=tol)
 
     def test_geometric_stops_at_the_last_radius_below_one(self):

@@ -1,11 +1,13 @@
 """Size of a Python source tree: its line count and its code lines.
 
 Run ``python tools/code_lines.py [DIR]`` (DIR defaults to ``src``) from
-the repository root. It prints the total line count of every ``*.py``
-file under DIR, as ``wc -l`` reads it, and the lines that hold code: not
-blank, not only a comment, and not inside a docstring (the string that
-opens a module, class or function body). The lines are found with
-``tokenize`` and the docstrings with ``ast``.
+the repository root. For each ``*.py`` file under DIR, then for all of
+them together on the last line, it prints the line count, as ``wc -l``
+reads it, and the lines that hold code: not blank, not only a comment,
+and not inside a docstring (the string that opens a module, class or
+function body). The per-file lines show where a change spread over many
+modules put its lines. The lines are found with ``tokenize`` and the
+docstrings with ``ast``.
 """
 
 import ast
@@ -41,7 +43,10 @@ def sizes(path: Path) -> tuple[int, int]:
 
 def main(argv: list[str]) -> None:
     root = Path(argv[0] if argv else "src")
-    per_file = [sizes(p) for p in sorted(root.rglob("*.py"))]
+    paths = sorted(root.rglob("*.py"))
+    per_file = [sizes(p) for p in paths]
+    for path, (lines, code) in zip(paths, per_file):
+        print(f"{path}: {lines:,} lines, {code:,} code lines")
     lines, code = (sum(col) for col in zip(*per_file)) if per_file else (0, 0)
     print(f"{root}: {lines:,} lines (wc -l), {code:,} code lines")
 
